@@ -63,8 +63,6 @@ class SpatialAligner:
                                                     cfg.heads, cfg.ff_mult * d))
 
     def __call__(self, feat: FeatureSequence, attn_sink: list | None = None) -> DiffArray:
-        if feat.positions is None:
-            raise ValueError("spatial alignment needs trajectory frame positions")
         x = feat.values
         if self.cfg.use_rope:
             x = ad.add(x, self.store.const(rope2d(feat.positions, self.d, self.cfg.rope_base)))

@@ -2,9 +2,10 @@
 
 Exactly the kernel set the recognizer needs and nothing more: elementwise
 arithmetic, matmul, strided 1D/2D convolution, the usual activations,
-softmax, layer norm, concatenation, row gather, linear interpolation along
-the leading axis, full reductions, and the two losses. Arrays are float32
-by default; build everything in float64 for finite-difference checks.
+softmax, layer norm, a whole-sequence GRU, concatenation, row gather,
+linear interpolation along the leading axis, full reductions, and the two
+losses. Arrays are float32 by default; build everything in float64 for
+finite-difference checks.
 
 Also hosts the optimizer pieces: Adam with bias correction and the cosine
 learning-rate schedule.
@@ -407,6 +408,70 @@ def layer_norm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-5
 
 
 # ---------------------------------------------------------------------------
+# recurrence
+
+
+def gru(px: DiffArray, h0: DiffArray, w_h: DiffArray, b_h: DiffArray) -> DiffArray:
+    """Gated recurrent unit over a whole sequence: (T, 3H) projections -> (T, H) states.
+
+    `px` holds each step's input-side projections packed as gate blocks
+    [r | z | n]; `w_h` (H, 3H) and `b_h` (3H,) project the hidden state in
+    the same layout, and `h0` (1, H) is the initial state. Per step, with
+    a = h @ w_h + b_h:
+
+        r = sigmoid(px_r + a_r)    z = sigmoid(px_z + a_z)
+        n = tanh(px_n + r * a_n)   h' = n + z * (h - n)
+
+    One graph node; backward is hand-written backprop through time.
+    """
+    _check_finite("gru", px, h0, w_h, b_h)
+    if px.data.ndim != 2 or h0.data.ndim != 2 or h0.shape[0] != 1:
+        raise ShapeError(f"gru: incompatible shapes {px.shape} and {h0.shape}")
+    T, H = px.shape[0], h0.shape[1]
+    if px.shape[1] != 3 * H or w_h.shape != (H, 3 * H) or b_h.shape != (3 * H,):
+        raise ShapeError(f"gru: incompatible shapes {px.shape}, {h0.shape}, {w_h.shape} and {b_h.shape}")
+    x, w, b = px.data, w_h.data, b_h.data
+    hs = np.empty((T + 1, H), dtype=x.dtype)      # hs[t] is the state entering step t
+    gates = np.empty((T, 3 * H), dtype=x.dtype)   # r, z, n after their nonlinearities
+    a_n = np.empty((T, H), dtype=x.dtype)
+    hs[0] = h0.data[0]
+    for t in range(T):
+        a = hs[t] @ w + b
+        # overflow-safe sigmoid, as in `sigmoid`
+        rz = 0.5 * (np.tanh(0.5 * (x[t, :2 * H] + a[:2 * H])) + 1.0)
+        n = np.tanh(x[t, 2 * H:] + rz[:H] * a[2 * H:])
+        hs[t + 1] = n + rz[H:] * (hs[t] - n)
+        gates[t, :2 * H] = rz
+        gates[t, 2 * H:] = n
+        a_n[t] = a[2 * H:]
+
+    def back(g):
+        r, z, n = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:]
+        h_prev = hs[:-1]
+        # per-step factors of dh': d(a) = dh' * k and d(px_n) = dh' * k_n
+        k_n = (1.0 - z) * (1.0 - n * n)
+        k = np.stack([k_n * a_n * r * (1.0 - r), (h_prev - n) * z * (1.0 - z), k_n * r], axis=1)
+        da = np.empty((T, 3, H), dtype=x.dtype)   # grads of a = h @ w_h + b_h
+        da_flat = da.reshape(T, 3 * H)
+        dhs = np.empty((T, H), dtype=x.dtype)
+        carry = np.zeros(H, dtype=x.dtype)
+        w_t = w.T
+        for t in range(T - 1, -1, -1):
+            dh = g[t] + carry
+            dhs[t] = dh
+            da[t] = dh * k[t]
+            carry = dh * z[t] + da_flat[t] @ w_t
+        dpx = da_flat.copy()
+        dpx[:, 2 * H:] = dhs * k_n
+        _acc(px, dpx)
+        _acc(h0, carry[None, :])
+        _acc(w_h, h_prev.T @ da_flat)
+        _acc(b_h, da_flat.sum(axis=0))
+
+    return _make(hs[1:], (px, h0, w_h, b_h), "gru", back)
+
+
+# ---------------------------------------------------------------------------
 # structure: concat, gather, squeeze, interpolation
 
 
@@ -619,9 +684,12 @@ def global_grad_norm(params: dict) -> float:
 
 
 def clip_grads(params: dict, max_norm: float) -> float:
-    """Scale all grads so the global norm is at most max_norm; returns the norm."""
+    """Scale all grads so the global norm is at most max_norm; returns the norm.
+
+    A non-finite norm leaves the grads as they are for the caller to reject.
+    """
     norm = global_grad_norm(params)
-    if norm > max_norm > 0:
+    if math.isfinite(norm) and norm > max_norm > 0:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:

@@ -133,7 +133,6 @@ class RunConfig:
     """Full configuration document for one experiment."""
 
     train_data: str | None = None
-    val_data: str | None = None
     out_dir: str | None = None
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     alignment: AlignConfig = field(default_factory=AlignConfig)
@@ -175,7 +174,6 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
     cfg = RunConfig(
         train_data=raw.get("train_data"),
-        val_data=raw.get("val_data"),
         out_dir=raw.get("out_dir"),
         encoder=encoder_config_from_dict(raw.get("encoder", {})),
         alignment=align_config_from_dict(raw.get("alignment", {})),

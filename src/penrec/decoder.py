@@ -47,14 +47,9 @@ class AttentionDecoder:
         if attn_sink is not None:
             attn_sink.append(alpha.data.copy())
         attended = ad.matmul(alpha, f_enc)
-        new_state = self.gru.step(ad.add(y, attended), state)
+        new_state = self.gru(ad.add(y, attended), state)
         logits = self.out(new_state)
         return logits, new_state
-
-    def step(self, prev_token: int, state: DiffArray, f_enc: DiffArray) -> tuple[DiffArray, DiffArray]:
-        """One decode step returning (probabilities, new state)."""
-        logits, new_state = self.step_logits(prev_token, state, f_enc)
-        return ad.softmax(logits), new_state
 
     def greedy(self, f_enc: DiffArray, max_len: int = 256) -> list[int]:
         """Greedy decode from sos; stops at eos or max_len; reserved tokens excluded."""
@@ -65,8 +60,8 @@ class AttentionDecoder:
         out: list[int] = []
         with ad.no_grad():
             for _ in range(max_len):
-                probs, state = self.step(prev, state, f_enc)
-                tok = int(np.argmax(probs.data[0]))
+                logits, state = self.step_logits(prev, state, f_enc)
+                tok = int(np.argmax(logits.data[0]))
                 if tok == EOS:
                     break
                 out.append(tok)

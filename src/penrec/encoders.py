@@ -16,22 +16,21 @@ from . import autodiff as ad
 from .autodiff import DiffArray
 from .config import EncoderConfig
 from .data import IMAGE_HEIGHT, TrajectorySequence
-from .layers import BiGRUStack, ParamStore
+from .layers import ParamStore
 
 COORD_SCALE = 1.0 / 32.0  # conv input conditioning; py lands in [0, 1]
 
 
 @dataclass
 class FeatureSequence:
-    """Time-major encoded features, frames x d.
+    """Time-major trajectory-stream features, frames x d.
 
-    `positions` (frames x 2 pixel coordinates) is present exactly for
-    trajectory-stream features; it feeds the position embedding and the
-    image-column sampling.
+    `positions` (frames x 2 pixel coordinates) feeds the position embedding
+    and the image-column sampling.
     """
 
     values: DiffArray
-    positions: np.ndarray | None = None
+    positions: np.ndarray
 
     @property
     def frames(self) -> int:
@@ -143,8 +142,3 @@ class ImageEncoder:
             x = block(x)
         # height is fully collapsed here: (1, W/8, d) -> (W/8, d)
         return ad.squeeze_lead(x)
-
-
-def encode_image(encoder: ImageEncoder, gru: BiGRUStack, img: np.ndarray) -> tuple[FeatureSequence, FeatureSequence]:
-    conv = encoder(img)
-    return FeatureSequence(values=conv), FeatureSequence(values=gru(conv))

@@ -69,67 +69,39 @@ class Linear:
 
 
 class GRUCell:
-    """Standard gated recurrent cell; separate input/hidden gate weights."""
+    """Standard gated recurrent cell with packed gate weights.
+
+    The input side `w_x` (d_in, 3H), `b_x` and the hidden side `w_h`
+    (H, 3H), `b_h` each hold the r, z and n gates as column blocks
+    [r | z | n]; `ad.gru` runs the recurrence.
+    """
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int):
-        self.d_hidden = d_hidden
         u = f"uniform:{1.0 / math.sqrt(d_hidden)}"
-        self.wxr = store.new(f"{name}.wxr", (d_in, d_hidden), u)
-        self.wxz = store.new(f"{name}.wxz", (d_in, d_hidden), u)
-        self.wxn = store.new(f"{name}.wxn", (d_in, d_hidden), u)
-        self.whr = store.new(f"{name}.whr", (d_hidden, d_hidden), u)
-        self.whz = store.new(f"{name}.whz", (d_hidden, d_hidden), u)
-        self.whn = store.new(f"{name}.whn", (d_hidden, d_hidden), u)
-        self.bxr = store.new(f"{name}.bxr", (d_hidden,), "zeros")
-        self.bxz = store.new(f"{name}.bxz", (d_hidden,), "zeros")
-        self.bxn = store.new(f"{name}.bxn", (d_hidden,), "zeros")
-        self.bhr = store.new(f"{name}.bhr", (d_hidden,), "zeros")
-        self.bhz = store.new(f"{name}.bhz", (d_hidden,), "zeros")
-        self.bhn = store.new(f"{name}.bhn", (d_hidden,), "zeros")
+        self.w_x = store.new(f"{name}.w_x", (d_in, 3 * d_hidden), u)
+        self.w_h = store.new(f"{name}.w_h", (d_hidden, 3 * d_hidden), u)
+        self.b_x = store.new(f"{name}.b_x", (3 * d_hidden,), "zeros")
+        self.b_h = store.new(f"{name}.b_h", (3 * d_hidden,), "zeros")
 
-    def input_projections(self, xs: DiffArray) -> tuple[DiffArray, DiffArray, DiffArray]:
-        """Input-side gate projections for a whole sequence at once."""
-        return (ad.add(ad.matmul(xs, self.wxr), self.bxr),
-                ad.add(ad.matmul(xs, self.wxz), self.bxz),
-                ad.add(ad.matmul(xs, self.wxn), self.bxn))
-
-    def step_projected(self, pr: DiffArray, pz: DiffArray, pn: DiffArray,
-                       h: DiffArray) -> DiffArray:
-        r = ad.sigmoid(ad.add(pr, ad.add(ad.matmul(h, self.whr), self.bhr)))
-        z = ad.sigmoid(ad.add(pz, ad.add(ad.matmul(h, self.whz), self.bhz)))
-        n = ad.tanh(ad.add(pn, ad.mul(r, ad.add(ad.matmul(h, self.whn), self.bhn))))
-        # h' = (1 - z) * n + z * h
-        return ad.add(n, ad.mul(z, ad.sub(h, n)))
-
-    def step(self, x: DiffArray, h: DiffArray) -> DiffArray:
-        pr, pz, pn = self.input_projections(x)
-        return self.step_projected(pr, pz, pn, h)
+    def __call__(self, xs: DiffArray, h0: DiffArray) -> DiffArray:
+        """States (T, H) after each row of `xs` (T, d_in), starting from `h0` (1, H)."""
+        px = ad.add(ad.matmul(xs, self.w_x), self.b_x)
+        return ad.gru(px, h0, self.w_h, self.b_h)
 
 
 class BiGRULayer:
     """One bidirectional layer; directional outputs are concatenated."""
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int):
-        self.store = store
-        self.d_hidden = d_hidden
+        self.h0 = store.zeros_like_const((1, d_hidden))
         self.fwd = GRUCell(store, f"{name}.fwd", d_in, d_hidden)
         self.bwd = GRUCell(store, f"{name}.bwd", d_in, d_hidden)
 
-    def _run(self, cell: GRUCell, xs: DiffArray, order) -> list[DiffArray]:
-        pr, pz, pn = cell.input_projections(xs)
-        h = self.store.zeros_like_const((1, self.d_hidden))
-        outs = []
-        for t in order:
-            h = cell.step_projected(ad.gather_rows(pr, [t]), ad.gather_rows(pz, [t]),
-                                    ad.gather_rows(pn, [t]), h)
-            outs.append(h)
-        return outs
-
     def __call__(self, xs: DiffArray) -> DiffArray:
-        frames = xs.shape[0]
-        out_f = self._run(self.fwd, xs, range(frames))
-        out_b = self._run(self.bwd, xs, range(frames - 1, -1, -1))[::-1]
-        return ad.concat([ad.concat(out_f, axis=0), ad.concat(out_b, axis=0)], axis=1)
+        rev = np.arange(xs.shape[0] - 1, -1, -1)
+        out_f = self.fwd(xs, self.h0)
+        out_b = ad.gather_rows(self.bwd(ad.gather_rows(xs, rev), self.h0), rev)
+        return ad.concat([out_f, out_b], axis=1)
 
 
 class BiGRUStack:

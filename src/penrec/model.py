@@ -15,7 +15,7 @@ from .autodiff import DiffArray
 from .config import AlignConfig, EncoderConfig
 from .data import EOS, TrajectorySequence, Vocabulary, render
 from .decoder import AttentionDecoder
-from .encoders import FeatureSequence, ImageEncoder, TrajectoryEncoder, encode_image
+from .encoders import FeatureSequence, ImageEncoder, TrajectoryEncoder
 from .layers import BiGRUStack, ParamStore
 
 TRAJ_PREFIXES = ("traj_conv.", "traj_gru.", "align.", "dec_traj.")
@@ -79,12 +79,12 @@ class Recognizer:
         f_enc, f_conv, f_aligned = self.trajectory_features(seq)
         loss_traj = self.dec_traj.ce_loss(f_enc, target)
 
-        f2d_conv, f2d_gru = encode_image(self.img_cnn, self.img_gru, render(seq))
-        loss_img = self.dec_img.ce_loss(f2d_gru.values, target)
+        f2d_conv = self.img_cnn(render(seq))
+        loss_img = self.dec_img.ce_loss(self.img_gru(f2d_conv), target)
 
         loss_align = None
         if self.align_cfg.use_align_loss and f_aligned is not None:
-            sampled = sample_image_columns(f2d_conv.values, f_conv.positions)
+            sampled = sample_image_columns(f2d_conv, f_conv.positions)
             loss_align = align_loss(f_aligned, sampled,
                                     stop_grad=self.align_cfg.use_stop_gradient)
         return {"traj": loss_traj, "img": loss_img, "align": loss_align}

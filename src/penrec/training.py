@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,19 +23,20 @@ from . import metrics
 from .autodiff import AdamState
 from .config import (AlignConfig, ConfigError, EncoderConfig, TrainConfig,
                      align_config_from_dict, encoder_config_from_dict, to_dict)
-from .data import Vocabulary, augment, normalize
+from .data import DataError, Vocabulary, augment, normalize
 from .model import IMAGE_PREFIXES, Recognizer
 
 
 class DivergenceError(RuntimeError):
-    """Training loss went non-finite; the last good checkpoint is retained."""
+    """Training loss or gradient went non-finite; the last good checkpoint is retained."""
 
 
 class CheckpointError(ValueError):
     """Checkpoint file inconsistent with its manifest or config."""
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+HEADER_KEYS = ("version", "encoder", "alignment", "seed", "vocab", "manifest")
 
 
 def batch_losses(model: Recognizer, batch, align_weight: float):
@@ -122,6 +125,16 @@ def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainCon
 
     step = 0
     last_good: dict[str, np.ndarray] | None = None
+
+    def diverge(message: str):
+        """Restore the last parameters that gave a finite loss, save them, and abort."""
+        if last_good is not None:
+            for name, values in last_good.items():
+                model.params[name].data = values
+        if result.checkpoint_path is not None:
+            save_checkpoint(model, result.checkpoint_path)
+        raise DivergenceError(message)
+
     try:
         for epoch in range(epochs):
             order = shuffle_rng.permutation(len(train_set))
@@ -137,18 +150,14 @@ def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainCon
                 total, comps = batch_losses(model, batch, cfg.align_weight)
                 if not np.isfinite(total.data):
                     bad = [k for k, v in comps.items() if v is not None and not np.isfinite(v.data)]
-                    if last_good is not None:
-                        for name, values in last_good.items():
-                            model.params[name].data = values
-                    if result.checkpoint_path is not None:
-                        save_checkpoint(model, result.checkpoint_path)
-                    raise DivergenceError(
-                        f"non-finite loss at step {step} (components: {bad or ['total']})")
+                    diverge(f"non-finite loss at step {step} (components: {bad or ['total']})")
                 # these params produced a finite loss; keep them as last-good
                 last_good = {name: p.data.copy() for name, p in model.params.items()}
                 ad.zero_grads(model.params.values())
                 ad.backward(total)
-                ad.clip_grads(model.params, cfg.grad_clip)
+                grad_norm = ad.clip_grads(model.params, cfg.grad_clip)
+                if not math.isfinite(grad_norm):
+                    diverge(f"non-finite gradient norm at step {step}")
                 lr = ad.cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
                 ad.adam_step(model.params, adam, lr)
                 step += 1
@@ -190,9 +199,15 @@ def evaluate(model: Recognizer, dataset, max_decode_len: int = 256) -> dict:
 # ---------------------------------------------------------------------------
 # checkpoint format: one JSON header line (config, vocab, manifest), an
 # 8-byte little-endian payload length, then raw little-endian float32 data.
+# Version 2 names each GRU cell's packed tensors w_x, w_h, b_x, b_h.
 
 
 def save_checkpoint(model: Recognizer, path) -> None:
+    """Write the checkpoint to a sibling temp file, then move it over `path`.
+
+    A write that fails part-way leaves any previous file at `path` intact.
+    """
+    path = Path(path)
     manifest = []
     chunks = []
     offset = 0
@@ -210,10 +225,49 @@ def save_checkpoint(model: Recognizer, path) -> None:
         "manifest": manifest,
     }
     payload = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            fh.write(struct.pack("<Q", len(payload)))
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_header(header, path) -> None:
+    """Reject a header whose keys, version or field types do not match the format."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    unknown = set(header) - set(HEADER_KEYS)
+    if unknown:
+        raise CheckpointError(f"{path}: unknown header keys {sorted(unknown)}")
+    missing = [k for k in HEADER_KEYS if k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: missing header keys {missing}")
+    if header["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {header['version']} "
+                              f"(this build reads version {CHECKPOINT_VERSION})")
+    if not _is_int(header["seed"]):
+        raise CheckpointError(f"{path}: seed must be an integer")
+    vocab = header["vocab"]
+    if not isinstance(vocab, list) or not all(isinstance(s, str) for s in vocab):
+        raise CheckpointError(f"{path}: vocab must be a list of strings")
+    manifest = header["manifest"]
+    if not isinstance(manifest, list):
+        raise CheckpointError(f"{path}: manifest must be a list")
+    for i, m in enumerate(manifest):
+        if not (isinstance(m, dict) and set(m) == {"name", "shape", "offset"}
+                and isinstance(m["name"], str) and _is_int(m["offset"])
+                and isinstance(m["shape"], list)
+                and all(_is_int(n) and n >= 0 for n in m["shape"])):
+            raise CheckpointError(f"{path}: manifest entry {i} needs a name, a shape and an offset")
 
 
 def load_checkpoint(path) -> Recognizer:
@@ -224,12 +278,7 @@ def load_checkpoint(path) -> Recognizer:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: bad header") from e
-        known = {"version", "encoder", "alignment", "seed", "vocab", "manifest"}
-        unknown = set(header) - known
-        if unknown:
-            raise CheckpointError(f"{path}: unknown header keys {sorted(unknown)}")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
+        _check_header(header, path)
         lenbytes = fh.read(8)
         if len(lenbytes) != 8:
             raise CheckpointError(f"{path}: truncated length prefix")
@@ -240,10 +289,10 @@ def load_checkpoint(path) -> Recognizer:
     try:
         enc_cfg = encoder_config_from_dict(header["encoder"])
         align_cfg = align_config_from_dict(header["alignment"])
-    except ConfigError as e:
+        vocab = Vocabulary.from_symbols(header["vocab"])
+    except (ConfigError, DataError) as e:
         raise CheckpointError(f"{path}: {e}") from e
-    vocab = Vocabulary.from_symbols(header["vocab"])
-    model = Recognizer(enc_cfg, align_cfg, vocab, seed=int(header["seed"]))
+    model = Recognizer(enc_cfg, align_cfg, vocab, seed=header["seed"])
 
     manifest = header["manifest"]
     names = [m["name"] for m in manifest]

@@ -39,6 +39,37 @@ def test_matmul_shape_error_names_kernel_and_shapes():
         ad.matmul(a, b)
 
 
+def test_gru_matches_gate_equations_in_float64():
+    rng = np.random.default_rng(4)
+    steps, d_in, hidden = 6, 5, 4
+    xs = rng.normal(size=(steps, d_in))
+    h0 = rng.normal(size=(1, hidden))
+    wx = {g: rng.normal(size=(d_in, hidden)) for g in "rzn"}
+    wh = {g: rng.normal(size=(hidden, hidden)) for g in "rzn"}
+    bx = {g: rng.normal(size=hidden) for g in "rzn"}
+    bh = {g: rng.normal(size=hidden) for g in "rzn"}
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    expected = np.empty((steps, hidden))
+    h = h0[0]
+    for t in range(steps):
+        x = xs[t]
+        r = sigmoid(x @ wx["r"] + bx["r"] + h @ wh["r"] + bh["r"])
+        z = sigmoid(x @ wx["z"] + bx["z"] + h @ wh["z"] + bh["z"])
+        n = np.tanh(x @ wx["n"] + bx["n"] + r * (h @ wh["n"] + bh["n"]))
+        h = (1.0 - z) * n + z * h
+        expected[t] = h
+
+    def packed(parts):
+        return ad.array(np.concatenate([parts[g] for g in "rzn"], axis=-1), dtype=np.float64)
+
+    px = ad.add(ad.matmul(ad.array(xs, dtype=np.float64), packed(wx)), packed(bx))
+    got = ad.gru(px, ad.array(h0, dtype=np.float64), packed(wh), packed(bh))
+    np.testing.assert_allclose(got.data, expected, rtol=0, atol=1e-12)
+
+
 def test_backward_sum_gives_ones():
     x = ad.array(np.random.default_rng(0).normal(size=(2, 3, 4)), requires_grad=True)
     ad.backward(ad.asum(x))

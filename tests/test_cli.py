@@ -3,10 +3,15 @@
 import json
 
 import numpy as np
+import pytest
 
+from penrec import autodiff as ad
 from penrec.cli import main
-from penrec.data import load_dataset, save_dataset
+from penrec.config import align_config_from_dict, encoder_config_from_dict
+from penrec.data import build_vocab, load_dataset, save_dataset
+from penrec.model import Recognizer
 from penrec.synth import synth_generate
+from penrec.training import load_checkpoint, save_checkpoint
 
 
 TINY_CONFIG = {
@@ -73,12 +78,13 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, surprise=1)
     data = make_data(tmp_path)
-    code = main(["train", "--config", str(path), "--data", str(data),
-                 "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert "surprise" in capsys.readouterr().err
+    for key, value in (("surprise", 1), ("val_data", "val.jsonl")):
+        path = write_config(tmp_path, **{key: value})
+        code = main(["train", "--config", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 def test_train_eval_infer_round_trip(tmp_path, capsys):
@@ -136,3 +142,50 @@ def test_infer_accepts_lines_without_text(tmp_path, capsys):
     bare.write_text(json.dumps(record) + "\n")
     assert main(["infer", "--checkpoint", str(run / "model.ckpt"), "--input", str(bare)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_non_finite_gradient_exits_3_with_checkpoint(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    data = make_data(tmp_path)
+    run = tmp_path / "run"
+    real = ad.backward
+    calls = {"n": 0}
+
+    def overflowing(loss):
+        # a finite loss whose gradient overflows in one parameter, on the second step
+        real(loss)
+        calls["n"] += 1
+        if calls["n"] == 2:
+            node = loss
+            while node.parents:
+                node = next(p for p in node.parents if p.requires_grad)
+            node.grad.flat[0] = np.inf
+
+    monkeypatch.setattr(ad, "backward", overflowing)
+    code = main(["train", "--config", str(config), "--data", str(data), "--out", str(run), "--quiet"])
+    assert code == 3
+    assert "non-finite gradient" in capsys.readouterr().err
+    model = load_checkpoint(run / "model.ckpt")
+    assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
+    assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--data", str(data)]) == 0
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda header: header.update(vocab=None), "vocab"),
+    (lambda header: header.pop("manifest"), "manifest"),
+    (lambda header: header["manifest"][0].pop("shape"), "manifest entry 0"),
+    (lambda header: header.update(version=1), "unsupported version 1"),
+], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1"])
+def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
+    data = make_data(tmp_path)
+    model = Recognizer(encoder_config_from_dict(TINY_CONFIG["encoder"]),
+                       align_config_from_dict(TINY_CONFIG["alignment"]),
+                       build_vocab(load_dataset(data)))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(model, ckpt)
+    header, rest = ckpt.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    edit(doc)
+    ckpt.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + rest)
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    assert message in capsys.readouterr().err

@@ -22,7 +22,8 @@ def random_enc(frames, d, seed=1):
 
 def test_step_probabilities_sum_to_one():
     dec, _ = make_decoder()
-    probs, state = dec.step(SOS, dec.initial_state(), random_enc(5, 8))
+    logits, state = dec.step_logits(SOS, dec.initial_state(), random_enc(5, 8))
+    probs = ad.softmax(logits)
     assert probs.shape == (1, 6)
     assert np.all(probs.data >= 0)
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
@@ -58,7 +59,7 @@ def test_attention_weights_match_loop_oracle():
 def test_token_out_of_vocabulary_rejected():
     dec, _ = make_decoder()
     with pytest.raises(ValueError, match="vocabulary"):
-        dec.step(99, dec.initial_state(), random_enc(3, 8))
+        dec.step_logits(99, dec.initial_state(), random_enc(3, 8))
 
 
 def test_immediate_eos_gives_empty_transcript():
@@ -85,13 +86,15 @@ def test_greedy_equals_beam_size_one_by_enumeration():
     f_enc = random_enc(5, 8, seed=7)
     greedy = dec.greedy(f_enc, max_len=2)
 
-    probs1, s1 = dec.step(SOS, dec.initial_state(), f_enc)
+    logits1, s1 = dec.step_logits(SOS, dec.initial_state(), f_enc)
+    probs1 = ad.softmax(logits1)
     scores1 = {tok: float(probs1.data[0, tok]) for tok in range(6)}
     t1 = max(scores1, key=scores1.get)
     expected = []
     if t1 != EOS:
         expected.append(t1)
-        probs2, _ = dec.step(t1, s1, f_enc)
+        logits2, _ = dec.step_logits(t1, s1, f_enc)
+        probs2 = ad.softmax(logits2)
         scores2 = {tok: float(probs2.data[0, tok]) for tok in range(6)}
         t2 = max(scores2, key=scores2.get)
         if t2 != EOS:
@@ -117,7 +120,8 @@ def test_ce_loss_matches_per_step_probability_oracle():
     state = dec.initial_state()
     prev = SOS
     for tok in target:
-        probs, state = dec.step(prev, state, f_enc)
+        logits, state = dec.step_logits(prev, state, f_enc)
+        probs = ad.softmax(logits)
         total -= math.log(float(probs.data[0, tok]))
         prev = tok
     assert loss == pytest.approx(total / len(target), rel=1e-5)

@@ -92,8 +92,7 @@ def test_bigru_direction_swap_under_shared_parameters():
     store = ParamStore(np.random.default_rng(2))
     layer = BiGRULayer(store, "g", 6, 3)
     # share parameters between directions
-    for attr in ("wxr", "wxz", "wxn", "whr", "whz", "whn",
-                 "bxr", "bxz", "bxn", "bhr", "bhz", "bhn"):
+    for attr in ("w_x", "w_h", "b_x", "b_h"):
         getattr(layer.bwd, attr).data = getattr(layer.fwd, attr).data.copy()
     x = np.random.default_rng(3).normal(size=(9, 6)).astype(np.float32)
     out = layer(ad.array(x)).data

@@ -249,6 +249,26 @@ def test_checkpoint_round_trip_bytes_and_inference(tmp_path):
     assert m.infer_ids(seq) == loaded.infer_ids(seq)
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    data = small_dataset(n=2)
+    vocab = build_vocab(data)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(Recognizer(tiny_enc_cfg(), AlignConfig(layers=1, heads=2), vocab, seed=5), path)
+    before = path.read_bytes()
+
+    import penrec.training as T
+
+    def disk_full(*args):
+        # the header is already written when the length prefix is packed
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(T.struct, "pack", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(Recognizer(tiny_enc_cfg(), AlignConfig(layers=1, heads=2), vocab, seed=6), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
 def test_checkpoint_truncated_payload_rejected(tmp_path):
     data = small_dataset(n=2)
     vocab = build_vocab(data)
