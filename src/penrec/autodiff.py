@@ -2,10 +2,10 @@
 
 Exactly the kernel set the recognizer needs and nothing more: elementwise
 arithmetic, matmul, strided 1D/2D convolution, the usual activations,
-softmax, layer norm, a whole-sequence GRU, concatenation, row gather,
-linear interpolation along the leading axis, full reductions, and the two
-losses. Arrays are float32 by default; build everything in float64 for
-finite-difference checks.
+softmax, multi-head attention, layer norm, a whole-sequence GRU,
+concatenation, row gather, linear interpolation along the leading axis,
+full reductions, and the two losses. Arrays are float32 by default;
+build everything in float64 for finite-difference checks.
 
 Also hosts the optimizer pieces: Adam with bias correction and the cosine
 learning-rate schedule.
@@ -216,22 +216,17 @@ def mul(a: DiffArray, b) -> DiffArray:
     return _make(y, (a, b), "mul", back)
 
 
-def matmul(a: DiffArray, b: DiffArray, transpose_b: bool = False) -> DiffArray:
+def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
     _check_finite("matmul", a, b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: expects 2D operands, got {a.shape} and {b.shape}")
-    inner_b = b.shape[1] if transpose_b else b.shape[0]
-    if a.shape[1] != inner_b:
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    y = a.data @ (b.data.T if transpose_b else b.data)
+    y = a.data @ b.data
 
     def back(g):
-        if transpose_b:
-            _acc(a, g @ b.data)
-            _acc(b, g.T @ a.data)
-        else:
-            _acc(a, g @ b.data.T)
-            _acc(b, a.data.T @ g)
+        _acc(a, g @ b.data.T)
+        _acc(b, a.data.T @ g)
 
     return _make(y, (a, b), "matmul", back)
 
@@ -381,6 +376,46 @@ def softmax(x: DiffArray) -> DiffArray:
         _acc(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _make(y, (x,), "softmax", back)
+
+
+def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int,
+              attn_sink: list | None = None) -> DiffArray:
+    """Multi-head scaled dot-product attention: (Tq, H*dk), (Tk, H*dk), (Tk, H*dv) -> (Tq, H*dv).
+
+    Head j owns column block j of q, k and v; per head,
+    out_j = softmax(q_j @ k_j^T / sqrt(dk)) @ v_j, and the heads' outputs
+    are laid out as column blocks in the same order. `attn_sink`, when
+    given, receives one (Tq, Tk) weight matrix per head.
+    """
+    _check_finite("attention", q, k, v)
+    if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2 or heads < 1
+            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or k.shape[0] < 1
+            or q.shape[1] % heads or v.shape[1] % heads):
+        raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape} and {v.shape} "
+                         f"for {heads} heads")
+    tq, tk = q.shape[0], k.shape[0]
+    dk, dv = q.shape[1] // heads, v.shape[1] // heads
+    scale = 1.0 / math.sqrt(dk)
+    # (heads, T, width) views of the column blocks
+    qh = q.data.reshape(tq, heads, dk).transpose(1, 0, 2)
+    kh = k.data.reshape(tk, heads, dk).transpose(1, 0, 2)
+    vh = v.data.reshape(tk, heads, dv).transpose(1, 0, 2)
+    s = (qh @ kh.transpose(0, 2, 1)) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    if attn_sink is not None:
+        attn_sink.extend(a.copy() for a in alpha)
+    y = (alpha @ vh).transpose(1, 0, 2).reshape(tq, heads * dv)
+
+    def back(g):
+        gh = g.reshape(tq, heads, dv).transpose(1, 0, 2)
+        da = gh @ vh.transpose(0, 2, 1)
+        ds = alpha * (da - (da * alpha).sum(axis=-1, keepdims=True)) * scale
+        _acc(q, (ds @ kh).transpose(1, 0, 2).reshape(tq, heads * dk))
+        _acc(k, (ds.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(tk, heads * dk))
+        _acc(v, (alpha.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(tk, heads * dv))
+
+    return _make(y, (q, k, v), "attention", back)
 
 
 def layer_norm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-5) -> DiffArray:

@@ -92,9 +92,21 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
+def _check_preview_ids(dataset) -> None:
+    """Each id must be a plain, unique file name, so `<id>.pgm` stays inside the output directory."""
+    seen = set()
+    for seq in dataset:
+        if seq.id in ("", ".", "..") or any(c in seq.id for c in "/\\\0"):
+            raise DataError(f"id {seq.id!r} is not a plain file name")
+        if seq.id in seen:
+            raise DataError(f"duplicate id {seq.id!r}")
+        seen.add(seq.id)
+
+
 def cmd_render(args) -> int:
     try:
         dataset = load_dataset(args.input, require_text=False)
+        _check_preview_ids(dataset)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for seq in dataset:

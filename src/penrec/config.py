@@ -1,13 +1,16 @@
 """Dataclass configs for the model and training run.
 
-Dict round-trips are strict: unknown keys are rejected so config files and
-checkpoints cannot silently drift.
+Dict round-trips are strict: unknown keys are rejected and every value must
+have its field's declared type, so config files and checkpoints cannot
+silently drift.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,6 +129,8 @@ class TrainConfig:
             raise ConfigError("val_fraction must be in [0, 1)")
         if self.max_decode_len < 1:
             raise ConfigError("max_decode_len must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -144,6 +149,20 @@ class RunConfig:
         self.training.validate()
 
 
+def _has_type(value, tp) -> bool:
+    """Whether a JSON value fits a field annotation; a bool is not an int, an int is a float."""
+    if typing.get_origin(tp) is types.UnionType:
+        return any(_has_type(value, t) for t in typing.get_args(tp))
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if tp is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, tp)
+
+
 def _from_dict(cls, raw: dict, where: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object, got {type(raw).__name__}")
@@ -151,6 +170,10 @@ def _from_dict(cls, raw: dict, where: str):
     unknown = set(raw) - names
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name in raw and not _has_type(raw[f.name], hints[f.name]):
+            raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {json.dumps(raw[f.name])}")
     return cls(**{f.name: raw[f.name] for f in dataclasses.fields(cls) if f.name in raw})
 
 
@@ -169,16 +192,10 @@ def train_config_from_dict(raw: dict) -> TrainConfig:
 def run_config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
-    unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    cfg = RunConfig(
-        train_data=raw.get("train_data"),
-        out_dir=raw.get("out_dir"),
-        encoder=encoder_config_from_dict(raw.get("encoder", {})),
-        alignment=align_config_from_dict(raw.get("alignment", {})),
-        training=train_config_from_dict(raw.get("training", {})),
-    )
+    sections = {"encoder": encoder_config_from_dict, "alignment": align_config_from_dict,
+                "training": train_config_from_dict}
+    cfg = _from_dict(RunConfig, {k: sections[k](v) if k in sections else v for k, v in raw.items()},
+                     "config")
     cfg.validate()
     return cfg
 

@@ -77,7 +77,10 @@ def load_dataset(path, require_text: bool = True) -> list[TrajectorySequence]:
                 pts = np.asarray(rec["points"], dtype=np.float64)
             except (TypeError, ValueError) as e:
                 raise DataError(f"{where}: bad points array") from e
-            seq = TrajectorySequence(id=str(rec["id"]), points=pts, text=str(rec.get("text", "")))
+            text = rec.get("text", "")
+            if not isinstance(text, str):
+                raise DataError(f"{where}: text must be a string, got {json.dumps(text)}")
+            seq = TrajectorySequence(id=str(rec["id"]), points=pts, text=text)
             validate_sequence(seq, where)
             seqs.append(seq)
     if not seqs:

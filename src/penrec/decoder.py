@@ -1,9 +1,11 @@
 """Attention-based autoregressive GRU decoder, one code path for both streams.
 
-Each step embeds the previous token, attends over the encoded frames with a
-single-head scaled dot-product query (learned q/k projections, raw values),
-advances a GRU cell, and projects to vocabulary logits. Training uses
-teacher forcing; inference is greedy.
+Each step embeds the previous token, attends over the encoded frames with
+single-head `ad.attention` (learned q/k projections, the frames themselves
+as values), advances a GRU cell, and projects to vocabulary logits. The
+keys depend only on the frames, so `keys` computes them once per sequence
+and every step reuses them. Training uses teacher forcing; inference is
+greedy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ class AttentionDecoder:
         self.store = store
         self.vocab_size = vocab_size
         self.d = d
-        self.scale = 1.0 / math.sqrt(d)
         self.embed = store.new(f"{name}.embed", (vocab_size, d), f"uniform:{1.0 / math.sqrt(d)}")
         self.wq = store.new(f"{name}.wq", (d, d), "glorot")
         self.wk = store.new(f"{name}.wk", (d, d), "glorot")
@@ -33,20 +34,20 @@ class AttentionDecoder:
     def initial_state(self) -> DiffArray:
         return self.store.zeros_like_const((1, self.d))
 
-    def step_logits(self, prev_token: int, state: DiffArray, f_enc: DiffArray,
-                    attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
-        if not 0 <= prev_token < self.vocab_size:
-            raise ValueError(f"token {prev_token} out of vocabulary (size {self.vocab_size})")
+    def keys(self, f_enc: DiffArray) -> DiffArray:
+        """Attention keys (frames, d) of the encoded sequence, shared by all its steps."""
         if f_enc.shape[0] < 1:
             raise ValueError("decoder needs a nonempty encoded sequence")
+        return ad.matmul(f_enc, self.wk)
+
+    def step_logits(self, prev_token: int, state: DiffArray, f_enc: DiffArray, keys: DiffArray,
+                    attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
+        """Logits (1, V) and the new state after `prev_token`; `keys` is `self.keys(f_enc)`."""
+        if not 0 <= prev_token < self.vocab_size:
+            raise ValueError(f"token {prev_token} out of vocabulary (size {self.vocab_size})")
         y = ad.gather_rows(self.embed, [prev_token])
         q = ad.matmul(ad.add(y, state), self.wq)
-        k = ad.matmul(f_enc, self.wk)
-        scores = ad.mul(ad.matmul(q, k, transpose_b=True), self.scale)
-        alpha = ad.softmax(scores)
-        if attn_sink is not None:
-            attn_sink.append(alpha.data.copy())
-        attended = ad.matmul(alpha, f_enc)
+        attended = ad.attention(q, keys, f_enc, 1, attn_sink)
         new_state = self.gru(ad.add(y, attended), state)
         logits = self.out(new_state)
         return logits, new_state
@@ -59,8 +60,9 @@ class AttentionDecoder:
         prev = SOS
         out: list[int] = []
         with ad.no_grad():
+            keys = self.keys(f_enc)
             for _ in range(max_len):
-                logits, state = self.step_logits(prev, state, f_enc)
+                logits, state = self.step_logits(prev, state, f_enc, keys)
                 tok = int(np.argmax(logits.data[0]))
                 if tok == EOS:
                     break
@@ -72,9 +74,10 @@ class AttentionDecoder:
         """Teacher-forced logits, one row per target position."""
         state = self.initial_state()
         prev = SOS
+        keys = self.keys(f_enc)
         rows = []
         for tok in target_ids:
-            logits, state = self.step_logits(prev, state, f_enc)
+            logits, state = self.step_logits(prev, state, f_enc, keys)
             rows.append(logits)
             prev = tok
         return ad.concat(rows, axis=0)

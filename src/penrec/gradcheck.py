@@ -154,6 +154,11 @@ def kernel_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
         return lambda: p(ad.gru(px, h0, w_h, b_h)), [px, h0, w_h, b_h]
 
+    def attention_case(tq, tk, heads, dk, dv):
+        q, k, v = _rand(rng, (tq, heads * dk)), _rand(rng, (tk, heads * dk)), _rand(rng, (tk, heads * dv))
+        p = fixed_projector(rng)
+        return lambda: p(ad.attention(q, k, v, heads)), [q, k, v]
+
     return [
         ("add_same", *binary(ad.add, (3, 4), (3, 4))),
         ("add_bias", *binary(ad.add, (3, 4), (4,))),
@@ -162,7 +167,6 @@ def kernel_cases(rng: np.random.Generator):
         ("mul", *binary(ad.mul, (2, 3), (2, 3))),
         ("mul_scalar_const", *unary(lambda a: ad.mul(a, -1.3), (2, 3))),
         ("matmul", *binary(ad.matmul, (3, 4), (4, 2))),
-        ("matmul_transpose_b", *binary(lambda a, b: ad.matmul(a, b, transpose_b=True), (3, 4), (5, 4))),
         ("sigmoid", *unary(ad.sigmoid, (4, 3))),
         ("tanh", *unary(ad.tanh, (4, 3))),
         ("relu", *unary(ad.relu, (4, 5), away=True)),
@@ -183,6 +187,8 @@ def kernel_cases(rng: np.random.Generator):
         ("cross_entropy_logits", *ce_case()),
         ("mse", *mse_case()),
         ("gru", *gru_case()),
+        ("attention_self_h2", *attention_case(5, 5, 2, 3, 3)),
+        ("attention_cross_q1", *attention_case(1, 4, 1, 4, 6)),
     ]
 
 
@@ -240,7 +246,7 @@ def composite_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
 
         def f():
-            logits, _ = dec.step_logits(3, dec.initial_state(), f_enc)
+            logits, _ = dec.step_logits(3, dec.initial_state(), f_enc, dec.keys(f_enc))
             return p(logits)
 
         return f, wrt

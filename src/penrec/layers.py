@@ -121,40 +121,33 @@ class BiGRUStack:
 class TransformerLayer:
     """Pre-norm encoder layer: multi-head self-attention plus feed-forward.
 
-    Heads carry separate q/k/v projection matrices so the engine never needs
-    a reshape kernel; outputs are concatenated and mixed by one projection.
+    `attn.wq`, `attn.wk` and `attn.wv` are (d, d) each, with head j's
+    projection in column block j; `ad.attention` splits the heads, and the
+    concatenated head outputs are mixed by one projection. The packed
+    matrices keep the per-head init: uniform within the Glorot limit of a
+    (d, d/heads) block.
     """
 
     def __init__(self, store: ParamStore, name: str, d: int, heads: int, ff_width: int):
         if d % heads != 0:
             raise ValueError(f"width {d} not divisible by {heads} heads")
-        self.d = d
         self.heads = heads
-        self.head_dim = d // heads
-        self.scale = 1.0 / math.sqrt(self.head_dim)
         self.ln1_g = store.new(f"{name}.ln1.g", (d,), "ones")
         self.ln1_b = store.new(f"{name}.ln1.b", (d,), "zeros")
         self.ln2_g = store.new(f"{name}.ln2.g", (d,), "ones")
         self.ln2_b = store.new(f"{name}.ln2.b", (d,), "zeros")
-        self.wq = [store.new(f"{name}.attn.h{j}.wq", (d, self.head_dim), "glorot") for j in range(heads)]
-        self.wk = [store.new(f"{name}.attn.h{j}.wk", (d, self.head_dim), "glorot") for j in range(heads)]
-        self.wv = [store.new(f"{name}.attn.h{j}.wv", (d, self.head_dim), "glorot") for j in range(heads)]
+        head_glorot = f"uniform:{math.sqrt(6.0 / (d + d // heads))}"
+        self.wq = store.new(f"{name}.attn.wq", (d, d), head_glorot)
+        self.wk = store.new(f"{name}.attn.wk", (d, d), head_glorot)
+        self.wv = store.new(f"{name}.attn.wv", (d, d), head_glorot)
         self.out = Linear(store, f"{name}.attn.out", d, d)
         self.ff1 = Linear(store, f"{name}.ff1", d, ff_width)
         self.ff2 = Linear(store, f"{name}.ff2", ff_width, d)
 
     def __call__(self, x: DiffArray, attn_sink: list | None = None) -> DiffArray:
         h = ad.layer_norm(x, self.ln1_g, self.ln1_b)
-        ctx = []
-        for j in range(self.heads):
-            q = ad.matmul(h, self.wq[j])
-            k = ad.matmul(h, self.wk[j])
-            v = ad.matmul(h, self.wv[j])
-            scores = ad.mul(ad.matmul(q, k, transpose_b=True), self.scale)
-            alpha = ad.softmax(scores)
-            if attn_sink is not None:
-                attn_sink.append(alpha.data.copy())
-            ctx.append(ad.matmul(alpha, v))
-        x = ad.add(x, self.out(ad.concat(ctx, axis=1)))
+        ctx = ad.attention(ad.matmul(h, self.wq), ad.matmul(h, self.wk), ad.matmul(h, self.wv),
+                           self.heads, attn_sink)
+        x = ad.add(x, self.out(ctx))
         h2 = ad.layer_norm(x, self.ln2_g, self.ln2_b)
         return ad.add(x, self.ff2(ad.relu(self.ff1(h2))))

@@ -35,7 +35,7 @@ class CheckpointError(ValueError):
     """Checkpoint file inconsistent with its manifest or config."""
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 HEADER_KEYS = ("version", "encoder", "alignment", "seed", "vocab", "manifest")
 
 
@@ -199,7 +199,9 @@ def evaluate(model: Recognizer, dataset, max_decode_len: int = 256) -> dict:
 # ---------------------------------------------------------------------------
 # checkpoint format: one JSON header line (config, vocab, manifest), an
 # 8-byte little-endian payload length, then raw little-endian float32 data.
-# Version 2 names each GRU cell's packed tensors w_x, w_h, b_x, b_h.
+# Version 3 names each GRU cell's packed tensors w_x, w_h, b_x, b_h (as
+# version 2 did) and each transformer layer's packed attention projections
+# attn.wq, attn.wk, attn.wv, heads as column blocks.
 
 
 def save_checkpoint(model: Recognizer, path) -> None:
@@ -254,8 +256,8 @@ def _check_header(header, path) -> None:
     if header["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {header['version']} "
                               f"(this build reads version {CHECKPOINT_VERSION})")
-    if not _is_int(header["seed"]):
-        raise CheckpointError(f"{path}: seed must be an integer")
+    if not _is_int(header["seed"]) or header["seed"] < 0:
+        raise CheckpointError(f"{path}: seed must be a non-negative integer")
     vocab = header["vocab"]
     if not isinstance(vocab, list) or not all(isinstance(s, str) for s in vocab):
         raise CheckpointError(f"{path}: vocab must be a list of strings")
@@ -287,12 +289,11 @@ def load_checkpoint(path) -> Recognizer:
         if len(payload) != payload_len:
             raise CheckpointError(f"{path}: truncated payload")
     try:
-        enc_cfg = encoder_config_from_dict(header["encoder"])
-        align_cfg = align_config_from_dict(header["alignment"])
-        vocab = Vocabulary.from_symbols(header["vocab"])
+        model = Recognizer(encoder_config_from_dict(header["encoder"]),
+                           align_config_from_dict(header["alignment"]),
+                           Vocabulary.from_symbols(header["vocab"]), seed=header["seed"])
     except (ConfigError, DataError) as e:
         raise CheckpointError(f"{path}: {e}") from e
-    model = Recognizer(enc_cfg, align_cfg, vocab, seed=header["seed"])
 
     manifest = header["manifest"]
     names = [m["name"] for m in manifest]

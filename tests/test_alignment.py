@@ -91,25 +91,61 @@ def test_attention_rows_sum_to_one():
         np.testing.assert_allclose(alpha.sum(axis=1), np.ones(alpha.shape[0]), atol=1e-6)
 
 
+def _layer_norm(v, g, b):
+    mu = v.mean(axis=-1, keepdims=True)
+    var = ((v - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (v - mu) / np.sqrt(var + 1e-5) * g + b
+
+
+def _head_block(w, j, heads):
+    width = w.shape[1] // heads
+    return w[:, j * width:(j + 1) * width]
+
+
 def test_single_frame_layer_matches_manual_path():
     store = ParamStore(np.random.default_rng(5))
     layer = TransformerLayer(store, "t", d=8, heads=2, ff_width=16)
     x = np.random.default_rng(6).normal(size=(1, 8)).astype(np.float32)
     out = layer(ad.array(x)).data
 
-    def ln(v, g, b):
-        mu = v.mean()
-        var = ((v - mu) ** 2).mean()
-        return (v - mu) / np.sqrt(var + 1e-5) * g + b
-
-    h = ln(x[0], layer.ln1_g.data, layer.ln1_b.data)
-    # softmax over a single key is 1, so attention returns that value row
-    ctx = np.concatenate([h @ layer.wv[j].data for j in range(2)])
+    h = _layer_norm(x[0], layer.ln1_g.data, layer.ln1_b.data)
+    # softmax over a single key is 1, so each head returns its value row
+    ctx = np.concatenate([h @ _head_block(layer.wv.data, j, 2) for j in range(2)])
     x1 = x[0] + ctx @ layer.out.w.data + layer.out.b.data
-    h2 = ln(x1, layer.ln2_g.data, layer.ln2_b.data)
+    h2 = _layer_norm(x1, layer.ln2_g.data, layer.ln2_b.data)
     ff = np.maximum(h2 @ layer.ff1.w.data + layer.ff1.b.data, 0)
     expected = x1 + ff @ layer.ff2.w.data + layer.ff2.b.data
     np.testing.assert_allclose(out[0], expected, rtol=1e-4, atol=1e-5)
+
+
+def test_layer_matches_per_head_equations_in_float64():
+    rng = np.random.default_rng(11)
+    d, heads, frames = 12, 3, 7
+    store = ParamStore(rng, dtype=np.float64)
+    layer = TransformerLayer(store, "t", d=d, heads=heads, ff_width=24)
+    for p in store.params.values():
+        if p.data.ndim == 1:
+            p.data[:] = rng.uniform(-0.5, 0.5, size=p.data.shape) + (p.data == 1.0)
+    x = rng.normal(size=(frames, d))
+    sink = []
+    out = layer(ad.array(x, dtype=np.float64), attn_sink=sink).data
+
+    h = _layer_norm(x, layer.ln1_g.data, layer.ln1_b.data)
+    ctx, alphas = [], []
+    for j in range(heads):
+        q, k, v = (h @ _head_block(w.data, j, heads) for w in (layer.wq, layer.wk, layer.wv))
+        scores = q @ k.T / np.sqrt(d // heads)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alphas.append(e / e.sum(axis=1, keepdims=True))
+        ctx.append(alphas[-1] @ v)
+    x1 = x + np.concatenate(ctx, axis=1) @ layer.out.w.data + layer.out.b.data
+    h2 = _layer_norm(x1, layer.ln2_g.data, layer.ln2_b.data)
+    ff = np.maximum(h2 @ layer.ff1.w.data + layer.ff1.b.data, 0)
+    expected = x1 + ff @ layer.ff2.w.data + layer.ff2.b.data
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    assert len(sink) == heads
+    for got, want in zip(sink, alphas):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from penrec import autodiff as ad
 from penrec.cli import main
-from penrec.config import align_config_from_dict, encoder_config_from_dict
+from penrec.config import align_config_from_dict, encoder_config_from_dict, run_config_from_dict
 from penrec.data import build_vocab, load_dataset, save_dataset
 from penrec.model import Recognizer
 from penrec.synth import synth_generate
@@ -70,6 +70,26 @@ def test_render_outputs_height_32(tmp_path):
         assert int(height) == 32 and int(width) % 8 == 0
 
 
+@pytest.mark.parametrize("ids,message", [
+    (["../escaped"], "'../escaped' is not a plain file name"),
+    (["a\\b"], "is not a plain file name"),
+    ([".."], "'..' is not a plain file name"),
+    ([""], "'' is not a plain file name"),
+    (["a", "b", "a"], "duplicate id 'a'"),
+], ids=["parent_dir", "backslash", "dotdot", "empty", "duplicate"])
+def test_render_rejects_unsafe_or_duplicate_ids_before_writing(tmp_path, capsys, ids, message):
+    seqs = synth_generate("ab", len(ids), np.random.default_rng(0), length_range=(1, 1))
+    for seq, seq_id in zip(seqs, ids):
+        seq.id = seq_id
+    data = tmp_path / "in.jsonl"
+    save_dataset(data, seqs)
+    out_dir = tmp_path / "sub" / "previews"
+    assert main(["render", "--input", str(data), "--out", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.jsonl"]
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "nope.json"),
                  "--data", "x", "--out", str(tmp_path)])
@@ -85,6 +105,34 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("encoder", "d", "64", 'encoder.d: expected int, got "64"'),
+    ("training", "batch_size", 2.5, "training.batch_size: expected int, got 2.5"),
+    ("training", "augment", 1, "training.augment: expected bool, got 1"),
+    ("training", "max_steps", True, "training.max_steps: expected int | None, got true"),
+    ("encoder", "conv1d_spec", [[8, 3, 1]] * 5 + [[16, 3, "2"]], "encoder.conv1d_spec: expected list[list[int]] | None"),
+    ("training", "seed", -1, "seed must be >= 0"),
+], ids=["d_string", "batch_size_float", "augment_int", "max_steps_bool", "conv1d_spec_string", "seed_negative"])
+def test_mistyped_config_value_exits_2(tmp_path, capsys, section, key, value, message):
+    data = make_data(tmp_path)
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_float_field_accepts_int():
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["training"].update(lr_max=1, lr_min=1)
+    doc["alignment"]["rope_base"] = 100
+    cfg = run_config_from_dict(doc)
+    assert (cfg.training.lr_max, cfg.alignment.rope_base) == (1, 100)
 
 
 def test_train_eval_infer_round_trip(tmp_path, capsys):
@@ -175,7 +223,12 @@ def test_non_finite_gradient_exits_3_with_checkpoint(tmp_path, capsys, monkeypat
     (lambda header: header.pop("manifest"), "manifest"),
     (lambda header: header["manifest"][0].pop("shape"), "manifest entry 0"),
     (lambda header: header.update(version=1), "unsupported version 1"),
-], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1"])
+    (lambda header: header.update(version=2), "unsupported version 2"),
+    (lambda header: header["encoder"].update(d="16"), 'encoder.d: expected int, got "16"'),
+    (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
+    (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
+], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2",
+        "encoder_d_string", "alignment_toggle_int", "seed_negative"])
 def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
     data = make_data(tmp_path)
     model = Recognizer(encoder_config_from_dict(TINY_CONFIG["encoder"]),

@@ -1,5 +1,7 @@
 """Dataset ingestion, normalization, rendering, augmentation, vocabulary."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,15 @@ def test_load_rejects_bad_pen_state_with_line_number(tmp_path):
                  '{"id":"b","points":[[0,0,1],[1,1,2]],"text":"y"}\n')
     with pytest.raises(D.DataError, match="line 2"):
         D.load_dataset(p)
+
+
+@pytest.mark.parametrize("text", [5, None, ["x"]], ids=["int", "null", "list"])
+def test_load_rejects_non_string_text(tmp_path, text):
+    p = tmp_path / "d.jsonl"
+    p.write_text(json.dumps({"id": "a", "points": [[0, 0, 1], [1, 1, 1]], "text": text}) + "\n")
+    for require_text in (True, False):
+        with pytest.raises(D.DataError, match="line 1: text must be a string"):
+            D.load_dataset(p, require_text=require_text)
 
 
 def test_load_rejects_empty_file(tmp_path):

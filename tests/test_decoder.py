@@ -22,7 +22,8 @@ def random_enc(frames, d, seed=1):
 
 def test_step_probabilities_sum_to_one():
     dec, _ = make_decoder()
-    logits, state = dec.step_logits(SOS, dec.initial_state(), random_enc(5, 8))
+    f_enc = random_enc(5, 8)
+    logits, state = dec.step_logits(SOS, dec.initial_state(), f_enc, dec.keys(f_enc))
     probs = ad.softmax(logits)
     assert probs.shape == (1, 6)
     assert np.all(probs.data >= 0)
@@ -34,7 +35,7 @@ def test_single_frame_attention_returns_that_frame():
     dec, _ = make_decoder()
     f_enc = random_enc(1, 8, seed=2)
     sink = []
-    dec.step_logits(SOS, dec.initial_state(), f_enc, attn_sink=sink)
+    dec.step_logits(SOS, dec.initial_state(), f_enc, dec.keys(f_enc), attn_sink=sink)
     np.testing.assert_allclose(sink[0], [[1.0]])
 
 
@@ -43,7 +44,7 @@ def test_attention_weights_match_loop_oracle():
     f_enc = random_enc(7, 8, seed=4)
     state = ad.array(np.random.default_rng(5).normal(size=(1, 8)).astype(np.float32))
     sink = []
-    dec.step_logits(3, state, f_enc, attn_sink=sink)
+    dec.step_logits(3, state, f_enc, dec.keys(f_enc), attn_sink=sink)
 
     y = dec.embed.data[3]
     q = (y + state.data[0]) @ dec.wq.data
@@ -59,7 +60,8 @@ def test_attention_weights_match_loop_oracle():
 def test_token_out_of_vocabulary_rejected():
     dec, _ = make_decoder()
     with pytest.raises(ValueError, match="vocabulary"):
-        dec.step_logits(99, dec.initial_state(), random_enc(3, 8))
+        f_enc = random_enc(3, 8)
+        dec.step_logits(99, dec.initial_state(), f_enc, dec.keys(f_enc))
 
 
 def test_immediate_eos_gives_empty_transcript():
@@ -86,14 +88,15 @@ def test_greedy_equals_beam_size_one_by_enumeration():
     f_enc = random_enc(5, 8, seed=7)
     greedy = dec.greedy(f_enc, max_len=2)
 
-    logits1, s1 = dec.step_logits(SOS, dec.initial_state(), f_enc)
+    keys = dec.keys(f_enc)
+    logits1, s1 = dec.step_logits(SOS, dec.initial_state(), f_enc, keys)
     probs1 = ad.softmax(logits1)
     scores1 = {tok: float(probs1.data[0, tok]) for tok in range(6)}
     t1 = max(scores1, key=scores1.get)
     expected = []
     if t1 != EOS:
         expected.append(t1)
-        logits2, _ = dec.step_logits(t1, s1, f_enc)
+        logits2, _ = dec.step_logits(t1, s1, f_enc, keys)
         probs2 = ad.softmax(logits2)
         scores2 = {tok: float(probs2.data[0, tok]) for tok in range(6)}
         t2 = max(scores2, key=scores2.get)
@@ -118,9 +121,10 @@ def test_ce_loss_matches_per_step_probability_oracle():
 
     total = 0.0
     state = dec.initial_state()
+    keys = dec.keys(f_enc)
     prev = SOS
     for tok in target:
-        logits, state = dec.step_logits(prev, state, f_enc)
+        logits, state = dec.step_logits(prev, state, f_enc, keys)
         probs = ad.softmax(logits)
         total -= math.log(float(probs.data[0, tok]))
         prev = tok
