@@ -2,10 +2,12 @@
 
 Exactly the kernel set the recognizer needs and nothing more: elementwise
 arithmetic, matmul, strided 1D/2D convolution, the usual activations,
-softmax, multi-head attention, layer norm, a whole-sequence GRU,
-concatenation, row gather, linear interpolation along the leading axis,
-full reductions, and the two losses. Arrays are float32 by default;
-build everything in float64 for finite-difference checks.
+softmax, multi-head attention, layer norm, a whole-sequence GRU, the
+decoder's whole-sequence attention-fed GRU, concatenation, row gather,
+linear interpolation along the leading axis, full reductions, and the two
+losses. The GRU step and the softmax are each written once, as private
+helpers the kernels share. Arrays are float32 by default; build everything
+in float64 for finite-difference checks.
 
 Also hosts the optimizer pieces: Adam with bias correction and the cosine
 learning-rate schedule.
@@ -334,10 +336,25 @@ def conv2d(x: DiffArray, w: DiffArray, b: DiffArray | None,
 # activations and normalization
 
 
+def _sigmoid(x):
+    # overflow-safe form of 1 / (1 + exp(-x))
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+
+
+def _softmax(x):
+    """Stable softmax along the last axis of a numpy array."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_back(y, g):
+    """Gradient w.r.t. the softmax input, given its output `y` and the output gradient `g`."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def sigmoid(x: DiffArray) -> DiffArray:
     _check_finite("sigmoid", x)
-    # overflow-safe form of 1 / (1 + exp(-x))
-    y = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
+    y = _sigmoid(x.data)
 
     def back(g):
         _acc(x, g * y * (1.0 - y))
@@ -368,12 +385,10 @@ def relu(x: DiffArray) -> DiffArray:
 def softmax(x: DiffArray) -> DiffArray:
     """Softmax along the last axis."""
     _check_finite("softmax", x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data)
 
     def back(g):
-        _acc(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        _acc(x, _softmax_back(y, g))
 
     return _make(y, (x,), "softmax", back)
 
@@ -400,9 +415,7 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int,
     qh = q.data.reshape(tq, heads, dk).transpose(1, 0, 2)
     kh = k.data.reshape(tk, heads, dk).transpose(1, 0, 2)
     vh = v.data.reshape(tk, heads, dv).transpose(1, 0, 2)
-    s = (qh @ kh.transpose(0, 2, 1)) * scale
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
+    alpha = _softmax((qh @ kh.transpose(0, 2, 1)) * scale)
     if attn_sink is not None:
         attn_sink.extend(a.copy() for a in alpha)
     y = (alpha @ vh).transpose(1, 0, 2).reshape(tq, heads * dv)
@@ -410,7 +423,7 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int,
     def back(g):
         gh = g.reshape(tq, heads, dv).transpose(1, 0, 2)
         da = gh @ vh.transpose(0, 2, 1)
-        ds = alpha * (da - (da * alpha).sum(axis=-1, keepdims=True)) * scale
+        ds = _softmax_back(alpha, da) * scale
         _acc(q, (ds @ kh).transpose(1, 0, 2).reshape(tq, heads * dk))
         _acc(k, (ds.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(tk, heads * dk))
         _acc(v, (alpha.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(tk, heads * dv))
@@ -444,6 +457,70 @@ def layer_norm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-5
 
 # ---------------------------------------------------------------------------
 # recurrence
+#
+# `gru` and `attention_gru` share one GRU forward loop and one
+# backprop-through-time loop; they differ only in where each step's input
+# projection comes from, which they pass in as per-step callbacks.
+
+
+def _gru_forward(T: int, h0, w_h, b_h, step_input):
+    """Run T GRU steps from the state h0 (H,); `step_input(t, h)` gives step t's input projection.
+
+    Per step, with px = step_input(t, h) and a = h @ w_h + b_h, both (3H,)
+    and packed as gate blocks [r | z | n]:
+
+        r = sigmoid(px_r + a_r)    z = sigmoid(px_z + a_z)
+        n = tanh(px_n + r * a_n)   h' = n + z * (h - n)
+
+    Returns the states hs (T+1, H), hs[t] entering step t, the gates r, z, n
+    after their nonlinearities (T, 3H), and a_n (T, H).
+    """
+    H = h0.shape[0]
+    hs = np.empty((T + 1, H), dtype=w_h.dtype)
+    gates = np.empty((T, 3 * H), dtype=w_h.dtype)
+    a_n = np.empty((T, H), dtype=w_h.dtype)
+    hs[0] = h0
+    for t in range(T):
+        h = hs[t]
+        px = step_input(t, h)
+        a = h @ w_h + b_h
+        rz = _sigmoid(px[:2 * H] + a[:2 * H])
+        n = np.tanh(px[2 * H:] + rz[:H] * a[2 * H:])
+        hs[t + 1] = n + rz[H:] * (h - n)
+        gates[t, :2 * H] = rz
+        gates[t, 2 * H:] = n
+        a_n[t] = a[2 * H:]
+    return hs, gates, a_n
+
+
+def _gru_backward(g, hs, gates, a_n, w_h, step_input_back=None):
+    """Backprop through time for `_gru_forward`, given dL/dh' of every step, g (T, H).
+
+    Returns the gradients of the input projections dpx (T, 3H), of
+    a = h @ w_h + b_h, da (T, 3H), and of h0, (H,). `step_input_back(t, dpx_t)`,
+    when given, backpropagates step t's input projection and returns the
+    part of dL/dh_t that flowed through it.
+    """
+    T, H = g.shape
+    r, z, n = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:]
+    # per-step factors of dh', gate blocks stacked: d(px) = dh' * k_px, d(a) = dh' * k_a
+    k_n = (1.0 - z) * (1.0 - n * n)
+    k_rz = [k_n * a_n * r * (1.0 - r), (hs[:-1] - n) * z * (1.0 - z)]
+    k_px = np.stack(k_rz + [k_n], axis=1)
+    k_a = np.stack(k_rz + [k_n * r], axis=1)
+    dpx = np.empty((T, 3, H), dtype=hs.dtype)
+    da = np.empty((T, 3, H), dtype=hs.dtype)
+    dpx_flat, da_flat = dpx.reshape(T, 3 * H), da.reshape(T, 3 * H)
+    carry = np.zeros(H, dtype=hs.dtype)
+    w_t = w_h.T
+    for t in range(T - 1, -1, -1):
+        dh = g[t] + carry
+        dpx[t] = dh * k_px[t]
+        da[t] = dh * k_a[t]
+        carry = dh * z[t] + da_flat[t] @ w_t
+        if step_input_back is not None:
+            carry += step_input_back(t, dpx_flat[t])
+    return dpx_flat, da_flat, carry
 
 
 def gru(px: DiffArray, h0: DiffArray, w_h: DiffArray, b_h: DiffArray) -> DiffArray:
@@ -451,13 +528,9 @@ def gru(px: DiffArray, h0: DiffArray, w_h: DiffArray, b_h: DiffArray) -> DiffArr
 
     `px` holds each step's input-side projections packed as gate blocks
     [r | z | n]; `w_h` (H, 3H) and `b_h` (3H,) project the hidden state in
-    the same layout, and `h0` (1, H) is the initial state. Per step, with
-    a = h @ w_h + b_h:
-
-        r = sigmoid(px_r + a_r)    z = sigmoid(px_z + a_z)
-        n = tanh(px_n + r * a_n)   h' = n + z * (h - n)
-
-    One graph node; backward is hand-written backprop through time.
+    the same layout, and `h0` (1, H) is the initial state. The step
+    equations are `_gru_forward`'s. One graph node; backward is
+    hand-written backprop through time.
     """
     _check_finite("gru", px, h0, w_h, b_h)
     if px.data.ndim != 2 or h0.data.ndim != 2 or h0.shape[0] != 1:
@@ -465,45 +538,86 @@ def gru(px: DiffArray, h0: DiffArray, w_h: DiffArray, b_h: DiffArray) -> DiffArr
     T, H = px.shape[0], h0.shape[1]
     if px.shape[1] != 3 * H or w_h.shape != (H, 3 * H) or b_h.shape != (3 * H,):
         raise ShapeError(f"gru: incompatible shapes {px.shape}, {h0.shape}, {w_h.shape} and {b_h.shape}")
-    x, w, b = px.data, w_h.data, b_h.data
-    hs = np.empty((T + 1, H), dtype=x.dtype)      # hs[t] is the state entering step t
-    gates = np.empty((T, 3 * H), dtype=x.dtype)   # r, z, n after their nonlinearities
-    a_n = np.empty((T, H), dtype=x.dtype)
-    hs[0] = h0.data[0]
-    for t in range(T):
-        a = hs[t] @ w + b
-        # overflow-safe sigmoid, as in `sigmoid`
-        rz = 0.5 * (np.tanh(0.5 * (x[t, :2 * H] + a[:2 * H])) + 1.0)
-        n = np.tanh(x[t, 2 * H:] + rz[:H] * a[2 * H:])
-        hs[t + 1] = n + rz[H:] * (hs[t] - n)
-        gates[t, :2 * H] = rz
-        gates[t, 2 * H:] = n
-        a_n[t] = a[2 * H:]
+    x = px.data
+    hs, gates, a_n = _gru_forward(T, h0.data[0], w_h.data, b_h.data, lambda t, h: x[t])
 
     def back(g):
-        r, z, n = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:]
-        h_prev = hs[:-1]
-        # per-step factors of dh': d(a) = dh' * k and d(px_n) = dh' * k_n
-        k_n = (1.0 - z) * (1.0 - n * n)
-        k = np.stack([k_n * a_n * r * (1.0 - r), (h_prev - n) * z * (1.0 - z), k_n * r], axis=1)
-        da = np.empty((T, 3, H), dtype=x.dtype)   # grads of a = h @ w_h + b_h
-        da_flat = da.reshape(T, 3 * H)
-        dhs = np.empty((T, H), dtype=x.dtype)
-        carry = np.zeros(H, dtype=x.dtype)
-        w_t = w.T
-        for t in range(T - 1, -1, -1):
-            dh = g[t] + carry
-            dhs[t] = dh
-            da[t] = dh * k[t]
-            carry = dh * z[t] + da_flat[t] @ w_t
-        dpx = da_flat.copy()
-        dpx[:, 2 * H:] = dhs * k_n
+        dpx, da, dh0 = _gru_backward(g, hs, gates, a_n, w_h.data)
         _acc(px, dpx)
-        _acc(h0, carry[None, :])
-        _acc(w_h, h_prev.T @ da_flat)
-        _acc(b_h, da_flat.sum(axis=0))
+        _acc(h0, dh0[None, :])
+        _acc(w_h, hs[:-1].T @ da)
+        _acc(b_h, da.sum(axis=0))
 
     return _make(hs[1:], (px, h0, w_h, b_h), "gru", back)
+
+
+def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, values: DiffArray,
+                  w_x: DiffArray, b_x: DiffArray, w_h: DiffArray, b_h: DiffArray,
+                  attn_sink: list | None = None) -> DiffArray:
+    """Attention-fed GRU over a whole sequence: (T, H) input rows -> (T, H) states.
+
+    Step t reads row y_t and the state h entering it (`h0` (1, H) at t = 0),
+    attends with one head over `keys` (Tk, dk) and `values` (Tk, H), and
+    advances the GRU of `gru` with input-side weights `w_x` (H, 3H), `b_x`
+    and hidden-side weights `w_h` (H, 3H), `b_h`:
+
+        q = (y_t + h) @ wq      alpha = softmax(q @ keys^T / sqrt(dk))
+        x = y_t + alpha @ values      h' = GRU(x @ w_x + b_x, h)
+
+    `attn_sink`, when given, receives the (T, Tk) attention weights. One
+    graph node: backward runs through time with matrix-vector products only,
+    then forms each weight gradient with one matmul over all steps.
+    """
+    ins = (y, h0, wq, keys, values, w_x, b_x, w_h, b_h)
+    _check_finite("attention_gru", *ins)
+    T, H = y.shape if y.data.ndim == 2 else (0, 0)
+    tk, dk = keys.shape if keys.data.ndim == 2 else (0, 0)
+    if (H < 1 or tk < 1 or h0.shape != (1, H) or wq.shape != (H, dk) or values.shape != (tk, H)
+            or w_x.shape != (H, 3 * H) or b_x.shape != (3 * H,)
+            or w_h.shape != (H, 3 * H) or b_h.shape != (3 * H,)):
+        raise ShapeError(f"attention_gru: incompatible shapes {', '.join(str(a.shape) for a in ins)}")
+    scale = 1.0 / math.sqrt(dk)
+    yd, wqd, kd, vd, wxd, bxd = y.data, wq.data, keys.data, values.data, w_x.data, b_x.data
+    kd_t = kd.T
+    U = np.empty((T, H), dtype=yd.dtype)       # query inputs y_t + h
+    Q = np.empty((T, dk), dtype=yd.dtype)
+    A = np.empty((T, tk), dtype=yd.dtype)      # attention weights
+    X = np.empty((T, H), dtype=yd.dtype)       # GRU inputs y_t + alpha @ values
+
+    def step_input(t, h):
+        U[t] = yd[t] + h
+        Q[t] = U[t] @ wqd
+        A[t] = _softmax((Q[t] @ kd_t) * scale)
+        X[t] = yd[t] + A[t] @ vd
+        return X[t] @ wxd + bxd
+
+    hs, gates, a_n = _gru_forward(T, h0.data[0], w_h.data, b_h.data, step_input)
+    if attn_sink is not None:
+        attn_sink.append(A.copy())
+
+    def back(g):
+        dU, dQ, dS, dX = np.empty_like(U), np.empty_like(Q), np.empty_like(A), np.empty_like(X)
+        wxd_t, wqd_t = wxd.T, wqd.T
+
+        def step_input_back(t, dpx):
+            dX[t] = dpx @ wxd_t
+            dS[t] = _softmax_back(A[t], vd @ dX[t]) * scale
+            dQ[t] = dS[t] @ kd
+            dU[t] = dQ[t] @ wqd_t
+            return dU[t]
+
+        dpx, da, dh0 = _gru_backward(g, hs, gates, a_n, w_h.data, step_input_back)
+        _acc(y, dX + dU)
+        _acc(h0, dh0[None, :])
+        _acc(wq, U.T @ dQ)
+        _acc(keys, dS.T @ Q)
+        _acc(values, A.T @ dX)
+        _acc(w_x, X.T @ dpx)
+        _acc(b_x, dpx.sum(axis=0))
+        _acc(w_h, hs[:-1].T @ da)
+        _acc(b_h, da.sum(axis=0))
+
+    return _make(hs[1:], ins, "attention_gru", back)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +739,7 @@ def cross_entropy_logits(logits: DiffArray, targets) -> DiffArray:
     y = (lse - logits.data[np.arange(L), t]).mean()
 
     def back(g):
-        p = np.exp(z)
-        p /= p.sum(axis=-1, keepdims=True)
+        p = _softmax(logits.data)
         p[np.arange(L), t] -= 1.0
         _acc(logits, (g / L) * p)
 

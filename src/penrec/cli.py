@@ -81,6 +81,8 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     try:
+        if args.max_len < 1:
+            raise ConfigError(f"--max-len must be >= 1, got {args.max_len}")
         model = load_checkpoint(args.checkpoint)
         dataset = load_dataset(args.input, require_text=False)
     except (CheckpointError, ConfigError, DataError) as e:

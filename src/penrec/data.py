@@ -17,6 +17,9 @@ from pathlib import Path
 import numpy as np
 
 IMAGE_HEIGHT = 32
+# Widest normalized line, in px: far above real lines (synthetic lines of ten
+# glyphs are about 350 px wide), and it caps a rendered image at 32 x 4104.
+MAX_WIDTH = 4096
 
 PAD, SOS, EOS = 0, 1, 2
 RESERVED_SYMBOLS = ("\x00", "\x01", "\x02")
@@ -103,8 +106,10 @@ def save_dataset(path, seqs) -> None:
 def normalize(seq: TrajectorySequence) -> TrajectorySequence:
     """Affinely map py to [0, 32]; px shares the scale factor, min px -> 0.
 
-    Zero-height input falls back to scaling the width to 512 px with py
-    centered at 16. Idempotent on already-normalized sequences.
+    A line that would come out wider than MAX_WIDTH px is scaled to that
+    width instead, and spans less than 32 px vertically. Zero-height input
+    falls back to scaling the width to 512 px with py centered at 16.
+    Idempotent on already-normalized sequences.
     """
     validate_sequence(seq, seq.id)
     pts = seq.points
@@ -112,7 +117,7 @@ def normalize(seq: TrajectorySequence) -> TrajectorySequence:
     height = py.max() - py.min()
     width = px.max() - px.min()
     if height > 0:
-        scale = IMAGE_HEIGHT / height
+        scale = IMAGE_HEIGHT / height if width * IMAGE_HEIGHT <= MAX_WIDTH * height else MAX_WIDTH / width
         new_py = (py - py.min()) * scale
     else:
         scale = 512.0 / width if width > 0 else 1.0

@@ -1,11 +1,13 @@
 """Attention-based autoregressive GRU decoder, one code path for both streams.
 
 Each step embeds the previous token, attends over the encoded frames with
-single-head `ad.attention` (learned q/k projections, the frames themselves
-as values), advances a GRU cell, and projects to vocabulary logits. The
-keys depend only on the frames, so `keys` computes them once per sequence
-and every step reuses them. Training uses teacher forcing; inference is
-greedy.
+one head (learned q/k projections, the frames themselves as values),
+advances a GRU cell, and projects to vocabulary logits. `ad.attention_gru`
+runs the attention and the GRU of all steps as one graph node; the keys
+depend only on the frames, so `keys` computes them once per sequence.
+Training uses teacher forcing, which knows every step's previous token up
+front, so the whole target runs in one kernel call; greedy inference calls
+the same kernel one step at a time.
 """
 
 from __future__ import annotations
@@ -40,17 +42,21 @@ class AttentionDecoder:
             raise ValueError("decoder needs a nonempty encoded sequence")
         return ad.matmul(f_enc, self.wk)
 
+    def _run(self, prev_ids: list[int], state: DiffArray, f_enc: DiffArray, keys: DiffArray,
+             attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
+        """Logits (T, V) and states (T, d) of T steps fed `prev_ids`, starting from `state`."""
+        for tok in prev_ids:
+            if not 0 <= tok < self.vocab_size:
+                raise ValueError(f"token {tok} out of vocabulary (size {self.vocab_size})")
+        ys = ad.gather_rows(self.embed, prev_ids)
+        g = self.gru
+        states = ad.attention_gru(ys, state, self.wq, keys, f_enc, g.w_x, g.b_x, g.w_h, g.b_h, attn_sink)
+        return self.out(states), states
+
     def step_logits(self, prev_token: int, state: DiffArray, f_enc: DiffArray, keys: DiffArray,
                     attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
         """Logits (1, V) and the new state after `prev_token`; `keys` is `self.keys(f_enc)`."""
-        if not 0 <= prev_token < self.vocab_size:
-            raise ValueError(f"token {prev_token} out of vocabulary (size {self.vocab_size})")
-        y = ad.gather_rows(self.embed, [prev_token])
-        q = ad.matmul(ad.add(y, state), self.wq)
-        attended = ad.attention(q, keys, f_enc, 1, attn_sink)
-        new_state = self.gru(ad.add(y, attended), state)
-        logits = self.out(new_state)
-        return logits, new_state
+        return self._run([prev_token], state, f_enc, keys, attn_sink)
 
     def greedy(self, f_enc: DiffArray, max_len: int = 256) -> list[int]:
         """Greedy decode from sos; stops at eos or max_len; reserved tokens excluded."""
@@ -72,15 +78,9 @@ class AttentionDecoder:
 
     def sequence_logits(self, f_enc: DiffArray, target_ids: list[int]) -> DiffArray:
         """Teacher-forced logits, one row per target position."""
-        state = self.initial_state()
-        prev = SOS
-        keys = self.keys(f_enc)
-        rows = []
-        for tok in target_ids:
-            logits, state = self.step_logits(prev, state, f_enc, keys)
-            rows.append(logits)
-            prev = tok
-        return ad.concat(rows, axis=0)
+        prev_ids = [SOS, *target_ids][:len(target_ids)]
+        logits, _ = self._run(prev_ids, self.initial_state(), f_enc, self.keys(f_enc))
+        return logits
 
     def ce_loss(self, f_enc: DiffArray, target_ids: list[int]) -> DiffArray:
         """Mean per-step cross entropy; targets must end with eos."""

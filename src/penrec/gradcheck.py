@@ -154,6 +154,14 @@ def kernel_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
         return lambda: p(ad.gru(px, h0, w_h, b_h)), [px, h0, w_h, b_h]
 
+    def attention_gru_case():
+        steps, frames, hidden, dk = 3, 4, 3, 4
+        ins = [_rand(rng, shape) for shape in [
+            (steps, hidden), (1, hidden), (hidden, dk), (frames, dk), (frames, hidden),
+            (hidden, 3 * hidden), (3 * hidden,), (hidden, 3 * hidden), (3 * hidden,)]]
+        p = fixed_projector(rng)
+        return lambda: p(ad.attention_gru(*ins)), ins
+
     def attention_case(tq, tk, heads, dk, dv):
         q, k, v = _rand(rng, (tq, heads * dk)), _rand(rng, (tk, heads * dk)), _rand(rng, (tk, heads * dv))
         p = fixed_projector(rng)
@@ -189,6 +197,7 @@ def kernel_cases(rng: np.random.Generator):
         ("gru", *gru_case()),
         ("attention_self_h2", *attention_case(5, 5, 2, 3, 3)),
         ("attention_cross_q1", *attention_case(1, 4, 1, 4, 6)),
+        ("attention_gru", *attention_gru_case()),
     ]
 
 

@@ -66,6 +66,8 @@ def synth_generate(alphabet: str, n: int, rng: np.random.Generator,
     for ch in alphabet:
         if ch not in GLYPH_STROKES:
             raise KeyError(f"no glyph template for {ch!r}")
+    if n < 0:
+        raise ValueError(f"sequence count must be >= 0, got {n}")
     lo, hi = length_range
     if not 1 <= lo <= hi:
         raise ValueError(f"bad length range {length_range}")

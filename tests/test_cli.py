@@ -52,6 +52,13 @@ def test_synth_n_zero_gives_empty_file(tmp_path):
     assert out.read_text() == ""
 
 
+def test_synth_negative_count_exits_2_without_writing(tmp_path, capsys):
+    out = tmp_path / "neg.jsonl"
+    assert main(["synth", "--n", "-1", "--out", str(out)]) == 2
+    assert "count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_unknown_glyph_is_config_error(tmp_path):
     out = tmp_path / "x.jsonl"
     assert main(["synth", "--n", "1", "--vocab", "a!", "--out", str(out)]) == 2
@@ -153,6 +160,24 @@ def test_train_eval_infer_round_trip(tmp_path, capsys):
     assert main(["infer", "--checkpoint", str(ckpt), "--input", str(data)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8
+
+
+def test_infer_max_len_below_one_exits_2_before_decoding(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    data = make_data(tmp_path)
+    run = tmp_path / "run"
+    main(["train", "--config", str(config), "--data", str(data), "--out", str(run), "--quiet"])
+    capsys.readouterr()
+    import penrec.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be loaded or decoded")
+
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
+    assert main(["infer", "--checkpoint", str(run / "model.ckpt"), "--input", str(data),
+                 "--max-len", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-len" in captured.err
 
 
 def test_eval_empty_dataset_exits_2(tmp_path, capsys):

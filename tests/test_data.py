@@ -87,6 +87,27 @@ def test_normalize_preserves_aspect_ratio():
     assert got_aspect == pytest.approx(raw_aspect)
 
 
+@given(width=st.floats(1e-3, 1e5), height=st.floats(1e-9, 1e5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_normalize_bounds_width_and_stays_idempotent(width, height, seed):
+    # render is never called here: an unbounded input would allocate 32 x width floats
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack([rng.uniform(0, width, 6), rng.uniform(0, height, 6), np.ones(6)])
+    pts[0, :2], pts[1, :2] = (0.0, 0.0), (width, height)
+    s = D.normalize(seq_of(pts))
+    assert D.render_width(s.points[:, 0].max()) <= D.render_width(D.MAX_WIDTH)
+    np.testing.assert_allclose(D.normalize(s).points, s.points, rtol=1e-12, atol=1e-9)
+    scale = D.IMAGE_HEIGHT / height
+    if width * scale <= D.MAX_WIDTH:
+        np.testing.assert_array_equal(s.points[:, :2], pts[:, :2] * scale)
+
+
+def test_normalize_caps_a_flat_wide_stroke():
+    s = D.normalize(seq_of([[0, 0, 1], [200, 1e-6, 1]]))
+    assert s.points[:, 0].max() == pytest.approx(D.MAX_WIDTH)
+    assert s.points[:, 1].max() == pytest.approx(D.MAX_WIDTH * 1e-6 / 200)
+
+
 def test_normalize_zero_height_fallback():
     s = D.normalize(seq_of([[0, 5, 1], [100, 5, 1]]))
     assert np.all(s.points[:, 1] == 16.0)

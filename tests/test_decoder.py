@@ -8,7 +8,7 @@ import pytest
 from penrec import autodiff as ad
 from penrec.data import EOS, SOS
 from penrec.decoder import AttentionDecoder
-from penrec.layers import ParamStore
+from penrec.layers import GRUCell, Linear, ParamStore
 
 
 def make_decoder(vocab_size=6, d=8, seed=0):
@@ -157,3 +157,81 @@ def test_decoder_overfits_single_sample():
         ad.backward(loss)
         ad.adam_step(store.params, state, lr=5e-3)
     assert loss_val < 0.01, f"loss stuck at {loss_val}"
+
+
+def per_token_path(y, h0, wq, keys, values, cell, out, sink):
+    """The decoder recurrence composed one token at a time from the single-purpose kernels."""
+    state, logits, states = h0, [], []
+    for t in range(y.shape[0]):
+        y_t = ad.gather_rows(y, [t])
+        q = ad.matmul(ad.add(y_t, state), wq)
+        x = ad.add(y_t, ad.attention(q, keys, values, 1, sink))
+        state = cell(x, state)
+        logits.append(out(state))
+        states.append(state)
+    return ad.concat(logits), ad.concat(states)
+
+
+def test_attention_gru_matches_per_token_composition_in_float64():
+    steps, frames, d, dk, vocab = 5, 6, 4, 3, 7
+    rng = np.random.default_rng(12)
+    store = ParamStore(rng, dtype=np.float64)
+    cell = GRUCell(store, "gru", d, d)
+    out = Linear(store, "out", d, vocab)
+    for p in store.params.values():
+        p.data[...] = rng.uniform(-0.8, 0.8, size=p.shape)
+
+    def leaf(*shape):
+        return ad.array(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+
+    y, h0, wq, keys, values = leaf(steps, d), leaf(1, d), leaf(d, dk), leaf(frames, dk), leaf(frames, d)
+    wrt = [y, h0, wq, keys, values, cell.w_x, cell.b_x, cell.w_h, cell.b_h, out.w, out.b]
+    proj_logits, proj_states = rng.normal(size=(steps, vocab)), rng.normal(size=(steps, d))
+
+    def run(path):
+        ad.zero_grads(wrt)
+        sink = []
+        logits, states = path(sink)
+        loss = ad.add(ad.asum(ad.mul(logits, proj_logits)), ad.asum(ad.mul(states, proj_states)))
+        ad.backward(loss)
+        return [logits.data, states.data, np.concatenate(sink)] + [p.grad.copy() for p in wrt]
+
+    def fused(sink):
+        states = ad.attention_gru(y, h0, wq, keys, values, cell.w_x, cell.b_x, cell.w_h, cell.b_h, sink)
+        return out(states), states
+
+    got = run(fused)
+    want = run(lambda sink: per_token_path(y, h0, wq, keys, values, cell, out, sink))
+    names = ["logits", "states", "sink", "y", "h0", "wq", "keys", "values",
+             "w_x", "b_x", "w_h", "b_h", "out.w", "out.b"]
+    for name, a, b in zip(names, got, want):
+        assert a.shape == b.shape, name
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_sequence_logits_feed_sos_then_the_target():
+    dec = AttentionDecoder(ParamStore(np.random.default_rng(13), dtype=np.float64), "dec", 7, 8)
+    f_enc = ad.array(np.random.default_rng(14).normal(size=(5, 8)), dtype=np.float64)
+    target = [3, 6, 4, EOS]
+    logits = dec.sequence_logits(f_enc, target)
+    want, _ = per_token_path(ad.gather_rows(dec.embed, [SOS] + target[:-1]), dec.initial_state(), dec.wq,
+                             dec.keys(f_enc), f_enc, dec.gru, dec.out, None)
+    np.testing.assert_allclose(logits.data, want.data, rtol=1e-12, atol=1e-12)
+
+
+def graph_node_count(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+def test_ce_loss_graph_size_does_not_grow_with_target_length():
+    dec, _ = make_decoder(vocab_size=7, d=8)
+    f_enc = random_enc(5, 8)
+    short = dec.ce_loss(f_enc, [3, 4, EOS])
+    long = dec.ce_loss(f_enc, [3, 4, 5, 6, 3, 4, 5, 6, EOS])
+    assert graph_node_count(short) == graph_node_count(long)
