@@ -5,9 +5,10 @@ arithmetic, matmul, strided 1D/2D convolution, the usual activations,
 softmax, multi-head attention, layer norm, a whole-sequence GRU, the
 decoder's whole-sequence attention-fed GRU, concatenation, row gather,
 linear interpolation along the leading axis, full reductions, and the two
-losses. The GRU step and the softmax are each written once, as private
-helpers the kernels share. Arrays are float32 by default; build everything
-in float64 for finite-difference checks.
+losses. The GRU step, the softmax and the convolutions' strided-window
+im2col/col2im are each written once, as private helpers the kernels share.
+Arrays are float32 by default; build everything in float64 for
+finite-difference checks.
 
 Also hosts the optimizer pieces: Adam with bias correction and the cosine
 learning-rate schedule.
@@ -241,6 +242,64 @@ def conv1d_out_length(length: int, kernel: int, stride: int, pad: int) -> int:
     return (length + 2 * pad - kernel) // stride + 1
 
 
+def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad) -> DiffArray:
+    """Strided, zero-padded convolution by im2col, shared by `conv1d` and `conv2d`.
+
+    Works on channels-last images: x (H, W, C_in) and w (KH, KW, C_in, C_out)
+    give (H_out, W_out, C_out); a 1D input (L, C_in) with weights
+    (K, C_in, C_out) runs as a height-1 image and gives (L_out, C_out).
+    `windows` views the padded input as (H_out, W_out, KH, KW, C_in) strided
+    windows, so the gather (im2col) is one copy of that view and, in
+    backward, the scatter-add back into the input (col2im) is one
+    vectorised slice-add per kernel tap.
+    """
+    cout = w.shape[-1]
+    if b is not None and b.shape != (cout,):
+        raise ShapeError(f"{op}: incompatible shapes {b.shape} and {w.shape}")
+    if min(stride) < 1 or min(pad) < 0:  # `windows` would reach outside the input
+        raise ShapeError(f"{op}: stride {stride} must be positive and pad {pad} non-negative")
+    lead = (1,) * (4 - w.data.ndim)
+    xd, wd = x.data.reshape(lead + x.shape), w.data.reshape(lead + w.shape)
+    H, W, cin = xd.shape
+    kh, kw = wd.shape[:2]
+    (sh, sw), (ph, pw) = stride, pad
+    ho, wo = conv1d_out_length(H, kh, sh, ph), conv1d_out_length(W, kw, sw, pw)
+    xp = xd
+    if ph or pw:  # filled by hand: np.pad's own overhead is most of a small conv1d call
+        xp = np.zeros((H + 2 * ph, W + 2 * pw, cin), dtype=xd.dtype)
+        xp[ph:ph + H, pw:pw + W] = xd
+
+    def windows(a):
+        # [oi, oj, i, j] is a[oi*sh + i, oj*sw + j]: tap (i, j) of output (oi, oj), always in bounds
+        s0, s1, s2 = a.strides
+        return np.lib.stride_tricks.as_strided(a, (ho, wo, kh, kw, cin), (s0 * sh, s1 * sw, s0, s1, s2))
+
+    cols = windows(xp).reshape(ho * wo, kh * kw * cin)
+    w2 = wd.reshape(kh * kw * cin, cout)
+    y = cols @ w2
+    if b is not None:
+        y = y + b.data
+
+    def back(g):
+        g2 = g.reshape(ho * wo, cout)
+        if w.requires_grad:
+            _acc(w, (cols.T @ g2).reshape(w.shape))
+        if b is not None:
+            _acc(b, g2.sum(axis=0))
+        if x.requires_grad:
+            dcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, cin)
+            dxp = np.zeros_like(xp)
+            dwin = windows(dxp)
+            # windows of different taps overlap, those of one tap do not
+            for i in range(kh):
+                for j in range(kw):
+                    dwin[:, :, i, j] += dcols[:, :, i, j]
+            _acc(x, dxp[ph:ph + H, pw:pw + W].reshape(x.shape))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(y.reshape((ho, wo, cout)[len(lead):]), parents, op, back)
+
+
 def conv1d(x: DiffArray, w: DiffArray, b: DiffArray | None, stride: int = 1, pad: int = 0) -> DiffArray:
     """Strided 1D convolution over a time-major (L, C_in) input.
 
@@ -250,35 +309,9 @@ def conv1d(x: DiffArray, w: DiffArray, b: DiffArray | None, stride: int = 1, pad
     _check_finite("conv1d", x, w)
     if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
-    L, cin = x.shape
-    K, _, cout = w.shape
-    lout = conv1d_out_length(L, K, stride, pad)
-    if lout <= 0:
+    if conv1d_out_length(x.shape[0], w.shape[0], stride, pad) <= 0:
         raise ShapeError(f"conv1d: input shape {x.shape} too short for kernel {w.shape}")
-    xp = np.pad(x.data, ((pad, pad), (0, 0))) if pad else x.data
-    idx = (np.arange(lout) * stride)[:, None] + np.arange(K)[None, :]
-    cols = xp[idx].reshape(lout, K * cin)
-    w2 = w.data.reshape(K * cin, cout)
-    y = cols @ w2
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv1d: incompatible shapes {b.shape} and {w.shape}")
-        y = y + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
-
-    def back(g):
-        if w.requires_grad:
-            _acc(w, (cols.T @ g).reshape(w.shape))
-        if b is not None:
-            _acc(b, g.sum(axis=0))
-        if x.requires_grad:
-            dcols = (g @ w2.T).reshape(lout * K, cin)
-            dxp = np.zeros_like(xp)
-            np.add.at(dxp, idx.ravel(), dcols)
-            _acc(x, dxp[pad:pad + L] if pad else dxp)
-
-    return _make(y, parents, "conv1d", back)
+    return _conv("conv1d", x, w, b, (1, stride), (0, pad))
 
 
 def conv2d(x: DiffArray, w: DiffArray, b: DiffArray | None,
@@ -290,46 +323,9 @@ def conv2d(x: DiffArray, w: DiffArray, b: DiffArray | None,
     _check_finite("conv2d", x, w)
     if x.data.ndim != 3 or w.data.ndim != 4 or x.shape[2] != w.shape[2]:
         raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
-    H, W, cin = x.shape
-    kh, kw, _, cout = w.shape
-    sh, sw = stride
-    ph, pw = pad
-    ho = (H + 2 * ph - kh) // sh + 1
-    wo = (W + 2 * pw - kw) // sw + 1
-    if ho <= 0 or wo <= 0:
+    if min(map(conv1d_out_length, x.shape[:2], w.shape[:2], stride, pad)) <= 0:
         raise ShapeError(f"conv2d: input shape {x.shape} too small for kernel {w.shape}")
-    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0))) if (ph or pw) else x.data
-    wp = xp.shape[1]
-    ri = (np.arange(ho) * sh)[:, None] + np.arange(kh)[None, :]          # (ho, kh)
-    ci = (np.arange(wo) * sw)[:, None] + np.arange(kw)[None, :]          # (wo, kw)
-    rows = ri[:, None, :, None]
-    colsix = ci[None, :, None, :]
-    patches = xp[rows, colsix]                                           # (ho, wo, kh, kw, cin)
-    cols = patches.reshape(ho * wo, kh * kw * cin)
-    w2 = w.data.reshape(kh * kw * cin, cout)
-    y = (cols @ w2).reshape(ho, wo, cout)
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv2d: incompatible shapes {b.shape} and {w.shape}")
-        y = y + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
-
-    def back(g):
-        g2 = g.reshape(ho * wo, cout)
-        if w.requires_grad:
-            _acc(w, (cols.T @ g2).reshape(w.shape))
-        if b is not None:
-            _acc(b, g2.sum(axis=0))
-        if x.requires_grad:
-            dcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, cin)
-            flat = rows * wp + colsix                                     # (ho, wo, kh, kw)
-            dxp = np.zeros((xp.shape[0] * wp, cin), dtype=xp.dtype)
-            np.add.at(dxp, flat.ravel(), dcols.reshape(-1, cin))
-            dxp = dxp.reshape(xp.shape)
-            _acc(x, dxp[ph:ph + H, pw:pw + W] if (ph or pw) else dxp)
-
-    return _make(y, parents, "conv2d", back)
+    return _conv("conv2d", x, w, b, stride, pad)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -89,8 +90,16 @@ def cmd_infer(args) -> int:
         return _fail(EXIT_CONFIG, str(e))
     except OSError as e:
         return _fail(EXIT_IO, str(e))
-    for seq in dataset:
-        print(model.infer_text(normalize(seq), max_len=args.max_len))
+    try:
+        for seq in dataset:
+            print(model.infer_text(normalize(seq), max_len=args.max_len), flush=True)
+    except BrokenPipeError:
+        # the reader closed early (`penrec infer ... | head -1`): stop decoding, and point
+        # stdout at devnull so the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail(EXIT_IO, "standard output closed before all transcripts were written")
     return EXIT_OK
 
 

@@ -108,19 +108,25 @@ def normalize(seq: TrajectorySequence) -> TrajectorySequence:
 
     A line that would come out wider than MAX_WIDTH px is scaled to that
     width instead, and spans less than 32 px vertically. Zero-height input
-    falls back to scaling the width to 512 px with py centered at 16.
+    falls back to scaling the width to 512 px with py centered at 16. A line
+    too small for its scale factor to be finite (a subnormal extent) takes
+    the zero-extent fallback: px only shifted, py centered at 16.
     Idempotent on already-normalized sequences.
     """
     validate_sequence(seq, seq.id)
     pts = seq.points
     px, py, s = pts[:, 0], pts[:, 1], pts[:, 2]
-    height = py.max() - py.min()
-    width = px.max() - px.min()
+    height = float(py.max() - py.min())
+    width = float(px.max() - px.min())
     if height > 0:
         scale = IMAGE_HEIGHT / height if width * IMAGE_HEIGHT <= MAX_WIDTH * height else MAX_WIDTH / width
-        new_py = (py - py.min()) * scale
     else:
         scale = 512.0 / width if width > 0 else 1.0
+    if not math.isfinite(scale):
+        height, scale = 0.0, 1.0
+    if height > 0:
+        new_py = (py - py.min()) * scale
+    else:
         new_py = np.full_like(py, IMAGE_HEIGHT / 2.0)
     new_px = (px - px.min()) * scale
     out = np.column_stack([new_px, new_py, s])

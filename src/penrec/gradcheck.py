@@ -109,8 +109,8 @@ def kernel_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
         return lambda: p(ad.conv1d(x, w, b, stride=stride, pad=pad)), [x, w, b]
 
-    def conv2d_case(stride, pad):
-        x, w, b = _rand(rng, (8, 10, 2)), _rand(rng, (3, 3, 2, 3)), _rand(rng, (3,))
+    def conv2d_case(stride, pad, k=3):
+        x, w, b = _rand(rng, (8, 10, 2)), _rand(rng, (k, k, 2, 3)), _rand(rng, (3,))
         p = fixed_projector(rng)
         return lambda: p(ad.conv2d(x, w, b, stride=stride, pad=pad)), [x, w, b]
 
@@ -183,9 +183,13 @@ def kernel_cases(rng: np.random.Generator):
         ("sum", *unary(ad.asum, (3, 4))),
         ("conv1d_s1_p0", *conv1d_case(1, 0)),
         ("conv1d_s2_p1", *conv1d_case(2, 1)),
+        # length 12, kernel 3, stride 2: the last input row lies outside every window
+        ("conv1d_s2_p0", *conv1d_case(2, 0)),
         ("conv2d_s11_p11", *conv2d_case((1, 1), (1, 1))),
         ("conv2d_s21_p11", *conv2d_case((2, 1), (1, 1))),
         ("conv2d_s22_p00", *conv2d_case((2, 2), (0, 0))),
+        ("conv2d_s22_p11", *conv2d_case((2, 2), (1, 1))),
+        ("conv2d_k1_s22", *conv2d_case((2, 2), (0, 0), k=1)),
         ("layer_norm", *layer_norm_case()),
         ("concat_axis0", *concat_case(0)),
         ("concat_axis1", *concat_case(1)),

@@ -170,6 +170,7 @@ def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainCon
                     "L_align": float(align_val.data) if align_val is not None else 0.0,
                     "L_all": float(total.data),
                     "grad_norm": grad_norm,
+                    "clipped": grad_norm > cfg.grad_clip > 0,  # clip_grads' own rule
                 })
             if val_set:
                 refs = [s.text for s in val_set]

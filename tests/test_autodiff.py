@@ -19,6 +19,63 @@ def test_conv1d_output_length_formula():
     assert ad.conv1d_out_length(16, 3, 2, 1) == 8
 
 
+def _conv_loop_oracle(x, w, b, g, stride, pad):
+    """Channels-last 2D convolution and its x, w, b gradients under output gradient g, by loops."""
+    H, W, _ = x.shape
+    kh, kw, _, cout = w.shape
+    (sh, sw), (ph, pw) = stride, pad
+    ho, wo = (H + 2 * ph - kh) // sh + 1, (W + 2 * pw - kw) // sw + 1
+    y = np.tile(b, (ho, wo, 1))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for oi in range(ho):
+        for oj in range(wo):
+            for i in range(kh):
+                for j in range(kw):
+                    r, c = oi * sh + i - ph, oj * sw + j - pw
+                    if 0 <= r < H and 0 <= c < W:
+                        y[oi, oj] += x[r, c] @ w[i, j]
+                        dx[r, c] += w[i, j] @ g[oi, oj]
+                        dw[i, j] += np.outer(x[r, c], g[oi, oj])
+    return y, dx, dw, g.reshape(-1, cout).sum(axis=0)
+
+
+# the model's stride/pad pairs: image stem, strided block conv, stride-1 conv,
+# 1x1 projection shortcut; trajectory conv at strides 1 and 2 with pad (K-1)//2;
+# and a stride-2 conv1d whose last input row lies outside every window
+CONV_CASES = [
+    pytest.param("conv2d", (9, 11, 2), (3, 3, 2, 4), (2, 1), (1, 1), id="conv2d_s21_p11"),
+    pytest.param("conv2d", (9, 11, 2), (3, 3, 2, 4), (2, 2), (1, 1), id="conv2d_s22_p11"),
+    pytest.param("conv2d", (9, 11, 2), (3, 3, 2, 4), (1, 1), (1, 1), id="conv2d_s11_p11"),
+    pytest.param("conv2d", (9, 11, 2), (1, 1, 2, 4), (2, 2), (0, 0), id="conv2d_k1_s22"),
+    pytest.param("conv1d", (12, 3), (3, 3, 4), 1, 1, id="conv1d_s1_p1"),
+    pytest.param("conv1d", (12, 3), (3, 3, 4), 2, 1, id="conv1d_s2_p1"),
+    pytest.param("conv1d", (12, 3), (3, 3, 4), 2, 0, id="conv1d_s2_p0"),
+]
+
+
+@pytest.mark.parametrize("op,x_shape,w_shape,stride,pad", CONV_CASES)
+def test_conv_matches_loop_oracle_in_float64(op, x_shape, w_shape, stride, pad):
+    rng = np.random.default_rng(6)
+    xd, wd, bd = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[-1])
+    x, w, b = (ad.array(a, requires_grad=True, dtype=np.float64) for a in (xd, wd, bd))
+    y = getattr(ad, op)(x, w, b, stride=stride, pad=pad)
+    g = rng.normal(size=y.shape)
+    ad.backward(ad.asum(ad.mul(y, ad.array(g, dtype=np.float64))))
+    if op == "conv1d":  # a height-1 image
+        xd, wd, g, stride, pad = xd[None], wd[None], g[None], (1, stride), (0, pad)
+    expected = _conv_loop_oracle(xd, wd, bd, g, stride, pad)
+    for got, want in zip((y.data, x.grad, w.grad, b.grad), expected):
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
+
+
+# lengths for which the output-length formula alone would accept these
+@pytest.mark.parametrize("length,stride,pad", [(2, -1, 0), (6, 1, -1)])
+def test_conv_rejects_negative_stride_or_pad(length, stride, pad):
+    x, w = ad.array(np.zeros((length, 1))), ad.array(np.zeros((3, 1, 1)))
+    with pytest.raises(ad.ShapeError, match="conv1d: stride"):
+        ad.conv1d(x, w, None, stride=stride, pad=pad)
+
+
 def test_matmul_against_triple_loop_oracle():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 4))

@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, file outputs, output schemas."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +271,24 @@ def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
     ckpt.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + rest)
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_infer_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
+    data = make_data(tmp_path, n=40)
+    # untrained, so every line decodes to the full --max-len: the reader closes long before the end
+    model = Recognizer(encoder_config_from_dict(TINY_CONFIG["encoder"]),
+                       align_config_from_dict(TINY_CONFIG["alignment"]),
+                       build_vocab(load_dataset(data)))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(model, ckpt)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stderr.txt", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "penrec.cli", "infer", "--checkpoint", str(ckpt),
+                                 "--input", str(data)], stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        message = err.read()
+    assert "Traceback" not in message and "standard output closed" in message

@@ -102,6 +102,17 @@ def test_normalize_bounds_width_and_stays_idempotent(width, height, seed):
         np.testing.assert_array_equal(s.points[:, :2], pts[:, :2] * scale)
 
 
+@pytest.mark.parametrize("points", [
+    [[0, 0, 1], [0, 1e-320, 1]],        # zero width, subnormal height: 32 / height overflows
+    [[0, 0, 1], [1e-320, 0, 1]],        # zero height, subnormal width: 512 / width overflows
+    [[0, 0, 1], [1e-310, 5e-324, 1]],   # capped width, subnormal: 4096 / width overflows
+], ids=["subnormal_height", "subnormal_width", "subnormal_capped_width"])
+def test_normalize_keeps_subnormal_lines_finite(points):
+    s = D.normalize(seq_of(points))
+    assert np.all(np.isfinite(s.points))
+    np.testing.assert_array_equal(D.normalize(s).points, s.points)
+
+
 def test_normalize_caps_a_flat_wide_stroke():
     s = D.normalize(seq_of([[0, 0, 1], [200, 1e-6, 1]]))
     assert s.points[:, 0].max() == pytest.approx(D.MAX_WIDTH)

@@ -1,11 +1,14 @@
 """Finite-difference verification of every kernel and composite block."""
 
+import ast
+import inspect
 import zlib
 
 import numpy as np
 import pytest
 
-from penrec.gradcheck import check, model_loss_cases, standard_battery
+from penrec import autodiff as ad
+from penrec.gradcheck import check, kernel_cases, model_loss_cases, standard_battery
 
 CASES = standard_battery(seed=0)
 
@@ -23,3 +26,33 @@ def test_model_losses_match_finite_differences_for_every_parameter(seed):
     for name, loss_fn, wrt in model_loss_cases(rng, params_per_group=None):
         err = check(loss_fn, wrt, rng, probes=4, h=1e-5)
         assert err < 1e-5, f"{name}: max relative error {err:.3e}"
+
+
+def kernel_op_names():
+    """Op names autodiff.py gives `_make`, directly or through a helper that passes one of its parameters on."""
+    tree = ast.parse(inspect.getsource(ad))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    ops = {c.args[2].value for c in calls if c.func.id == "_make" and isinstance(c.args[2], ast.Constant)}
+    forwarded = {}  # helper name -> position of the parameter it passes to `_make` as the op
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            params = [a.arg for a in fn.args.args]
+            for c in ast.walk(fn):
+                if (isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_make"
+                        and isinstance(c.args[2], ast.Name) and c.args[2].id in params):
+                    forwarded[fn.name] = params.index(c.args[2].id)
+    ops |= {c.args[forwarded[c.func.id]].value for c in calls if c.func.id in forwarded}
+    return ops
+
+
+def test_kernel_cases_reach_every_kernel():
+    ops = kernel_op_names()
+    assert {"add", "matmul", "conv1d", "conv2d", "gru", "attention_gru"} <= ops
+    reached = set()
+    for _, loss_fn, _ in kernel_cases(np.random.default_rng(0)):
+        stack = [loss_fn()]
+        while stack:
+            node = stack.pop()
+            reached.add(node.op)
+            stack.extend(node.parents)
+    assert ops <= reached, f"no gradcheck case reaches {sorted(ops - reached)}"

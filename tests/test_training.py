@@ -163,9 +163,10 @@ def test_train_smoke_and_log_schema(tmp_path):
     step_records = [r for r in res.records if "L_all" in r]
     assert len(step_records) == 3
     for rec in step_records:
-        assert set(rec) == {"step", "lr", "L_1d", "L_2d", "L_align", "L_all", "grad_norm"}
+        assert set(rec) == {"step", "lr", "L_1d", "L_2d", "L_align", "L_all", "grad_norm", "clipped"}
         assert np.isfinite(rec["L_all"])
         assert np.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
+        assert rec["clipped"] is (rec["grad_norm"] > tiny_train_cfg().grad_clip)
     assert (tmp_path / "run" / "model.ckpt").exists()
     assert (tmp_path / "run" / "train_log.jsonl").exists()
 
