@@ -7,6 +7,8 @@ decoder's whole-sequence attention-fed GRU, concatenation, row gather,
 linear interpolation along the leading axis, full reductions, and the two
 losses. The GRU step, the softmax and the convolutions' strided-window
 im2col/col2im are each written once, as private helpers the kernels share.
+A parameter's `a.T @ g` gradients are not formed per use: `backward` queues
+them and forms each one with a single matmul over all uses at its end.
 Arrays are float32 by default; build everything in float64 for
 finite-difference checks.
 
@@ -115,12 +117,36 @@ def _acc(p: DiffArray, g) -> None:
             p.grad += g
 
 
+# id(leaf) -> (leaf, [a, ...], [g, ...]) while `backward` runs, None outside it.
+_DEFERRED: dict | None = None
+
+
+def _acc_product(p: DiffArray, a, g) -> None:
+    """Accumulate the gradient (a.T @ g).reshape(p.shape) into p.
+
+    Inside `backward`, a leaf (a parameter) only queues the pair; `backward`
+    forms the leaf's gradient with one matmul over all of its queued pairs
+    once the reverse sweep is done. Anything else accumulates at once.
+    """
+    if not p.requires_grad:
+        return
+    if _DEFERRED is not None and p.backward_fn is None:
+        entry = _DEFERRED.setdefault(id(p), (p, [], []))
+        entry[1].append(a)
+        entry[2].append(g)
+    else:
+        _acc(p, (a.T @ g).reshape(p.shape))
+
+
 def backward(loss: DiffArray) -> None:
     """Populate grads of every reachable array that requires them.
 
-    Gradients accumulate across multiple uses of the same array. Only a
-    scalar-shaped loss is accepted.
+    Gradients accumulate across multiple uses of the same array. A leaf's
+    `a.T @ g` contributions (see `_acc_product`) are summed after the
+    reverse sweep, in one matmul per leaf. Only a scalar-shaped loss is
+    accepted.
     """
+    global _DEFERRED
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -141,9 +167,21 @@ def backward(loss: DiffArray) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for node in reversed(order):
-        if node.backward_fn is not None and node.grad is not None:
-            node.backward_fn(node.grad)
+    _DEFERRED = {}
+    try:
+        for node in reversed(order):
+            if node.backward_fn is not None and node.grad is not None:
+                node.backward_fn(node.grad)
+        # one matmul per leaf over all of its uses, leaves in the order the sweep first queued them
+        for p, as_, gs in _DEFERRED.values():
+            a, g = (as_[0], gs[0]) if len(as_) == 1 else (np.concatenate(as_), np.concatenate(gs))
+            dw = (a.T @ g).reshape(p.shape)
+            if p.grad is None:
+                p.grad = dw.astype(p.data.dtype, copy=False)  # fresh, so kept rather than copied
+            else:
+                p.grad += dw
+    finally:  # also when a backward_fn raises: nothing queued outlives this call
+        _DEFERRED = None
 
 
 def zero_grads(arrays) -> None:
@@ -229,7 +267,7 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
 
     def back(g):
         _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
+        _acc_product(b, a.data, g)
 
     return _make(y, (a, b), "matmul", back)
 
@@ -282,8 +320,7 @@ def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad) -> D
 
     def back(g):
         g2 = g.reshape(ho * wo, cout)
-        if w.requires_grad:
-            _acc(w, (cols.T @ g2).reshape(w.shape))
+        _acc_product(w, cols, g2)
         if b is not None:
             _acc(b, g2.sum(axis=0))
         if x.requires_grad:
@@ -541,7 +578,7 @@ def gru(px: DiffArray, h0: DiffArray, w_h: DiffArray, b_h: DiffArray) -> DiffArr
         dpx, da, dh0 = _gru_backward(g, hs, gates, a_n, w_h.data)
         _acc(px, dpx)
         _acc(h0, dh0[None, :])
-        _acc(w_h, hs[:-1].T @ da)
+        _acc_product(w_h, hs[:-1], da)
         _acc(b_h, da.sum(axis=0))
 
     return _make(hs[1:], (px, h0, w_h, b_h), "gru", back)
@@ -605,12 +642,12 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
         dpx, da, dh0 = _gru_backward(g, hs, gates, a_n, w_h.data, step_input_back)
         _acc(y, dX + dU)
         _acc(h0, dh0[None, :])
-        _acc(wq, U.T @ dQ)
-        _acc(keys, dS.T @ Q)
-        _acc(values, A.T @ dX)
-        _acc(w_x, X.T @ dpx)
+        _acc_product(wq, U, dQ)
+        _acc_product(keys, dS, Q)
+        _acc_product(values, A, dX)
+        _acc_product(w_x, X, dpx)
         _acc(b_x, dpx.sum(axis=0))
-        _acc(w_h, hs[:-1].T @ da)
+        _acc_product(w_h, hs[:-1], da)
         _acc(b_h, da.sum(axis=0))
 
     return _make(hs[1:], ins, "attention_gru", back)
@@ -819,11 +856,22 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> floa
 
 
 def global_grad_norm(params: dict) -> float:
+    """L2 norm over all grads: one dot product per gradient, in its own dtype.
+
+    A gradient whose sum of squares overflows its dtype while every entry is
+    finite (float32 entries near 1e20) is summed again in float64, so only a
+    non-finite entry gives a non-finite norm.
+    """
     total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            g = p.grad.astype(np.float64, copy=False)
-            total += float((g * g).sum())
+    with np.errstate(over="ignore"):  # an overflowing sum is handled, not warned about
+        for p in params.values():
+            if p.grad is not None:
+                g = p.grad.reshape(-1)
+                sq = float(np.dot(g, g))
+                if not math.isfinite(sq) and np.all(np.isfinite(g)):
+                    g = g.astype(np.float64)
+                    sq = float(np.dot(g, g))
+                total += sq
     return math.sqrt(total)
 
 

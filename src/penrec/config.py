@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -150,14 +151,19 @@ class RunConfig:
 
 
 def _has_type(value, tp) -> bool:
-    """Whether a JSON value fits a field annotation; a bool is not an int, an int is a float."""
+    """Whether a JSON value fits a field annotation; a bool is not an int, an int is a float.
+
+    A float must be finite as a double: NaN, ±Infinity (which Python's json
+    accepts) and ints beyond the double range are refused.
+    """
     if typing.get_origin(tp) is types.UnionType:
         return any(_has_type(value, t) for t in typing.get_args(tp))
     if typing.get_origin(tp) is list:
         (item,) = typing.get_args(tp)
         return isinstance(value, list) and all(_has_type(v, item) for v in value)
     if tp is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
     if tp is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, tp)

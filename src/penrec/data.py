@@ -54,6 +54,10 @@ def validate_sequence(seq: TrajectorySequence, where: str = "") -> None:
         raise DataError(f"{tag}need at least 2 points, got {pts.shape[0]}")
     if not np.all(np.isfinite(pts)):
         raise DataError(f"{tag}non-finite coordinate")
+    # finite coordinates can still span more than a double holds (-1e308 .. 1e308)
+    for axis, name in ((0, "px"), (1, "py")):
+        if not math.isfinite(float(pts[:, axis].max()) - float(pts[:, axis].min())):
+            raise DataError(f"{tag}{name} extent overflows")
     s = pts[:, 2]
     if not np.all((s == 0) | (s == 1)):
         raise DataError(f"{tag}pen state must be 0 or 1")

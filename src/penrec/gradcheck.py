@@ -284,6 +284,14 @@ def composite_cases(rng: np.random.Generator):
 
     cases.append(("align_mse", *align_mse()))
 
+    def shared_weight():
+        # w's two matmul products are queued until the end of backward; the add reaches it at once
+        w, x1, x2 = _rand(rng, (4, 3)), _rand(rng, (4, 4)), _rand(rng, (5, 4))
+        p = fixed_projector(rng)
+        return lambda: p(ad.concat([ad.add(ad.matmul(x1, w), w), ad.matmul(x2, w)])), [w, x1, x2]
+
+    cases.append(("shared_weight_matmuls_and_add", *shared_weight()))
+
     return cases
 
 

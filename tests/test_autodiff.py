@@ -1,5 +1,7 @@
 """Engine-level contracts: kernels, backward, stop-gradient, Adam, schedule."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,56 @@ def test_clip_grads_scales_to_max_norm():
     norm = ad.clip_grads({"w": p}, max_norm=5.0)
     assert norm == pytest.approx(20.0)
     assert np.linalg.norm(p.grad) == pytest.approx(5.0, rel=1e-6)
+
+
+def test_clip_grads_keeps_a_finite_gradient_whose_squares_overflow_float32():
+    # 1e20 squared is 1e40, past float32's 3.4e38: the one-pass float32 sum is inf
+    p = _param(np.zeros((3, 4)))
+    p.grad = np.full((3, 4), 1e20, dtype=np.float32)
+    q = _param(np.zeros(2))
+    q.grad = np.full(2, 1.0, dtype=np.float32)
+    norm = ad.clip_grads({"w": p, "b": q}, max_norm=5.0)
+    assert np.isfinite(norm)
+    assert norm == pytest.approx(math.sqrt(12 * 1e40 + 2), rel=1e-6)
+    clipped = np.linalg.norm(np.concatenate([p.grad.ravel(), q.grad.ravel()]).astype(np.float64))
+    assert clipped == pytest.approx(5.0, rel=1e-6)
+
+
+def test_clip_grads_leaves_non_finite_gradients_for_the_caller():
+    for bad in (np.inf, np.nan):
+        p = _param(np.zeros(3))
+        p.grad = np.array([1.0, bad, 1e20], dtype=np.float32)
+        assert not math.isfinite(ad.clip_grads({"w": p}, max_norm=5.0))
+        assert p.grad[0] == 1.0
+
+
+def _two_use_loss(x, w, raising=False):
+    """sum(tanh(x) @ w) + sum(x @ w): w has two deferred uses; tanh's backward can be made to raise."""
+    h = ad.tanh(x)
+    if raising:
+        def fail(g):
+            raise RuntimeError("backward_fn failed")
+        h.backward_fn = fail
+    return ad.add(ad.asum(ad.matmul(h, w)), ad.asum(ad.matmul(x, w)))
+
+
+def test_a_raising_backward_leaves_nothing_queued_for_the_next_one():
+    rng = np.random.default_rng(4)
+    x = ad.array(rng.normal(size=(5, 3)), requires_grad=True, dtype=np.float64)
+    w = ad.array(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
+    ad.backward(_two_use_loss(x, w))
+    clean = (x.grad.copy(), w.grad.copy())
+
+    ad.zero_grads([x, w])
+    with pytest.raises(RuntimeError, match="backward_fn failed"):
+        ad.backward(_two_use_loss(x, w, raising=True))  # tanh's backward runs after w's products are queued
+    assert w.grad is None  # what was queued is dropped, not flushed
+    # outside backward() nothing is queued: a node's backward_fn run by hand accumulates at once
+    y = ad.matmul(x, w)
+    y.backward_fn(np.ones(y.shape))
+    np.testing.assert_array_equal(w.grad, x.data.T @ np.ones(y.shape))
+
+    ad.zero_grads([x, w])
+    ad.backward(_two_use_loss(x, w))
+    np.testing.assert_array_equal(x.grad, clean[0])
+    np.testing.assert_array_equal(w.grad, clean[1])

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, file outputs, output schemas."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penrec import autodiff as ad
 from penrec.cli import main
-from penrec.config import align_config_from_dict, encoder_config_from_dict, run_config_from_dict
+from penrec.config import (AlignConfig, ConfigError, EncoderConfig, RunConfig, TrainConfig,
+                           align_config_from_dict, encoder_config_from_dict, run_config_from_dict)
 from penrec.data import build_vocab, load_dataset, save_dataset
 from penrec.model import Recognizer
 from penrec.synth import synth_generate
@@ -125,7 +130,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ("training", "max_steps", True, "training.max_steps: expected int | None, got true"),
     ("encoder", "conv1d_spec", [[8, 3, 1]] * 5 + [[16, 3, "2"]], "encoder.conv1d_spec: expected list[list[int]] | None"),
     ("training", "seed", -1, "seed must be >= 0"),
-], ids=["d_string", "batch_size_float", "augment_int", "max_steps_bool", "conv1d_spec_string", "seed_negative"])
+    ("training", "grad_clip", 2 ** 1024, "training.grad_clip: expected float, got 1797"),
+], ids=["d_string", "batch_size_float", "augment_int", "max_steps_bool", "conv1d_spec_string", "seed_negative",
+        "grad_clip_beyond_double"])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, section, key, value, message):
     data = make_data(tmp_path)
     doc = json.loads(json.dumps(TINY_CONFIG))
@@ -136,6 +143,70 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, section, key, value, me
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section,key", [
+    ("training", "align_weight"), ("training", "grad_clip"), ("training", "augment_magnitude"),
+    ("training", "lr_max"), ("training", "lr_min"), ("training", "augment_fraction"),
+    ("training", "val_fraction"), ("alignment", "rope_base"),
+])
+def test_non_finite_config_float_exits_2(tmp_path, capsys, section, key, value):
+    # Python's json reads NaN and Infinity; a NaN align_weight would otherwise end as a divergence (exit 3)
+    data = make_data(tmp_path)
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{section}.{key}: expected float, got {json.dumps(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def json_values():
+    """JSON value trees, NaN, ±Infinity and unbounded integers included."""
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+               | st.text(max_size=8))
+    return st.recursive(scalars, lambda kids: st.lists(kids, max_size=4)
+                        | st.dictionaries(st.text(max_size=8), kids, max_size=4), max_leaves=12)
+
+
+def config_documents():
+    """TINY_CONFIG with up to three fields, sections or top-level keys set to arbitrary JSON values."""
+    sections = {"encoder": EncoderConfig, "alignment": AlignConfig, "training": TrainConfig}
+    targets = [(sec, f.name) for sec, cls in sections.items() for f in dataclasses.fields(cls)]
+    targets += [(sec, "bogus") for sec in sections]
+    targets += [(None, key) for key in [*sections, "train_data", "out_dir", "bogus"]]
+    # bare numbers and the non-finite floats come up as often as any other JSON tree
+    values = (st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(allow_nan=True, allow_infinity=True)
+              | st.integers(-2, 400) | json_values())
+
+    def build(edits):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        for (sec, key), value in edits:
+            if sec is None:
+                doc[key] = value
+            elif isinstance(doc.get(sec), dict):
+                doc[sec][key] = value
+        return doc
+
+    return st.lists(st.tuples(st.sampled_from(targets), values), max_size=3).map(build)
+
+
+@given(raw=config_documents() | json_values())
+@settings(max_examples=300, deadline=None)
+def test_run_config_from_dict_gives_a_config_or_a_config_error(raw):
+    try:
+        cfg = run_config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    for part in (cfg.encoder, cfg.alignment, cfg.training):
+        for f in dataclasses.fields(part):
+            value = getattr(part, f.name)
+            if isinstance(value, float):
+                assert math.isfinite(value), f.name
 
 
 def test_float_field_accepts_int():
@@ -247,6 +318,32 @@ def test_non_finite_gradient_exits_3_with_checkpoint(tmp_path, capsys, monkeypat
     assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--data", str(data)]) == 0
 
 
+def test_finite_gradient_whose_squares_overflow_float32_is_clipped_not_diverged(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    data = make_data(tmp_path)
+    run = tmp_path / "run"
+    real = ad.backward
+    calls = {"n": 0}
+
+    def huge(loss):
+        # on the second step every entry of one parameter's gradient is 1e20, finite but 1e40 squared
+        real(loss)
+        calls["n"] += 1
+        if calls["n"] == 2:
+            node = loss
+            while node.parents:
+                node = next(p for p in node.parents if p.requires_grad)
+            node.grad[...] = 1e20
+
+    monkeypatch.setattr(ad, "backward", huge)
+    assert main(["train", "--config", str(config), "--data", str(data), "--out", str(run), "--quiet"]) == 0
+    records = [json.loads(line) for line in (run / "train_log.jsonl").read_text().splitlines()]
+    second = next(r for r in records if r.get("step") == 2 and "grad_norm" in r)
+    assert 1e20 < second["grad_norm"] < math.inf and second["clipped"]
+    model = load_checkpoint(run / "model.ckpt")
+    assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda header: header.update(vocab=None), "vocab"),
     (lambda header: header.pop("manifest"), "manifest"),
@@ -256,8 +353,9 @@ def test_non_finite_gradient_exits_3_with_checkpoint(tmp_path, capsys, monkeypat
     (lambda header: header["encoder"].update(d="16"), 'encoder.d: expected int, got "16"'),
     (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
     (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
+    (lambda header: header["alignment"].update(rope_base=float("nan")), "alignment.rope_base: expected float, got NaN"),
 ], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2",
-        "encoder_d_string", "alignment_toggle_int", "seed_negative"])
+        "encoder_d_string", "alignment_toggle_int", "seed_negative", "alignment_rope_base_nan"])
 def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
     data = make_data(tmp_path)
     model = Recognizer(encoder_config_from_dict(TINY_CONFIG["encoder"]),

@@ -113,6 +113,28 @@ def test_normalize_keeps_subnormal_lines_finite(points):
     np.testing.assert_array_equal(D.normalize(s).points, s.points)
 
 
+@pytest.mark.parametrize("axis", [0, 1], ids=["px", "py"])
+def test_overflowing_extent_is_a_data_error(tmp_path, axis):
+    # each coordinate is finite, but max - min overflows to inf: normalize's scale would be 0 and inf * 0 NaN
+    points = [[0.0, 0.0, 1], [1.0, 1.0, 1]]
+    points[0][axis], points[1][axis] = -1e308, 1e308
+    with pytest.raises(D.DataError, match=f"{'px' if axis == 0 else 'py'} extent overflows"):
+        D.normalize(seq_of(points))
+    path = tmp_path / "wide.jsonl"
+    path.write_text(json.dumps({"id": "w", "points": points, "text": "x"}) + "\n")
+    with pytest.raises(D.DataError, match="wide.jsonl line 1"):
+        D.load_dataset(path)
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["px", "py"])
+def test_normalize_keeps_a_huge_finite_extent_finite(axis):
+    points = [[0.0, 0.0, 1], [1.0, 1.0, 1], [0.5, 0.5, 0]]
+    points[0][axis], points[1][axis] = -8e307, 8e307
+    s = D.normalize(seq_of(points))
+    assert np.all(np.isfinite(s.points))
+    assert s.points[:, 0].max() <= D.MAX_WIDTH and s.points[:, 1].max() <= D.IMAGE_HEIGHT
+
+
 def test_normalize_caps_a_flat_wide_stroke():
     s = D.normalize(seq_of([[0, 0, 1], [200, 1e-6, 1]]))
     assert s.points[:, 0].max() == pytest.approx(D.MAX_WIDTH)

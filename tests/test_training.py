@@ -46,6 +46,31 @@ def test_total_loss_is_exact_weighted_sum():
     assert abs(float(total.data) - float(expected)) <= 1e-6 * abs(float(expected))
 
 
+def test_batched_weight_gradients_equal_the_sum_of_per_sample_passes():
+    # float64: the batched backward forms each weight gradient in one matmul over all samples
+    lines = [normalize(s) for s in synth_generate(DEFAULT_ALPHABET[:4], 4, np.random.default_rng(5),
+                                                  length_range=(1, 3))]
+    m = Recognizer(tiny_enc_cfg(16), AlignConfig(layers=1, heads=2), build_vocab(lines), seed=3,
+                   dtype=np.float64)
+    params = list(m.params.values())
+    total, _ = batch_losses(m, lines, align_weight=2.0)
+    ad.zero_grads(params)
+    ad.backward(total)
+    batched = {name: p.grad.copy() for name, p in m.params.items() if p.grad is not None}
+    summed = {name: np.zeros_like(p.data) for name, p in m.params.items()}
+    for line in lines:
+        single, _ = batch_losses(m, [line], align_weight=2.0)
+        ad.zero_grads(params)
+        ad.backward(ad.mul(single, 1.0 / len(lines)))
+        for name, p in m.params.items():
+            if p.grad is not None:
+                summed[name] += p.grad
+    assert batched.keys() == summed.keys()
+    for name, g in batched.items():
+        scale = np.abs(summed[name]).max()
+        np.testing.assert_allclose(g, summed[name], rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
 def test_zero_weight_collapses_exactly():
     m = tiny_model()
     batch = [tiny_sequence(np.random.default_rng(9))]
