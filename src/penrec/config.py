@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import types
 import typing
@@ -126,6 +127,10 @@ class TrainConfig:
             raise ConfigError("align_weight must be >= 0")
         if not 0.0 <= self.augment_fraction <= 1.0:
             raise ConfigError("augment_fraction must be in [0, 1]")
+        if not (self.augment_magnitude >= 0 and math.isfinite(2.0 * self.augment_magnitude)):
+            # augment draws offsets from [-m, m], whose width 2m must be a finite double
+            raise ConfigError(f"augment_magnitude must be >= 0 with 2 * augment_magnitude finite, "
+                              f"got {self.augment_magnitude}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in [0, 1)")
         if self.max_decode_len < 1:
@@ -212,8 +217,8 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e.msg})") from e
+    except ValueError as e:  # bad JSON, not UTF-8, or an integer past json's digit limit
+        raise ConfigError(f"{path}: invalid JSON ({getattr(e, 'msg', e)})") from e
     return run_config_from_dict(raw)
 
 

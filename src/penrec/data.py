@@ -63,33 +63,39 @@ def validate_sequence(seq: TrajectorySequence, where: str = "") -> None:
         raise DataError(f"{tag}pen state must be 0 or 1")
 
 
+def _parse_record(line: str, where: str, require_text: bool) -> TrajectorySequence:
+    """The validated sequence on one dataset line; `where` names the line in errors."""
+    try:
+        rec = json.loads(line)
+    except ValueError as e:  # also json's limit on the digits of an integer
+        raise DataError(f"{where}: invalid JSON ({getattr(e, 'msg', e)})") from e
+    if not isinstance(rec, dict) or "id" not in rec or "points" not in rec:
+        raise DataError(f"{where}: expected object with id/points/text fields")
+    if require_text and "text" not in rec:
+        raise DataError(f"{where}: missing text field")
+    try:
+        pts = np.asarray(rec["points"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an integer beyond the double range
+        raise DataError(f"{where}: bad points array") from e
+    text = rec.get("text", "")
+    if not isinstance(text, str):
+        raise DataError(f"{where}: text must be a string, got {json.dumps(text)}")
+    seq = TrajectorySequence(id=str(rec["id"]), points=pts, text=text)
+    validate_sequence(seq, where)
+    return seq
+
+
 def load_dataset(path, require_text: bool = True) -> list[TrajectorySequence]:
     """Read a JSONL dataset: one {"id", "points", "text"} object per line."""
     path = Path(path)
     seqs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path.name} line {lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: invalid JSON ({e.msg})") from e
-            if not isinstance(rec, dict) or "id" not in rec or "points" not in rec:
-                raise DataError(f"{where}: expected object with id/points/text fields")
-            if require_text and "text" not in rec:
-                raise DataError(f"{where}: missing text field")
-            try:
-                pts = np.asarray(rec["points"], dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                raise DataError(f"{where}: bad points array") from e
-            text = rec.get("text", "")
-            if not isinstance(text, str):
-                raise DataError(f"{where}: text must be a string, got {json.dumps(text)}")
-            seq = TrajectorySequence(id=str(rec["id"]), points=pts, text=text)
-            validate_sequence(seq, where)
-            seqs.append(seq)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    seqs.append(_parse_record(line, f"{path.name} line {lineno}", require_text))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from e
     if not seqs:
         raise DataError(f"{path}: empty dataset")
     return seqs

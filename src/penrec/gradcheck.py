@@ -17,7 +17,7 @@ from .config import AlignConfig, EncoderConfig
 from .data import EOS, TrajectorySequence, Vocabulary, normalize
 from .decoder import AttentionDecoder
 from .model import Recognizer
-from .layers import GRUCell, BiGRULayer, ParamStore, TransformerLayer
+from .layers import BiGRULayer, ParamStore, TransformerLayer
 
 F64 = np.float64
 
@@ -147,12 +147,12 @@ def kernel_cases(rng: np.random.Generator):
         a, b = _rand(rng, (4, 5)), _rand(rng, (4, 5))
         return lambda: ad.mse(a, b), [a, b]
 
-    def gru_case():
-        steps, hidden = 4, 3
-        px, h0 = _rand(rng, (steps, 3 * hidden)), _rand(rng, (1, hidden))
-        w_h, b_h = _rand(rng, (hidden, 3 * hidden)), _rand(rng, (3 * hidden,))
+    def bigru_case(steps):
+        d, hidden = 4, 3
+        ins = [_rand(rng, shape) for shape in [
+            (steps, d), (2, hidden), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
         p = fixed_projector(rng)
-        return lambda: p(ad.gru(px, h0, w_h, b_h)), [px, h0, w_h, b_h]
+        return lambda: p(ad.bigru(*ins)), ins
 
     def attention_gru_case():
         steps, frames, hidden, dk = 3, 4, 3, 4
@@ -198,7 +198,8 @@ def kernel_cases(rng: np.random.Generator):
         ("interp_rows", *interp_case()),
         ("cross_entropy_logits", *ce_case()),
         ("mse", *mse_case()),
-        ("gru", *gru_case()),
+        ("bigru_t1", *bigru_case(1)),
+        ("bigru_t5", *bigru_case(5)),
         ("attention_self_h2", *attention_case(5, 5, 2, 3, 3)),
         ("attention_cross_q1", *attention_case(1, 4, 1, 4, 6)),
         ("attention_gru", *attention_gru_case()),
@@ -220,24 +221,14 @@ def composite_cases(rng: np.random.Generator):
 
     cases.append(("conv1d_block", *conv_block()))
 
-    def gru_step():
-        store = ParamStore(rng, dtype=F64)
-        cell = GRUCell(store, "g", 5, 4)
-        x = _rand(rng, (1, 5))
-        h = _rand(rng, (1, 4))
-        wrt = [x, h] + list(store.params.values())
-        p = fixed_projector(rng)
-        return lambda: p(cell(x, h)), wrt
-
-    cases.append(("gru_step", *gru_step()))
-
     def bigru_layer():
         store = ParamStore(rng, dtype=F64)
         layer = BiGRULayer(store, "bg", 4, 2)
         x = _rand(rng, (5, 4))
         wrt = [x] + list(store.params.values())
         p = fixed_projector(rng)
-        return lambda: p(layer(x)), wrt
+        # applied twice: each packed weight's gradient is formed from two queued uses
+        return lambda: p(layer(layer(x))), wrt
 
     cases.append(("bigru_layer", *bigru_layer()))
 

@@ -25,8 +25,10 @@ class ParamStore:
         self.params: dict[str, DiffArray] = {}
 
     def new(self, name: str, shape: tuple, init: str = "glorot") -> DiffArray:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name}")
+        return self.put(name, self.draw(shape, init))
+
+    def draw(self, shape: tuple, init: str) -> np.ndarray:
+        """Initial values of the given shape, drawn from the store's generator."""
         if init == "zeros":
             values = np.zeros(shape)
         elif init == "ones":
@@ -43,6 +45,12 @@ class ParamStore:
             values = self.rng.uniform(-bound, bound, size=shape)
         else:
             raise ValueError(f"unknown init {init!r}")
+        return values
+
+    def put(self, name: str, values) -> DiffArray:
+        """Register `values` as the parameter `name`."""
+        if name in self.params:
+            raise ValueError(f"duplicate parameter name {name}")
         p = ad.array(values, requires_grad=True, dtype=self.dtype)
         self.params[name] = p
         return p
@@ -69,11 +77,11 @@ class Linear:
 
 
 class GRUCell:
-    """Standard gated recurrent cell with packed gate weights.
+    """Packed gate weights of a standard gated recurrent cell.
 
     The input side `w_x` (d_in, 3H), `b_x` and the hidden side `w_h`
     (H, 3H), `b_h` each hold the r, z and n gates as column blocks
-    [r | z | n]; `ad.gru` runs the recurrence.
+    [r | z | n]; the decoder's `ad.attention_gru` runs the recurrence.
     """
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int):
@@ -83,25 +91,30 @@ class GRUCell:
         self.b_x = store.new(f"{name}.b_x", (3 * d_hidden,), "zeros")
         self.b_h = store.new(f"{name}.b_h", (3 * d_hidden,), "zeros")
 
-    def __call__(self, xs: DiffArray, h0: DiffArray) -> DiffArray:
-        """States (T, H) after each row of `xs` (T, d_in), starting from `h0` (1, H)."""
-        px = ad.add(ad.matmul(xs, self.w_x), self.b_x)
-        return ad.gru(px, h0, self.w_h, self.b_h)
-
 
 class BiGRULayer:
-    """One bidirectional layer; directional outputs are concatenated."""
+    """One bidirectional layer: (T, d_in) -> (T, 2H), [forward | backward] states.
+
+    Both directions' weights are packed as `ad.bigru` takes them: `w_x`
+    (d_in, 6H) and `b_x` (6H,) hold the forward's gate blocks [r | z | n],
+    then the backward's; `w_h` (2H, 3H) the forward's rows, then the
+    backward's; `b_h` (6H,) as `b_x`. The weights are drawn as two separate
+    cells would draw them (forward w_x, w_h, then backward w_x, w_h, each
+    uniform within 1/sqrt(H)) and packed afterwards.
+    """
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int):
-        self.h0 = store.zeros_like_const((1, d_hidden))
-        self.fwd = GRUCell(store, f"{name}.fwd", d_in, d_hidden)
-        self.bwd = GRUCell(store, f"{name}.bwd", d_in, d_hidden)
+        H = d_hidden
+        self.h0 = store.zeros_like_const((2, H))
+        u = f"uniform:{1.0 / math.sqrt(H)}"
+        fx, fh, bx, bh = (store.draw(shape, u) for shape in [(d_in, 3 * H), (H, 3 * H)] * 2)
+        self.w_x = store.put(f"{name}.w_x", np.concatenate([fx, bx], axis=1, dtype=store.dtype))
+        self.w_h = store.put(f"{name}.w_h", np.concatenate([fh, bh], axis=0, dtype=store.dtype))
+        self.b_x = store.new(f"{name}.b_x", (6 * H,), "zeros")
+        self.b_h = store.new(f"{name}.b_h", (6 * H,), "zeros")
 
     def __call__(self, xs: DiffArray) -> DiffArray:
-        rev = np.arange(xs.shape[0] - 1, -1, -1)
-        out_f = self.fwd(xs, self.h0)
-        out_b = ad.gather_rows(self.bwd(ad.gather_rows(xs, rev), self.h0), rev)
-        return ad.concat([out_f, out_b], axis=1)
+        return ad.bigru(xs, self.h0, self.w_x, self.b_x, self.w_h, self.b_h)
 
 
 class BiGRUStack:

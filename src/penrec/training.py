@@ -35,7 +35,7 @@ class CheckpointError(ValueError):
     """Checkpoint file inconsistent with its manifest or config."""
 
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 HEADER_KEYS = ("version", "encoder", "alignment", "seed", "vocab", "manifest")
 
 
@@ -201,9 +201,11 @@ def evaluate(model: Recognizer, dataset, max_decode_len: int = 256) -> dict:
 # ---------------------------------------------------------------------------
 # checkpoint format: one JSON header line (config, vocab, manifest), an
 # 8-byte little-endian payload length, then raw little-endian float32 data.
-# Version 3 names each GRU cell's packed tensors w_x, w_h, b_x, b_h (as
-# version 2 did) and each transformer layer's packed attention projections
-# attn.wq, attn.wk, attn.wv, heads as column blocks.
+# Version 4 packs both directions of each BiGRU layer into four tensors,
+# for example traj_gru.l0.w_x (forward gate blocks, then backward); version 3
+# held one set per direction (traj_gru.l0.fwd.w_x). The decoders' GRU cells
+# keep their packed w_x, w_h, b_x, b_h, and each transformer layer its packed
+# attention projections attn.wq, attn.wk, attn.wv, heads as column blocks.
 
 
 def save_checkpoint(model: Recognizer, path) -> None:
@@ -280,7 +282,7 @@ def load_checkpoint(path) -> Recognizer:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except ValueError as e:  # bad JSON, not UTF-8, or an integer past json's digit limit
             raise CheckpointError(f"{path}: bad header") from e
         _check_header(header, path)
         lenbytes = fh.read(8)

@@ -1,5 +1,6 @@
 """Engine-level contracts: kernels, backward, stop-gradient, Adam, schedule."""
 
+import functools
 import math
 
 import numpy as np
@@ -98,35 +99,78 @@ def test_matmul_shape_error_names_kernel_and_shapes():
         ad.matmul(a, b)
 
 
-def test_gru_matches_gate_equations_in_float64():
-    rng = np.random.default_rng(4)
-    steps, d_in, hidden = 6, 5, 4
-    xs = rng.normal(size=(steps, d_in))
-    h0 = rng.normal(size=(1, hidden))
-    wx = {g: rng.normal(size=(d_in, hidden)) for g in "rzn"}
-    wh = {g: rng.normal(size=(hidden, hidden)) for g in "rzn"}
-    bx = {g: rng.normal(size=hidden) for g in "rzn"}
-    bh = {g: rng.normal(size=hidden) for g in "rzn"}
-
+def gru_by_gate_equations(xs, h0, wx, wh, bx, bh):
+    """States after each row of xs, one gate at a time in plain numpy; weights are dicts over r, z, n."""
     def sigmoid(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    expected = np.empty((steps, hidden))
-    h = h0[0]
-    for t in range(steps):
-        x = xs[t]
+    states, h = [], h0
+    for x in xs:
         r = sigmoid(x @ wx["r"] + bx["r"] + h @ wh["r"] + bh["r"])
         z = sigmoid(x @ wx["z"] + bx["z"] + h @ wh["z"] + bh["z"])
         n = np.tanh(x @ wx["n"] + bx["n"] + r * (h @ wh["n"] + bh["n"]))
         h = (1.0 - z) * n + z * h
-        expected[t] = h
+        states.append(h)
+    return np.array(states)
 
-    def packed(parts):
-        return ad.array(np.concatenate([parts[g] for g in "rzn"], axis=-1), dtype=np.float64)
 
-    px = ad.add(ad.matmul(ad.array(xs, dtype=np.float64), packed(wx)), packed(bx))
-    got = ad.gru(px, ad.array(h0, dtype=np.float64), packed(wh), packed(bh))
-    np.testing.assert_allclose(got.data, expected, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("steps", [1, 6])
+def test_bigru_matches_gate_equations_in_float64(steps):
+    rng = np.random.default_rng(4)
+    d_in, hidden = 5, 4
+    xs = rng.normal(size=(steps, d_in))
+    h0 = rng.normal(size=(2, hidden))
+    cells = [{key: {g: rng.normal(size=shape) for g in "rzn"}
+              for key, shape in [("wx", (d_in, hidden)), ("wh", (hidden, hidden)),
+                                 ("bx", (hidden,)), ("bh", (hidden,))]} for _ in range(2)]
+
+    def packed(key, axis):
+        # forward gate blocks [r | z | n], then the backward direction's
+        blocks = [np.concatenate([c[key][g] for g in "rzn"], axis=-1) for c in cells]
+        return ad.array(np.concatenate(blocks, axis=axis), dtype=np.float64)
+
+    got = ad.bigru(ad.array(xs, dtype=np.float64), ad.array(h0, dtype=np.float64),
+                   packed("wx", -1), packed("bx", -1), packed("wh", 0), packed("bh", -1)).data
+    fwd = gru_by_gate_equations(xs, h0[0], **cells[0])
+    bwd = gru_by_gate_equations(xs[::-1], h0[1], **cells[1])[::-1]
+    np.testing.assert_allclose(got[:, :hidden], fwd, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[:, hidden:], bwd, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h_shape,w_shape", [((4,), (4, 6)), ((2, 4), (2, 4, 6))], ids=["one", "per_direction"])
+def test_recurrent_row_products_match_einsum(h_shape, w_shape):
+    # the matmul form runs where numpy has no vecmat (before 2.2)
+    rng = np.random.default_rng(8)
+    h, w = rng.normal(size=h_shape), rng.normal(size=w_shape)
+    want = np.einsum("...h,...hk->...k", h, w)
+    for product in (ad._rows_times, ad._rows_times_by_matmul):
+        np.testing.assert_allclose(product(h, w), want, rtol=1e-12, atol=1e-12)
+
+
+def test_bigru_deferred_hidden_weight_gradient_is_the_sum_over_uses():
+    rng = np.random.default_rng(9)
+    d_in, hidden = 3, 4
+
+    def leaf(*shape):
+        return ad.array(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+
+    h0, w_x, b_x, w_h, b_h = leaf(2, hidden), leaf(d_in, 6 * hidden), leaf(6 * hidden), \
+        leaf(2 * hidden, 3 * hidden), leaf(6 * hidden)
+    uses = [(ad.array(rng.normal(size=(steps, d_in)), dtype=np.float64), rng.normal(size=(steps, 2 * hidden)))
+            for steps in (1, 5, 3)]
+
+    def loss(pairs):
+        terms = [ad.asum(ad.mul(ad.bigru(xs, h0, w_x, b_x, w_h, b_h), proj)) for xs, proj in pairs]
+        return functools.reduce(ad.add, terms)
+
+    per_use = []
+    for pair in uses:
+        w_h.grad = None
+        ad.backward(loss([pair]))
+        per_use.append(w_h.grad)
+    w_h.grad = None
+    ad.backward(loss(uses))  # one backward: the three uses' products are queued and formed together
+    np.testing.assert_allclose(w_h.grad, sum(per_use), rtol=1e-12, atol=1e-12)
 
 
 def test_backward_sum_gives_ones():

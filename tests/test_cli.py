@@ -350,11 +350,12 @@ def test_finite_gradient_whose_squares_overflow_float32_is_clipped_not_diverged(
     (lambda header: header["manifest"][0].pop("shape"), "manifest entry 0"),
     (lambda header: header.update(version=1), "unsupported version 1"),
     (lambda header: header.update(version=2), "unsupported version 2"),
+    (lambda header: header.update(version=3), "unsupported version 3"),
     (lambda header: header["encoder"].update(d="16"), 'encoder.d: expected int, got "16"'),
     (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
     (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
     (lambda header: header["alignment"].update(rope_base=float("nan")), "alignment.rope_base: expected float, got NaN"),
-], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2",
+], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2", "version_3",
         "encoder_d_string", "alignment_toggle_int", "seed_negative", "alignment_rope_base_nan"])
 def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
     data = make_data(tmp_path)
@@ -369,6 +370,61 @@ def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
     ckpt.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + rest)
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
     assert message in capsys.readouterr().err
+
+
+HUGE_INT = "9" * 5000  # beyond the digit limit of Python's json, which then raises a plain ValueError
+
+
+UNDECODABLE = [
+    ("config_not_utf8", "invalid JSON"),
+    ("dataset_not_utf8", "not UTF-8 text"),
+    ("config_huge_int", "invalid JSON"),
+    ("dataset_huge_int", "line 9: invalid JSON"),
+    ("dataset_point_beyond_double", "line 9: bad points array"),
+    ("checkpoint_header_huge_int", "bad header"),
+]
+
+
+@pytest.mark.parametrize("case,message", UNDECODABLE, ids=[case for case, _ in UNDECODABLE])
+def test_undecodable_input_exits_2(tmp_path, capsys, case, message):
+    config, data = write_config(tmp_path), make_data(tmp_path)
+    line = '{"id": "x", "points": [[0, 0, 1], [1, 1, 1]], "text": "a"}\n'
+    if case == "config_not_utf8":
+        config.write_bytes(config.read_bytes().replace(b'"seed": 0', b'"seed": "\xff"'))
+    elif case == "dataset_not_utf8":
+        data.write_bytes(data.read_bytes() + line.replace('"a"', '"\xff"').encode("latin-1"))
+    elif case == "config_huge_int":
+        config.write_text(config.read_text().replace('"max_steps": 3', f'"max_steps": {HUGE_INT}'))
+    elif case == "dataset_huge_int":
+        data.write_text(data.read_text() + line.replace("[0, 0, 1]", f"[{HUGE_INT}, 0, 1]"))
+    elif case == "dataset_point_beyond_double":
+        data.write_text(data.read_text() + line.replace("[0, 0, 1]", f"[1{'0' * 400}, 0, 1]"))
+    if case.startswith("checkpoint"):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Recognizer(encoder_config_from_dict(TINY_CONFIG["encoder"]),
+                                   align_config_from_dict(TINY_CONFIG["alignment"]),
+                                   build_vocab(load_dataset(data))), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes().replace(b'"seed": 0', f'"seed": {HUGE_INT}'.encode(), 1))
+        code = main(["infer", "--checkpoint", str(ckpt), "--input", str(data)])
+    else:
+        code = main(["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("magnitude", [-0.5, 1e308], ids=["negative", "range_beyond_double"])
+def test_augment_magnitude_out_of_range_exits_2(tmp_path, capsys, magnitude):
+    # 1e308 is a finite double, but the offsets' range [-m, m] is not: numpy's uniform would raise OverflowError
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["training"].update(augment=True, augment_magnitude=magnitude)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["train", "--config", str(path), "--data", str(make_data(tmp_path)), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "augment_magnitude must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    TrainConfig(augment_magnitude=8e307).validate()  # the widest range that is still finite is accepted
 
 
 def test_infer_into_a_closed_pipe_exits_1_without_traceback(tmp_path):

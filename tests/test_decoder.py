@@ -159,6 +159,19 @@ def test_decoder_overfits_single_sample():
     assert loss_val < 0.01, f"loss stuck at {loss_val}"
 
 
+def gru_step(cell, x, h):
+    """One step of `cell` composed from single-purpose kernels; 0/1 selector matrices split the gate blocks."""
+    hidden = h.shape[1]
+    eye = np.eye(3 * hidden)
+    r_sel, z_sel, n_sel = (ad.array(eye[:, k * hidden:(k + 1) * hidden], dtype=h.dtype) for k in range(3))
+    px = ad.add(ad.matmul(x, cell.w_x), cell.b_x)
+    a = ad.add(ad.matmul(h, cell.w_h), cell.b_h)
+    r = ad.sigmoid(ad.add(ad.matmul(px, r_sel), ad.matmul(a, r_sel)))
+    z = ad.sigmoid(ad.add(ad.matmul(px, z_sel), ad.matmul(a, z_sel)))
+    n = ad.tanh(ad.add(ad.matmul(px, n_sel), ad.mul(r, ad.matmul(a, n_sel))))
+    return ad.add(n, ad.mul(z, ad.sub(h, n)))
+
+
 def per_token_path(y, h0, wq, keys, values, cell, out, sink):
     """The decoder recurrence composed one token at a time from the single-purpose kernels."""
     state, logits, states = h0, [], []
@@ -166,7 +179,7 @@ def per_token_path(y, h0, wq, keys, values, cell, out, sink):
         y_t = ad.gather_rows(y, [t])
         q = ad.matmul(ad.add(y_t, state), wq)
         x = ad.add(y_t, ad.attention(q, keys, values, 1, sink))
-        state = cell(x, state)
+        state = gru_step(cell, x, state)
         logits.append(out(state))
         states.append(state)
     return ad.concat(logits), ad.concat(states)

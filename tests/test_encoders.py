@@ -88,12 +88,26 @@ def test_bigru_zero_parameters_zero_input_gives_zero_output():
     np.testing.assert_array_equal(out.data, np.zeros((5, 8), dtype=np.float32))
 
 
+def test_bigru_packs_the_draws_of_two_separate_cells():
+    # a seed gives the values that one cell per direction drew: forward w_x, w_h, then backward w_x, w_h
+    d_in, hidden = 6, 3
+    layer = BiGRULayer(ParamStore(np.random.default_rng(5)), "g", d_in, hidden)
+    rng, bound = np.random.default_rng(5), 1.0 / np.sqrt(hidden)
+    shapes = [(d_in, 3 * hidden), (hidden, 3 * hidden)] * 2
+    fx, fh, bx, bh = (rng.uniform(-bound, bound, size=shape) for shape in shapes)
+    np.testing.assert_array_equal(layer.w_x.data, np.concatenate([fx, bx], axis=1).astype(np.float32))
+    np.testing.assert_array_equal(layer.w_h.data, np.concatenate([fh, bh], axis=0).astype(np.float32))
+    np.testing.assert_array_equal(layer.b_x.data, np.zeros(6 * hidden, dtype=np.float32))
+    np.testing.assert_array_equal(layer.b_h.data, np.zeros(6 * hidden, dtype=np.float32))
+
+
 def test_bigru_direction_swap_under_shared_parameters():
     store = ParamStore(np.random.default_rng(2))
     layer = BiGRULayer(store, "g", 6, 3)
-    # share parameters between directions
-    for attr in ("w_x", "w_h", "b_x", "b_h"):
-        getattr(layer.bwd, attr).data = getattr(layer.fwd, attr).data.copy()
+    # share parameters between directions: copy the forward block of each packed tensor into the backward block
+    for p in (layer.w_x, layer.b_x):
+        p.data[..., 9:] = p.data[..., :9]
+    layer.w_h.data[3:] = layer.w_h.data[:3]
     x = np.random.default_rng(3).normal(size=(9, 6)).astype(np.float32)
     out = layer(ad.array(x)).data
     out_rev = layer(ad.array(x[::-1])).data

@@ -47,7 +47,7 @@ def kernel_op_names():
 
 def test_kernel_cases_reach_every_kernel():
     ops = kernel_op_names()
-    assert {"add", "matmul", "conv1d", "conv2d", "gru", "attention_gru"} <= ops
+    assert {"add", "matmul", "conv1d", "conv2d", "bigru", "attention_gru"} <= ops
     reached = set()
     for _, loss_fn, _ in kernel_cases(np.random.default_rng(0)):
         stack = [loss_fn()]
