@@ -17,38 +17,64 @@ from .autodiff import DiffArray
 
 
 class ParamStore:
-    """Registry of named parameters, created in deterministic order."""
+    """Registry of named parameters, created in deterministic order.
 
-    def __init__(self, rng: np.random.Generator, dtype=np.float32):
+    With a generator, `fill` draws every parameter's initial values. Without
+    one the store only hands out shapes: `fill` leaves the arrays of `empty`
+    uninitialised, for a caller that then writes every parameter itself (a
+    checkpoint load). `budget`, when given, is the number of elements `empty`
+    may still hand out; a larger request raises ValueError before anything is
+    allocated, so a model description cannot claim more memory than that.
+    """
+
+    def __init__(self, rng: np.random.Generator | None = None, dtype=np.float32,
+                 budget: int | None = None):
         self.rng = rng
         self.dtype = dtype
+        self.budget = budget
         self.params: dict[str, DiffArray] = {}
 
     def new(self, name: str, shape: tuple, init: str = "glorot") -> DiffArray:
-        return self.put(name, self.draw(shape, init))
+        return self.put(name, self.fill(self.empty(shape), init))
 
-    def draw(self, shape: tuple, init: str) -> np.ndarray:
-        """Initial values of the given shape, drawn from the store's generator."""
+    def empty(self, shape: tuple) -> np.ndarray:
+        """An uninitialised array of the store's dtype, counted against the budget."""
+        if self.budget is not None:
+            size = math.prod(shape)
+            if size > self.budget:
+                raise ValueError(f"parameter of shape {tuple(shape)} needs {size} elements, "
+                                 f"{self.budget} are left")
+            self.budget -= size
+        return np.empty(shape, dtype=self.dtype)
+
+    def fill(self, block: np.ndarray, init: str) -> np.ndarray:
+        """Draw initial values of `block`'s shape from the store's generator into `block`.
+
+        Without a generator `block` is left as it is.
+        """
+        if self.rng is None:
+            return block
+        shape = block.shape
         if init == "zeros":
-            values = np.zeros(shape)
+            block[...] = 0.0
         elif init == "ones":
-            values = np.ones(shape)
+            block[...] = 1.0
         elif init == "he":
             fan_in = int(np.prod(shape[:-1])) or 1
-            values = self.rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
+            block[...] = self.rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
         elif init == "glorot":
             fan_in = int(np.prod(shape[:-1])) or 1
             limit = math.sqrt(6.0 / (fan_in + shape[-1]))
-            values = self.rng.uniform(-limit, limit, size=shape)
+            block[...] = self.rng.uniform(-limit, limit, size=shape)
         elif init.startswith("uniform:"):
             bound = float(init.split(":", 1)[1])
-            values = self.rng.uniform(-bound, bound, size=shape)
+            block[...] = self.rng.uniform(-bound, bound, size=shape)
         else:
             raise ValueError(f"unknown init {init!r}")
-        return values
+        return block
 
-    def put(self, name: str, values) -> DiffArray:
-        """Register `values` as the parameter `name`."""
+    def put(self, name: str, values: np.ndarray) -> DiffArray:
+        """Register `values`, an array of `empty`, as the parameter `name`."""
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name}")
         p = ad.array(values, requires_grad=True, dtype=self.dtype)
@@ -100,16 +126,18 @@ class BiGRULayer:
     then the backward's; `w_h` (2H, 3H) the forward's rows, then the
     backward's; `b_h` (6H,) as `b_x`. The weights are drawn as two separate
     cells would draw them (forward w_x, w_h, then backward w_x, w_h, each
-    uniform within 1/sqrt(H)) and packed afterwards.
+    uniform within 1/sqrt(H)), each into its block of the packed arrays.
     """
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int):
         H = d_hidden
         self.h0 = store.zeros_like_const((2, H))
         u = f"uniform:{1.0 / math.sqrt(H)}"
-        fx, fh, bx, bh = (store.draw(shape, u) for shape in [(d_in, 3 * H), (H, 3 * H)] * 2)
-        self.w_x = store.put(f"{name}.w_x", np.concatenate([fx, bx], axis=1, dtype=store.dtype))
-        self.w_h = store.put(f"{name}.w_h", np.concatenate([fh, bh], axis=0, dtype=store.dtype))
+        w_x, w_h = store.empty((d_in, 6 * H)), store.empty((2 * H, 3 * H))
+        for block in (w_x[:, :3 * H], w_h[:H], w_x[:, 3 * H:], w_h[H:]):
+            store.fill(block, u)
+        self.w_x = store.put(f"{name}.w_x", w_x)
+        self.w_h = store.put(f"{name}.w_h", w_h)
         self.b_x = store.new(f"{name}.b_x", (6 * H,), "zeros")
         self.b_h = store.new(f"{name}.b_h", (6 * H,), "zeros")
 

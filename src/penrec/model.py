@@ -24,14 +24,17 @@ IMAGE_PREFIXES = ("img_cnn.", "img_gru.", "dec_img.")
 
 class Recognizer:
     def __init__(self, enc_cfg: EncoderConfig, align_cfg: AlignConfig,
-                 vocab: Vocabulary, seed: int = 0, dtype=np.float32):
+                 vocab: Vocabulary, seed: int = 0, dtype=np.float32,
+                 store: ParamStore | None = None):
+        """`store`, if given, replaces the seeded store of `dtype` (a checkpoint
+        load passes one that draws nothing)."""
         enc_cfg.validate()
         align_cfg.validate(enc_cfg.d)
         self.enc_cfg = enc_cfg
         self.align_cfg = align_cfg
         self.vocab = vocab
         self.seed = seed
-        self.store = ParamStore(np.random.default_rng(seed), dtype=dtype)
+        self.store = store if store is not None else ParamStore(np.random.default_rng(seed), dtype=dtype)
         d = enc_cfg.d
         self.traj_conv = TrajectoryEncoder(self.store, "traj_conv", enc_cfg)
         self.traj_gru = BiGRUStack(self.store, "traj_gru", d, enc_cfg.gru_layers)

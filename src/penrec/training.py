@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,9 +22,10 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import AdamState
-from .config import (AlignConfig, ConfigError, EncoderConfig, TrainConfig,
+from .config import (AlignConfig, EncoderConfig, TrainConfig,
                      align_config_from_dict, encoder_config_from_dict, to_dict)
-from .data import DataError, Vocabulary, augment, normalize
+from .data import Vocabulary, augment, normalize
+from .layers import ParamStore
 from .model import IMAGE_PREFIXES, Recognizer
 
 
@@ -211,16 +213,18 @@ def evaluate(model: Recognizer, dataset, max_decode_len: int = 256) -> dict:
 def save_checkpoint(model: Recognizer, path) -> None:
     """Write the checkpoint to a sibling temp file, then move it over `path`.
 
-    A write that fails part-way leaves any previous file at `path` intact.
+    Each tensor's buffer goes to the file as it is (a float32 parameter on a
+    little-endian host is not copied). A write that fails part-way leaves any
+    previous file at `path` intact.
     """
     path = Path(path)
     manifest = []
-    chunks = []
+    tensors = []
     offset = 0
     for name, p in model.params.items():
         arr = np.ascontiguousarray(p.data, dtype="<f4")
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(arr.tobytes())
+        tensors.append(arr)
         offset += arr.size
     header = {
         "version": CHECKPOINT_VERSION,
@@ -230,13 +234,13 @@ def save_checkpoint(model: Recognizer, path) -> None:
         "vocab": model.vocab.to_list(),
         "manifest": manifest,
     }
-    payload = b"".join(chunks)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+            fh.write(struct.pack("<Q", 4 * offset))
+            for arr in tensors:
+                fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -277,6 +281,16 @@ def _check_header(header, path) -> None:
 
 
 def load_checkpoint(path) -> Recognizer:
+    """The model a checkpoint describes, with its parameters read from the payload.
+
+    Every check runs before a payload byte is read: the header, the length
+    prefix against the manifest's element total and the bytes left in the
+    file, and the manifest's names, offsets and shapes against the model. The
+    model is built on a store that draws no initial values and hands out no
+    more elements than the manifest holds, so a header cannot make the load
+    allocate past what the file holds. Each parameter then reads its own
+    bytes into its own array.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -285,38 +299,38 @@ def load_checkpoint(path) -> Recognizer:
         except ValueError as e:  # bad JSON, not UTF-8, or an integer past json's digit limit
             raise CheckpointError(f"{path}: bad header") from e
         _check_header(header, path)
+        manifest = header["manifest"]
+        total = 0
+        for m in manifest:
+            if m["offset"] != total:
+                raise CheckpointError(f"{path}: bad offset for {m['name']}")
+            total += math.prod(m["shape"])
         lenbytes = fh.read(8)
         if len(lenbytes) != 8:
             raise CheckpointError(f"{path}: truncated length prefix")
         (payload_len,) = struct.unpack("<Q", lenbytes)
-        payload = fh.read(payload_len)
-        if len(payload) != payload_len:
+        if payload_len != 4 * total:
+            raise CheckpointError(f"{path}: payload length {payload_len} bytes does not match "
+                                  f"the manifest's {total} float32 values")
+        if payload_len > os.fstat(fh.fileno()).st_size - fh.tell():
             raise CheckpointError(f"{path}: truncated payload")
-    try:
-        model = Recognizer(encoder_config_from_dict(header["encoder"]),
-                           align_config_from_dict(header["alignment"]),
-                           Vocabulary.from_symbols(header["vocab"]), seed=header["seed"])
-    except (ConfigError, DataError) as e:
-        raise CheckpointError(f"{path}: {e}") from e
-
-    manifest = header["manifest"]
-    names = [m["name"] for m in manifest]
-    if names != list(model.params.keys()):
-        raise CheckpointError(f"{path}: manifest does not match the model parameter set")
-    values = np.frombuffer(payload, dtype="<f4")
-    expected = 0
-    for m in manifest:
-        if m["offset"] != expected:
-            raise CheckpointError(f"{path}: bad offset for {m['name']}")
-        expected += int(np.prod(m["shape"])) if m["shape"] else 1
-    if expected != values.size:
-        raise CheckpointError(f"{path}: payload length {values.size} does not match manifest {expected}")
-    for m in manifest:
-        p = model.params[m["name"]]
-        if list(p.data.shape) != m["shape"]:
-            raise CheckpointError(f"{path}: shape mismatch for {m['name']}")
-        n = p.data.size
-        p.data = values[m["offset"]:m["offset"] + n].reshape(p.data.shape).astype(np.float32)
+        try:
+            model = Recognizer(encoder_config_from_dict(header["encoder"]),
+                               align_config_from_dict(header["alignment"]),
+                               Vocabulary.from_symbols(header["vocab"]), seed=header["seed"],
+                               store=ParamStore(budget=total))
+        except ValueError as e:  # config, vocabulary, or a model larger than the manifest
+            raise CheckpointError(f"{path}: {e}") from e
+        if [m["name"] for m in manifest] != list(model.params):
+            raise CheckpointError(f"{path}: manifest does not match the model parameter set")
+        for m, p in zip(manifest, model.params.values()):
+            if list(p.data.shape) != m["shape"]:
+                raise CheckpointError(f"{path}: shape mismatch for {m['name']}")
+        for p in model.params.values():
+            if fh.readinto(memoryview(p.data).cast("B")) != p.data.nbytes:
+                raise CheckpointError(f"{path}: truncated payload")
+            if sys.byteorder == "big":
+                p.data.byteswap(inplace=True)
     return model
 
 

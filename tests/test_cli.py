@@ -4,8 +4,11 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +347,15 @@ def test_finite_gradient_whose_squares_overflow_float32_is_clipped_not_diverged(
     assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
 
 
+def tiny_checkpoint(tmp_path):
+    data = make_data(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(Recognizer(encoder_config_from_dict(TINY_CONFIG["encoder"]),
+                               align_config_from_dict(TINY_CONFIG["alignment"]),
+                               build_vocab(load_dataset(data))), ckpt)
+    return ckpt, data
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda header: header.update(vocab=None), "vocab"),
     (lambda header: header.pop("manifest"), "manifest"),
@@ -355,20 +367,50 @@ def test_finite_gradient_whose_squares_overflow_float32_is_clipped_not_diverged(
     (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
     (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
     (lambda header: header["alignment"].update(rope_base=float("nan")), "alignment.rope_base: expected float, got NaN"),
+    # a model larger than the manifest: the loader's store hands out no more elements than the file holds
+    (lambda header: header["alignment"].update(ff_mult=200000), "(16, 3200000) needs 51200000 elements"),
+    (lambda header: header["alignment"].update(layers=10**9), "elements, "),
+    (lambda header: header["encoder"].update(gru_layers=10**9), "elements, "),
+    (lambda header: header["encoder"].update(cnn2d_blocks=10**18), "elements, "),
 ], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2", "version_3",
-        "encoder_d_string", "alignment_toggle_int", "seed_negative", "alignment_rope_base_nan"])
+        "encoder_d_string", "alignment_toggle_int", "seed_negative", "alignment_rope_base_nan",
+        "ff_mult_huge", "alignment_layers_huge", "gru_layers_huge", "cnn2d_blocks_huge"])
 def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
-    data = make_data(tmp_path)
-    model = Recognizer(encoder_config_from_dict(TINY_CONFIG["encoder"]),
-                       align_config_from_dict(TINY_CONFIG["alignment"]),
-                       build_vocab(load_dataset(data)))
-    ckpt = tmp_path / "model.ckpt"
-    save_checkpoint(model, ckpt)
+    ckpt, data = tiny_checkpoint(tmp_path)
     header, rest = ckpt.read_bytes().split(b"\n", 1)
     doc = json.loads(header)
     edit(doc)
     ckpt.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + rest)
-    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert elapsed < 2.0
+    assert peak < 16 * 2**20  # the file holds 67 KB of parameters
+
+
+@pytest.mark.parametrize("prefix,extra,message", [
+    (2**33, 0, "payload length 8589934592 bytes does not match"),
+    (2**64 - 1, 0, "payload length 18446744073709551615 bytes does not match"),
+    (None, 2**40, "truncated payload"),
+], ids=["prefix_2e33", "prefix_u64_max", "manifest_and_prefix_past_the_file"])
+def test_bad_length_prefix_exits_2(tmp_path, capsys, prefix, extra, message):
+    # the prefix is checked against the manifest and the file size before anything is allocated
+    ckpt, data = tiny_checkpoint(tmp_path)
+    header, rest = ckpt.read_bytes().split(b"\n", 1)
+    if extra:
+        doc = json.loads(header)
+        total = sum(math.prod(m["shape"]) for m in doc["manifest"])
+        doc["manifest"].append({"name": "extra", "shape": [extra], "offset": total})
+        header, prefix = json.dumps(doc, sort_keys=True).encode(), 4 * (total + extra)
+    ckpt.write_bytes(header + b"\n" + struct.pack("<Q", prefix) + rest[8:])
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(data)]) == 2
     assert message in capsys.readouterr().err
 
 

@@ -1,9 +1,14 @@
 """Collaborative loop: loss composition, gradient flow, checkpoints, determinism."""
 
 import json
+import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from penrec import autodiff as ad
 from penrec.config import AlignConfig, EncoderConfig, TrainConfig
@@ -11,7 +16,7 @@ from penrec.data import build_vocab, normalize
 from penrec.gradcheck import tiny_model, tiny_sequence
 from penrec.model import IMAGE_PREFIXES, TRAJ_PREFIXES, Recognizer
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
-from penrec.training import (DivergenceError, batch_losses, evaluate,
+from penrec.training import (CheckpointError, DivergenceError, batch_losses, evaluate,
                              load_checkpoint, save_checkpoint, train,
                              zero_image_stream)
 
@@ -332,3 +337,161 @@ def test_empty_ink_sequence_decodes_without_error():
     from penrec.data import TrajectorySequence
     out = m.infer_text(normalize(TrajectorySequence(id="air", points=pts, text="")))
     assert isinstance(out, str)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint load: values read in place, every check before the payload
+
+OLD_V4_FILE = Path(__file__).parent / "data" / "v4_d8_seed11.ckpt"
+
+
+def decoded_payload(blob: bytes) -> dict[str, np.ndarray]:
+    """Each manifest entry's slice of the payload, decoded with np.frombuffer."""
+    header, rest = blob.split(b"\n", 1)
+    (n_bytes,) = struct.unpack("<Q", rest[:8])
+    values = np.frombuffer(rest[8:8 + n_bytes], dtype="<f4")
+    return {m["name"]: values[m["offset"]:m["offset"] + math.prod(m["shape"])].reshape(m["shape"])
+            for m in json.loads(header)["manifest"]}
+
+
+def assert_loaded_in_place(model, blob: bytes) -> None:
+    """Every parameter holds its payload slice in its own writable float32 array."""
+    expected = decoded_payload(blob)
+    assert list(expected) == list(model.params)
+    spans = []
+    for name, p in model.params.items():
+        flags = p.data.flags
+        assert p.data.dtype == np.float32 and flags.c_contiguous and flags.writeable and flags.owndata
+        assert p.data.tobytes() == expected[name].astype(np.float32).tobytes(), name
+        start = p.data.__array_interface__["data"][0]
+        spans.append((start, start + p.data.nbytes))
+    spans.sort()
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
+@pytest.fixture
+def poisoned_empty(monkeypatch):
+    """np.empty hands out NaN-filled arrays, so a value a load leaves unwritten shows."""
+    real = np.empty
+
+    def empty(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+    monkeypatch.setattr(np, "empty", empty)
+
+
+def test_load_reads_a_file_of_the_previous_loader_to_the_same_values(tmp_path, poisoned_empty):
+    # written at commit 8dbffcd, whose loader built a seeded model and then cast the payload over it
+    blob = OLD_V4_FILE.read_bytes()
+    model = load_checkpoint(OLD_V4_FILE)
+    assert_loaded_in_place(model, blob)
+    save_checkpoint(model, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == blob
+    # training still draws the same initial values at the same seed
+    fresh = Recognizer(model.enc_cfg, model.align_cfg, model.vocab, seed=model.seed)
+    save_checkpoint(fresh, tmp_path / "fresh.ckpt")
+    assert (tmp_path / "fresh.ckpt").read_bytes() == blob
+
+
+class NoDraws(np.random.Generator):
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("initial values drawn")
+
+    normal = uniform
+
+
+def test_load_draws_no_initial_values(tmp_path, monkeypatch):
+    m = Recognizer(tiny_enc_cfg(), AlignConfig(layers=1, heads=2), build_vocab(small_dataset(n=2)), seed=5)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+    monkeypatch.setattr(np.random, "default_rng", lambda *seed: NoDraws(np.random.PCG64(*seed)))
+    with pytest.raises(AssertionError, match="drawn"):
+        Recognizer(m.enc_cfg, m.align_cfg, m.vocab, seed=5)
+    assert_loaded_in_place(load_checkpoint(path), path.read_bytes())
+
+
+def test_adam_step_on_a_loaded_model_matches_the_saved_one(tmp_path):
+    data = small_dataset(n=4)
+    m = Recognizer(tiny_enc_cfg(), AlignConfig(layers=1, heads=2), build_vocab(data), seed=5)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+    loaded = load_checkpoint(path)
+    batch = [normalize(s) for s in data]
+    for model in (m, loaded):
+        total, _ = batch_losses(model, batch, 0.5)
+        ad.zero_grads(model.params.values())
+        ad.backward(total)
+        ad.adam_step(model.params, ad.AdamState(model.params), 1e-2)
+    for name, p in m.params.items():
+        assert p.data.tobytes() == loaded.params[name].data.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory) -> bytes:
+    m = Recognizer(tiny_enc_cfg(), AlignConfig(layers=1, heads=2), build_vocab(small_dataset(n=2)), seed=5)
+    path = tmp_path_factory.mktemp("base") / "base.ckpt"
+    save_checkpoint(m, path)
+    return path.read_bytes()
+
+
+def manifest_edits():
+    """(entry index, (field, new value)) for one manifest entry."""
+    return st.tuples(st.integers(0, 200), st.one_of(
+        st.tuples(st.just("offset"), st.integers(-2**70, 2**70)),
+        st.tuples(st.just("shape"), st.lists(st.integers(0, 2**40), max_size=4)),
+        st.tuples(st.just("name"), st.text(max_size=12))))
+
+
+SIZE_KEYS = [("encoder", "d"), ("encoder", "gru_layers"), ("encoder", "cnn2d_blocks"),
+             ("alignment", "layers"), ("alignment", "heads"), ("alignment", "ff_mult")]
+
+
+def mutations():
+    return st.one_of(
+        st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)),
+        st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)),
+        st.tuples(st.just("prefix"), st.integers(0, 2**64 - 1)),
+        st.tuples(st.just("flip"), st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                                      st.integers(1, 255)), min_size=1, max_size=4)),
+        st.tuples(st.just("manifest"), manifest_edits()),
+        st.tuples(st.just("size"), st.tuples(st.sampled_from(SIZE_KEYS), st.integers(-2**64, 2**64))),
+    )
+
+
+def mutate(blob: bytes, change) -> bytes:
+    kind, arg = change
+    header, rest = blob.split(b"\n", 1)
+    if kind == "truncate":
+        return blob[:int(arg * len(blob))]
+    if kind == "append":
+        return blob + arg
+    if kind == "prefix":
+        return header + b"\n" + struct.pack("<Q", arg) + rest[8:]
+    if kind == "flip":
+        edited = bytearray(header)
+        for where, bits in arg:
+            edited[int(where * len(edited))] ^= bits
+        return bytes(edited) + b"\n" + rest
+    doc = json.loads(header)
+    if kind == "manifest":
+        index, (field, value) = arg
+        doc["manifest"][index % len(doc["manifest"])][field] = value
+    else:
+        (section, key), value = arg
+        doc[section][key] = value
+    return json.dumps(doc, sort_keys=True).encode() + b"\n" + rest
+
+
+@given(change=mutations())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_checkpoint_fuzz_gives_a_model_or_checkpoint_error(tmp_path, tiny_blob, poisoned_empty, change):
+    blob = mutate(tiny_blob, change)
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(blob)
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(model, Recognizer)
+    assert_loaded_in_place(model, blob)
