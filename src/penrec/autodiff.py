@@ -1,13 +1,14 @@
 """Reverse-mode differentiable array engine.
 
-Exactly the kernel set the recognizer needs and nothing more: elementwise
-arithmetic, matmul, strided 1D/2D convolution, the usual activations,
-softmax, multi-head attention, layer norm, a whole-sequence bidirectional
-GRU, the decoder's whole-sequence attention-fed GRU, concatenation, row
-gather, linear interpolation along the leading axis, full reductions, and
-the two losses. The GRU step, the softmax and the convolutions'
-strided-window im2col/col2im are each written once, as private helpers the
-kernels share.
+The kernels the recognizer calls: elementwise add and multiply, matmul
+with an optional bias, strided 1D/2D convolution, relu, multi-head
+self-attention over a packed q|k|v projection, layer norm, a whole-sequence
+bidirectional GRU, the decoder's whole-sequence attention-fed GRU, row
+gather, linear interpolation along the leading axis, and the two losses.
+`sigmoid`, `tanh`, `sub`, `softmax` and `asum` have no model caller; they
+stay because the tests compose reference paths from them. The GRU step,
+the softmax and the convolutions' strided-window im2col/col2im are each
+written once, as private helpers the kernels share.
 A parameter's `a.T @ g` gradients are not formed per use: `backward` queues
 them and forms each one with a single matmul over all uses at its end.
 Arrays are float32 by default; build everything in float64 for
@@ -91,14 +92,12 @@ def array(data, requires_grad: bool = False, dtype=np.float32) -> DiffArray:
     return DiffArray(data, requires_grad=requires_grad, dtype=dtype)
 
 
-def _check_finite(op: str, *xs: DiffArray) -> None:
-    if _VALIDATE:
-        for x in xs:
-            if not np.all(np.isfinite(x.data)):
-                raise ValueError(f"{op}: non-finite input")
-
-
 def _make(data, parents, op, backward_fn) -> DiffArray:
+    """The output node of every kernel; with validation on, first refuse a non-finite input."""
+    if _VALIDATE:
+        for p in parents:
+            if not np.all(np.isfinite(p.data)):
+                raise ValueError(f"{op}: non-finite input")
     out = DiffArray(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -112,8 +111,6 @@ def _acc(p: DiffArray, g) -> None:
     if p.requires_grad:
         if p.grad is None:
             p.grad = np.array(g, dtype=p.data.dtype)
-            if p.grad.shape != p.data.shape:
-                p.grad = np.broadcast_to(p.grad, p.data.shape).copy()
         else:
             p.grad += g
 
@@ -202,53 +199,34 @@ def stop_gradient(x: DiffArray) -> DiffArray:
 # elementwise arithmetic
 
 
-def _as_const(x, like: DiffArray) -> DiffArray:
-    if isinstance(x, DiffArray):
-        return x
-    return DiffArray(np.asarray(x, dtype=like.dtype))
-
-
-def add(a: DiffArray, b) -> DiffArray:
-    """Elementwise add; the one allowed broadcast is a trailing-axis bias."""
-    b = _as_const(b, a)
-    _check_finite("add", a, b)
-    if a.shape == b.shape or b.shape == ():
-        bias = False
-    elif b.data.ndim == 1 and a.data.ndim > 1 and a.shape[-1] == b.shape[0]:
-        bias = True
-    else:
+def add(a: DiffArray, b: DiffArray) -> DiffArray:
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     y = a.data + b.data
 
     def back(g):
         _acc(a, g)
-        if bias:
-            _acc(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-        elif b.shape == ():
-            _acc(b, g.sum())
-        else:
-            _acc(b, g)
+        _acc(b, g)
 
     return _make(y, (a, b), "add", back)
 
 
-def sub(a: DiffArray, b) -> DiffArray:
-    b = _as_const(b, a)
-    _check_finite("sub", a, b)
-    if a.shape != b.shape and b.shape != ():
+def sub(a: DiffArray, b: DiffArray) -> DiffArray:
+    if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
     y = a.data - b.data
 
     def back(g):
         _acc(a, g)
-        _acc(b, -g.sum() if b.shape == () else -g)
+        _acc(b, -g)
 
     return _make(y, (a, b), "sub", back)
 
 
 def mul(a: DiffArray, b) -> DiffArray:
-    b = _as_const(b, a)
-    _check_finite("mul", a, b)
+    """Elementwise product with an array of a's shape or a scalar; a number or numpy array is a constant."""
+    if not isinstance(b, DiffArray):
+        b = DiffArray(np.asarray(b, dtype=a.dtype))
     if a.shape != b.shape and b.shape != ():
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     y = a.data * b.data
@@ -261,19 +239,23 @@ def mul(a: DiffArray, b) -> DiffArray:
     return _make(y, (a, b), "mul", back)
 
 
-def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
-    _check_finite("matmul", a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expects 2D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+def matmul(a: DiffArray, b: DiffArray, bias: DiffArray | None = None) -> DiffArray:
+    """a (N, K) @ b (K, M), plus `bias` (M,) on every row when given."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    if bias is not None and bias.shape != (b.shape[1],):
+        raise ShapeError(f"matmul: bias shape {bias.shape} does not match {b.shape}")
     y = a.data @ b.data
+    if bias is not None:
+        y += bias.data
 
     def back(g):
         _acc(a, g @ b.data.T)
         _acc_product(b, a.data, g)
+        if bias is not None:
+            _acc(bias, g.sum(axis=0))
 
-    return _make(y, (a, b), "matmul", back)
+    return _make(y, (a, b) if bias is None else (a, b, bias), "matmul", back)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +329,6 @@ def conv1d(x: DiffArray, w: DiffArray, b: DiffArray | None, stride: int = 1, pad
     Weights are (K, C_in, C_out); output is (L_out, C_out) with
     L_out = floor((L + 2*pad - K) / stride) + 1.
     """
-    _check_finite("conv1d", x, w)
     if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
     if conv1d_out_length(x.shape[0], w.shape[0], stride, pad) <= 0:
@@ -361,7 +342,6 @@ def conv2d(x: DiffArray, w: DiffArray, b: DiffArray | None,
 
     Weights are (KH, KW, C_in, C_out); output is (H_out, W_out, C_out).
     """
-    _check_finite("conv2d", x, w)
     if x.data.ndim != 3 or w.data.ndim != 4 or x.shape[2] != w.shape[2]:
         raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
     if min(map(conv1d_out_length, x.shape[:2], w.shape[:2], stride, pad)) <= 0:
@@ -390,7 +370,6 @@ def _softmax_back(y, g):
 
 
 def sigmoid(x: DiffArray) -> DiffArray:
-    _check_finite("sigmoid", x)
     y = _sigmoid(x.data)
 
     def back(g):
@@ -400,7 +379,6 @@ def sigmoid(x: DiffArray) -> DiffArray:
 
 
 def tanh(x: DiffArray) -> DiffArray:
-    _check_finite("tanh", x)
     y = np.tanh(x.data)
 
     def back(g):
@@ -410,7 +388,6 @@ def tanh(x: DiffArray) -> DiffArray:
 
 
 def relu(x: DiffArray) -> DiffArray:
-    _check_finite("relu", x)
     y = np.maximum(x.data, 0)
 
     def back(g):
@@ -421,7 +398,6 @@ def relu(x: DiffArray) -> DiffArray:
 
 def softmax(x: DiffArray) -> DiffArray:
     """Softmax along the last axis."""
-    _check_finite("softmax", x)
     y = _softmax(x.data)
 
     def back(g):
@@ -430,47 +406,42 @@ def softmax(x: DiffArray) -> DiffArray:
     return _make(y, (x,), "softmax", back)
 
 
-def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int,
-              attn_sink: list | None = None) -> DiffArray:
-    """Multi-head scaled dot-product attention: (Tq, H*dk), (Tk, H*dk), (Tk, H*dv) -> (Tq, H*dv).
+def attention(qkv: DiffArray, heads: int, attn_sink: list | None = None) -> DiffArray:
+    """Multi-head scaled dot-product self-attention: a packed (T, 3d) projection -> (T, d).
 
-    Head j owns column block j of q, k and v; per head,
-    out_j = softmax(q_j @ k_j^T / sqrt(dk)) @ v_j, and the heads' outputs
-    are laid out as column blocks in the same order. `attn_sink`, when
-    given, receives one (Tq, Tk) weight matrix per head.
+    `qkv` holds q, k and v as column blocks [q | k | v] of width d, and
+    head j owns column block j (width d/heads) of each; per head,
+    out_j = softmax(q_j @ k_j^T / sqrt(d/heads)) @ v_j, and the heads'
+    outputs are laid out as column blocks in the same order. `attn_sink`,
+    when given, receives one (T, T) weight matrix per head.
     """
-    _check_finite("attention", q, k, v)
-    if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2 or heads < 1
-            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or k.shape[0] < 1
-            or q.shape[1] % heads or v.shape[1] % heads):
-        raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape} and {v.shape} "
-                         f"for {heads} heads")
-    tq, tk = q.shape[0], k.shape[0]
-    dk, dv = q.shape[1] // heads, v.shape[1] // heads
+    if qkv.data.ndim != 2 or heads < 1 or qkv.shape[0] < 1 or qkv.shape[1] % (3 * heads):
+        raise ShapeError(f"attention: incompatible shape {qkv.shape} for {heads} heads")
+    T, d = qkv.shape[0], qkv.shape[1] // 3
+    dk = d // heads
     scale = 1.0 / math.sqrt(dk)
-    # (heads, T, width) views of the column blocks
-    qh = q.data.reshape(tq, heads, dk).transpose(1, 0, 2)
-    kh = k.data.reshape(tk, heads, dk).transpose(1, 0, 2)
-    vh = v.data.reshape(tk, heads, dv).transpose(1, 0, 2)
+    # (heads, T, dk) views of the column blocks
+    qh, kh, vh = qkv.data.reshape(T, 3, heads, dk).transpose(1, 2, 0, 3)
     alpha = _softmax((qh @ kh.transpose(0, 2, 1)) * scale)
     if attn_sink is not None:
         attn_sink.extend(a.copy() for a in alpha)
-    y = (alpha @ vh).transpose(1, 0, 2).reshape(tq, heads * dv)
+    y = (alpha @ vh).transpose(1, 0, 2).reshape(T, d)
 
     def back(g):
-        gh = g.reshape(tq, heads, dv).transpose(1, 0, 2)
-        da = gh @ vh.transpose(0, 2, 1)
-        ds = _softmax_back(alpha, da) * scale
-        _acc(q, (ds @ kh).transpose(1, 0, 2).reshape(tq, heads * dk))
-        _acc(k, (ds.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(tk, heads * dk))
-        _acc(v, (alpha.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(tk, heads * dv))
+        gh = g.reshape(T, heads, dk).transpose(1, 0, 2)
+        ds = _softmax_back(alpha, gh @ vh.transpose(0, 2, 1)) * scale
+        dqkv = np.empty((T, 3, heads, dk), dtype=alpha.dtype)
+        dh = dqkv.transpose(1, 2, 0, 3)  # (3, heads, T, dk), laid out as qkv's columns
+        dh[0] = ds @ kh
+        dh[1] = ds.transpose(0, 2, 1) @ qh
+        dh[2] = alpha.transpose(0, 2, 1) @ gh
+        _acc(qkv, dqkv.reshape(T, 3 * d))
 
-    return _make(y, (q, k, v), "attention", back)
+    return _make(y, (qkv,), "attention", back)
 
 
 def layer_norm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-5) -> DiffArray:
     """Normalize over the last axis, then scale and shift."""
-    _check_finite("layer_norm", x, gain, bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: incompatible shapes {x.shape} and {gain.shape}")
@@ -590,7 +561,6 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
     backprop through time.
     """
     ins = (xs, h0, w_x, b_x, w_h, b_h)
-    _check_finite("bigru", *ins)
     T, d = xs.shape if xs.data.ndim == 2 else (0, 0)
     H = h0.shape[1] if h0.data.ndim == 2 else 0
     if (d < 1 or H < 1 or h0.shape != (2, H) or w_x.shape != (d, 6 * H) or b_x.shape != (6 * H,)
@@ -633,7 +603,6 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
     then forms each weight gradient with one matmul over all steps.
     """
     ins = (y, h0, wq, keys, values, w_x, b_x, w_h, b_h)
-    _check_finite("attention_gru", *ins)
     T, H = y.shape if y.data.ndim == 2 else (0, 0)
     tk, dk = keys.shape if keys.data.ndim == 2 else (0, 0)
     if (H < 1 or tk < 1 or h0.shape != (1, H) or wq.shape != (H, dk) or values.shape != (tk, H)
@@ -685,29 +654,11 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
 
 
 # ---------------------------------------------------------------------------
-# structure: concat, gather, squeeze, interpolation
-
-
-def concat(arrays, axis: int = 0) -> DiffArray:
-    arrays = list(arrays)
-    if not arrays:
-        raise ShapeError("concat: empty input list")
-    y = np.concatenate([a.data for a in arrays], axis=axis)
-    sizes = [a.shape[axis] for a in arrays]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for a, lo, hi in zip(arrays, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _acc(a, g[tuple(sl)])
-
-    return _make(y, tuple(arrays), "concat", back)
+# structure: gather, squeeze, interpolation
 
 
 def gather_rows(table: DiffArray, ids) -> DiffArray:
     """Row lookup (embedding): table (V, d), integer ids (L,) -> (L, d)."""
-    _check_finite("gather_rows", table)
     ids = np.asarray(ids, dtype=np.intp)
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows: table must be 2D, got {table.shape}")
@@ -741,7 +692,6 @@ def interp_rows(feat: DiffArray, positions) -> DiffArray:
     `positions` (M,) are clamped to [0, N-1]; each output row mixes the two
     bracketing feature rows. Differentiable w.r.t. `feat` only.
     """
-    _check_finite("interp_rows", feat)
     if feat.data.ndim != 2:
         raise ShapeError(f"interp_rows: features must be 2D, got {feat.shape}")
     n = feat.shape[0]
@@ -768,7 +718,6 @@ def interp_rows(feat: DiffArray, positions) -> DiffArray:
 
 
 def asum(x: DiffArray) -> DiffArray:
-    _check_finite("sum", x)
     y = x.data.sum()
 
     def back(g):
@@ -777,20 +726,8 @@ def asum(x: DiffArray) -> DiffArray:
     return _make(y, (x,), "sum", back)
 
 
-def amean(x: DiffArray) -> DiffArray:
-    _check_finite("mean", x)
-    y = x.data.mean()
-    inv = 1.0 / x.data.size
-
-    def back(g):
-        _acc(x, np.full(x.shape, g * inv, dtype=x.dtype))
-
-    return _make(y, (x,), "mean", back)
-
-
 def cross_entropy_logits(logits: DiffArray, targets) -> DiffArray:
     """Mean over rows of -log softmax(logits)[target]; stable log-sum-exp."""
-    _check_finite("cross_entropy_logits", logits)
     t = np.asarray(targets, dtype=np.intp)
     if logits.data.ndim != 2 or t.ndim != 1 or t.shape[0] != logits.shape[0]:
         raise ShapeError(f"cross_entropy_logits: incompatible shapes {logits.shape} and {t.shape}")
@@ -812,7 +749,6 @@ def cross_entropy_logits(logits: DiffArray, targets) -> DiffArray:
 
 def mse(a: DiffArray, b: DiffArray) -> DiffArray:
     """Mean squared error over all elements."""
-    _check_finite("mse", a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mse: incompatible shapes {a.shape} and {b.shape}")
     diff = a.data - b.data

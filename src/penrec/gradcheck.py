@@ -118,11 +118,6 @@ def kernel_cases(rng: np.random.Generator):
         x, g, b = _rand(rng, (4, 6)), _rand(rng, (6,), 0.5, 1.5), _rand(rng, (6,))
         return lambda: proj(ad.layer_norm(x, g, b)), [x, g, b]
 
-    def concat_case(axis):
-        abc = [_rand(rng, (3, 4)) for _ in range(3)]
-        p = fixed_projector(rng)
-        return lambda: p(ad.concat(abc, axis=axis)), abc
-
     def gather_case():
         table = _rand(rng, (7, 5))
         ids = rng.integers(0, 7, size=6)
@@ -162,24 +157,27 @@ def kernel_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
         return lambda: p(ad.attention_gru(*ins)), ins
 
-    def attention_case(tq, tk, heads, dk, dv):
-        q, k, v = _rand(rng, (tq, heads * dk)), _rand(rng, (tk, heads * dk)), _rand(rng, (tk, heads * dv))
+    def matmul_bias_case():
+        a, b, bias = _rand(rng, (3, 4)), _rand(rng, (4, 2)), _rand(rng, (2,))
         p = fixed_projector(rng)
-        return lambda: p(ad.attention(q, k, v, heads)), [q, k, v]
+        return lambda: p(ad.matmul(a, b, bias)), [a, b, bias]
+
+    def attention_case(steps, heads, dk):
+        qkv = _rand(rng, (steps, 3 * heads * dk))
+        p = fixed_projector(rng)
+        return lambda: p(ad.attention(qkv, heads)), [qkv]
 
     return [
         ("add_same", *binary(ad.add, (3, 4), (3, 4))),
-        ("add_bias", *binary(ad.add, (3, 4), (4,))),
-        ("add_scalar_const", *unary(lambda a: ad.add(a, 0.7), (3, 4))),
         ("sub", *binary(ad.sub, (5,), (5,))),
         ("mul", *binary(ad.mul, (2, 3), (2, 3))),
         ("mul_scalar_const", *unary(lambda a: ad.mul(a, -1.3), (2, 3))),
         ("matmul", *binary(ad.matmul, (3, 4), (4, 2))),
+        ("matmul_bias", *matmul_bias_case()),
         ("sigmoid", *unary(ad.sigmoid, (4, 3))),
         ("tanh", *unary(ad.tanh, (4, 3))),
         ("relu", *unary(ad.relu, (4, 5), away=True)),
         ("softmax", *unary(ad.softmax, (3, 6))),
-        ("mean", *unary(ad.amean, (3, 4))),
         ("sum", *unary(ad.asum, (3, 4))),
         ("conv1d_s1_p0", *conv1d_case(1, 0)),
         ("conv1d_s2_p1", *conv1d_case(2, 1)),
@@ -191,8 +189,6 @@ def kernel_cases(rng: np.random.Generator):
         ("conv2d_s22_p11", *conv2d_case((2, 2), (1, 1))),
         ("conv2d_k1_s22", *conv2d_case((2, 2), (0, 0), k=1)),
         ("layer_norm", *layer_norm_case()),
-        ("concat_axis0", *concat_case(0)),
-        ("concat_axis1", *concat_case(1)),
         ("gather_rows", *gather_case()),
         ("squeeze_lead", *unary(ad.squeeze_lead, (1, 4, 3))),
         ("interp_rows", *interp_case()),
@@ -200,8 +196,7 @@ def kernel_cases(rng: np.random.Generator):
         ("mse", *mse_case()),
         ("bigru_t1", *bigru_case(1)),
         ("bigru_t5", *bigru_case(5)),
-        ("attention_self_h2", *attention_case(5, 5, 2, 3, 3)),
-        ("attention_cross_q1", *attention_case(1, 4, 1, 4, 6)),
+        ("attention_self_h2", *attention_case(5, 2, 3)),
         ("attention_gru", *attention_gru_case()),
     ]
 
@@ -279,7 +274,7 @@ def composite_cases(rng: np.random.Generator):
         # w's two matmul products are queued until the end of backward; the add reaches it at once
         w, x1, x2 = _rand(rng, (4, 3)), _rand(rng, (4, 4)), _rand(rng, (5, 4))
         p = fixed_projector(rng)
-        return lambda: p(ad.concat([ad.add(ad.matmul(x1, w), w), ad.matmul(x2, w)])), [w, x1, x2]
+        return lambda: ad.add(p(ad.add(ad.matmul(x1, w), w)), p(ad.matmul(x2, w))), [w, x1, x2]
 
     cases.append(("shared_weight_matmuls_and_add", *shared_weight()))
 

@@ -92,14 +92,14 @@ class ParamStore:
 
 
 class Linear:
-    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int,
-                 bias: bool = True, init: str = "glorot"):
-        self.w = store.new(f"{name}.w", (d_in, d_out), init)
-        self.b = store.new(f"{name}.b", (d_out,), "zeros") if bias else None
+    """x @ w + b: one `matmul` node, Glorot-initialised weights and a zero bias."""
+
+    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int):
+        self.w = store.new(f"{name}.w", (d_in, d_out))
+        self.b = store.new(f"{name}.b", (d_out,), "zeros")
 
     def __call__(self, x: DiffArray) -> DiffArray:
-        y = ad.matmul(x, self.w)
-        return ad.add(y, self.b) if self.b is not None else y
+        return ad.matmul(x, self.w, self.b)
 
 
 class GRUCell:
@@ -162,11 +162,12 @@ class BiGRUStack:
 class TransformerLayer:
     """Pre-norm encoder layer: multi-head self-attention plus feed-forward.
 
-    `attn.wq`, `attn.wk` and `attn.wv` are (d, d) each, with head j's
-    projection in column block j; `ad.attention` splits the heads, and the
-    concatenated head outputs are mixed by one projection. The packed
-    matrices keep the per-head init: uniform within the Glorot limit of a
-    (d, d/heads) block.
+    `attn.w_qkv` (d, 3d) packs the q, k and v projections as column blocks
+    [q | k | v], with head j's projection in column block j of each, so one
+    matmul gives `ad.attention` its packed input; the concatenated head
+    outputs are mixed by one projection. Each block keeps the per-head init
+    (uniform within the Glorot limit of a (d, d/heads) block) and is drawn
+    in the order q, k, v, as three separate matrices would be.
     """
 
     def __init__(self, store: ParamStore, name: str, d: int, heads: int, ff_width: int):
@@ -178,17 +179,17 @@ class TransformerLayer:
         self.ln2_g = store.new(f"{name}.ln2.g", (d,), "ones")
         self.ln2_b = store.new(f"{name}.ln2.b", (d,), "zeros")
         head_glorot = f"uniform:{math.sqrt(6.0 / (d + d // heads))}"
-        self.wq = store.new(f"{name}.attn.wq", (d, d), head_glorot)
-        self.wk = store.new(f"{name}.attn.wk", (d, d), head_glorot)
-        self.wv = store.new(f"{name}.attn.wv", (d, d), head_glorot)
+        w_qkv = store.empty((d, 3 * d))
+        for i in range(3):
+            store.fill(w_qkv[:, i * d:(i + 1) * d], head_glorot)
+        self.w_qkv = store.put(f"{name}.attn.w_qkv", w_qkv)
         self.out = Linear(store, f"{name}.attn.out", d, d)
         self.ff1 = Linear(store, f"{name}.ff1", d, ff_width)
         self.ff2 = Linear(store, f"{name}.ff2", ff_width, d)
 
     def __call__(self, x: DiffArray, attn_sink: list | None = None) -> DiffArray:
         h = ad.layer_norm(x, self.ln1_g, self.ln1_b)
-        ctx = ad.attention(ad.matmul(h, self.wq), ad.matmul(h, self.wk), ad.matmul(h, self.wv),
-                           self.heads, attn_sink)
+        ctx = ad.attention(ad.matmul(h, self.w_qkv), self.heads, attn_sink)
         x = ad.add(x, self.out(ctx))
         h2 = ad.layer_norm(x, self.ln2_g, self.ln2_b)
         return ad.add(x, self.ff2(ad.relu(self.ff1(h2))))

@@ -59,28 +59,36 @@ def edit_align(ref, hyp) -> AlignmentCounts:
     return AlignmentCounts(n_ref=n, sub=sub, dele=dele, ins=ins)
 
 
-def _aggregate(refs, hyps) -> AlignmentCounts:
+def _counts(refs, hyps, split, name: str) -> AlignmentCounts:
+    """Corpus totals of aligning each pair split into units; refuses an empty reference corpus."""
     if len(refs) != len(hyps):
         raise ValueError(f"got {len(refs)} references but {len(hyps)} hypotheses")
     total = AlignmentCounts(0, 0, 0, 0)
     for r, h in zip(refs, hyps):
-        total = total + edit_align(r, h)
+        total = total + edit_align(split(r), split(h))
+    if total.n_ref == 0:
+        raise ValueError(f"{name}: empty reference corpus")
     return total
+
+
+def _words(text: str) -> list[str]:
+    return text.split(" ")
+
+
+def _ar_cr(total: AlignmentCounts) -> tuple[float, float]:
+    n = total.n_ref
+    return (n - total.dele - total.sub - total.ins) / n, (n - total.dele - total.sub) / n
 
 
 def cer(refs, hyps) -> float:
     """Character error rate over the corpus: edits / reference characters."""
-    total = _aggregate([list(r) for r in refs], [list(h) for h in hyps])
-    if total.n_ref == 0:
-        raise ValueError("cer: empty reference corpus")
+    total = _counts(refs, hyps, list, "cer")
     return total.distance / total.n_ref
 
 
 def wer(refs, hyps) -> float:
     """Word error rate; words are split on single spaces."""
-    total = _aggregate([r.split(" ") for r in refs], [h.split(" ") for h in hyps])
-    if total.n_ref == 0:
-        raise ValueError("wer: empty reference corpus")
+    total = _counts(refs, hyps, _words, "wer")
     return total.distance / total.n_ref
 
 
@@ -90,24 +98,22 @@ def ar_cr(refs, hyps) -> tuple[float, float]:
     With N total reference characters: CR = (N - del - sub) / N ignores
     insertions; AR = (N - del - sub - ins) / N charges them.
     """
-    total = _aggregate([list(r) for r in refs], [list(h) for h in hyps])
-    if total.n_ref == 0:
-        raise ValueError("ar_cr: empty reference corpus")
-    n = total.n_ref
-    cr = (n - total.dele - total.sub) / n
-    ar = (n - total.dele - total.sub - total.ins) / n
-    return ar, cr
+    return _ar_cr(_counts(refs, hyps, list, "ar_cr"))
 
 
 def report(refs, hyps) -> dict:
-    """The JSON evaluation record: cer/wer/ar/cr plus corpus sizes."""
-    ar, cr = ar_cr(refs, hyps)
-    total = _aggregate([list(r) for r in refs], [list(h) for h in hyps])
+    """The JSON evaluation record: cer/wer/ar/cr plus corpus sizes.
+
+    Each pair is aligned once by characters and once by words.
+    """
+    chars = _counts(refs, hyps, list, "report")
+    words = _counts(refs, hyps, _words, "report")
+    ar, cr = _ar_cr(chars)
     return {
-        "cer": cer(refs, hyps),
-        "wer": wer(refs, hyps),
+        "cer": chars.distance / chars.n_ref,
+        "wer": words.distance / words.n_ref,
         "ar": ar,
         "cr": cr,
         "n_sequences": len(refs),
-        "n_chars": total.n_ref,
+        "n_chars": chars.n_ref,
     }

@@ -37,7 +37,7 @@ class CheckpointError(ValueError):
     """Checkpoint file inconsistent with its manifest or config."""
 
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 HEADER_KEYS = ("version", "encoder", "alignment", "seed", "vocab", "manifest")
 
 
@@ -202,12 +202,13 @@ def evaluate(model: Recognizer, dataset, max_decode_len: int = 256) -> dict:
 
 # ---------------------------------------------------------------------------
 # checkpoint format: one JSON header line (config, vocab, manifest), an
-# 8-byte little-endian payload length, then raw little-endian float32 data.
-# Version 4 packs both directions of each BiGRU layer into four tensors,
-# for example traj_gru.l0.w_x (forward gate blocks, then backward); version 3
-# held one set per direction (traj_gru.l0.fwd.w_x). The decoders' GRU cells
-# keep their packed w_x, w_h, b_x, b_h, and each transformer layer its packed
-# attention projections attn.wq, attn.wk, attn.wv, heads as column blocks.
+# 8-byte little-endian payload length equal to the bytes that follow it, then
+# raw little-endian float32 data. Version 5 packs each transformer layer's
+# attention projections into one tensor, align.l0.attn.w_qkv (d, 3d): column
+# blocks [q | k | v], heads as column blocks inside each; version 4 held
+# attn.wq, attn.wk and attn.wv. Each BiGRU layer packs both directions into
+# four tensors, for example traj_gru.l0.w_x (forward gate blocks, then
+# backward), and the decoders' GRU cells keep their packed w_x, w_h, b_x, b_h.
 
 
 def save_checkpoint(model: Recognizer, path) -> None:
@@ -285,11 +286,11 @@ def load_checkpoint(path) -> Recognizer:
 
     Every check runs before a payload byte is read: the header, the length
     prefix against the manifest's element total and the bytes left in the
-    file, and the manifest's names, offsets and shapes against the model. The
-    model is built on a store that draws no initial values and hands out no
-    more elements than the manifest holds, so a header cannot make the load
-    allocate past what the file holds. Each parameter then reads its own
-    bytes into its own array.
+    file (which it must equal), and the manifest's names, offsets and shapes
+    against the model. The model is built on a store that draws no initial
+    values and hands out no more elements than the manifest holds, so a
+    header cannot make the load allocate past what the file holds. Each
+    parameter then reads its own bytes into its own array.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -312,8 +313,11 @@ def load_checkpoint(path) -> Recognizer:
         if payload_len != 4 * total:
             raise CheckpointError(f"{path}: payload length {payload_len} bytes does not match "
                                   f"the manifest's {total} float32 values")
-        if payload_len > os.fstat(fh.fileno()).st_size - fh.tell():
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload_len > left:
             raise CheckpointError(f"{path}: truncated payload")
+        if payload_len < left:
+            raise CheckpointError(f"{path}: {left - payload_len} bytes follow the payload")
         try:
             model = Recognizer(encoder_config_from_dict(header["encoder"]),
                                align_config_from_dict(header["alignment"]),

@@ -33,3 +33,15 @@ def edit_oracle(ref, hyp):
         return options[0][2]
 
     return go(0, 0)
+
+
+def graph_node_count(root):
+    """Kernel nodes in the graph that ends at `root` (leaves not counted)."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node.op != "leaf"
+            stack.extend(node.parents)
+    return count

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import graph_node_count
 from penrec import autodiff as ad
 from penrec.alignment import align_loss, merge_features, rope2d, sample_image_columns
 from penrec.gradcheck import tiny_model, tiny_sequence
@@ -102,6 +103,12 @@ def _head_block(w, j, heads):
     return w[:, j * width:(j + 1) * width]
 
 
+def _qkv_blocks(layer):
+    """The q, k and v projections: the three column blocks of the packed `attn.w_qkv`."""
+    d = layer.w_qkv.shape[0]
+    return [layer.w_qkv.data[:, i * d:(i + 1) * d] for i in range(3)]
+
+
 def test_single_frame_layer_matches_manual_path():
     store = ParamStore(np.random.default_rng(5))
     layer = TransformerLayer(store, "t", d=8, heads=2, ff_width=16)
@@ -110,7 +117,7 @@ def test_single_frame_layer_matches_manual_path():
 
     h = _layer_norm(x[0], layer.ln1_g.data, layer.ln1_b.data)
     # softmax over a single key is 1, so each head returns its value row
-    ctx = np.concatenate([h @ _head_block(layer.wv.data, j, 2) for j in range(2)])
+    ctx = np.concatenate([h @ _head_block(_qkv_blocks(layer)[2], j, 2) for j in range(2)])
     x1 = x[0] + ctx @ layer.out.w.data + layer.out.b.data
     h2 = _layer_norm(x1, layer.ln2_g.data, layer.ln2_b.data)
     ff = np.maximum(h2 @ layer.ff1.w.data + layer.ff1.b.data, 0)
@@ -133,7 +140,7 @@ def test_layer_matches_per_head_equations_in_float64():
     h = _layer_norm(x, layer.ln1_g.data, layer.ln1_b.data)
     ctx, alphas = [], []
     for j in range(heads):
-        q, k, v = (h @ _head_block(w.data, j, heads) for w in (layer.wq, layer.wk, layer.wv))
+        q, k, v = (h @ _head_block(w, j, heads) for w in _qkv_blocks(layer))
         scores = q @ k.T / np.sqrt(d // heads)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         alphas.append(e / e.sum(axis=1, keepdims=True))
@@ -146,6 +153,14 @@ def test_layer_matches_per_head_equations_in_float64():
     assert len(sink) == heads
     for got, want in zip(sink, alphas):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_layer_forward_builds_one_node_per_projection():
+    # layer norm, the packed q|k|v matmul, attention, the output projection and
+    # its residual add, layer norm, ff1, relu, ff2 and its residual add
+    layer = TransformerLayer(ParamStore(np.random.default_rng(12)), "t", d=8, heads=2, ff_width=16)
+    out = layer(ad.array(np.random.default_rng(13).normal(size=(5, 8))))
+    assert graph_node_count(out) == 10
 
 
 # ---------------------------------------------------------------------------

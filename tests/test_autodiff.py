@@ -220,12 +220,27 @@ def test_stop_gradient_identity_and_blocking():
     assert y.grad is not None
 
 
-def test_bias_add_broadcast_only_trailing_axis():
+def test_add_refuses_a_bias_broadcast():
+    # a bias goes into `matmul`; `add` takes equal shapes only
     x = ad.array(np.zeros((3, 4)))
-    b = ad.array(np.ones(4))
-    assert ad.add(x, b).shape == (3, 4)
-    with pytest.raises(ad.ShapeError):
-        ad.add(x, ad.array(np.ones(3)))
+    with pytest.raises(ad.ShapeError, match=r"add: incompatible shapes \(3, 4\) and \(4,\)"):
+        ad.add(x, ad.array(np.ones(4)))
+
+
+def test_matmul_bias_is_added_to_every_row_in_one_node():
+    rng = np.random.default_rng(5)
+    a, w, b = (ad.array(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+               for shape in ((3, 4), (4, 2), (2,)))
+    y = ad.matmul(a, w, b)
+    np.testing.assert_array_equal(y.data, a.data @ w.data + b.data)
+    assert y.op == "matmul" and y.parents == (a, w, b)
+    g = rng.normal(size=(3, 2))
+    ad.backward(ad.asum(ad.mul(y, g)))
+    np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(w.grad, a.data.T @ g, rtol=1e-12)
+    np.testing.assert_allclose(a.grad, g @ w.data.T, rtol=1e-12)
+    with pytest.raises(ad.ShapeError, match="bias"):
+        ad.matmul(a, w, ad.array(np.ones(3)))
 
 
 def test_validation_mode_rejects_non_finite():
@@ -234,6 +249,10 @@ def test_validation_mode_rejects_non_finite():
         bad = ad.array([np.inf, 1.0])
         with pytest.raises(ValueError, match="non-finite"):
             ad.relu(bad)
+        # every input of a kernel is checked, a convolution's bias included
+        x, w = ad.array(np.ones((5, 6, 2))), ad.array(np.ones((3, 3, 2, 3)))
+        with pytest.raises(ValueError, match="conv2d: non-finite"):
+            ad.conv2d(x, w, ad.array([0.0, np.nan, 0.0]), pad=(1, 1))
     finally:
         ad.set_validation(False)
 

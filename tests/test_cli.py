@@ -363,6 +363,7 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header.update(version=1), "unsupported version 1"),
     (lambda header: header.update(version=2), "unsupported version 2"),
     (lambda header: header.update(version=3), "unsupported version 3"),
+    (lambda header: header.update(version=4), "unsupported version 4"),
     (lambda header: header["encoder"].update(d="16"), 'encoder.d: expected int, got "16"'),
     (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
     (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
@@ -372,7 +373,7 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header["alignment"].update(layers=10**9), "elements, "),
     (lambda header: header["encoder"].update(gru_layers=10**9), "elements, "),
     (lambda header: header["encoder"].update(cnn2d_blocks=10**18), "elements, "),
-], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2", "version_3",
+], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2", "version_3", "version_4",
         "encoder_d_string", "alignment_toggle_int", "seed_negative", "alignment_rope_base_nan",
         "ff_mult_huge", "alignment_layers_huge", "gru_layers_huge", "cnn2d_blocks_huge"])
 def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
@@ -412,6 +413,13 @@ def test_bad_length_prefix_exits_2(tmp_path, capsys, prefix, extra, message):
     ckpt.write_bytes(header + b"\n" + struct.pack("<Q", prefix) + rest[8:])
     assert main(["infer", "--checkpoint", str(ckpt), "--input", str(data)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_bytes_after_the_payload_exit_2(tmp_path, capsys):
+    ckpt, data = tiny_checkpoint(tmp_path)
+    ckpt.write_bytes(ckpt.read_bytes() + b"\0")
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(data)]) == 2
+    assert "1 bytes follow the payload" in capsys.readouterr().err
 
 
 HUGE_INT = "9" * 5000  # beyond the digit limit of Python's json, which then raises a plain ValueError

@@ -1,10 +1,12 @@
 """Decoder contracts: step distribution, attention, greedy, teacher-forced CE."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import graph_node_count
 from penrec import autodiff as ad
 from penrec.data import EOS, SOS
 from penrec.decoder import AttentionDecoder
@@ -164,25 +166,32 @@ def gru_step(cell, x, h):
     hidden = h.shape[1]
     eye = np.eye(3 * hidden)
     r_sel, z_sel, n_sel = (ad.array(eye[:, k * hidden:(k + 1) * hidden], dtype=h.dtype) for k in range(3))
-    px = ad.add(ad.matmul(x, cell.w_x), cell.b_x)
-    a = ad.add(ad.matmul(h, cell.w_h), cell.b_h)
+    px = ad.matmul(x, cell.w_x, cell.b_x)
+    a = ad.matmul(h, cell.w_h, cell.b_h)
     r = ad.sigmoid(ad.add(ad.matmul(px, r_sel), ad.matmul(a, r_sel)))
     z = ad.sigmoid(ad.add(ad.matmul(px, z_sel), ad.matmul(a, z_sel)))
     n = ad.tanh(ad.add(ad.matmul(px, n_sel), ad.mul(r, ad.matmul(a, n_sel))))
     return ad.add(n, ad.mul(z, ad.sub(h, n)))
 
 
-def per_token_path(y, h0, wq, keys, values, cell, out, sink):
-    """The decoder recurrence composed one token at a time from the single-purpose kernels."""
+def per_token_path(y, h0, wq, keys_t, values, cell, out, sink):
+    """The decoder recurrence composed one token at a time from single-purpose kernels.
+
+    `keys_t` holds the keys transposed, (dk, frames). Returns per-token lists of
+    (1, V) logits and (1, d) states.
+    """
+    scale = 1.0 / math.sqrt(keys_t.shape[0])
     state, logits, states = h0, [], []
     for t in range(y.shape[0]):
         y_t = ad.gather_rows(y, [t])
         q = ad.matmul(ad.add(y_t, state), wq)
-        x = ad.add(y_t, ad.attention(q, keys, values, 1, sink))
-        state = gru_step(cell, x, state)
+        alpha = ad.softmax(ad.mul(ad.matmul(q, keys_t), scale))
+        if sink is not None:
+            sink.append(alpha.data)
+        state = gru_step(cell, ad.add(y_t, ad.matmul(alpha, values)), state)
         logits.append(out(state))
         states.append(state)
-    return ad.concat(logits), ad.concat(states)
+    return logits, states
 
 
 def test_attention_gru_matches_per_token_composition_in_float64():
@@ -198,23 +207,32 @@ def test_attention_gru_matches_per_token_composition_in_float64():
         return ad.array(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
 
     y, h0, wq, keys, values = leaf(steps, d), leaf(1, d), leaf(d, dk), leaf(frames, dk), leaf(frames, d)
-    wrt = [y, h0, wq, keys, values, cell.w_x, cell.b_x, cell.w_h, cell.b_h, out.w, out.b]
+    keys_t = ad.array(keys.data.T, requires_grad=True, dtype=np.float64)
+    shared = [cell.w_x, cell.b_x, cell.w_h, cell.b_h, out.w, out.b]
     proj_logits, proj_states = rng.normal(size=(steps, vocab)), rng.normal(size=(steps, d))
 
-    def run(path):
+    def run(path, wrt):
+        """Outputs, attention weights and the gradients of `wrt` under one projected loss."""
         ad.zero_grads(wrt)
         sink = []
-        logits, states = path(sink)
-        loss = ad.add(ad.asum(ad.mul(logits, proj_logits)), ad.asum(ad.mul(states, proj_states)))
-        ad.backward(loss)
-        return [logits.data, states.data, np.concatenate(sink)] + [p.grad.copy() for p in wrt]
+        logits, states = path(sink)  # lists of row blocks, in order
+        terms, row = [], 0
+        for lg, st in zip(logits, states):
+            rows = slice(row, row + lg.shape[0])
+            row = rows.stop
+            terms += [ad.asum(ad.mul(lg, proj_logits[rows])), ad.asum(ad.mul(st, proj_states[rows]))]
+        ad.backward(functools.reduce(ad.add, terms))
+        outputs = [np.concatenate([a.data for a in arrays]) for arrays in (logits, states)]
+        return outputs + [np.concatenate(sink)] + [p.grad.copy() for p in wrt]
 
     def fused(sink):
         states = ad.attention_gru(y, h0, wq, keys, values, cell.w_x, cell.b_x, cell.w_h, cell.b_h, sink)
-        return out(states), states
+        return [out(states)], [states]
 
-    got = run(fused)
-    want = run(lambda sink: per_token_path(y, h0, wq, keys, values, cell, out, sink))
+    got = run(fused, [y, h0, wq, keys, values] + shared)
+    want = run(lambda sink: per_token_path(y, h0, wq, keys_t, values, cell, out, sink),
+               [y, h0, wq, keys_t, values] + shared)
+    want[6] = want[6].T  # the keys' gradient, from the transposed leaf
     names = ["logits", "states", "sink", "y", "h0", "wq", "keys", "values",
              "w_x", "b_x", "w_h", "b_h", "out.w", "out.b"]
     for name, a, b in zip(names, got, want):
@@ -228,18 +246,8 @@ def test_sequence_logits_feed_sos_then_the_target():
     target = [3, 6, 4, EOS]
     logits = dec.sequence_logits(f_enc, target)
     want, _ = per_token_path(ad.gather_rows(dec.embed, [SOS] + target[:-1]), dec.initial_state(), dec.wq,
-                             dec.keys(f_enc), f_enc, dec.gru, dec.out, None)
-    np.testing.assert_allclose(logits.data, want.data, rtol=1e-12, atol=1e-12)
-
-
-def graph_node_count(root):
-    seen, stack = set(), [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node.parents)
-    return len(seen)
+                             ad.array(dec.keys(f_enc).data.T, dtype=np.float64), f_enc, dec.gru, dec.out, None)
+    np.testing.assert_allclose(logits.data, np.concatenate([w.data for w in want]), rtol=1e-12, atol=1e-12)
 
 
 def test_ce_loss_graph_size_does_not_grow_with_target_length():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from penrec import autodiff as ad
-from penrec.gradcheck import check, kernel_cases, model_loss_cases, standard_battery
+from penrec.gradcheck import check, kernel_cases, model_loss_cases, standard_battery, tiny_model, tiny_sequence
+from penrec.training import batch_losses
 
 CASES = standard_battery(seed=0)
 
@@ -45,9 +46,33 @@ def kernel_op_names():
     return ops
 
 
+# kernels with no model caller, kept because the tests compose reference paths from them
+TEST_REFERENCE_KERNELS = {"sigmoid", "tanh", "sub", "softmax", "sum"}
+
+
+def test_every_kernel_has_a_model_caller_or_is_a_test_reference(monkeypatch):
+    reached = set()
+    make = ad._make
+
+    def recording_make(data, parents, op, backward_fn):
+        reached.add(op)
+        return make(data, parents, op, backward_fn)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    model = tiny_model(dtype=np.float32)
+    rng = np.random.default_rng(0)
+    batch = [tiny_sequence(rng), tiny_sequence(rng)]
+    total, _ = batch_losses(model, batch, align_weight=2.0)  # each sample through `sample_losses`
+    ad.backward(total)
+    model.infer_ids(batch[0], max_len=3)
+    unused = kernel_op_names() - reached - TEST_REFERENCE_KERNELS
+    assert not unused, f"no model caller reaches {sorted(unused)}"
+    assert not TEST_REFERENCE_KERNELS & reached, "a test reference kernel has a model caller now"
+
+
 def test_kernel_cases_reach_every_kernel():
     ops = kernel_op_names()
-    assert {"add", "matmul", "conv1d", "conv2d", "bigru", "attention_gru"} <= ops
+    assert {"add", "matmul", "conv1d", "conv2d", "bigru", "attention", "attention_gru"} <= ops
     reached = set()
     for _, loss_fn, _ in kernel_cases(np.random.default_rng(0)):
         stack = [loss_fn()]

@@ -82,3 +82,28 @@ def test_report_schema():
     assert set(rep) == {"cer", "wer", "ar", "cr", "n_sequences", "n_chars"}
     assert rep["n_sequences"] == 2 and rep["n_chars"] == 4
     assert rep["cer"] == pytest.approx(0.25)
+
+
+CORPUS_REFS = ["the cat sat", "abc", "kitten", "a b c d", "xyz"]
+CORPUS_HYPS = ["the cot sat down", "abxc", "sitting", "a c d", ""]
+
+
+def test_report_equals_the_separate_metrics():
+    rep = M.report(CORPUS_REFS, CORPUS_HYPS)
+    ar, cr = M.ar_cr(CORPUS_REFS, CORPUS_HYPS)
+    assert rep == {"cer": M.cer(CORPUS_REFS, CORPUS_HYPS), "wer": M.wer(CORPUS_REFS, CORPUS_HYPS),
+                   "ar": ar, "cr": cr, "n_sequences": 5,
+                   "n_chars": sum(len(r) for r in CORPUS_REFS)}
+
+
+def test_report_aligns_each_pair_once_per_unit(monkeypatch):
+    calls = []
+    real = M.edit_align
+
+    def counting(ref, hyp):
+        calls.append((ref, hyp))
+        return real(ref, hyp)
+
+    monkeypatch.setattr(M, "edit_align", counting)
+    M.report(CORPUS_REFS, CORPUS_HYPS)
+    assert len(calls) == 2 * len(CORPUS_REFS)  # once by characters, once by words

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from penrec import autodiff as ad
-from penrec.config import AlignConfig, EncoderConfig, TrainConfig
-from penrec.data import build_vocab, normalize
+from penrec.config import (AlignConfig, EncoderConfig, TrainConfig, align_config_from_dict,
+                           encoder_config_from_dict)
+from penrec.data import Vocabulary, build_vocab, normalize
 from penrec.gradcheck import tiny_model, tiny_sequence
 from penrec.model import IMAGE_PREFIXES, TRAJ_PREFIXES, Recognizer
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
@@ -343,6 +344,7 @@ def test_empty_ink_sequence_decodes_without_error():
 # checkpoint load: values read in place, every check before the payload
 
 OLD_V4_FILE = Path(__file__).parent / "data" / "v4_d8_seed11.ckpt"
+NEW_V5_FILE = Path(__file__).parent / "data" / "v5_d8_seed11.ckpt"
 
 
 def decoded_payload(blob: bytes) -> dict[str, np.ndarray]:
@@ -381,16 +383,39 @@ def poisoned_empty(monkeypatch):
     monkeypatch.setattr(np, "empty", empty)
 
 
-def test_load_reads_a_file_of_the_previous_loader_to_the_same_values(tmp_path, poisoned_empty):
-    # written at commit 8dbffcd, whose loader built a seeded model and then cast the payload over it
+def fresh_model_of(blob: bytes) -> Recognizer:
+    """A newly initialised model of the config, vocabulary and seed in a checkpoint's header."""
+    header = json.loads(blob.split(b"\n", 1)[0])
+    return Recognizer(encoder_config_from_dict(header["encoder"]), align_config_from_dict(header["alignment"]),
+                      Vocabulary.from_symbols(header["vocab"]), seed=header["seed"])
+
+
+def test_load_reads_a_file_of_the_previous_loader_to_the_same_values(tmp_path):
+    # written at commit 8dbffcd in format 4, with separate attn.wq, attn.wk and attn.wv
     blob = OLD_V4_FILE.read_bytes()
-    model = load_checkpoint(OLD_V4_FILE)
+    with pytest.raises(CheckpointError, match="unsupported version 4"):
+        load_checkpoint(OLD_V4_FILE)
+    # a fresh model at the same seed still draws the same initial values, q, k and v packed in order
+    old = decoded_payload(blob)
+    fresh = fresh_model_of(blob)
+    for name, p in fresh.params.items():
+        if name.endswith(".attn.w_qkv"):
+            prefix = name[:-len("w_qkv")]
+            want = np.concatenate([old.pop(prefix + key) for key in ("wq", "wk", "wv")], axis=1)
+        else:
+            want = old.pop(name)
+        assert p.data.tobytes() == want.astype(np.float32).tobytes(), name
+    assert not old, f"v4 tensors without a v5 counterpart: {sorted(old)}"
+
+
+def test_load_reads_the_v5_fixture_to_its_values(tmp_path, poisoned_empty):
+    # written in format 5 from a fresh model of the v4 fixture's config, vocabulary and seed 11
+    blob = NEW_V5_FILE.read_bytes()
+    model = load_checkpoint(NEW_V5_FILE)
     assert_loaded_in_place(model, blob)
     save_checkpoint(model, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == blob
-    # training still draws the same initial values at the same seed
-    fresh = Recognizer(model.enc_cfg, model.align_cfg, model.vocab, seed=model.seed)
-    save_checkpoint(fresh, tmp_path / "fresh.ckpt")
+    save_checkpoint(fresh_model_of(blob), tmp_path / "fresh.ckpt")
     assert (tmp_path / "fresh.ckpt").read_bytes() == blob
 
 
@@ -493,5 +518,6 @@ def test_load_checkpoint_fuzz_gives_a_model_or_checkpoint_error(tmp_path, tiny_b
         model = load_checkpoint(path)
     except CheckpointError:
         return
+    assert change[0] != "append", "bytes after the payload were accepted"
     assert isinstance(model, Recognizer)
     assert_loaded_in_place(model, blob)
