@@ -10,12 +10,13 @@ stay because the tests compose reference paths from them. The GRU step,
 the softmax and the convolutions' strided-window im2col/col2im are each
 written once, as private helpers the kernels share.
 A parameter's `a.T @ g` gradients are not formed per use: `backward` queues
-them and forms each one with a single matmul over all uses at its end.
+them and forms each one at its end, joining short uses into one matmul.
+Convolutions leave out the kernel rows that read only zero padding.
 Arrays are float32 by default; build everything in float64 for
 finite-difference checks.
 
-Also hosts the optimizer pieces: Adam with bias correction and the cosine
-learning-rate schedule.
+Also hosts the optimizer pieces: Adam with bias correction, updated in
+cache-sized blocks, and the cosine learning-rate schedule.
 """
 
 from __future__ import annotations
@@ -115,27 +116,59 @@ def _acc(p: DiffArray, g) -> None:
             p.grad += g
 
 
-# id(leaf) -> (leaf, [a, ...], [g, ...]) while `backward` runs, None outside it.
+# id(leaf) -> (leaf, {rows: ([a, ...], [g, ...])}) while `backward` runs, None outside it.
 _DEFERRED: dict | None = None
 
+# A queued use with at least this many rows forms its a.T @ g as fast alone as joined to the
+# leaf's other uses; below it, a matmul is mostly call overhead and joining the uses pays.
+_PER_USE_ROWS = 256
 
-def _acc_product(p: DiffArray, a, g) -> None:
+
+def _acc_product(p: DiffArray, a, g, rows: tuple[int, int] | None = None) -> None:
     """Accumulate the gradient (a.T @ g).reshape(p.shape) into p.
 
     a (N, m) and g (N, k) may carry a leading batch axis, (B, N, m) and
-    (B, N, k), whose B products are stacked in order. Inside `backward`, a
-    leaf (a parameter) only queues the pair; `backward` forms the leaf's
-    gradient with one matmul over all of its queued pairs once the reverse
+    (B, N, k), whose B products are stacked in order. With `rows` (lo, hi)
+    the product is only p's leading-axis rows lo:hi; p's other rows get 0.
+    Inside `backward`, a leaf (a parameter) only queues the pair; `backward`
+    forms the leaf's gradient from all of its queued pairs once the reverse
     sweep is done. Anything else accumulates at once.
     """
     if not p.requires_grad:
         return
     if _DEFERRED is not None and p.backward_fn is None:
-        entry = _DEFERRED.setdefault(id(p), (p, [], []))
-        entry[1].append(a)
-        entry[2].append(g)
+        as_, gs = _DEFERRED.setdefault(id(p), (p, {}))[1].setdefault(rows, ([], []))
+        as_.append(a)
+        gs.append(g)
     else:
-        _acc(p, np.matmul(a.swapaxes(-1, -2), g).reshape(p.shape))
+        _add_rows(p, np.matmul(a.swapaxes(-1, -2), g), rows)
+
+
+def _sum_of_products(as_, gs):
+    """The sum over uses of as_[i].T @ gs[i]."""
+    if min(a.shape[-2] for a in as_) >= _PER_USE_ROWS:
+        # no copy into one matrix: with this many rows per use it would buy no speed
+        total = np.matmul(as_[0].swapaxes(-1, -2), gs[0])
+        for a, g in zip(as_[1:], gs[1:]):
+            total += np.matmul(a.swapaxes(-1, -2), g)
+        return total
+    a, g = (as_[0], gs[0]) if len(as_) == 1 else (np.concatenate(as_, axis=-2), np.concatenate(gs, axis=-2))
+    return np.matmul(a.swapaxes(-1, -2), g)
+
+
+def _add_rows(p: DiffArray, dw, rows: tuple[int, int] | None) -> None:
+    """Add the fresh product dw to p.grad, or to its leading-axis rows lo:hi when `rows` is (lo, hi)."""
+    if rows is None:
+        dw = dw.reshape(p.shape)
+        if p.grad is None:
+            p.grad = dw.astype(p.data.dtype, copy=False)  # fresh, so kept rather than copied
+        else:
+            p.grad += dw
+        return
+    lo, hi = rows
+    if p.grad is None:
+        p.grad = np.zeros_like(p.data)
+    p.grad[lo:hi] += dw.reshape((hi - lo, *p.shape[1:]))
 
 
 def backward(loss: DiffArray) -> None:
@@ -143,8 +176,8 @@ def backward(loss: DiffArray) -> None:
 
     Gradients accumulate across multiple uses of the same array. A leaf's
     `a.T @ g` contributions (see `_acc_product`) are summed after the
-    reverse sweep, in one matmul per leaf. Only a scalar-shaped loss is
-    accepted.
+    reverse sweep, per block of rows the uses write. Only a scalar-shaped
+    loss is accepted.
     """
     global _DEFERRED
     if loss.data.shape != ():
@@ -172,15 +205,10 @@ def backward(loss: DiffArray) -> None:
         for node in reversed(order):
             if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
-        # one matmul per leaf over all of its uses, leaves in the order the sweep first queued them
-        for p, as_, gs in _DEFERRED.values():
-            a, g = (as_[0], gs[0]) if len(as_) == 1 else (np.concatenate(as_, axis=-2),
-                                                          np.concatenate(gs, axis=-2))
-            dw = np.matmul(a.swapaxes(-1, -2), g).reshape(p.shape)
-            if p.grad is None:
-                p.grad = dw.astype(p.data.dtype, copy=False)  # fresh, so kept rather than copied
-            else:
-                p.grad += dw
+        # leaves in the order the sweep first queued them
+        for p, uses in _DEFERRED.values():
+            for rows, (as_, gs) in uses.items():
+                _add_rows(p, _sum_of_products(as_, gs), rows)
     finally:  # also when a backward_fn raises: nothing queued outlives this call
         _DEFERRED = None
 
@@ -266,61 +294,89 @@ def conv1d_out_length(length: int, kernel: int, stride: int, pad: int) -> int:
     return (length + 2 * pad - kernel) // stride + 1
 
 
+def _live_taps(size: int, kernel: int, stride: int, pad: int, out: int) -> tuple[int, int]:
+    """The smallest range lo:hi of kernel taps along one axis that holds every tap reading the input.
+
+    Tap i of output o reads padded index o*stride + i, input index
+    o*stride + i - pad. Its first output past the leading padding is
+    o = ceil((pad - i) / stride), or 0, and the tap reads the input if that
+    output exists and its index is short of `size`. The taps outside the
+    range read only zero padding; with pad >= kernel the live taps can have
+    gaps, which the range keeps. (0, 0) when no tap reads the input.
+    """
+    live = []
+    for i in range(kernel):
+        o = max(0, -((i - pad) // stride))
+        if o < out and o * stride + i - pad < size:
+            live.append(i)
+    return (live[0], live[-1] + 1) if live else (0, 0)
+
+
 def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad) -> DiffArray:
     """Strided, zero-padded convolution by im2col, shared by `conv1d` and `conv2d`.
 
     Works on channels-last images: x (H, W, C_in) and w (KH, KW, C_in, C_out)
     give (H_out, W_out, C_out); a 1D input (L, C_in) with weights
     (K, C_in, C_out) runs as a height-1 image and gives (L_out, C_out).
-    `windows` views the padded input as (H_out, W_out, KH, KW, C_in) strided
-    windows, so the gather (im2col) is one copy of that view and, in
+    Kernel rows that read only zero padding for every output row (the image
+    stack's last stages are 2 and 1 rows high) are left out of the im2col
+    matrix and the weight, so they cost nothing and get a zero gradient.
+    `windows` views the padded input as (H_out, W_out, kept rows, KW, C_in)
+    strided windows, so the gather (im2col) is one copy of that view and, in
     backward, the scatter-add back into the input (col2im) is one
-    vectorised slice-add per kernel tap.
+    vectorised slice-add per kept kernel tap.
     """
     cout = w.shape[-1]
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"{op}: incompatible shapes {b.shape} and {w.shape}")
-    if min(stride) < 1 or min(pad) < 0:  # `windows` would reach outside the input
-        raise ShapeError(f"{op}: stride {stride} must be positive and pad {pad} non-negative")
     lead = (1,) * (4 - w.data.ndim)
     xd, wd = x.data.reshape(lead + x.shape), w.data.reshape(lead + w.shape)
     H, W, cin = xd.shape
     kh, kw = wd.shape[:2]
     (sh, sw), (ph, pw) = stride, pad
     ho, wo = conv1d_out_length(H, kh, sh, ph), conv1d_out_length(W, kw, sw, pw)
-    xp = xd
+    lo, hi = _live_taps(H, kh, sh, ph, ho)
+    taps = (hi - lo) * kw
     if ph or pw:  # filled by hand: np.pad's own overhead is most of a small conv1d call
         xp = np.zeros((H + 2 * ph, W + 2 * pw, cin), dtype=xd.dtype)
         xp[ph:ph + H, pw:pw + W] = xd
+    else:  # `windows` addresses the array's own memory, so it must be laid out C-contiguously
+        xp = np.ascontiguousarray(xd)
 
     def windows(a):
-        # [oi, oj, i, j] is a[oi*sh + i, oj*sw + j]: tap (i, j) of output (oi, oj), always in bounds
+        # [oi, oj, i, j] is a[oi*sh + lo + i, oj*sw + j]: tap (lo + i, j) of output (oi, oj), always in bounds
         s0, s1, s2 = a.strides
-        return np.lib.stride_tricks.as_strided(a, (ho, wo, kh, kw, cin), (s0 * sh, s1 * sw, s0, s1, s2))
+        return np.ndarray((ho, wo, hi - lo, kw, cin), a.dtype, a, lo * s0, (s0 * sh, s1 * sw, s0, s1, s2))
 
-    cols = windows(xp).reshape(ho * wo, kh * kw * cin)
-    w2 = wd.reshape(kh * kw * cin, cout)
+    cols = windows(xp).reshape(ho * wo, taps * cin)
+    w2 = wd[lo:hi].reshape(taps * cin, cout)
     y = cols @ w2
     if b is not None:
-        y = y + b.data
+        y += b.data
 
     def back(g):
         g2 = g.reshape(ho * wo, cout)
-        _acc_product(w, cols, g2)
+        _acc_product(w, cols, g2, None if hi - lo == kh else (lo, hi))
         if b is not None:
             _acc(b, g2.sum(axis=0))
         if x.requires_grad:
-            dcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, cin)
+            # tap-major, (taps, H_out * W_out, C_in): each tap's slice-add reads one contiguous block
+            dcols = np.matmul(g2, w2.reshape(taps, cin, cout).swapaxes(1, 2))
             dxp = np.zeros_like(xp)
             dwin = windows(dxp)
             # windows of different taps overlap, those of one tap do not
-            for i in range(kh):
-                for j in range(kw):
-                    dwin[:, :, i, j] += dcols[:, :, i, j]
+            for t in range(taps):
+                dwin[:, :, t // kw, t % kw] += dcols[t].reshape(ho, wo, cin)
             _acc(x, dxp[ph:ph + H, pw:pw + W].reshape(x.shape))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(y.reshape((ho, wo, cout)[len(lead):]), parents, op, back)
+
+
+def _check_stride_pad(op, stride, pad) -> None:
+    # before any output length, which divides by the stride; `windows` would reach outside the input
+    if min(stride) < 1 or min(pad) < 0:
+        raise ShapeError(f"{op}: stride {stride} must be positive and pad {pad} non-negative")
 
 
 def conv1d(x: DiffArray, w: DiffArray, b: DiffArray | None, stride: int = 1, pad: int = 0) -> DiffArray:
@@ -331,6 +387,7 @@ def conv1d(x: DiffArray, w: DiffArray, b: DiffArray | None, stride: int = 1, pad
     """
     if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
+    _check_stride_pad("conv1d", (1, stride), (0, pad))
     if conv1d_out_length(x.shape[0], w.shape[0], stride, pad) <= 0:
         raise ShapeError(f"conv1d: input shape {x.shape} too short for kernel {w.shape}")
     return _conv("conv1d", x, w, b, (1, stride), (0, pad))
@@ -344,6 +401,7 @@ def conv2d(x: DiffArray, w: DiffArray, b: DiffArray | None,
     """
     if x.data.ndim != 3 or w.data.ndim != 4 or x.shape[2] != w.shape[2]:
         raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
+    _check_stride_pad("conv2d", stride, pad)
     if min(map(conv1d_out_length, x.shape[:2], w.shape[:2], stride, pad)) <= 0:
         raise ShapeError(f"conv2d: input shape {x.shape} too small for kernel {w.shape}")
     return _conv("conv2d", x, w, b, stride, pad)
@@ -779,11 +837,41 @@ class AdamState:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
+# Elements per block of `adam_step`: its 14 elementwise passes over a block then stay in
+# cache, where over a whole d=320 tensor (up to millions of elements) each pass streams memory.
+_ADAM_BLOCK = 1 << 16
+
+
+def _adam_update(p, g, m, v, t1, t2, b1, b2, c1, c2, lr, eps) -> None:
+    """In place: the moment updates of m and v, then p -= lr * (m / c1) / (sqrt(v / c2) + eps).
+
+    t1 and t2 are scratch of p's shape. The operations and their order are
+    those of the plain array expressions, so every rounding is theirs too.
+    """
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=t1)
+    m += t1
+    v *= b2
+    np.multiply(g, g, out=t1)
+    t1 *= 1.0 - b2
+    v += t1
+    np.divide(m, c1, out=t1)
+    t1 *= lr
+    np.divide(v, c2, out=t2)
+    np.sqrt(t2, out=t2)
+    t2 += eps
+    t1 /= t2
+    p -= t1
+
+
 def adam_step(params: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update over `params` (name -> DiffArray).
 
     Missing grads count as zero. Any non-finite gradient rejects the whole
-    step before touching parameters or state.
+    step before touching parameters or state. A tensor larger than
+    `_ADAM_BLOCK` elements is updated in blocks of that size through two
+    reused scratch buffers. A smaller one, or one without a flat view (it,
+    its gradient or its moments not C-contiguous), is updated whole.
     """
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
@@ -797,17 +885,21 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
         grads[name] = g
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    consts = (b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, lr, state.epsilon)
+    scratch = {}  # dtype -> two buffers of one block
     for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        arrays = (p.data, grads[name], state.m[name], state.v[name])
+        n = p.data.size
+        if n <= _ADAM_BLOCK or not all(a.flags.c_contiguous for a in arrays):
+            _adam_update(*arrays, np.empty_like(p.data), np.empty_like(p.data), *consts)
+            continue
+        flat = [a.reshape(-1) for a in arrays]  # views, so the updates land in p, m and v
+        if p.data.dtype not in scratch:
+            scratch[p.data.dtype] = [np.empty(_ADAM_BLOCK, dtype=p.data.dtype) for _ in range(2)]
+        for start in range(0, n, _ADAM_BLOCK):
+            end = min(start + _ADAM_BLOCK, n)
+            _adam_update(*(a[start:end] for a in flat), *(b[:end - start] for b in scratch[p.data.dtype]),
+                         *consts)
     state.step = t
 
 

@@ -109,8 +109,8 @@ def kernel_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
         return lambda: p(ad.conv1d(x, w, b, stride=stride, pad=pad)), [x, w, b]
 
-    def conv2d_case(stride, pad, k=3):
-        x, w, b = _rand(rng, (8, 10, 2)), _rand(rng, (k, k, 2, 3)), _rand(rng, (3,))
+    def conv2d_case(stride, pad, k=3, height=8):
+        x, w, b = _rand(rng, (height, 10, 2)), _rand(rng, (k, k, 2, 3)), _rand(rng, (3,))
         p = fixed_projector(rng)
         return lambda: p(ad.conv2d(x, w, b, stride=stride, pad=pad)), [x, w, b]
 
@@ -198,6 +198,10 @@ def kernel_cases(rng: np.random.Generator):
         ("bigru_t5", *bigru_case(5)),
         ("attention_self_h2", *attention_case(5, 2, 3)),
         ("attention_gru", *attention_gru_case()),
+        # inputs 1 and 2 rows high, whose padding-only kernel rows the convolution leaves out;
+        # last, so the cases above keep their draws
+        ("conv2d_h1_s11_p11", *conv2d_case((1, 1), (1, 1), height=1)),
+        ("conv2d_h2_s21_p11", *conv2d_case((2, 1), (1, 1), height=2)),
     ]
 
 

@@ -44,7 +44,12 @@ def _conv_loop_oracle(x, w, b, g, stride, pad):
 
 # the model's stride/pad pairs: image stem, strided block conv, stride-1 conv,
 # 1x1 projection shortcut; trajectory conv at strides 1 and 2 with pad (K-1)//2;
-# and a stride-2 conv1d whose last input row lies outside every window
+# a stride-2 conv1d whose last input row lies outside every window; then inputs
+# 1 and 2 rows high, where kernel rows read only padding and are left out: the
+# image stack's last stage (rows 0 and 2 left out at height 1, row 0 at height 2
+# and stride 2), a height-2 stride-1 conv that keeps every row, a 1x1 kernel
+# whose one row reads only padding, and pad 2 where rows 0 and 2 read the input
+# and row 1 does not
 CONV_CASES = [
     pytest.param("conv2d", (9, 11, 2), (3, 3, 2, 4), (2, 1), (1, 1), id="conv2d_s21_p11"),
     pytest.param("conv2d", (9, 11, 2), (3, 3, 2, 4), (2, 2), (1, 1), id="conv2d_s22_p11"),
@@ -53,7 +58,22 @@ CONV_CASES = [
     pytest.param("conv1d", (12, 3), (3, 3, 4), 1, 1, id="conv1d_s1_p1"),
     pytest.param("conv1d", (12, 3), (3, 3, 4), 2, 1, id="conv1d_s2_p1"),
     pytest.param("conv1d", (12, 3), (3, 3, 4), 2, 0, id="conv1d_s2_p0"),
+    pytest.param("conv2d", (1, 7, 3), (3, 3, 3, 4), (1, 1), (1, 1), id="conv2d_h1_s11_p11"),
+    pytest.param("conv2d", (2, 7, 3), (3, 3, 3, 4), (2, 1), (1, 1), id="conv2d_h2_s21_p11"),
+    pytest.param("conv2d", (2, 7, 3), (3, 3, 3, 4), (1, 1), (1, 1), id="conv2d_h2_s11_p11"),
+    pytest.param("conv2d", (1, 7, 3), (1, 1, 3, 4), (2, 2), (1, 1), id="conv2d_h1_k1_s22_p11_no_live_row"),
+    pytest.param("conv2d", (1, 7, 3), (3, 3, 3, 4), (2, 1), (2, 1), id="conv2d_h1_s21_p21_rows_0_and_2"),
 ]
+
+
+@pytest.mark.parametrize("size,kernel,stride,pad,want", [
+    (1, 3, 1, 1, (1, 2)), (2, 3, 2, 1, (1, 3)), (2, 3, 1, 1, (0, 3)), (1, 1, 2, 1, (0, 0)),
+    (1, 3, 2, 2, (0, 3)), (12, 3, 2, 0, (0, 3))])
+def test_live_taps_is_the_smallest_range_holding_every_tap_that_reads_the_input(size, kernel, stride, pad, want):
+    out = ad.conv1d_out_length(size, kernel, stride, pad)
+    reads = [i for i in range(kernel) if any(0 <= o * stride + i - pad < size for o in range(out))]
+    assert ad._live_taps(size, kernel, stride, pad, out) == want
+    assert want == ((reads[0], reads[-1] + 1) if reads else (0, 0))
 
 
 @pytest.mark.parametrize("op,x_shape,w_shape,stride,pad", CONV_CASES)
@@ -71,12 +91,66 @@ def test_conv_matches_loop_oracle_in_float64(op, x_shape, w_shape, stride, pad):
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
 
 
-# lengths for which the output-length formula alone would accept these
-@pytest.mark.parametrize("length,stride,pad", [(2, -1, 0), (6, 1, -1)])
+def test_one_weight_on_inputs_1_and_4_rows_high_gets_both_gradients():
+    # the height-1 use writes only kernel row 1 of the gradient, the height-4 use every row
+    rng = np.random.default_rng(7)
+    wd, bd = rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
+    w, b = ad.array(wd, requires_grad=True, dtype=np.float64), ad.array(bd, requires_grad=True, dtype=np.float64)
+    xds = [rng.normal(size=(h, 5, 2)) for h in (1, 4)]
+    xs = [ad.array(xd, requires_grad=True, dtype=np.float64) for xd in xds]
+    ys = [ad.conv2d(x, w, b, stride=(1, 1), pad=(1, 1)) for x in xs]
+    gs = [rng.normal(size=y.shape) for y in ys]
+    ad.backward(ad.add(*(ad.asum(ad.mul(y, ad.array(g, dtype=np.float64))) for y, g in zip(ys, gs))))
+    expected = [_conv_loop_oracle(xd, wd, bd, g, (1, 1), (1, 1)) for xd, g in zip(xds, gs)]
+    for x, y, (want_y, want_dx, _, _) in zip(xs, ys, expected):
+        np.testing.assert_allclose(y.data, want_y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, want_dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.grad, expected[0][2] + expected[1][2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, expected[0][3] + expected[1][3], rtol=0, atol=1e-12)
+
+
+def test_a_leaf_with_long_and_short_uses_gets_the_same_gradient_per_use_and_joined(monkeypatch):
+    rng = np.random.default_rng(12)
+    w = ad.array(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
+    xs = [rng.normal(size=(rows, 3)) for rows in (ad._PER_USE_ROWS, 5, 2 * ad._PER_USE_ROWS)]
+    gs = [rng.normal(size=(x.shape[0], 4)) for x in xs]
+
+    def loss(uses):
+        terms = [ad.asum(ad.mul(ad.matmul(ad.array(xs[i], dtype=np.float64), w), ad.array(gs[i], dtype=np.float64)))
+                 for i in uses]
+        return functools.reduce(ad.add, terms)
+
+    for per_use_rows in (1, ad._PER_USE_ROWS, 10 ** 9):  # every use alone, the default rule, all joined
+        monkeypatch.setattr(ad, "_PER_USE_ROWS", per_use_rows)
+        for uses in ((0, 2), (0, 1, 2)):  # long uses only, long and short
+            w.grad = None
+            ad.backward(loss(uses))
+            np.testing.assert_allclose(w.grad, sum(xs[i].T @ gs[i] for i in uses), rtol=1e-12, atol=1e-12)
+
+
+# lengths for which the output-length formula alone would accept these; stride 0
+# would divide by zero in the output length
+@pytest.mark.parametrize("length,stride,pad", [(2, -1, 0), (6, 1, -1), (6, 0, 0)])
 def test_conv_rejects_negative_stride_or_pad(length, stride, pad):
     x, w = ad.array(np.zeros((length, 1))), ad.array(np.zeros((3, 1, 1)))
     with pytest.raises(ad.ShapeError, match="conv1d: stride"):
         ad.conv1d(x, w, None, stride=stride, pad=pad)
+    x, w = ad.array(np.zeros((length, length, 1))), ad.array(np.zeros((3, 3, 1, 1)))
+    with pytest.raises(ad.ShapeError, match="conv2d: stride"):
+        ad.conv2d(x, w, None, stride=(stride, 1), pad=(pad, 0))
+    with pytest.raises(ad.ShapeError, match="conv2d: stride"):
+        ad.conv2d(x, w, None, stride=(1, stride), pad=(0, pad))
+
+
+def test_conv_of_a_non_contiguous_unpadded_input_reads_its_values():
+    # the im2col view addresses memory by strides, so a transposed input must be copied first
+    rng = np.random.default_rng(10)
+    xd, wd = rng.normal(size=(6, 5, 2)), rng.normal(size=(3, 3, 2, 4))
+    x = ad.array(xd.transpose(1, 0, 2), dtype=np.float64)
+    assert not x.data.flags.c_contiguous
+    y = ad.conv2d(x, ad.array(wd, dtype=np.float64), None)
+    want = _conv_loop_oracle(xd.transpose(1, 0, 2), wd, np.zeros(4), np.zeros((3, 4, 4)), (1, 1), (0, 0))[0]
+    np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-12)
 
 
 def test_matmul_against_triple_loop_oracle():
@@ -306,6 +380,56 @@ def test_adam_rejects_nan_gradient_with_parameter_name():
     # rejected step must leave everything untouched
     assert state.step == 0
     assert float(p.data[0]) == 1.0
+
+
+def _adam_by_formula(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step on copies, as whole-array expressions."""
+    p, m, v = p.copy(), m.copy(), v.copy()
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return p, m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_blocks_equals_the_whole_array_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(11)
+    block = ad._ADAM_BLOCK
+    # longer than a block, exactly a block, a scalar, and a transposed (non-contiguous) matrix
+    values = [rng.normal(size=(3, block // 2 + 5)), rng.normal(size=block), rng.normal(size=()),
+              rng.normal(size=(6, 4)).T]
+    params = {f"p{i}": ad.array(v, requires_grad=True, dtype=dtype) for i, v in enumerate(values)}
+    assert not params["p3"].data.flags.c_contiguous
+    state = ad.AdamState(params)
+    want = {name: (p.data.copy(), state.m[name].copy(), state.v[name].copy()) for name, p in params.items()}
+    for step, lr in enumerate((1e-3, 3e-3, 2e-3), start=1):
+        for name, p in params.items():
+            p.grad = rng.normal(size=p.shape).astype(dtype)
+            pw, mw, vw = want[name]
+            want[name] = _adam_by_formula(pw, p.grad, mw, vw, step, lr)
+        ad.adam_step(params, state, lr=lr)
+        for name, p in params.items():
+            for got, expected in zip((p.data, state.m[name], state.v[name]), want[name]):
+                assert got.dtype == dtype and got.tobytes() == expected.tobytes(), name
+
+
+def test_adam_nan_in_the_last_tensor_leaves_every_tensor_untouched():
+    rng = np.random.default_rng(13)
+    params = {name: _param(rng.normal(size=n)) for name, n in (("big", ad._ADAM_BLOCK + 7), ("small", 3))}
+    state = ad.AdamState(params)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape).astype(np.float32)
+    ad.adam_step(params, state, lr=0.1)
+    before = {name: (p.data.copy(), state.m[name].copy(), state.v[name].copy()) for name, p in params.items()}
+    params["small"].grad[-1] = np.nan
+    with pytest.raises(ValueError, match="small"):
+        ad.adam_step(params, state, lr=0.1)
+    assert state.step == 1
+    for name, p in params.items():
+        for got, kept in zip((p.data, state.m[name], state.v[name]), before[name]):
+            np.testing.assert_array_equal(got, kept)
 
 
 def test_adam_is_deterministic():

@@ -1,5 +1,7 @@
 """Encoder contracts: frame clocks, widths, positions, shift equivariance."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,19 @@ def test_encoder_outputs_finite_for_large_inputs():
     assert np.all(np.isfinite(feat.values.data))
     f_enc, _, _ = m.trajectory_features(TrajectorySequence(id="big", points=pts, text="a"))
     assert np.all(np.isfinite(f_enc.data))
+
+
+def test_padding_only_kernel_rows_of_the_last_stage_are_never_read():
+    # stage 3 sees inputs 2 and then 1 row high: conv1 (stride 2) reads kernel rows 1-2 only,
+    # conv2 row 1 only; NaN in the other rows would poison the loss if they were multiplied by padding
+    m = Recognizer(EncoderConfig(d=64), AlignConfig(), Vocabulary(list("abc")), seed=0)
+    dead = {"img_cnn.s3.b0.conv1.w": [0], "img_cnn.s3.b0.conv2.w": [0, 2]}
+    for name, rows in dead.items():
+        m.params[name].data[rows] = np.nan
+    losses = [loss for loss in m.sample_losses(line_sequence(40)).values() if loss is not None]
+    assert all(np.isfinite(loss.data) for loss in losses)
+    ad.backward(functools.reduce(ad.add, losses))
+    for name, rows in dead.items():
+        grad = m.params[name].grad
+        assert np.all(grad[rows] == 0.0), name
+        assert np.all(np.isfinite(grad)) and np.any(np.delete(grad, rows, axis=0) != 0.0), name
