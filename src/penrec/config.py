@@ -217,10 +217,6 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:  # bad JSON, not UTF-8, or an integer past json's digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, not UTF-8, too many digits or too deep
         raise ConfigError(f"{path}: invalid JSON ({getattr(e, 'msg', e)})") from e
     return run_config_from_dict(raw)
-
-
-def to_dict(cfg) -> dict:
-    return dataclasses.asdict(cfg)

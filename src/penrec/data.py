@@ -67,20 +67,27 @@ def _parse_record(line: str, where: str, require_text: bool) -> TrajectorySequen
     """The validated sequence on one dataset line; `where` names the line in errors."""
     try:
         rec = json.loads(line)
-    except ValueError as e:  # also json's limit on the digits of an integer
+    except (ValueError, RecursionError) as e:  # also json's digit limit and nesting past the recursion limit
         raise DataError(f"{where}: invalid JSON ({getattr(e, 'msg', e)})") from e
     if not isinstance(rec, dict) or "id" not in rec or "points" not in rec:
         raise DataError(f"{where}: expected object with id/points/text fields")
     if require_text and "text" not in rec:
         raise DataError(f"{where}: missing text field")
+    if not isinstance(rec["id"], str):
+        raise DataError(f"{where}: id must be a string, got {json.dumps(rec['id'])}")
+    rows = rec["points"]
+    # JSON numbers only: numpy would read the string "1e1" as 10.0 and true as 1.0
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in rows)):
+        raise DataError(f"{where}: points must be a list of [px, py, s] rows of JSON numbers")
     try:
-        pts = np.asarray(rec["points"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an integer beyond the double range
+        pts = np.asarray(rows, dtype=np.float64)
+    except (ValueError, OverflowError) as e:  # rows of unequal length; an integer beyond the double range
         raise DataError(f"{where}: bad points array") from e
     text = rec.get("text", "")
     if not isinstance(text, str):
         raise DataError(f"{where}: text must be a string, got {json.dumps(text)}")
-    seq = TrajectorySequence(id=str(rec["id"]), points=pts, text=text)
+    seq = TrajectorySequence(id=rec["id"], points=pts, text=text)
     validate_sequence(seq, where)
     return seq
 
@@ -240,9 +247,6 @@ class Vocabulary:
 
     def decode(self, ids) -> str:
         return "".join(self.symbols[i] for i in ids if i > EOS)
-
-    def to_list(self) -> list[str]:
-        return list(self.symbols)
 
     @classmethod
     def from_symbols(cls, symbols) -> "Vocabulary":

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffArray
 from .data import EOS, SOS
-from .layers import GRUCell, Linear, ParamStore
+from .layers import Linear, ParamStore
 
 
 class AttentionDecoder:
@@ -30,11 +30,17 @@ class AttentionDecoder:
         self.embed = store.new(f"{name}.embed", (vocab_size, d), f"uniform:{1.0 / math.sqrt(d)}")
         self.wq = store.new(f"{name}.wq", (d, d), "glorot")
         self.wk = store.new(f"{name}.wk", (d, d), "glorot")
-        self.gru = GRUCell(store, f"{name}.gru", d, d)
+        # the GRU cell's packed [r | z | n] gate weights, in `ad.attention_gru`'s argument order
+        u = f"uniform:{1.0 / math.sqrt(d)}"
+        w_x = store.new(f"{name}.gru.w_x", (d, 3 * d), u)
+        w_h = store.new(f"{name}.gru.w_h", (d, 3 * d), u)
+        b_x = store.new(f"{name}.gru.b_x", (3 * d,), "zeros")
+        b_h = store.new(f"{name}.gru.b_h", (3 * d,), "zeros")
+        self.gru = (w_x, b_x, w_h, b_h)
         self.out = Linear(store, f"{name}.out", d, vocab_size)
 
     def initial_state(self) -> DiffArray:
-        return self.store.zeros_like_const((1, self.d))
+        return self.store.const(np.zeros((1, self.d)))
 
     def keys(self, f_enc: DiffArray) -> DiffArray:
         """Attention keys (frames, d) of the encoded sequence, shared by all its steps."""
@@ -49,8 +55,7 @@ class AttentionDecoder:
             if not 0 <= tok < self.vocab_size:
                 raise ValueError(f"token {tok} out of vocabulary (size {self.vocab_size})")
         ys = ad.gather_rows(self.embed, prev_ids)
-        g = self.gru
-        states = ad.attention_gru(ys, state, self.wq, keys, f_enc, g.w_x, g.b_x, g.w_h, g.b_h, attn_sink)
+        states = ad.attention_gru(ys, state, self.wq, keys, f_enc, *self.gru, attn_sink)
         return self.out(states), states
 
     def step_logits(self, prev_token: int, state: DiffArray, f_enc: DiffArray, keys: DiffArray,

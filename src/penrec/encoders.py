@@ -32,14 +32,6 @@ class FeatureSequence:
     values: DiffArray
     positions: np.ndarray
 
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 class Conv1dStack:
     def __init__(self, store: ParamStore, name: str, in_channels: int, spec):

@@ -81,12 +81,6 @@ class ParamStore:
         self.params[name] = p
         return p
 
-    def group(self, prefix: str) -> dict[str, DiffArray]:
-        return {n: p for n, p in self.params.items() if n.startswith(prefix)}
-
-    def zeros_like_const(self, shape) -> DiffArray:
-        return ad.array(np.zeros(shape), dtype=self.dtype)
-
     def const(self, values) -> DiffArray:
         return ad.array(values, dtype=self.dtype)
 
@@ -102,60 +96,37 @@ class Linear:
         return ad.matmul(x, self.w, self.b)
 
 
-class GRUCell:
-    """Packed gate weights of a standard gated recurrent cell.
-
-    The input side `w_x` (d_in, 3H), `b_x` and the hidden side `w_h`
-    (H, 3H), `b_h` each hold the r, z and n gates as column blocks
-    [r | z | n]; the decoder's `ad.attention_gru` runs the recurrence.
-    """
-
-    def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int):
-        u = f"uniform:{1.0 / math.sqrt(d_hidden)}"
-        self.w_x = store.new(f"{name}.w_x", (d_in, 3 * d_hidden), u)
-        self.w_h = store.new(f"{name}.w_h", (d_hidden, 3 * d_hidden), u)
-        self.b_x = store.new(f"{name}.b_x", (3 * d_hidden,), "zeros")
-        self.b_h = store.new(f"{name}.b_h", (3 * d_hidden,), "zeros")
-
-
-class BiGRULayer:
-    """One bidirectional layer: (T, d_in) -> (T, 2H), [forward | backward] states.
-
-    Both directions' weights are packed as `ad.bigru` takes them: `w_x`
-    (d_in, 6H) and `b_x` (6H,) hold the forward's gate blocks [r | z | n],
-    then the backward's; `w_h` (2H, 3H) the forward's rows, then the
-    backward's; `b_h` (6H,) as `b_x`. The weights are drawn as two separate
-    cells would draw them (forward w_x, w_h, then backward w_x, w_h, each
-    uniform within 1/sqrt(H)), each into its block of the packed arrays.
-    """
-
-    def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int):
-        H = d_hidden
-        self.h0 = store.zeros_like_const((2, H))
-        u = f"uniform:{1.0 / math.sqrt(H)}"
-        w_x, w_h = store.empty((d_in, 6 * H)), store.empty((2 * H, 3 * H))
-        for block in (w_x[:, :3 * H], w_h[:H], w_x[:, 3 * H:], w_h[H:]):
-            store.fill(block, u)
-        self.w_x = store.put(f"{name}.w_x", w_x)
-        self.w_h = store.put(f"{name}.w_h", w_h)
-        self.b_x = store.new(f"{name}.b_x", (6 * H,), "zeros")
-        self.b_h = store.new(f"{name}.b_h", (6 * H,), "zeros")
-
-    def __call__(self, xs: DiffArray) -> DiffArray:
-        return ad.bigru(xs, self.h0, self.w_x, self.b_x, self.w_h, self.b_h)
-
-
 class BiGRUStack:
-    """`layers` bidirectional layers, width d in and out (hidden d/2 each way)."""
+    """`layers` bidirectional layers, width d in and out: [forward | backward] states, d/2 each.
+
+    Each layer's weights are packed as `ad.bigru` takes them: `w_x` (d, 6H)
+    and `b_x` (6H,) hold the forward's gate blocks [r | z | n], then the
+    backward's; `w_h` (2H, 3H) the forward's rows, then the backward's;
+    `b_h` (6H,) as `b_x`. The weights are drawn as two separate cells would
+    draw them (forward w_x, w_h, then backward w_x, w_h, each uniform within
+    1/sqrt(H)), each into its block of the packed arrays.
+    """
 
     def __init__(self, store: ParamStore, name: str, d: int, layers: int):
         if d % 2 != 0:
             raise ValueError(f"BiGRU width must be even, got {d}")
-        self.layers = [BiGRULayer(store, f"{name}.l{i}", d, d // 2) for i in range(layers)]
+        H = d // 2
+        self.h0 = store.const(np.zeros((2, H)))
+        u = f"uniform:{1.0 / math.sqrt(H)}"
+        self.layers = []  # (w_x, b_x, w_h, b_h) per layer
+        for i in range(layers):
+            w_x, w_h = store.empty((d, 6 * H)), store.empty((2 * H, 3 * H))
+            for block in (w_x[:, :3 * H], w_h[:H], w_x[:, 3 * H:], w_h[H:]):
+                store.fill(block, u)
+            w_x = store.put(f"{name}.l{i}.w_x", w_x)
+            w_h = store.put(f"{name}.l{i}.w_h", w_h)
+            b_x = store.new(f"{name}.l{i}.b_x", (6 * H,), "zeros")
+            b_h = store.new(f"{name}.l{i}.b_h", (6 * H,), "zeros")
+            self.layers.append((w_x, b_x, w_h, b_h))
 
     def __call__(self, xs: DiffArray) -> DiffArray:
-        for layer in self.layers:
-            xs = layer(xs)
+        for weights in self.layers:
+            xs = ad.bigru(xs, self.h0, *weights)
         return xs
 
 

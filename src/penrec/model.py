@@ -48,10 +48,6 @@ class Recognizer:
     def params(self) -> dict[str, DiffArray]:
         return self.store.params
 
-    def param_groups(self) -> dict[str, dict[str, DiffArray]]:
-        prefixes = TRAJ_PREFIXES + IMAGE_PREFIXES
-        return {p.rstrip("."): self.store.group(p) for p in prefixes}
-
     # ----- trajectory stream -------------------------------------------------
 
     def trajectory_features(self, seq: TrajectorySequence) -> tuple[DiffArray, FeatureSequence, DiffArray | None]:

@@ -34,6 +34,12 @@ GLYPH_STROKES: dict[str, tuple[tuple[tuple[float, float], ...], ...]] = {
 
 DEFAULT_ALPHABET = "abcdefghi"
 
+GLYPH_STEP = 0.18      # largest gap between resampled template points, unit box
+GLYPH_SIZE = 24.0      # glyph box side, px
+ADVANCE = 1.2          # glyph pitch, in glyph sizes
+GLYPH_JITTER = 0.05    # uniform glyph offset per axis, in glyph sizes
+POINT_JITTER = 0.012   # Gaussian point noise, in glyph sizes
+
 
 def _resample(stroke, step: float) -> np.ndarray:
     """Subdivide a polyline so consecutive points are at most `step` apart."""
@@ -47,16 +53,14 @@ def _resample(stroke, step: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def glyph_points(ch: str, step: float = 0.18) -> list[np.ndarray]:
+def glyph_points(ch: str) -> list[np.ndarray]:
     if ch not in GLYPH_STROKES:
         raise KeyError(f"no glyph template for {ch!r}")
-    return [_resample(s, step) for s in GLYPH_STROKES[ch]]
+    return [_resample(s, GLYPH_STEP) for s in GLYPH_STROKES[ch]]
 
 
 def synth_generate(alphabet: str, n: int, rng: np.random.Generator,
                    length_range: tuple[int, int] = (2, 4),
-                   glyph_size: float = 24.0, advance: float = 1.2,
-                   glyph_jitter: float = 0.05, point_jitter: float = 0.012,
                    id_prefix: str = "synth") -> list[TrajectorySequence]:
     """Generate `n` sequences with uniform random transcripts over `alphabet`.
 
@@ -78,11 +82,11 @@ def synth_generate(alphabet: str, n: int, rng: np.random.Generator,
         chars = [symbols[int(j)] for j in rng.integers(0, len(symbols), size=length)]
         rows = []
         for k, ch in enumerate(chars):
-            ox = (k * advance + rng.uniform(-glyph_jitter, glyph_jitter)) * glyph_size
-            oy = rng.uniform(-glyph_jitter, glyph_jitter) * glyph_size
+            ox = (k * ADVANCE + rng.uniform(-GLYPH_JITTER, GLYPH_JITTER)) * GLYPH_SIZE
+            oy = rng.uniform(-GLYPH_JITTER, GLYPH_JITTER) * GLYPH_SIZE
             for stroke in glyph_points(ch):
-                pts = stroke * glyph_size
-                pts = pts + rng.normal(0.0, point_jitter * glyph_size, size=pts.shape)
+                pts = stroke * GLYPH_SIZE
+                pts = pts + rng.normal(0.0, POINT_JITTER * GLYPH_SIZE, size=pts.shape)
                 pts[:, 0] += ox
                 pts[:, 1] += oy
                 rows.append([pts[0, 0], pts[0, 1], 0.0])

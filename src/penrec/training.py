@@ -8,6 +8,7 @@ seed: parameter init, shuffling, and augmentation all derive from it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -23,7 +24,7 @@ from . import autodiff as ad
 from . import metrics
 from .autodiff import AdamState
 from .config import (AlignConfig, EncoderConfig, TrainConfig,
-                     align_config_from_dict, encoder_config_from_dict, to_dict)
+                     align_config_from_dict, encoder_config_from_dict)
 from .data import Vocabulary, augment, normalize
 from .layers import ParamStore
 from .model import IMAGE_PREFIXES, Recognizer
@@ -205,10 +206,10 @@ def evaluate(model: Recognizer, dataset, max_decode_len: int = 256) -> dict:
 # 8-byte little-endian payload length equal to the bytes that follow it, then
 # raw little-endian float32 data. Version 5 packs each transformer layer's
 # attention projections into one tensor, align.l0.attn.w_qkv (d, 3d): column
-# blocks [q | k | v], heads as column blocks inside each; version 4 held
-# attn.wq, attn.wk and attn.wv. Each BiGRU layer packs both directions into
-# four tensors, for example traj_gru.l0.w_x (forward gate blocks, then
-# backward), and the decoders' GRU cells keep their packed w_x, w_h, b_x, b_h.
+# blocks [q | k | v], heads as column blocks inside each. Each BiGRU layer
+# packs both directions into four tensors, for example traj_gru.l0.w_x
+# (forward gate blocks, then backward), and the decoders' GRU cells keep
+# their packed w_x, w_h, b_x, b_h.
 
 
 def save_checkpoint(model: Recognizer, path) -> None:
@@ -229,10 +230,10 @@ def save_checkpoint(model: Recognizer, path) -> None:
         offset += arr.size
     header = {
         "version": CHECKPOINT_VERSION,
-        "encoder": to_dict(model.enc_cfg),
-        "alignment": to_dict(model.align_cfg),
+        "encoder": dataclasses.asdict(model.enc_cfg),
+        "alignment": dataclasses.asdict(model.align_cfg),
         "seed": model.seed,
-        "vocab": model.vocab.to_list(),
+        "vocab": list(model.vocab.symbols),
         "manifest": manifest,
     }
     tmp = path.with_name(path.name + ".tmp")
@@ -262,7 +263,7 @@ def _check_header(header, path) -> None:
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:
         raise CheckpointError(f"{path}: missing header keys {missing}")
-    if header["version"] != CHECKPOINT_VERSION:
+    if not _is_int(header["version"]) or header["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {header['version']} "
                               f"(this build reads version {CHECKPOINT_VERSION})")
     if not _is_int(header["seed"]) or header["seed"] < 0:
@@ -297,7 +298,7 @@ def load_checkpoint(path) -> Recognizer:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except ValueError as e:  # bad JSON, not UTF-8, or an integer past json's digit limit
+        except (ValueError, RecursionError) as e:  # bad JSON, not UTF-8, too many digits or too deep
             raise CheckpointError(f"{path}: bad header") from e
         _check_header(header, path)
         manifest = header["manifest"]

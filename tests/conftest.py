@@ -2,6 +2,8 @@
 
 import functools
 
+from hypothesis import strategies as st
+
 
 def edit_oracle(ref, hyp):
     """Brute-force recursive-memo alignment, independent of the package DP.
@@ -33,6 +35,14 @@ def edit_oracle(ref, hyp):
         return options[0][2]
 
     return go(0, 0)
+
+
+def json_values():
+    """JSON value trees, NaN, ±Infinity and unbounded integers included."""
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+               | st.text(max_size=8))
+    return st.recursive(scalars, lambda kids: st.lists(kids, max_size=4)
+                        | st.dictionaries(st.text(max_size=8), kids, max_size=4), max_leaves=12)
 
 
 def graph_node_count(root):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_values
 from penrec import autodiff as ad
 from penrec.cli import main
 from penrec.config import (AlignConfig, ConfigError, EncoderConfig, RunConfig, TrainConfig,
@@ -165,14 +166,6 @@ def test_non_finite_config_float_exits_2(tmp_path, capsys, section, key, value):
     assert code == 2
     assert f"{section}.{key}: expected float, got {json.dumps(value)}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-
-
-def json_values():
-    """JSON value trees, NaN, ±Infinity and unbounded integers included."""
-    scalars = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
-               | st.text(max_size=8))
-    return st.recursive(scalars, lambda kids: st.lists(kids, max_size=4)
-                        | st.dictionaries(st.text(max_size=8), kids, max_size=4), max_leaves=12)
 
 
 def config_documents():
@@ -364,6 +357,7 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header.update(version=2), "unsupported version 2"),
     (lambda header: header.update(version=3), "unsupported version 3"),
     (lambda header: header.update(version=4), "unsupported version 4"),
+    (lambda header: header.update(version=5.0), "unsupported version 5.0"),
     (lambda header: header["encoder"].update(d="16"), 'encoder.d: expected int, got "16"'),
     (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
     (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
@@ -374,6 +368,7 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header["encoder"].update(gru_layers=10**9), "elements, "),
     (lambda header: header["encoder"].update(cnn2d_blocks=10**18), "elements, "),
 ], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2", "version_3", "version_4",
+        "version_5_float",
         "encoder_d_string", "alignment_toggle_int", "seed_negative", "alignment_rope_base_nan",
         "ff_mult_huge", "alignment_layers_huge", "gru_layers_huge", "cnn2d_blocks_huge"])
 def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
@@ -423,6 +418,7 @@ def test_bytes_after_the_payload_exit_2(tmp_path, capsys):
 
 
 HUGE_INT = "9" * 5000  # beyond the digit limit of Python's json, which then raises a plain ValueError
+DEEP = "[" * 5000 + "]" * 5000  # nested past the recursion limit, where json raises RecursionError
 
 
 UNDECODABLE = [
@@ -432,6 +428,9 @@ UNDECODABLE = [
     ("dataset_huge_int", "line 9: invalid JSON"),
     ("dataset_point_beyond_double", "line 9: bad points array"),
     ("checkpoint_header_huge_int", "bad header"),
+    ("config_deep", "invalid JSON"),
+    ("dataset_deep", "line 9: invalid JSON"),
+    ("checkpoint_header_deep", "bad header"),
 ]
 
 
@@ -449,18 +448,38 @@ def test_undecodable_input_exits_2(tmp_path, capsys, case, message):
         data.write_text(data.read_text() + line.replace("[0, 0, 1]", f"[{HUGE_INT}, 0, 1]"))
     elif case == "dataset_point_beyond_double":
         data.write_text(data.read_text() + line.replace("[0, 0, 1]", f"[1{'0' * 400}, 0, 1]"))
+    elif case == "config_deep":
+        config.write_text(config.read_text().replace('"seed": 0', f'"seed": {DEEP}'))
+    elif case == "dataset_deep":
+        data.write_text(data.read_text() + line.replace('"a"', DEEP))
     if case.startswith("checkpoint"):
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(Recognizer(encoder_config_from_dict(TINY_CONFIG["encoder"]),
                                    align_config_from_dict(TINY_CONFIG["alignment"]),
                                    build_vocab(load_dataset(data))), ckpt)
-        ckpt.write_bytes(ckpt.read_bytes().replace(b'"seed": 0', f'"seed": {HUGE_INT}'.encode(), 1))
+        value = HUGE_INT if case == "checkpoint_header_huge_int" else DEEP
+        ckpt.write_bytes(ckpt.read_bytes().replace(b'"seed": 0', f'"seed": {value}'.encode(), 1))
         code = main(["infer", "--checkpoint", str(ckpt), "--input", str(data)])
     else:
         code = main(["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "run")])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+@pytest.mark.parametrize("record,message", [
+    ({"id": None, "points": [["0", "0", "1"], ["1e1", "5", True]]}, "line 9: id must be a string, got null"),
+    ({"id": {"k": 1}, "points": [[0, 0, 1], [1, 5, 1]]}, 'line 9: id must be a string, got {"k": 1}'),
+    ({"id": "x", "points": [["0", "0", "1"], ["1e1", "5", "1"]]}, "line 9: points must be a list of"),
+    ({"id": "x", "points": [[0, 0, 1], [1, 5, True]]}, "line 9: points must be a list of"),
+], ids=["id_null", "id_object", "coords_strings", "pen_true"])
+def test_values_the_loader_would_coerce_exit_2(tmp_path, capsys, command, record, message):
+    ckpt, data = tiny_checkpoint(tmp_path)
+    data.write_text(data.read_text() + json.dumps({**record, "text": "a"}) + "\n")
+    flag = "--data" if command == "eval" else "--input"
+    assert main([command, "--checkpoint", str(ckpt), flag, str(data)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("magnitude", [-0.5, 1e308], ids=["negative", "range_beyond_double"])

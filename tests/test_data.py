@@ -1,12 +1,14 @@
 """Dataset ingestion, normalization, rendering, augmentation, vocabulary."""
 
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import json_values
 from penrec import data as D
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
 
@@ -41,6 +43,61 @@ def test_load_rejects_non_string_text(tmp_path, text):
     for require_text in (True, False):
         with pytest.raises(D.DataError, match="line 1: text must be a string"):
             D.load_dataset(p, require_text=require_text)
+
+
+NOT_NUMBERS = "points must be a list of [px, py, s] rows of JSON numbers"
+COERCED = [
+    ({"id": None, "points": [[0, 0, 1], [1, 5, 1]]}, "id must be a string, got null"),
+    ({"id": {"k": 1}, "points": [[0, 0, 1], [1, 5, 1]]}, 'id must be a string, got {"k": 1}'),
+    ({"id": 7, "points": [[0, 0, 1], [1, 5, 1]]}, "id must be a string, got 7"),
+    ({"id": "a", "points": [["0", "0", "1"], ["1e1", "5", "1"]]}, NOT_NUMBERS),
+    ({"id": "a", "points": [[0, 0, 1], [1, 5, True]]}, NOT_NUMBERS),
+    ({"id": "a", "points": [[0, 0, 1], [1, None, 1]]}, NOT_NUMBERS),
+    ({"id": "a", "points": [0, 0, 1]}, NOT_NUMBERS),
+]
+COERCED_IDS = ["id_null", "id_object", "id_number", "coords_strings", "pen_true", "coord_null", "flat_points"]
+
+
+@pytest.mark.parametrize("record,message", COERCED, ids=COERCED_IDS)
+def test_load_refuses_values_it_would_have_to_coerce(tmp_path, record, message):
+    p = tmp_path / "d.jsonl"
+    p.write_text(json.dumps({**record, "text": "a"}) + "\n")
+    with pytest.raises(D.DataError, match=f"line 1: {re.escape(message)}"):
+        D.load_dataset(p)
+
+
+def dataset_files():
+    """Dataset file bytes: lines of arbitrary text, JSON values, records with arbitrary fields, deep nesting."""
+    number = st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+    good_rows = st.lists(st.tuples(st.floats(-1e3, 1e3), st.integers(-1000, 1000), st.sampled_from([0, 1]))
+                         .map(list), min_size=2, max_size=6)
+    rows = st.lists(st.lists(number | json_values(), max_size=4), max_size=5)
+    fields = {"id": st.text(max_size=8) | json_values(),
+              "points": good_rows | rows | json_values(),
+              "text": st.text(max_size=8) | json_values()}
+    record = st.fixed_dictionaries({}, optional=fields).map(json.dumps)
+    deep = st.integers(1, 3000).map(lambda n: "[" * n + "]" * n)
+    line = st.text(max_size=40) | json_values().map(json.dumps) | record | deep
+    return st.lists(line, max_size=4).map(lambda lines: "\n".join(lines).encode()) | st.binary(max_size=40)
+
+
+@given(content=dataset_files(), require_text=st.booleans())
+@example(content=b'{"id": null, "points": [["0", "0", "1"], ["1e1", "5", true]], "text": "a"}', require_text=True)
+@example(content=b'{"id": "a", "points": [[0, 0, 1], [1, 1, 1]], "text": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+         require_text=True)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_dataset_fuzz_gives_sequences_or_a_data_error(tmp_path, content, require_text):
+    p = tmp_path / "fuzz.jsonl"
+    p.write_bytes(content)
+    try:
+        seqs = D.load_dataset(p, require_text=require_text)
+    except D.DataError:
+        return
+    for seq in seqs:
+        assert isinstance(seq.id, str) and isinstance(seq.text, str)
+        pts = seq.points
+        assert pts.dtype == np.float64 and pts.ndim == 2 and pts.shape[1] == 3 and pts.shape[0] >= 2
+        assert np.all(np.isfinite(pts)) and set(np.unique(pts[:, 2])) <= {0.0, 1.0}
 
 
 def test_load_rejects_empty_file(tmp_path):
@@ -257,7 +314,7 @@ def test_vocab_rejects_reserved_characters():
 
 def test_vocab_deterministic_ordering():
     ds = [seq_of([[0, 0, 1], [1, 1, 1]], text="zyx")]
-    assert D.build_vocab(ds).to_list() == D.build_vocab(list(reversed(ds))).to_list()
+    assert D.build_vocab(ds).symbols == D.build_vocab(list(reversed(ds))).symbols
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=30))

@@ -10,7 +10,7 @@ from conftest import graph_node_count
 from penrec import autodiff as ad
 from penrec.data import EOS, SOS
 from penrec.decoder import AttentionDecoder
-from penrec.layers import GRUCell, Linear, ParamStore
+from penrec.layers import Linear, ParamStore
 
 
 def make_decoder(vocab_size=6, d=8, seed=0):
@@ -161,20 +161,24 @@ def test_decoder_overfits_single_sample():
     assert loss_val < 0.01, f"loss stuck at {loss_val}"
 
 
-def gru_step(cell, x, h):
-    """One step of `cell` composed from single-purpose kernels; 0/1 selector matrices split the gate blocks."""
+def gru_step(gru, x, h):
+    """One GRU step composed from single-purpose kernels; 0/1 selector matrices split the gate blocks.
+
+    `gru` holds the packed weights (w_x, b_x, w_h, b_h).
+    """
+    w_x, b_x, w_h, b_h = gru
     hidden = h.shape[1]
     eye = np.eye(3 * hidden)
     r_sel, z_sel, n_sel = (ad.array(eye[:, k * hidden:(k + 1) * hidden], dtype=h.dtype) for k in range(3))
-    px = ad.matmul(x, cell.w_x, cell.b_x)
-    a = ad.matmul(h, cell.w_h, cell.b_h)
+    px = ad.matmul(x, w_x, b_x)
+    a = ad.matmul(h, w_h, b_h)
     r = ad.sigmoid(ad.add(ad.matmul(px, r_sel), ad.matmul(a, r_sel)))
     z = ad.sigmoid(ad.add(ad.matmul(px, z_sel), ad.matmul(a, z_sel)))
     n = ad.tanh(ad.add(ad.matmul(px, n_sel), ad.mul(r, ad.matmul(a, n_sel))))
-    return ad.add(n, ad.mul(z, ad.sub(h, n)))
+    return ad.add(n, ad.mul(z, ad.add(h, ad.mul(n, -1.0))))
 
 
-def per_token_path(y, h0, wq, keys_t, values, cell, out, sink):
+def per_token_path(y, h0, wq, keys_t, values, gru, out, sink):
     """The decoder recurrence composed one token at a time from single-purpose kernels.
 
     `keys_t` holds the keys transposed, (dk, frames). Returns per-token lists of
@@ -188,7 +192,7 @@ def per_token_path(y, h0, wq, keys_t, values, cell, out, sink):
         alpha = ad.softmax(ad.mul(ad.matmul(q, keys_t), scale))
         if sink is not None:
             sink.append(alpha.data)
-        state = gru_step(cell, ad.add(y_t, ad.matmul(alpha, values)), state)
+        state = gru_step(gru, ad.add(y_t, ad.matmul(alpha, values)), state)
         logits.append(out(state))
         states.append(state)
     return logits, states
@@ -198,7 +202,10 @@ def test_attention_gru_matches_per_token_composition_in_float64():
     steps, frames, d, dk, vocab = 5, 6, 4, 3, 7
     rng = np.random.default_rng(12)
     store = ParamStore(rng, dtype=np.float64)
-    cell = GRUCell(store, "gru", d, d)
+    u = f"uniform:{1.0 / math.sqrt(d)}"
+    w_x, w_h = store.new("gru.w_x", (d, 3 * d), u), store.new("gru.w_h", (d, 3 * d), u)
+    b_x, b_h = store.new("gru.b_x", (3 * d,), "zeros"), store.new("gru.b_h", (3 * d,), "zeros")
+    gru = (w_x, b_x, w_h, b_h)
     out = Linear(store, "out", d, vocab)
     for p in store.params.values():
         p.data[...] = rng.uniform(-0.8, 0.8, size=p.shape)
@@ -208,7 +215,7 @@ def test_attention_gru_matches_per_token_composition_in_float64():
 
     y, h0, wq, keys, values = leaf(steps, d), leaf(1, d), leaf(d, dk), leaf(frames, dk), leaf(frames, d)
     keys_t = ad.array(keys.data.T, requires_grad=True, dtype=np.float64)
-    shared = [cell.w_x, cell.b_x, cell.w_h, cell.b_h, out.w, out.b]
+    shared = [*gru, out.w, out.b]
     proj_logits, proj_states = rng.normal(size=(steps, vocab)), rng.normal(size=(steps, d))
 
     def run(path, wrt):
@@ -226,11 +233,11 @@ def test_attention_gru_matches_per_token_composition_in_float64():
         return outputs + [np.concatenate(sink)] + [p.grad.copy() for p in wrt]
 
     def fused(sink):
-        states = ad.attention_gru(y, h0, wq, keys, values, cell.w_x, cell.b_x, cell.w_h, cell.b_h, sink)
+        states = ad.attention_gru(y, h0, wq, keys, values, *gru, sink)
         return [out(states)], [states]
 
     got = run(fused, [y, h0, wq, keys, values] + shared)
-    want = run(lambda sink: per_token_path(y, h0, wq, keys_t, values, cell, out, sink),
+    want = run(lambda sink: per_token_path(y, h0, wq, keys_t, values, gru, out, sink),
                [y, h0, wq, keys_t, values] + shared)
     want[6] = want[6].T  # the keys' gradient, from the transposed leaf
     names = ["logits", "states", "sink", "y", "h0", "wq", "keys", "values",

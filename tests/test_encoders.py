@@ -9,7 +9,7 @@ from penrec import autodiff as ad
 from penrec.config import AlignConfig, EncoderConfig
 from penrec.data import TrajectorySequence, Vocabulary
 from penrec.encoders import pad_to_multiple
-from penrec.layers import BiGRULayer, BiGRUStack, ParamStore
+from penrec.layers import BiGRUStack, ParamStore
 from penrec.model import Recognizer
 
 
@@ -34,8 +34,7 @@ def test_frame_count_is_ceil_T_over_8():
     m = make_model()
     for t, frames in ((64, 8), (63, 8), (9, 2), (8, 1), (2, 1)):
         feat = m.traj_conv(line_sequence(t))
-        assert feat.frames == frames, (t, frames)
-        assert feat.width == 16
+        assert feat.values.shape == (frames, 16), (t, frames)
         assert feat.positions.shape == (frames, 2)
 
 
@@ -83,36 +82,37 @@ def test_bigru_preserves_frames_and_width():
 
 def test_bigru_zero_parameters_zero_input_gives_zero_output():
     store = ParamStore(np.random.default_rng(0))
-    layer = BiGRULayer(store, "g", 8, 4)
+    stack = BiGRUStack(store, "g", 8, layers=1)
     for p in store.params.values():
         p.data = np.zeros_like(p.data)
-    out = layer(ad.array(np.zeros((5, 8))))
+    out = stack(ad.array(np.zeros((5, 8))))
     np.testing.assert_array_equal(out.data, np.zeros((5, 8), dtype=np.float32))
 
 
 def test_bigru_packs_the_draws_of_two_separate_cells():
     # a seed gives the values that one cell per direction drew: forward w_x, w_h, then backward w_x, w_h
     d_in, hidden = 6, 3
-    layer = BiGRULayer(ParamStore(np.random.default_rng(5)), "g", d_in, hidden)
+    w_x, b_x, w_h, b_h = BiGRUStack(ParamStore(np.random.default_rng(5)), "g", d_in, layers=1).layers[0]
     rng, bound = np.random.default_rng(5), 1.0 / np.sqrt(hidden)
     shapes = [(d_in, 3 * hidden), (hidden, 3 * hidden)] * 2
     fx, fh, bx, bh = (rng.uniform(-bound, bound, size=shape) for shape in shapes)
-    np.testing.assert_array_equal(layer.w_x.data, np.concatenate([fx, bx], axis=1).astype(np.float32))
-    np.testing.assert_array_equal(layer.w_h.data, np.concatenate([fh, bh], axis=0).astype(np.float32))
-    np.testing.assert_array_equal(layer.b_x.data, np.zeros(6 * hidden, dtype=np.float32))
-    np.testing.assert_array_equal(layer.b_h.data, np.zeros(6 * hidden, dtype=np.float32))
+    np.testing.assert_array_equal(w_x.data, np.concatenate([fx, bx], axis=1).astype(np.float32))
+    np.testing.assert_array_equal(w_h.data, np.concatenate([fh, bh], axis=0).astype(np.float32))
+    np.testing.assert_array_equal(b_x.data, np.zeros(6 * hidden, dtype=np.float32))
+    np.testing.assert_array_equal(b_h.data, np.zeros(6 * hidden, dtype=np.float32))
 
 
 def test_bigru_direction_swap_under_shared_parameters():
     store = ParamStore(np.random.default_rng(2))
-    layer = BiGRULayer(store, "g", 6, 3)
+    stack = BiGRUStack(store, "g", 6, layers=1)
+    w_x, b_x, w_h, _ = stack.layers[0]
     # share parameters between directions: copy the forward block of each packed tensor into the backward block
-    for p in (layer.w_x, layer.b_x):
+    for p in (w_x, b_x):
         p.data[..., 9:] = p.data[..., :9]
-    layer.w_h.data[3:] = layer.w_h.data[:3]
+    w_h.data[3:] = w_h.data[:3]
     x = np.random.default_rng(3).normal(size=(9, 6)).astype(np.float32)
-    out = layer(ad.array(x)).data
-    out_rev = layer(ad.array(x[::-1])).data
+    out = stack(ad.array(x)).data
+    out_rev = stack(ad.array(x[::-1])).data
     half = 3
     # direction-0 of the reversed input equals reversed direction-1 of the original
     np.testing.assert_allclose(out_rev[:, :half], out[::-1, half:], rtol=1e-5, atol=1e-6)

@@ -47,7 +47,7 @@ def kernel_op_names():
 
 
 # kernels with no model caller, kept because the tests compose reference paths from them
-TEST_REFERENCE_KERNELS = {"sigmoid", "tanh", "sub", "softmax", "sum"}
+TEST_REFERENCE_KERNELS = {"sigmoid", "tanh", "softmax", "sum"}
 
 
 def test_every_kernel_has_a_model_caller_or_is_a_test_reference(monkeypatch):

@@ -257,11 +257,13 @@ def test_inference_ignores_image_stream_parameters():
 
 
 def test_param_groups_cover_every_parameter():
+    # every parameter has exactly one stream prefix, and every prefix has a parameter
     m = tiny_model()
-    groups = m.param_groups()
-    assert set(groups) == {p.rstrip(".") for p in TRAJ_PREFIXES + IMAGE_PREFIXES}
-    grouped = set().union(*(set(g) for g in groups.values()))
-    assert grouped == set(m.params)
+    prefixes = TRAJ_PREFIXES + IMAGE_PREFIXES
+    for name in m.params:
+        assert sum(name.startswith(p) for p in prefixes) == 1, name
+    for p in prefixes:
+        assert any(name.startswith(p) for name in m.params), p
 
 
 # ---------------------------------------------------------------------------
