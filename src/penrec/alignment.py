@@ -35,13 +35,11 @@ def rope2d(positions: np.ndarray, d: int, base: float = 10000.0) -> np.ndarray:
         raise ValueError(f"positions must be (frames, 2), got {positions.shape}")
     quarter = d // 4
     inv = base ** (-(np.arange(quarter) / quarter))
-    out = np.empty((positions.shape[0], d), dtype=np.float64)
-    for axis in range(2):
-        ang = positions[:, axis:axis + 1] * inv[None, :]
-        half = axis * (d // 2)
-        out[:, half + 0:half + d // 2:2] = np.cos(ang)
-        out[:, half + 1:half + d // 2:2] = np.sin(ang)
-    return out
+    ang = positions[:, :, None] * inv  # (frames, axis, pair)
+    out = np.empty((positions.shape[0], 2, quarter, 2), dtype=np.float64)
+    out[..., 0] = np.cos(ang)
+    out[..., 1] = np.sin(ang)
+    return out.reshape(positions.shape[0], d)
 
 
 class SpatialAligner:

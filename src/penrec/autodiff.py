@@ -7,8 +7,9 @@ bidirectional GRU, the decoder's whole-sequence attention-fed GRU, row
 gather, linear interpolation along the leading axis, and the two losses.
 `sigmoid`, `tanh`, `softmax` and `asum` have no model caller; they
 stay because the tests compose reference paths from them. The GRU step,
-the softmax and the convolutions' strided-window im2col/col2im are each
-written once, as private helpers the kernels share.
+the decoder's attention step, the softmax and the convolutions'
+strided-window im2col/col2im are each written once, as private helpers the
+kernels share; greedy decoding runs the two step helpers on plain arrays.
 A parameter's `a.T @ g` gradients are not formed per use: `backward` queues
 them and forms each one at its end, joining short uses into one matmul.
 Convolutions leave out the kernel rows that read only zero padding.
@@ -403,20 +404,41 @@ def conv2d(x: DiffArray, w: DiffArray, b: DiffArray | None,
 # activations and normalization
 
 
-def _sigmoid(x):
-    # overflow-safe form of 1 / (1 + exp(-x))
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+# The reductions below call the ufuncs' `reduce` directly. `ndarray.max`, `.sum` and `.mean`
+# are Python-level wrappers around the same calls, and at the recurrences' row sizes the
+# wrapper costs about as much as the reduction.
 
 
-def _softmax(x):
-    """Stable softmax along the last axis of a numpy array."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _mean_last(x):
+    """x.mean(axis=-1, keepdims=True): the same sum, divided by the same intp count."""
+    s = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(x.shape[-1]), out=s, casting="unsafe")
+
+
+# 0.5 and 1.0 as 0-d arrays of each float dtype: a ufunc call takes an array operand of its own
+# dtype faster than a Python float, which it must first convert
+_HALF_ONE = {np.dtype(t): (np.array(0.5, dtype=t), np.array(1.0, dtype=t)) for t in (np.float32, np.float64)}
+
+
+def _sigmoid(x, out=None):
+    """Overflow-safe 1 / (1 + exp(-x)), as 0.5 * (tanh(0.5 * x) + 1); `out` may be x itself."""
+    half, one = _HALF_ONE[x.dtype]
+    y = np.multiply(x, half, out=out)
+    np.tanh(y, out=y)
+    np.add(y, one, out=y)
+    np.multiply(y, half, out=y)
+    return y
+
+
+def _softmax(x, out=None):
+    """Stable softmax along the last axis of a numpy array, into `out` when given."""
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
 
 
 def _softmax_back(y, g):
     """Gradient w.r.t. the softmax input, given its output `y` and the output gradient `g`."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
 
 def sigmoid(x: DiffArray) -> DiffArray:
@@ -498,19 +520,18 @@ def layer_norm(x: DiffArray, gain: DiffArray, bias: DiffArray) -> DiffArray:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: incompatible shapes {x.shape} and {gain.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = x.data - _mean_last(x.data)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xh = xc * inv
     y = xh * gain.data + bias.data
 
     def back(g):
-        _acc(gain, (g * xh).reshape(-1, d).sum(axis=0))
-        _acc(bias, g.reshape(-1, d).sum(axis=0))
+        _acc(gain, np.add.reduce((g * xh).reshape(-1, d), axis=0))
+        _acc(bias, np.add.reduce(g.reshape(-1, d), axis=0))
         if x.requires_grad:
             dxh = g * gain.data
-            term = dxh - dxh.mean(axis=-1, keepdims=True) - xh * (dxh * xh).mean(axis=-1, keepdims=True)
+            term = dxh - _mean_last(dxh) - xh * _mean_last(dxh * xh)
             _acc(x, inv * term)
 
     return _make(y, (x, gain, bias), "layer_norm", back)
@@ -523,43 +544,72 @@ def layer_norm(x: DiffArray, gain: DiffArray, bias: DiffArray) -> DiffArray:
 # backprop-through-time loop; they differ only in where each step's input
 # projection comes from, which they pass in as per-step callbacks. `bigru`
 # runs its two directions side by side, as a leading axis of the state.
+# The step bodies, `_gru_step` and `_attention_step`, are also what the
+# decoder's greedy loop runs, one token at a time and with no graph.
 
 
-def _gru_forward(T: int, h0, w_h, b_h, step_input):
-    """Run T GRU steps from the state h0 (H,); `step_input(t, h)` gives step t's input projection.
+def _gru_step(h, px, w_h, b_rows, hw, hw_rows, a, rz, n, h_out) -> None:
+    """One GRU step from the state h (H,) and its input projection px.
 
-    Per step, with px = step_input(t, h) and a = h @ w_h + b_h, both (3H,)
-    and packed as gate blocks [r | z | n]:
+    With a = h @ w_h + b_h, per gate block [r | z | n]:
 
         r = sigmoid(px_r + a_r)    z = sigmoid(px_z + a_z)
         n = tanh(px_n + r * a_n)   h' = n + z * (h - n)
 
-    Returns the states hs (T+1, H), hs[t] entering step t, the gates r, z, n
-    after their nonlinearities (T, 3H), and a_n (T, H). D independent GRUs
-    advance together when h0 is (D, H), w_h (D, H, 3H) and b_h (D, 3H):
-    px, a and every returned array then gain the direction axis after time.
+    w_h (H, 3H) packs its columns as [r | z | n]; `np.vecmat` writes h @ w_h
+    into hw (3H,), and `hw_rows` views hw as (3, H), one gate block per row.
+    px, b_rows and a (3, H) and rz (2, H) hold one gate block per row too, so
+    every elementwise operation reads whole rows. The step writes a, the
+    gates r and z, then n and h' (H,) into a, rz, n and h_out, none of which
+    may overlap h or px. D GRUs advance together when h is (D, H), w_h
+    (D, H, 3H) and hw (D, 3H): every other array gains the direction axis
+    after the gate axis, so each gate's rows of all directions stay one
+    contiguous block.
+    """
+    np.vecmat(h, w_h, out=hw)
+    np.add(hw_rows, b_rows, out=a)
+    np.add(px[:2], a[:2], out=rz)
+    _sigmoid(rz, out=rz)
+    np.multiply(rz[0], a[2], out=n)
+    n += px[2]
+    np.tanh(n, out=n)
+    np.subtract(h, n, out=h_out)
+    h_out *= rz[1]
+    h_out += n
+
+
+def _gate_rows(packed):
+    """A view of packed gate blocks [r | z | n], (3H,) or (D, 3H), as (3, H) or (3, D, H): one block per row."""
+    return packed.reshape(*packed.shape[:-1], 3, packed.shape[-1] // 3).swapaxes(0, -2)
+
+
+def _gru_forward(T: int, h0, w_h, b_h, step_input):
+    """Run T `_gru_step`s from the state h0 (H,); `step_input(t, h)` gives step t's input projection.
+
+    w_h (H, 3H) and b_h (3H,) are packed as gate blocks [r | z | n];
+    `step_input` returns its projection with one gate block per row, (3, H).
+    Returns the states hs (T+1, H), hs[t] entering step t, the gates r and z
+    (T, 2, H) and n (T, H) after their nonlinearities, and a_n (T, H), the
+    n block of h @ w_h + b_h. D independent GRUs advance together when h0 is
+    (D, H), w_h (D, H, 3H) and b_h (D, 3H): the projection is then
+    (3, D, H), and every returned array gains the direction axis last but one.
     """
     H = h0.shape[-1]
     lead = h0.shape[:-1]
     hs = np.empty((T + 1, *lead, H), dtype=w_h.dtype)
-    gates = np.empty((T, *lead, 3 * H), dtype=w_h.dtype)
-    a_n = np.empty((T, *lead, H), dtype=w_h.dtype)
+    rz = np.empty((T, 2, *lead, H), dtype=w_h.dtype)
+    n = np.empty((T, *lead, H), dtype=w_h.dtype)
+    a = np.empty((T, 3, *lead, H), dtype=w_h.dtype)
+    hw = np.empty((*lead, 3 * H), dtype=w_h.dtype)
+    hw_rows, b_rows = _gate_rows(hw), _gate_rows(b_h)
     hs[0] = h0
     for t in range(T):
-        h = hs[t]
-        px = step_input(t, h)
-        a = np.vecmat(h, w_h) + b_h
-        rz = _sigmoid(px[..., :2 * H] + a[..., :2 * H])
-        n = np.tanh(px[..., 2 * H:] + rz[..., :H] * a[..., 2 * H:])
-        hs[t + 1] = n + rz[..., H:] * (h - n)
-        gates[t, ..., :2 * H] = rz
-        gates[t, ..., 2 * H:] = n
-        a_n[t] = a[..., 2 * H:]
-    return hs, gates, a_n
+        _gru_step(hs[t], step_input(t, hs[t]), w_h, b_rows, hw, hw_rows, a[t], rz[t], n[t], hs[t + 1])
+    return hs, rz, n, a[:, 2]
 
 
-def _gru_backward(g, hs, gates, a_n, w_h, step_input_back=None):
-    """Backprop through time for `_gru_forward`, given dL/dh' of every step, g (T, H).
+def _gru_backward(g, hs, rz, n, a_n, w_h, step_input_back=None):
+    """Backprop through time for `_gru_forward`, given its results and dL/dh' of every step, g (T, H).
 
     Returns the gradients of the input projections dpx (T, 3H), of
     a = h @ w_h + b_h, da (T, 3H), and of h0, (H,). `step_input_back(t, dpx_t)`,
@@ -568,7 +618,7 @@ def _gru_backward(g, hs, gates, a_n, w_h, step_input_back=None):
     (T, D, H)) every result gains it as `_gru_forward`'s do.
     """
     T, H = g.shape[0], g.shape[-1]
-    r, z, n = gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:]
+    r, z = rz[:, 0], rz[:, 1]
     # per-step factors of dh', gate blocks stacked: d(px) = dh' * k_px, d(a) = dh' * k_a
     k_n = (1.0 - z) * (1.0 - n * n)
     k_rz = [k_n * a_n * r * (1.0 - r), (hs[:-1] - n) * z * (1.0 - z)]
@@ -612,12 +662,13 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
         raise ShapeError(f"bigru: incompatible shapes {', '.join(str(a.shape) for a in ins)}")
     wh, bh = w_h.data.reshape(2, H, 3 * H), b_h.data.reshape(2, 3 * H)
     proj = xs.data @ w_x.data + b_x.data
-    px = np.stack([proj[:, :3 * H], proj[::-1, 3 * H:]], axis=1)  # (T, 2, 3H), in step order
-    hs, gates, a_n = _gru_forward(T, h0.data, wh, bh, lambda t, h: px[t])
+    # (T, 3, 2, H), in step order: per step the gate blocks of both directions, one per row
+    px = np.stack([proj[:, :3 * H].reshape(T, 3, H), proj[::-1, 3 * H:].reshape(T, 3, H)], axis=2)
+    hs, rz, n, a_n = _gru_forward(T, h0.data, wh, bh, lambda t, h: px[t])
     y = np.concatenate([hs[1:, 0], hs[:0:-1, 1]], axis=1)
 
     def back(g):
-        dpx, da, dh0 = _gru_backward(np.stack([g[:, :H], g[::-1, H:]], axis=1), hs, gates, a_n, wh)
+        dpx, da, dh0 = _gru_backward(np.stack([g[:, :H], g[::-1, H:]], axis=1), hs, rz, n, a_n, wh)
         dproj = np.concatenate([dpx[:, 0], dpx[::-1, 1]], axis=1)  # (T, 6H), in row order
         _acc(xs, dproj @ w_x.data.T)
         _acc(h0, dh0)
@@ -627,6 +678,21 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
         _acc(b_h, da.sum(axis=0).reshape(-1))
 
     return _make(y, ins, "bigru", back)
+
+
+def _attention_step(y_t, h, wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x):
+    """`attention_gru`'s input side of one step, from the input row y_t and the state h.
+
+    Writes the query input y_t + h, the query, the attention weights and
+    the GRU input y_t + alpha @ values into the rows u, q, alpha and x;
+    returns the GRU input projection x @ w_x + b_x with one gate block per
+    row, (3, H). `keys_t` holds the keys transposed, (dk, Tk).
+    """
+    np.add(y_t, h, out=u)
+    np.matmul(u, wq, out=q)
+    _softmax(np.matmul(q, keys_t) * scale, out=alpha)
+    np.add(y_t, alpha @ values, out=x)
+    return (x @ w_x + b_x).reshape(3, -1)
 
 
 def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, values: DiffArray,
@@ -662,13 +728,9 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
     X = np.empty((T, H), dtype=yd.dtype)       # GRU inputs y_t + alpha @ values
 
     def step_input(t, h):
-        U[t] = yd[t] + h
-        Q[t] = U[t] @ wqd
-        A[t] = _softmax((Q[t] @ kd_t) * scale)
-        X[t] = yd[t] + A[t] @ vd
-        return X[t] @ wxd + bxd
+        return _attention_step(yd[t], h, wqd, kd_t, vd, scale, wxd, bxd, U[t], Q[t], A[t], X[t])
 
-    hs, gates, a_n = _gru_forward(T, h0.data[0], w_h.data, b_h.data, step_input)
+    hs, rz, n, a_n = _gru_forward(T, h0.data[0], w_h.data, b_h.data, step_input)
     if attn_sink is not None:
         attn_sink.append(A.copy())
 
@@ -683,7 +745,7 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
             dU[t] = dQ[t] @ wqd_t
             return dU[t]
 
-        dpx, da, dh0 = _gru_backward(g, hs, gates, a_n, w_h.data, step_input_back)
+        dpx, da, dh0 = _gru_backward(g, hs, rz, n, a_n, w_h.data, step_input_back)
         _acc(y, dX + dU)
         _acc(h0, dh0[None, :])
         _acc_product(wq, U, dQ)

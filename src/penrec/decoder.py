@@ -6,8 +6,13 @@ advances a GRU cell, and projects to vocabulary logits. `ad.attention_gru`
 runs the attention and the GRU of all steps as one graph node; the keys
 depend only on the frames, so `keys` computes them once per sequence.
 Training uses teacher forcing, which knows every step's previous token up
-front, so the whole target runs in one kernel call; greedy inference calls
-the same kernel one step at a time.
+front, so the whole target runs in one kernel call. Greedy inference learns
+each input only from the previous argmax, so it runs one loop per line over
+plain arrays: per token the embedding row, the kernel's own attention step
+and GRU step (`ad._attention_step`, `ad._gru_step`), the output projection
+and the argmax, with no graph node and with its buffers allocated once per
+line. `step_logits` runs the kernel for one token and stays as the per-token
+reference.
 """
 
 from __future__ import annotations
@@ -64,21 +69,44 @@ class AttentionDecoder:
         return self._run([prev_token], state, f_enc, keys, attn_sink)
 
     def greedy(self, f_enc: DiffArray, max_len: int = 256) -> list[int]:
-        """Greedy decode from sos; stops at eos or max_len; reserved tokens excluded."""
+        """Greedy decode from sos; stops at eos or after max_len tokens.
+
+        Every other argmax, PAD and SOS included, is appended to the ids and
+        fed back as the next input; only `Vocabulary.decode` drops the
+        reserved ids. One loop over plain arrays, with every buffer allocated
+        before the first token: per token it looks up the embedding row, runs
+        `ad.attention_gru`'s attention step and GRU step, projects to logits
+        and takes the argmax. Each state is bit for bit the one chained
+        `step_logits` calls reach.
+        """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
-        state = self.initial_state()
+        with ad.no_grad():
+            keys = self.keys(f_enc).data
+        embed, wq, values = self.embed.data, self.wq.data, f_enc.data
+        w_x, b_x, w_h, b_h = (p.data for p in self.gru)
+        w_out, b_out = self.out.w.data, self.out.b.data
+        scale = 1.0 / math.sqrt(keys.shape[1])
+        keys_t = keys.T
+        dtype = w_h.dtype  # every parameter's, as the store holds them in one dtype
+        h, h_new = np.zeros((2, 1, self.d), dtype=dtype)  # the state entering a step and the one it writes
+        u, x, q, alpha = (np.empty(k, dtype=dtype) for k in (self.d, self.d, keys.shape[1], keys.shape[0]))
+        hw, a, rz, n = (np.empty(shape, dtype=dtype) for shape in (3 * self.d, (3, self.d), (2, self.d), self.d))
+        hw_rows, b_rows = ad._gate_rows(hw), ad._gate_rows(b_h)
+        logits = np.empty((1, self.vocab_size), dtype=dtype)
         prev = SOS
         out: list[int] = []
-        with ad.no_grad():
-            keys = self.keys(f_enc)
-            for _ in range(max_len):
-                logits, state = self.step_logits(prev, state, f_enc, keys)
-                tok = int(np.argmax(logits.data[0]))
-                if tok == EOS:
-                    break
-                out.append(tok)
-                prev = tok
+        for _ in range(max_len):
+            px = ad._attention_step(embed[prev], h[0], wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x)
+            ad._gru_step(h[0], px, w_h, b_rows, hw, hw_rows, a, rz, n, h_new[0])
+            np.matmul(h_new, w_out, out=logits)
+            logits += b_out
+            tok = int(logits.argmax())
+            if tok == EOS:
+                break
+            out.append(tok)
+            prev = tok
+            h, h_new = h_new, h
         return out
 
     def sequence_logits(self, f_enc: DiffArray, target_ids: list[int]) -> DiffArray:

@@ -49,6 +49,22 @@ def test_axis_separability_is_bit_exact():
     assert np.array_equal(a[:, :12], c[:, :12])       # px half untouched
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frames,d", [(1, 8), (13, 64), (40, 320)])
+def test_rope2d_is_bit_identical_to_a_per_axis_loop(dtype, frames, d):
+    pos = np.random.default_rng(d).uniform(-50, 900, size=(frames, 2)).astype(dtype)
+    p64, quarter = pos.astype(np.float64), d // 4
+    inv = 10000.0 ** (-(np.arange(quarter) / quarter))
+    want = np.empty((frames, d))
+    for axis in range(2):
+        ang = p64[:, axis:axis + 1] * inv[None, :]
+        half = axis * (d // 2)
+        want[:, half:half + d // 2:2] = np.cos(ang)
+        want[:, half + 1:half + d // 2:2] = np.sin(ang)
+    got = rope2d(pos, d)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # aligner forward
 

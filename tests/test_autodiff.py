@@ -14,6 +14,59 @@ def test_softmax_symmetry():
     np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
 
+def _softmax_reference(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# a few rows of model width, the attention kernel's (heads, T, T) scores, one decoder step's row
+SOFTMAX_SHAPES = [(7, 64), (8, 9, 9), (1, 13)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", SOFTMAX_SHAPES)
+def test_softmax_and_its_gradient_are_bit_identical_to_ndarray_method_references(dtype, shape):
+    rng = np.random.default_rng(len(shape))
+    x, g = (rng.normal(scale=4.0, size=shape).astype(dtype) for _ in range(2))
+    y = ad._softmax(x)
+    want = _softmax_reference(x)
+    assert y.dtype == dtype and np.array_equal(y, want)
+    out = np.empty_like(x)
+    assert ad._softmax(x, out=out) is out and np.array_equal(out, want)
+    assert np.array_equal(ad._softmax_back(want, g), want * (g - (g * want).sum(axis=-1, keepdims=True)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_in_place_is_bit_identical_to_its_python_float_formula(dtype):
+    x = np.random.default_rng(3).normal(scale=8.0, size=(2, 2, 32)).astype(dtype)
+    want = 0.5 * (np.tanh(0.5 * x) + 1.0)
+    assert np.array_equal(ad._sigmoid(x), want)
+    assert ad._sigmoid(x, out=x) is x and x.dtype == dtype and np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(9, 64), (2, 5, 32), (1, 320)])
+def test_layer_norm_is_bit_identical_to_an_ndarray_method_reference(dtype, shape):
+    rng = np.random.default_rng(shape[-1])
+    x, g = (rng.normal(loc=1.0, scale=3.0, size=shape).astype(dtype) for _ in range(2))
+    gain, bias = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+    d = shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad._LAYER_NORM_EPS)
+    xh = xc * inv
+    dxh = g * gain
+    want = [xh * gain + bias,
+            inv * (dxh - dxh.mean(axis=-1, keepdims=True) - xh * (dxh * xh).mean(axis=-1, keepdims=True)),
+            (g * xh).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)]
+
+    leaves = [ad.array(v, requires_grad=True, dtype=dtype) for v in (x, gain, bias)]
+    y = ad.layer_norm(*leaves)
+    ad.backward(ad.asum(ad.mul(y, g)))  # y's gradient is g, exactly
+    for name, got, w in zip(["y", "x", "gain", "bias"], [y.data] + [p.grad for p in leaves], want):
+        assert got.dtype == dtype and np.array_equal(got, w), name
+
+
 def test_conv1d_output_length_formula():
     x = ad.array(np.random.default_rng(0).normal(size=(16, 2)))
     w = ad.array(np.random.default_rng(1).normal(size=(3, 2, 5)))

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import graph_node_count
 from penrec import autodiff as ad
-from penrec.data import EOS, SOS
+from penrec.data import EOS, PAD, SOS
 from penrec.decoder import AttentionDecoder
+from penrec.gradcheck import tiny_model, tiny_sequence
 from penrec.layers import Linear, ParamStore
 
 
@@ -81,6 +82,74 @@ def test_greedy_respects_max_len():
     dec.out.b.data[4] = 10.0  # always emits token 4, never eos
     out = dec.greedy(random_enc(4, 8), max_len=5)
     assert out == [4] * 5
+
+
+def test_greedy_feeds_back_a_reserved_argmax_and_decode_drops_it():
+    # PAD is not eos: it is appended and fed back until max_len; only Vocabulary.decode drops it
+    model = tiny_model(dtype=np.float32)
+    dec = model.dec_traj
+    dec.out.w.data[...] = 0.0
+    dec.out.b.data[...] = 0.0
+    dec.out.b.data[PAD] = 10.0
+    seq = tiny_sequence(np.random.default_rng(0))
+    with ad.no_grad():
+        f_enc, _, _ = model.trajectory_features(seq)
+    assert dec.greedy(f_enc, max_len=7) == [PAD] * 7
+    assert model.infer_ids(seq, max_len=7) == [PAD] * 7
+    assert model.infer_text(seq, max_len=7) == ""
+
+
+def chained_step_logits(dec, f_enc, max_len):
+    """Greedy decoding by chained `step_logits` calls: the ids and the state after every step."""
+    keys = dec.keys(f_enc)
+    state, prev, ids, states = dec.initial_state(), SOS, [], []
+    with ad.no_grad():
+        for _ in range(max_len):
+            logits, state = dec.step_logits(prev, state, f_enc, keys)
+            states.append(state.data[0].copy())
+            tok = int(np.argmax(logits.data[0]))
+            if tok == EOS:
+                break
+            ids.append(tok)
+            prev = tok
+    return ids, states
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frames,max_len,eos_bias", [
+    pytest.param(1, 40, 0.0, id="1_frame"),
+    pytest.param(5, 40, 0.0, id="5_frames"),
+    pytest.param(20, 40, 0.0, id="20_frames"),
+    pytest.param(5, 6, -50.0, id="max_len_cut"),
+    pytest.param(5, 40, 50.0, id="immediate_eos"),
+])
+def test_greedy_states_are_bit_identical_to_chained_step_logits(monkeypatch, dtype, frames, max_len, eos_bias):
+    # weights within 0.5 decode a few varied tokens, reserved ones among them, before eos
+    d, rng = 64, np.random.default_rng(frames)
+    dec = AttentionDecoder(ParamStore(rng, dtype=dtype), "dec", 12, d)
+    for p in dec.store.params.values():
+        p.data[...] = rng.uniform(-0.5, 0.5, size=p.shape)
+    dec.out.b.data[EOS] += eos_bias
+    f_enc = ad.array(np.random.default_rng(100 + frames).normal(size=(frames, d)), dtype=dtype)
+    want_ids, want_states = chained_step_logits(dec, f_enc, max_len)
+
+    got_states = []
+    gru_step = ad._gru_step
+
+    def recording_gru_step(*args):
+        gru_step(*args)
+        got_states.append(args[-1].copy())  # the state the step wrote
+
+    monkeypatch.setattr(ad, "_gru_step", recording_gru_step)
+    assert dec.greedy(f_enc, max_len=max_len) == want_ids
+    assert len(got_states) == len(want_states)
+    for t, (got, want) in enumerate(zip(got_states, want_states)):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want), f"state {t}"
+    if eos_bias > 0:
+        assert want_ids == [] and len(want_states) == 1
+    else:  # eos ends the decode unless the bias rules it out, and then max_len does
+        assert len(want_ids) == (max_len if eos_bias < 0 else len(want_states) - 1)
 
 
 def test_greedy_equals_beam_size_one_by_enumeration():
