@@ -19,13 +19,14 @@ from .encoders import FeatureSequence
 from .layers import ParamStore, TransformerLayer
 
 IMAGE_STRIDE_W = 8
+ROPE_BASE = 10000.0
 
 
-def rope2d(positions: np.ndarray, d: int, base: float = 10000.0) -> np.ndarray:
+def rope2d(positions: np.ndarray, d: int) -> np.ndarray:
     """Sinusoidal 2D embedding, (frames, 2) pixel positions -> (frames, d).
 
     Within each axis half, pair j holds (cos t, sin t) with
-    t = pos / base**(j / (d/4)), so every pair has unit norm and changing
+    t = pos / ROPE_BASE**(j / (d/4)), so every pair has unit norm and changing
     one coordinate leaves the other axis's half bit-identical.
     """
     if d % 4 != 0:
@@ -34,7 +35,7 @@ def rope2d(positions: np.ndarray, d: int, base: float = 10000.0) -> np.ndarray:
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must be (frames, 2), got {positions.shape}")
     quarter = d // 4
-    inv = base ** (-(np.arange(quarter) / quarter))
+    inv = ROPE_BASE ** (-(np.arange(quarter) / quarter))
     ang = positions[:, :, None] * inv  # (frames, axis, pair)
     out = np.empty((positions.shape[0], 2, quarter, 2), dtype=np.float64)
     out[..., 0] = np.cos(ang)
@@ -57,13 +58,12 @@ class SpatialAligner:
         self.layers = []
         if cfg.use_transformer:
             for i in range(cfg.layers):
-                self.layers.append(TransformerLayer(store, f"{name}.l{i}", d,
-                                                    cfg.heads, cfg.ff_mult * d))
+                self.layers.append(TransformerLayer(store, f"{name}.l{i}", d, cfg.heads))
 
     def __call__(self, feat: FeatureSequence, attn_sink: list | None = None) -> DiffArray:
         x = feat.values
         if self.cfg.use_rope:
-            x = ad.add(x, self.store.const(rope2d(feat.positions, self.d, self.cfg.rope_base)))
+            x = ad.add(x, self.store.const(rope2d(feat.positions, self.d)))
         for layer in self.layers:
             x = layer(x, attn_sink=attn_sink)
         return x

@@ -1,7 +1,8 @@
 """Command-line entry point: train / eval / infer / render / synth.
 
-Exit codes: 0 success, 1 I/O failure, 2 bad config or data, 3 divergence.
-All commands are deterministic under --seed.
+Exit codes: 0 success, 1 I/O failure, 2 bad config, data or checkpoint,
+3 divergence; `main` maps each typed error to its code in one place. All
+commands are deterministic under --seed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_run_config
 from .data import (DataError, build_vocab, load_dataset, normalize, render,
                    save_dataset, write_pgm)
+from .decoder import MAX_DECODE_LEN
 from .synth import DEFAULT_ALPHABET, synth_generate
 from .training import (CheckpointError, DivergenceError, evaluate,
                        load_checkpoint, train)
@@ -32,33 +34,27 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _check_max_len(max_len: int) -> None:
+    if max_len < 1:
+        raise ConfigError(f"--max-len must be >= 1, got {max_len}")
+
+
 def cmd_train(args) -> int:
-    try:
-        cfg = load_run_config(args.config) if args.config else RunConfig()
-        if args.data:
-            cfg.train_data = args.data
-        if args.out:
-            cfg.out_dir = args.out
-        if args.seed is not None:
-            cfg.training.seed = args.seed
-        cfg.validate()
-        if not cfg.train_data:
-            raise ConfigError("no training data path (set train_data or pass --data)")
-        if not cfg.out_dir:
-            raise ConfigError("no output directory (set out_dir or pass --out)")
-        dataset = load_dataset(cfg.train_data)
-        vocab = build_vocab(dataset)
-    except (ConfigError, DataError) as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
-    try:
-        result = train(dataset, cfg.encoder, cfg.alignment, cfg.training, vocab,
-                       out_dir=cfg.out_dir, quiet=args.quiet)
-    except DivergenceError as e:
-        return _fail(EXIT_DIVERGED, str(e))
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
+    cfg = load_run_config(args.config) if args.config else RunConfig()
+    if args.data:
+        cfg.train_data = args.data
+    if args.out:
+        cfg.out_dir = args.out
+    if args.seed is not None:
+        cfg.training.seed = args.seed
+    cfg.validate()
+    if not cfg.train_data:
+        raise ConfigError("no training data path (set train_data or pass --data)")
+    if not cfg.out_dir:
+        raise ConfigError("no output directory (set out_dir or pass --out)")
+    dataset = load_dataset(cfg.train_data)
+    result = train(dataset, cfg.encoder, cfg.alignment, cfg.training, build_vocab(dataset),
+                   out_dir=cfg.out_dir, quiet=args.quiet)
     print(json.dumps({
         "checkpoint": str(result.checkpoint_path),
         "log": str(result.log_path),
@@ -68,28 +64,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        model = load_checkpoint(args.checkpoint)
-        dataset = load_dataset(args.data)
-        rep = evaluate(model, dataset, max_decode_len=args.max_len)
-    except (CheckpointError, ConfigError, DataError, ValueError) as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
+    _check_max_len(args.max_len)
+    model = load_checkpoint(args.checkpoint)
+    rep = evaluate(model, load_dataset(args.data), max_decode_len=args.max_len)
     print(json.dumps(rep, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_infer(args) -> int:
-    try:
-        if args.max_len < 1:
-            raise ConfigError(f"--max-len must be >= 1, got {args.max_len}")
-        model = load_checkpoint(args.checkpoint)
-        dataset = load_dataset(args.input, require_text=False)
-    except (CheckpointError, ConfigError, DataError) as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
+    _check_max_len(args.max_len)
+    model = load_checkpoint(args.checkpoint)
+    dataset = load_dataset(args.input, require_text=False)
     try:
         for seq in dataset:
             print(model.infer_text(normalize(seq), max_len=args.max_len), flush=True)
@@ -115,30 +100,19 @@ def _check_preview_ids(dataset) -> None:
 
 
 def cmd_render(args) -> int:
-    try:
-        dataset = load_dataset(args.input, require_text=False)
-        _check_preview_ids(dataset)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for seq in dataset:
-            write_pgm(render(normalize(seq)), out_dir / f"{seq.id}.pgm")
-    except DataError as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
+    dataset = load_dataset(args.input, require_text=False)
+    _check_preview_ids(dataset)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for seq in dataset:
+        write_pgm(render(normalize(seq)), out_dir / f"{seq.id}.pgm")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    try:
-        rng = np.random.default_rng(args.seed)
-        seqs = synth_generate(args.vocab, args.n, rng,
-                              length_range=(args.min_len, args.max_len))
-        save_dataset(args.out, seqs)
-    except (KeyError, ValueError) as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
+    seqs = synth_generate(args.vocab, args.n, np.random.default_rng(args.seed),
+                          length_range=(args.min_len, args.max_len))
+    save_dataset(args.out, seqs)
     return EXIT_OK
 
 
@@ -159,13 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint; prints metrics JSON")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--max-len", type=int, default=256)
+    p.add_argument("--max-len", type=int, default=MAX_DECODE_LEN)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="print one transcript per input line")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--max-len", type=int, default=256)
+    p.add_argument("--max-len", type=int, default=MAX_DECODE_LEN)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("render", help="write PGM previews of rendered inputs")
@@ -186,7 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, DataError, CheckpointError) as e:
+        return _fail(EXIT_CONFIG, str(e))
+    except DivergenceError as e:
+        return _fail(EXIT_DIVERGED, str(e))
+    except OSError as e:
+        return _fail(EXIT_IO, str(e))
 
 
 if __name__ == "__main__":

@@ -21,46 +21,23 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def default_conv1d_spec(d: int) -> list[list[int]]:
-    """(channels, kernel, stride) per layer; strides multiply to 8."""
-    return [[64, 3, 1], [64, 3, 2], [128, 3, 1], [128, 3, 2], [256, 3, 1], [d, 3, 2]]
-
-
 @dataclass
 class EncoderConfig:
-    """Shared width d plus the two conv stacks' shape contracts.
+    """Shared width d and the depth of both BiGRU stacks.
 
-    The trajectory stack downsamples time by 8; the image stack has total
-    stride (32, 8) so height 32 collapses to one row. d must be divisible
-    by 8 (position-embedding pairing needs d % 4 == 0; the image-stack
-    channel ladder d/8 .. d needs d % 8 == 0).
+    The conv stacks' shapes are fixed in `encoders`: the trajectory stack
+    downsamples time by 8, and the image stack has total stride (32, 8), so
+    height 32 collapses to one row. d must be divisible by 8 (position-
+    embedding pairing needs d % 4 == 0; the image-stack channel ladder
+    d/8 .. d needs d % 8 == 0).
     """
 
     d: int = 320
-    conv1d_spec: list[list[int]] | None = None
-    cnn2d_blocks: int = 1
     gru_layers: int = 2
-
-    def resolved_conv1d_spec(self) -> list[list[int]]:
-        return self.conv1d_spec if self.conv1d_spec is not None else default_conv1d_spec(self.d)
 
     def validate(self) -> None:
         if self.d <= 0 or self.d % 8 != 0:
             raise ConfigError(f"d must be a positive multiple of 8, got {self.d}")
-        spec = self.resolved_conv1d_spec()
-        if len(spec) != 6:
-            raise ConfigError(f"conv1d_spec must have 6 layers, got {len(spec)}")
-        stride_prod = 1
-        for layer in spec:
-            if len(layer) != 3 or any(int(v) <= 0 for v in layer):
-                raise ConfigError(f"bad conv1d layer descriptor {layer}")
-            stride_prod *= int(layer[2])
-        if stride_prod != 8:
-            raise ConfigError(f"conv1d strides must multiply to 8, got {stride_prod}")
-        if spec[-1][0] != self.d:
-            raise ConfigError(f"last conv1d channels must equal d={self.d}, got {spec[-1][0]}")
-        if self.cnn2d_blocks < 1:
-            raise ConfigError("cnn2d_blocks must be >= 1")
         if self.gru_layers < 1:
             raise ConfigError("gru_layers must be >= 1")
 
@@ -76,8 +53,6 @@ class AlignConfig:
 
     layers: int = 3
     heads: int = 8
-    ff_mult: int = 2
-    rope_base: float = 10000.0
     use_transformer: bool = True
     use_rope: bool = True
     use_align_loss: bool = True
@@ -92,10 +67,6 @@ class AlignConfig:
             raise ConfigError("alignment layers must be >= 1")
         if self.heads < 1 or d % (2 * self.heads) != 0:
             raise ConfigError(f"d={d} must be divisible by 2*heads={2 * self.heads}")
-        if self.ff_mult < 1:
-            raise ConfigError("ff_mult must be >= 1")
-        if self.rope_base <= 1:
-            raise ConfigError("rope_base must be > 1")
 
 
 @dataclass
@@ -112,7 +83,6 @@ class TrainConfig:
     seed: int = 0
     grad_clip: float = 5.0
     val_fraction: float = 0.1
-    max_decode_len: int = 256
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -133,8 +103,6 @@ class TrainConfig:
                               f"got {self.augment_magnitude}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in [0, 1)")
-        if self.max_decode_len < 1:
-            raise ConfigError("max_decode_len must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -163,9 +131,6 @@ def _has_type(value, tp) -> bool:
     """
     if typing.get_origin(tp) is types.UnionType:
         return any(_has_type(value, t) for t in typing.get_args(tp))
-    if typing.get_origin(tp) is list:
-        (item,) = typing.get_args(tp)
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
     if tp is float:
         return (isinstance(value, (int, float)) and not isinstance(value, bool)
                 and abs(value) <= sys.float_info.max)

@@ -26,6 +26,8 @@ from .autodiff import DiffArray
 from .data import EOS, SOS
 from .layers import Linear, ParamStore
 
+MAX_DECODE_LEN = 256  # tokens a greedy decode emits at most when no eos comes
+
 
 class AttentionDecoder:
     def __init__(self, store: ParamStore, name: str, vocab_size: int, d: int):
@@ -68,7 +70,7 @@ class AttentionDecoder:
         """Logits (1, V) and the new state after `prev_token`; `keys` is `self.keys(f_enc)`."""
         return self._run([prev_token], state, f_enc, keys, attn_sink)
 
-    def greedy(self, f_enc: DiffArray, max_len: int = 256) -> list[int]:
+    def greedy(self, f_enc: DiffArray, max_len: int = MAX_DECODE_LEN) -> list[int]:
         """Greedy decode from sos; stops at eos or after max_len tokens.
 
         Every other argmax, PAD and SOS included, is appended to the ids and

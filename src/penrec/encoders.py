@@ -19,6 +19,9 @@ from .data import IMAGE_HEIGHT, TrajectorySequence
 from .layers import ParamStore
 
 COORD_SCALE = 1.0 / 32.0  # conv input conditioning; py lands in [0, 1]
+# (channels, kernel, stride) of the trajectory stack's first five layers; a last
+# (d, 3, 2) layer follows, so the strides multiply to 8
+TRAJ_CONV_LADDER = ((64, 3, 1), (64, 3, 2), (128, 3, 1), (128, 3, 2), (256, 3, 1))
 
 
 @dataclass
@@ -35,7 +38,7 @@ class FeatureSequence:
 
 class Conv1dStack:
     def __init__(self, store: ParamStore, name: str, in_channels: int, spec):
-        self.spec = [(int(c), int(k), int(s)) for c, k, s in spec]
+        self.spec = spec
         self.weights = []
         self.biases = []
         for i, (cout, k, _) in enumerate(self.spec):
@@ -65,7 +68,7 @@ class TrajectoryEncoder:
 
     def __init__(self, store: ParamStore, name: str, cfg: EncoderConfig):
         self.store = store
-        self.conv = Conv1dStack(store, name, 3, cfg.resolved_conv1d_spec())
+        self.conv = Conv1dStack(store, name, 3, (*TRAJ_CONV_LADDER, (cfg.d, 3, 2)))
 
     def __call__(self, seq: TrajectorySequence) -> FeatureSequence:
         if seq.length < 2:
@@ -80,30 +83,28 @@ class TrajectoryEncoder:
 
 
 class ResidualBlock:
+    """Two 3x3 convs plus a strided 1x1 projection shortcut (every block changes the stride)."""
+
     def __init__(self, store: ParamStore, name: str, cin: int, cout: int, stride):
         self.stride = tuple(stride)
         self.w1 = store.new(f"{name}.conv1.w", (3, 3, cin, cout), "he")
         self.b1 = store.new(f"{name}.conv1.b", (cout,), "zeros")
         self.w2 = store.new(f"{name}.conv2.w", (3, 3, cout, cout), "he")
         self.b2 = store.new(f"{name}.conv2.b", (cout,), "zeros")
-        if self.stride != (1, 1) or cin != cout:
-            self.wp = store.new(f"{name}.proj.w", (1, 1, cin, cout), "he")
-        else:
-            self.wp = None
+        self.wp = store.new(f"{name}.proj.w", (1, 1, cin, cout), "he")
 
     def __call__(self, x: DiffArray) -> DiffArray:
         y = ad.relu(ad.conv2d(x, self.w1, self.b1, stride=self.stride, pad=(1, 1)))
         y = ad.conv2d(y, self.w2, self.b2, stride=(1, 1), pad=(1, 1))
-        short = x if self.wp is None else ad.conv2d(x, self.wp, None, stride=self.stride, pad=(0, 0))
+        short = ad.conv2d(x, self.wp, None, stride=self.stride, pad=(0, 0))
         return ad.relu(ad.add(y, short))
 
 
 class ImageEncoder:
     """Residual CNN with total stride (32, 8) ending at width d.
 
-    Stem 3x3 stride (2,1), then four stages at strides (2,2),(2,2),(2,2),
-    (2,1) with a channel ladder d/8, d/4, d/2, d. `blocks` residual blocks
-    per stage (1 at desk scale; raise toward a full 18-layer net).
+    Stem 3x3 stride (2,1), then four stages of one residual block each, at
+    strides (2,2),(2,2),(2,2),(2,1) with a channel ladder d/8, d/4, d/2, d.
     """
 
     STAGE_STRIDES = ((2, 2), (2, 2), (2, 2), (2, 1))
@@ -117,10 +118,8 @@ class ImageEncoder:
         self.blocks = []
         cin = stem
         for si, (cout, stride) in enumerate(zip((d // 8, d // 4, d // 2, d), self.STAGE_STRIDES)):
-            for bi in range(cfg.cnn2d_blocks):
-                s = stride if bi == 0 else (1, 1)
-                self.blocks.append(ResidualBlock(store, f"{name}.s{si}.b{bi}", cin, cout, s))
-                cin = cout
+            self.blocks.append(ResidualBlock(store, f"{name}.s{si}.b0", cin, cout, stride))
+            cin = cout
 
     def __call__(self, img: np.ndarray) -> DiffArray:
         h, w = img.shape

@@ -232,7 +232,7 @@ def composite_cases(rng: np.random.Generator):
 
     def transformer_layer():
         store = ParamStore(rng, dtype=F64)
-        layer = TransformerLayer(store, "tf", 8, heads=2, ff_width=16)
+        layer = TransformerLayer(store, "tf", 8, heads=2)
         x = _rand(rng, (5, 8))
         wrt = [x] + list(store.params.values())
         p = fixed_projector(rng)
@@ -286,13 +286,8 @@ def composite_cases(rng: np.random.Generator):
 
 def tiny_model(dtype=F64, seed: int = 7, **align_overrides):
     """Smallest legal recognizer for whole-model checks (d=8)."""
-    enc_cfg = EncoderConfig(
-        d=8,
-        conv1d_spec=[[8, 3, 1], [8, 3, 2], [8, 3, 1], [8, 3, 2], [8, 3, 1], [8, 3, 2]],
-        cnn2d_blocks=1,
-        gru_layers=1,
-    )
-    align_kwargs = dict(layers=1, heads=2, ff_mult=2)
+    enc_cfg = EncoderConfig(d=8, gru_layers=1)
+    align_kwargs = dict(layers=1, heads=2)
     align_kwargs.update(align_overrides)
     align_cfg = AlignConfig(**align_kwargs)
     vocab = Vocabulary(list("abc"))

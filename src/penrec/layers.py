@@ -131,7 +131,7 @@ class BiGRUStack:
 
 
 class TransformerLayer:
-    """Pre-norm encoder layer: multi-head self-attention plus feed-forward.
+    """Pre-norm encoder layer: multi-head self-attention plus a feed-forward of width 2d.
 
     `attn.w_qkv` (d, 3d) packs the q, k and v projections as column blocks
     [q | k | v], with head j's projection in column block j of each, so one
@@ -141,7 +141,7 @@ class TransformerLayer:
     in the order q, k, v, as three separate matrices would be.
     """
 
-    def __init__(self, store: ParamStore, name: str, d: int, heads: int, ff_width: int):
+    def __init__(self, store: ParamStore, name: str, d: int, heads: int):
         if d % heads != 0:
             raise ValueError(f"width {d} not divisible by {heads} heads")
         self.heads = heads
@@ -155,8 +155,8 @@ class TransformerLayer:
             store.fill(w_qkv[:, i * d:(i + 1) * d], head_glorot)
         self.w_qkv = store.put(f"{name}.attn.w_qkv", w_qkv)
         self.out = Linear(store, f"{name}.attn.out", d, d)
-        self.ff1 = Linear(store, f"{name}.ff1", d, ff_width)
-        self.ff2 = Linear(store, f"{name}.ff2", ff_width, d)
+        self.ff1 = Linear(store, f"{name}.ff1", d, 2 * d)
+        self.ff2 = Linear(store, f"{name}.ff2", 2 * d, d)
 
     def __call__(self, x: DiffArray, attn_sink: list | None = None) -> DiffArray:
         h = ad.layer_norm(x, self.ln1_g, self.ln1_b)

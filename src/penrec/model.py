@@ -14,7 +14,7 @@ from .alignment import SpatialAligner, align_loss, merge_features, sample_image_
 from .autodiff import DiffArray
 from .config import AlignConfig, EncoderConfig
 from .data import EOS, TrajectorySequence, Vocabulary, render
-from .decoder import AttentionDecoder
+from .decoder import MAX_DECODE_LEN, AttentionDecoder
 from .encoders import FeatureSequence, ImageEncoder, TrajectoryEncoder
 from .layers import BiGRUStack, ParamStore
 
@@ -61,13 +61,13 @@ class Recognizer:
         f_enc = self.traj_gru(merge_features(f_conv.values, f_aligned))
         return f_enc, f_conv, f_aligned
 
-    def infer_ids(self, seq: TrajectorySequence, max_len: int = 256) -> list[int]:
+    def infer_ids(self, seq: TrajectorySequence, max_len: int = MAX_DECODE_LEN) -> list[int]:
         """Single-stream inference; never touches image-stream parameters."""
         with ad.no_grad():
             f_enc, _, _ = self.trajectory_features(seq)
             return self.dec_traj.greedy(f_enc, max_len=max_len)
 
-    def infer_text(self, seq: TrajectorySequence, max_len: int = 256) -> str:
+    def infer_text(self, seq: TrajectorySequence, max_len: int = MAX_DECODE_LEN) -> str:
         return self.vocab.decode(self.infer_ids(seq, max_len=max_len))
 
     # ----- collaborative training losses -------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import ConfigError
 from .data import TrajectorySequence
 
 # Polyline strokes per symbol, unit box coordinates (x right, y down).
@@ -69,12 +70,12 @@ def synth_generate(alphabet: str, n: int, rng: np.random.Generator,
     """
     for ch in alphabet:
         if ch not in GLYPH_STROKES:
-            raise KeyError(f"no glyph template for {ch!r}")
+            raise ConfigError(f"no glyph template for {ch!r}")
     if n < 0:
-        raise ValueError(f"sequence count must be >= 0, got {n}")
+        raise ConfigError(f"sequence count must be >= 0, got {n}")
     lo, hi = length_range
     if not 1 <= lo <= hi:
-        raise ValueError(f"bad length range {length_range}")
+        raise ConfigError(f"bad length range {length_range}")
     symbols = list(alphabet)
     out = []
     for i in range(n):

@@ -25,7 +25,8 @@ from . import metrics
 from .autodiff import AdamState
 from .config import (AlignConfig, EncoderConfig, TrainConfig,
                      align_config_from_dict, encoder_config_from_dict)
-from .data import Vocabulary, augment, normalize
+from .data import DataError, Vocabulary, augment, normalize
+from .decoder import MAX_DECODE_LEN
 from .layers import ParamStore
 from .model import IMAGE_PREFIXES, Recognizer
 
@@ -38,7 +39,7 @@ class CheckpointError(ValueError):
     """Checkpoint file inconsistent with its manifest or config."""
 
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 HEADER_KEYS = ("version", "encoder", "alignment", "seed", "vocab", "manifest")
 
 
@@ -91,13 +92,16 @@ def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainCon
     """Run the collaborative loop; returns the model plus the JSONL records."""
     cfg.validate()
     if not dataset:
-        raise ValueError("train: empty dataset")
-    model = Recognizer(enc_cfg, align_cfg, vocab, seed=cfg.seed)
+        raise DataError("train: empty dataset")
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng, aug_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
 
     base = [normalize(seq) for seq in dataset]
     train_set, val_set = split_train_val(base, cfg.val_fraction, shuffle_rng)
+    if val_set and not any(s.text for s in val_set):
+        raise DataError(f"the validation split ({len(val_set)} lines) has no reference characters "
+                        f"to score a CER against")
+    model = Recognizer(enc_cfg, align_cfg, vocab, seed=cfg.seed)
 
     steps_per_epoch = max(1, -(-len(train_set) // cfg.batch_size))
     if cfg.max_steps is not None:
@@ -177,14 +181,12 @@ def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainCon
                 })
             if val_set:
                 refs = [s.text for s in val_set]
-                hyps = [model.infer_text(s, max_len=cfg.max_decode_len) for s in val_set]
+                hyps = [model.infer_text(s) for s in val_set]
                 emit({"epoch": epoch + 1, "step": step, "val_cer": metrics.cer(refs, hyps)})
             if result.checkpoint_path is not None:
                 save_checkpoint(model, result.checkpoint_path)
             if step >= total_steps:
                 break
-        if result.checkpoint_path is not None:
-            save_checkpoint(model, result.checkpoint_path)
     finally:
         if log_fh is not None:
             log_fh.close()
@@ -192,11 +194,11 @@ def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainCon
     return result
 
 
-def evaluate(model: Recognizer, dataset, max_decode_len: int = 256) -> dict:
+def evaluate(model: Recognizer, dataset, max_decode_len: int = MAX_DECODE_LEN) -> dict:
     """Single-stream inference over a dataset, reported as the metrics JSON."""
-    if not dataset:
-        raise ValueError("evaluate: empty dataset")
     refs = [seq.text for seq in dataset]
+    if not any(refs):  # an empty dataset included
+        raise DataError(f"evaluate: no reference characters to score a CER against ({len(refs)} lines)")
     hyps = [model.infer_text(normalize(seq), max_len=max_decode_len) for seq in dataset]
     return metrics.report(refs, hyps)
 
@@ -204,12 +206,14 @@ def evaluate(model: Recognizer, dataset, max_decode_len: int = 256) -> dict:
 # ---------------------------------------------------------------------------
 # checkpoint format: one JSON header line (config, vocab, manifest), an
 # 8-byte little-endian payload length equal to the bytes that follow it, then
-# raw little-endian float32 data. Version 5 packs each transformer layer's
-# attention projections into one tensor, align.l0.attn.w_qkv (d, 3d): column
-# blocks [q | k | v], heads as column blocks inside each. Each BiGRU layer
-# packs both directions into four tensors, for example traj_gru.l0.w_x
-# (forward gate blocks, then backward), and the decoders' GRU cells keep
-# their packed w_x, w_h, b_x, b_h.
+# raw little-endian float32 data. Each transformer layer packs its attention
+# projections into one tensor, align.l0.attn.w_qkv (d, 3d): column blocks
+# [q | k | v], heads as column blocks inside each. Each BiGRU layer packs
+# both directions into four tensors, for example traj_gru.l0.w_x (forward
+# gate blocks, then backward), and the decoders' GRU cells keep their packed
+# w_x, w_h, b_x, b_h. Version 6 holds version 5's payload under a header
+# without the four shape keys that became constants (encoder.conv1d_spec and
+# cnn2d_blocks, alignment.ff_mult and rope_base).
 
 
 def save_checkpoint(model: Recognizer, path) -> None:

@@ -27,9 +27,7 @@ PASS = "ACCEPTANCE {:02d} {}: PASS ({})"
 
 
 def small_enc_cfg(d=16):
-    return EncoderConfig(d=d, conv1d_spec=[[8, 3, 1], [8, 3, 2], [8, 3, 1],
-                                           [8, 3, 2], [8, 3, 1], [d, 3, 2]],
-                         gru_layers=1)
+    return EncoderConfig(d=d, gru_layers=1)
 
 
 def small_align_cfg(**kw):
@@ -262,9 +260,7 @@ def test_c10_end_to_end_determinism(tmp_path, capsys):
     data_path = tmp_path / "d.jsonl"
     save_dataset(data_path, data)
     config = {
-        "encoder": {"d": 16, "conv1d_spec": [[8, 3, 1], [8, 3, 2], [8, 3, 1],
-                                             [8, 3, 2], [8, 3, 1], [16, 3, 2]],
-                    "gru_layers": 1},
+        "encoder": {"d": 16, "gru_layers": 1},
         "alignment": {"layers": 1, "heads": 2},
         "training": {"batch_size": 4, "epochs": 1, "max_steps": 10, "lr_max": 1e-3,
                      "lr_min": 1e-5, "augment": True, "val_fraction": 0.2, "seed": 33},

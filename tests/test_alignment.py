@@ -82,7 +82,7 @@ def test_transformer_off_returns_position_tagged_input_unchanged():
     seq = tiny_sequence(np.random.default_rng(2))
     f = m.traj_conv(seq)
     out = m.aligner(f)
-    expected = f.values.data + rope2d(f.positions, m.enc_cfg.d, m.align_cfg.rope_base)
+    expected = f.values.data + rope2d(f.positions, m.enc_cfg.d)
     np.testing.assert_allclose(out.data, expected.astype(np.float32), rtol=1e-6)
     assert not any(n.startswith("align.") for n in m.params)
 
@@ -127,7 +127,7 @@ def _qkv_blocks(layer):
 
 def test_single_frame_layer_matches_manual_path():
     store = ParamStore(np.random.default_rng(5))
-    layer = TransformerLayer(store, "t", d=8, heads=2, ff_width=16)
+    layer = TransformerLayer(store, "t", d=8, heads=2)
     x = np.random.default_rng(6).normal(size=(1, 8)).astype(np.float32)
     out = layer(ad.array(x)).data
 
@@ -145,7 +145,7 @@ def test_layer_matches_per_head_equations_in_float64():
     rng = np.random.default_rng(11)
     d, heads, frames = 12, 3, 7
     store = ParamStore(rng, dtype=np.float64)
-    layer = TransformerLayer(store, "t", d=d, heads=heads, ff_width=24)
+    layer = TransformerLayer(store, "t", d=d, heads=heads)
     for p in store.params.values():
         if p.data.ndim == 1:
             p.data[:] = rng.uniform(-0.5, 0.5, size=p.data.shape) + (p.data == 1.0)
@@ -174,7 +174,7 @@ def test_layer_matches_per_head_equations_in_float64():
 def test_layer_forward_builds_one_node_per_projection():
     # layer norm, the packed q|k|v matmul, attention, the output projection and
     # its residual add, layer norm, ff1, relu, ff2 and its residual add
-    layer = TransformerLayer(ParamStore(np.random.default_rng(12)), "t", d=8, heads=2, ff_width=16)
+    layer = TransformerLayer(ParamStore(np.random.default_rng(12)), "t", d=8, heads=2)
     out = layer(ad.array(np.random.default_rng(13).normal(size=(5, 8))))
     assert graph_node_count(out) == 10
 

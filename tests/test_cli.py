@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -28,9 +29,7 @@ from penrec.training import load_checkpoint, save_checkpoint
 
 
 TINY_CONFIG = {
-    "encoder": {"d": 16, "conv1d_spec": [[8, 3, 1], [8, 3, 2], [8, 3, 1],
-                                         [8, 3, 2], [8, 3, 1], [16, 3, 2]],
-                "gru_layers": 1},
+    "encoder": {"d": 16, "gru_layers": 1},
     "alignment": {"layers": 1, "heads": 2},
     "training": {"batch_size": 4, "epochs": 1, "max_steps": 3, "lr_max": 1e-3,
                  "lr_min": 1e-5, "augment": False, "val_fraction": 0.0, "seed": 0},
@@ -75,6 +74,21 @@ def test_synth_negative_count_exits_2_without_writing(tmp_path, capsys):
 def test_synth_unknown_glyph_is_config_error(tmp_path):
     out = tmp_path / "x.jsonl"
     assert main(["synth", "--n", "1", "--vocab", "a!", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("alphabet,n,length_range,message", [
+    ("a!", 1, (1, 2), "no glyph template for '!'"),
+    ("ab", -1, (1, 2), "sequence count must be >= 0"),
+    ("ab", 1, (3, 2), "bad length range (3, 2)"),
+], ids=["unknown_glyph", "negative_count", "bad_length_range"])
+def test_synth_bad_arguments_exit_2_through_a_config_error(tmp_path, capsys, alphabet, n, length_range, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        synth_generate(alphabet, n, np.random.default_rng(0), length_range=length_range)
+    out = tmp_path / "x.jsonl"
+    assert main(["synth", "--n", str(n), "--vocab", alphabet, "--min-len", str(length_range[0]),
+                 "--max-len", str(length_range[1]), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_render_outputs_height_32(tmp_path):
@@ -132,7 +146,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ("training", "batch_size", 2.5, "training.batch_size: expected int, got 2.5"),
     ("training", "augment", 1, "training.augment: expected bool, got 1"),
     ("training", "max_steps", True, "training.max_steps: expected int | None, got true"),
-    ("encoder", "conv1d_spec", [[8, 3, 1]] * 5 + [[16, 3, "2"]], "encoder.conv1d_spec: expected list[list[int]] | None"),
+    ("encoder", "conv1d_spec", [[8, 3, 1]] * 5 + [[16, 3, "2"]], "encoder: unknown keys ['conv1d_spec']"),
     ("training", "seed", -1, "seed must be >= 0"),
     ("training", "grad_clip", 2 ** 1024, "training.grad_clip: expected float, got 1797"),
 ], ids=["d_string", "batch_size_float", "augment_int", "max_steps_bool", "conv1d_spec_string", "seed_negative",
@@ -153,7 +167,7 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, section, key, value, me
 @pytest.mark.parametrize("section,key", [
     ("training", "align_weight"), ("training", "grad_clip"), ("training", "augment_magnitude"),
     ("training", "lr_max"), ("training", "lr_min"), ("training", "augment_fraction"),
-    ("training", "val_fraction"), ("alignment", "rope_base"),
+    ("training", "val_fraction"),
 ])
 def test_non_finite_config_float_exits_2(tmp_path, capsys, section, key, value):
     # Python's json reads NaN and Infinity; a NaN align_weight would otherwise end as a divergence (exit 3)
@@ -205,12 +219,28 @@ def test_run_config_from_dict_gives_a_config_or_a_config_error(raw):
                 assert math.isfinite(value), f.name
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("encoder", "conv1d_spec", None), ("encoder", "cnn2d_blocks", 1), ("alignment", "ff_mult", 2),
+    ("alignment", "rope_base", 10000.0), ("training", "max_decode_len", 256),
+])
+def test_removed_config_key_exits_2(tmp_path, capsys, section, key, value):
+    # these five became constants; a config that still sets one, even to its old default, is refused
+    data = make_data(tmp_path)
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{section}: unknown keys ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_float_field_accepts_int():
     doc = json.loads(json.dumps(TINY_CONFIG))
-    doc["training"].update(lr_max=1, lr_min=1)
-    doc["alignment"]["rope_base"] = 100
+    doc["training"].update(lr_max=1, lr_min=1, align_weight=3)
     cfg = run_config_from_dict(doc)
-    assert (cfg.training.lr_max, cfg.alignment.rope_base) == (1, 100)
+    assert (cfg.training.lr_max, cfg.training.align_weight) == (1, 3)
 
 
 def test_train_eval_infer_round_trip(tmp_path, capsys):
@@ -260,6 +290,59 @@ def test_eval_empty_dataset_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--data", str(empty)]) == 2
+
+
+def test_eval_max_len_below_one_exits_2_before_loading(tmp_path, capsys, monkeypatch):
+    import penrec.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be loaded or decoded")
+
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    assert main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--data", str(tmp_path / "none.jsonl"),
+                 "--max-len", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-len" in captured.err
+
+
+def write_textless_data(tmp_path, n=10):
+    """Synthetic lines whose transcripts are all empty."""
+    seqs = synth_generate("abcd", n, np.random.default_rng(0), length_range=(1, 2))
+    path = tmp_path / "textless.jsonl"
+    save_dataset(path, [dataclasses.replace(s, text="") for s in seqs])
+    return path
+
+
+def test_train_refuses_a_validation_split_without_reference_characters(tmp_path, capsys):
+    config = write_config(tmp_path, training={**TINY_CONFIG["training"], "val_fraction": 0.2})
+    run = tmp_path / "run"
+    code = main(["train", "--config", str(config), "--data", str(write_textless_data(tmp_path)),
+                 "--out", str(run), "--quiet"])
+    assert code == 2
+    assert "validation split (2 lines) has no reference characters" in capsys.readouterr().err
+    assert not run.exists()  # refused before the first step
+
+
+def test_eval_refuses_a_corpus_without_reference_characters(tmp_path, capsys):
+    ckpt, _ = tiny_checkpoint(tmp_path)
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(write_textless_data(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "no reference characters" in captured.err
+
+
+def test_a_program_fault_in_eval_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    # only the typed input errors map to exit 2; a shape fault inside the model propagates
+    import penrec.cli as cli
+    ckpt, data = tiny_checkpoint(tmp_path)
+
+    def fault(*args, **kwargs):
+        raise ad.ShapeError("matmul: inner dimensions differ")
+
+    monkeypatch.setattr(cli, "evaluate", fault)
+    with pytest.raises(ad.ShapeError):
+        main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
 
 
 def test_seeded_trainings_match(tmp_path, capsys):
@@ -357,20 +440,23 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header.update(version=2), "unsupported version 2"),
     (lambda header: header.update(version=3), "unsupported version 3"),
     (lambda header: header.update(version=4), "unsupported version 4"),
+    (lambda header: header.update(version=5), "unsupported version 5"),
     (lambda header: header.update(version=5.0), "unsupported version 5.0"),
     (lambda header: header["encoder"].update(d="16"), 'encoder.d: expected int, got "16"'),
     (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
     (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
-    (lambda header: header["alignment"].update(rope_base=float("nan")), "alignment.rope_base: expected float, got NaN"),
+    # keys that version 5 wrote and that are now constants
+    (lambda header: header["alignment"].update(rope_base=float("nan")), "alignment: unknown keys ['rope_base']"),
+    (lambda header: header["alignment"].update(ff_mult=200000), "alignment: unknown keys ['ff_mult']"),
+    (lambda header: header["encoder"].update(cnn2d_blocks=10**18), "encoder: unknown keys ['cnn2d_blocks']"),
     # a model larger than the manifest: the loader's store hands out no more elements than the file holds
-    (lambda header: header["alignment"].update(ff_mult=200000), "(16, 3200000) needs 51200000 elements"),
+    (lambda header: header["encoder"].update(d=160000), "(3, 256, 160000) needs 122880000 elements"),
     (lambda header: header["alignment"].update(layers=10**9), "elements, "),
     (lambda header: header["encoder"].update(gru_layers=10**9), "elements, "),
-    (lambda header: header["encoder"].update(cnn2d_blocks=10**18), "elements, "),
 ], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2", "version_3", "version_4",
-        "version_5_float",
+        "version_5", "version_5_float",
         "encoder_d_string", "alignment_toggle_int", "seed_negative", "alignment_rope_base_nan",
-        "ff_mult_huge", "alignment_layers_huge", "gru_layers_huge", "cnn2d_blocks_huge"])
+        "ff_mult_huge", "cnn2d_blocks_huge", "d_huge", "alignment_layers_huge", "gru_layers_huge"])
 def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
     ckpt, data = tiny_checkpoint(tmp_path)
     header, rest = ckpt.read_bytes().split(b"\n", 1)

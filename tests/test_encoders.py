@@ -14,8 +14,7 @@ from penrec.model import Recognizer
 
 
 def small_enc_cfg(d=16):
-    spec = [[8, 3, 1], [8, 3, 2], [8, 3, 1], [8, 3, 2], [8, 3, 1], [d, 3, 2]]
-    return EncoderConfig(d=d, conv1d_spec=spec, gru_layers=1)
+    return EncoderConfig(d=d, gru_layers=1)
 
 
 def make_model(d=16, seed=0):

@@ -1,9 +1,9 @@
 """Collaborative loop: loss composition, gradient flow, checkpoints, determinism."""
 
+import hashlib
 import json
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +23,7 @@ from penrec.training import (CheckpointError, DivergenceError, batch_losses, eva
 
 
 def tiny_enc_cfg(d=16):
-    return EncoderConfig(d=d, conv1d_spec=[[8, 3, 1], [8, 3, 2], [8, 3, 1],
-                                           [8, 3, 2], [8, 3, 1], [d, 3, 2]],
-                         gru_layers=1)
+    return EncoderConfig(d=d, gru_layers=1)
 
 
 def tiny_train_cfg(**kw):
@@ -202,6 +200,25 @@ def test_train_smoke_and_log_schema(tmp_path):
     assert (tmp_path / "run" / "train_log.jsonl").exists()
 
 
+def test_train_saves_once_per_epoch(tmp_path, monkeypatch):
+    import penrec.training as T
+    saves = []
+    real = T.save_checkpoint
+
+    def counted(model, path):
+        saves.append(path)
+        real(model, path)
+
+    monkeypatch.setattr(T, "save_checkpoint", counted)
+    # 8 lines in batches of 4: 3 steps take 2 epochs
+    res = T.train(small_dataset(), tiny_enc_cfg(), AlignConfig(layers=1, heads=2), tiny_train_cfg(),
+                  build_vocab(small_dataset()), out_dir=tmp_path / "run")
+    assert saves == [res.checkpoint_path] * 2
+    # the last epoch's save holds the returned parameters
+    real(res.model, tmp_path / "final.ckpt")
+    assert res.checkpoint_path.read_bytes() == (tmp_path / "final.ckpt").read_bytes()
+
+
 def test_two_seeded_runs_are_byte_identical(tmp_path):
     data = small_dataset()
     vocab = build_vocab(data)
@@ -345,8 +362,12 @@ def test_empty_ink_sequence_decodes_without_error():
 # ---------------------------------------------------------------------------
 # checkpoint load: values read in place, every check before the payload
 
-OLD_V4_FILE = Path(__file__).parent / "data" / "v4_d8_seed11.ckpt"
-NEW_V5_FILE = Path(__file__).parent / "data" / "v5_d8_seed11.ckpt"
+# sha256 of the payload (the bytes after the length prefix) that the version 5 writer saved for a
+# fresh model: the initial draws stayed the same when five config keys became constants
+V5_PAYLOAD_SHA256 = {
+    "tiny_d8_seed11": "f48ec546e9bc62bd8f8906e93707f7bc3e6feb47dbf65296644dabb3b70d8c2d",
+    "d64_seed1": "ddc307ff6b650a54ba5129f7d7f2e79b06309ba68d6fb8de941c203badbbf36c",
+}
 
 
 def decoded_payload(blob: bytes) -> dict[str, np.ndarray]:
@@ -392,28 +413,38 @@ def fresh_model_of(blob: bytes) -> Recognizer:
                       Vocabulary.from_symbols(header["vocab"]), seed=header["seed"])
 
 
+def payload_sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob.split(b"\n", 1)[1][8:]).hexdigest()
+
+
 def test_load_reads_a_file_of_the_previous_loader_to_the_same_values(tmp_path):
-    # written at commit 8dbffcd in format 4, with separate attn.wq, attn.wk and attn.wv
-    blob = OLD_V4_FILE.read_bytes()
-    with pytest.raises(CheckpointError, match="unsupported version 4"):
-        load_checkpoint(OLD_V4_FILE)
-    # a fresh model at the same seed still draws the same initial values, q, k and v packed in order
-    old = decoded_payload(blob)
-    fresh = fresh_model_of(blob)
-    for name, p in fresh.params.items():
-        if name.endswith(".attn.w_qkv"):
-            prefix = name[:-len("w_qkv")]
-            want = np.concatenate([old.pop(prefix + key) for key in ("wq", "wk", "wv")], axis=1)
-        else:
-            want = old.pop(name)
-        assert p.data.tobytes() == want.astype(np.float32).tobytes(), name
-    assert not old, f"v4 tensors without a v5 counterpart: {sorted(old)}"
+    # the version 5 header held four shape keys that are now constants, at these values
+    path = tmp_path / "v5.ckpt"
+    save_checkpoint(tiny_model(seed=11), path)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["version"] = 5
+    doc["encoder"].update(conv1d_spec=None, cnn2d_blocks=1)
+    doc["alignment"].update(ff_mult=2, rope_base=10000.0)
+    path.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + rest)
+    with pytest.raises(CheckpointError, match="unsupported version 5"):
+        load_checkpoint(path)
+    # the payload is the one the version 5 writer saved for the same model
+    assert payload_sha256(path.read_bytes()) == V5_PAYLOAD_SHA256["tiny_d8_seed11"]
 
 
-def test_load_reads_the_v5_fixture_to_its_values(tmp_path, poisoned_empty):
-    # written in format 5 from a fresh model of the v4 fixture's config, vocabulary and seed 11
-    blob = NEW_V5_FILE.read_bytes()
-    model = load_checkpoint(NEW_V5_FILE)
+def test_a_fresh_d64_model_draws_the_initial_values_of_version_5(tmp_path):
+    # the C07 recipe's and the benchmark's init
+    path = tmp_path / "d64.ckpt"
+    save_checkpoint(Recognizer(EncoderConfig(d=64), AlignConfig(), Vocabulary(list(DEFAULT_ALPHABET)), seed=1), path)
+    assert payload_sha256(path.read_bytes()) == V5_PAYLOAD_SHA256["d64_seed1"]
+
+
+def test_load_reads_a_saved_file_to_its_values(tmp_path, poisoned_empty):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(seed=11), path)
+    blob = path.read_bytes()
+    model = load_checkpoint(path)
     assert_loaded_in_place(model, blob)
     save_checkpoint(model, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == blob
@@ -470,8 +501,7 @@ def manifest_edits():
         st.tuples(st.just("name"), st.text(max_size=12))))
 
 
-SIZE_KEYS = [("encoder", "d"), ("encoder", "gru_layers"), ("encoder", "cnn2d_blocks"),
-             ("alignment", "layers"), ("alignment", "heads"), ("alignment", "ff_mult")]
+SIZE_KEYS = [("encoder", "d"), ("encoder", "gru_layers"), ("alignment", "layers"), ("alignment", "heads")]
 
 
 def mutations():
