@@ -11,19 +11,29 @@ the decoder's attention step, the softmax and the convolutions'
 strided-window im2col/col2im are each written once, as private helpers the
 kernels share; greedy decoding runs the two step helpers on plain arrays.
 A parameter's `a.T @ g` gradients are not formed per use: `backward` queues
-them and forms each one at its end, joining short uses into one matmul.
-Convolutions leave out the kernel rows that read only zero padding.
-Arrays are float32 by default; build everything in float64 for
-finite-difference checks.
+them and forms each one once the reverse sweep has passed the parameter's
+last consumer, joining short uses into one matmul. Convolutions leave out
+the kernel rows that read only zero padding. Arrays are float32 by default;
+build everything in float64 for finite-difference checks.
 
 Also hosts the optimizer pieces: Adam with bias correction, updated in
 cache-sized blocks, and the cosine learning-rate schedule.
+
+Training can use a second core through one worker thread (`submit`). It is
+started by the first training step that has work large enough for it, and
+only when the process may run on at least two CPUs; importing, loading and
+inference start none. Three places hand it work, each above a size timed
+on the model's shapes: the recognizer's image stream (model.py), a
+parameter's queued gradient products in `backward`, and half of the
+tensors in `adam_step`. Each task makes the numpy calls the inline path
+makes, on the same operands, so every result is bit-identical to it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
 
 import numpy as np
 
@@ -52,6 +62,34 @@ def set_validation(flag: bool) -> None:
     """Toggle finiteness checks on kernel inputs (slow, for debugging)."""
     global _VALIDATE
     _VALIDATE = bool(flag)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+_WORKER = None  # (pid, executor of one thread) once a step has handed it work
+
+
+def submit(fn, *args):
+    """Start fn(*args) on the worker thread and return its Future; None on a single CPU.
+
+    On None the caller runs fn itself. The worker is one thread, started by
+    the first call; a forked child starts its own, since it has no copy of
+    its parent's. Callers wait for every task they submit before they return
+    or raise.
+    """
+    global _WORKER
+    if _usable_cpus() < 2:
+        return None
+    if _WORKER is None or _WORKER[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor  # its import costs milliseconds; only training needs it
+        _WORKER = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="penrec-worker"))
+    return _WORKER[1].submit(fn, *args)
 
 
 class DiffArray:
@@ -137,7 +175,8 @@ def _acc_product(p: DiffArray, a, g, rows: tuple[int, int] | None = None) -> Non
     the product is only p's leading-axis rows lo:hi; p's other rows get 0.
     Inside `backward`, a leaf (a parameter) only queues the pair; `backward`
     forms the leaf's gradient from all of its queued pairs once the reverse
-    sweep is done. Anything else accumulates at once.
+    sweep has passed the leaf's last consumer. Anything else accumulates at
+    once.
     """
     if not p.requires_grad:
         return
@@ -176,13 +215,56 @@ def _add_rows(p: DiffArray, dw, rows: tuple[int, int] | None) -> None:
     p.grad[lo:hi] += dw.reshape((hi - lo, *p.shape[1:]))
 
 
+def _flush(p: DiffArray, uses: dict) -> None:
+    """Add a leaf's queued products to its gradient, one sum per block of rows, in queuing order."""
+    for rows, (as_, gs) in uses.items():
+        _add_rows(p, _sum_of_products(as_, gs), rows)
+
+
+# A leaf whose queued products hold at least this many multiply-adds has them formed on the
+# worker thread during the sweep; smaller ones are formed after it, on the calling thread.
+# A step of 8 lines queues, in all and for its largest leaf: d=64 on 2-4 glyph lines 57M and
+# 12M, d=64 on 6-10 glyphs 177M and 38M, d=320 on 6-10 glyphs 2.1G and 132M. Backward of that
+# d=320 step, 2-core x86-64 VM (OpenBLAS, one BLAS thread), medians of 6: all inline 315 ms,
+# from 16M 216 ms, from 32M 226, from 48M 219, from 64M 251. From 48M every d=64 leaf stays
+# inline: sending leaves of 2M and up slowed a d=64 step by 8-18%, the worker's numpy calls
+# contending for the interpreter with the sweep's many small ones.
+_WORKER_MACS = 48_000_000
+
+
+def _queued_macs(uses: dict) -> int:
+    """Multiply-adds of the products a leaf has queued: a (N, m) and g (N, k) take N * m * k."""
+    return sum(a.size * g.shape[-1] for as_, gs in uses.values() for a, g in zip(as_, gs))
+
+
+def _last_consumers(order) -> dict:
+    """id(node) -> the leaves for which that node is the last consumer the reverse sweep reaches.
+
+    A node's consumers all follow it in the topological `order`, which the
+    sweep walks backwards, so a leaf's first consumer in `order` is its last
+    in the sweep. Every backward_fn accumulates only into its own node's
+    parents, so once that node is swept no more products reach the leaf.
+    """
+    last, claimed = {}, set()
+    for node in order:
+        for p in node.parents:
+            if p.backward_fn is None and p.requires_grad and id(p) not in claimed:
+                claimed.add(id(p))
+                last.setdefault(id(node), []).append(p)
+    return last
+
+
 def backward(loss: DiffArray) -> None:
     """Populate grads of every reachable array that requires them.
 
     Gradients accumulate across multiple uses of the same array. A leaf's
-    `a.T @ g` contributions (see `_acc_product`) are summed after the
-    reverse sweep, per block of rows the uses write. Only a scalar-shaped
-    loss is accepted.
+    `a.T @ g` contributions (see `_acc_product`) are summed per block of
+    rows the uses write. Once the reverse sweep has passed the leaf's last
+    consumer, a leaf with at least `_WORKER_MACS` queued multiply-adds has
+    its sums formed on the worker thread while the sweep goes on; the others
+    are formed after the sweep. Either way each leaf's gradient is made by
+    the same calls in the same order. Every task has finished when this
+    returns or raises. Only a scalar-shaped loss is accepted.
     """
     global _DEFERRED
     if loss.data.shape != ():
@@ -205,17 +287,32 @@ def backward(loss: DiffArray) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((), dtype=loss.data.dtype)
+    # 0.23 ms for a d=64 step's 816 nodes, under 0.5% of its backward, where no leaf goes to the worker
+    last = _last_consumers(order) if _usable_cpus() >= 2 else {}
+    tasks = []
     _DEFERRED = {}
     try:
         for node in reversed(order):
             if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
-        # leaves in the order the sweep first queued them
+            for p in last.get(id(node), ()):
+                entry = _DEFERRED.get(id(p))
+                if entry is not None and _queued_macs(entry[1]) >= _WORKER_MACS:
+                    del _DEFERRED[id(p)]
+                    task = submit(_flush, p, entry[1])
+                    if task is None:
+                        _flush(p, entry[1])
+                    else:
+                        tasks.append(task)
+        # the rest, leaves in the order the sweep first queued them
         for p, uses in _DEFERRED.values():
-            for rows, (as_, gs) in uses.items():
-                _add_rows(p, _sum_of_products(as_, gs), rows)
-    finally:  # also when a backward_fn raises: nothing queued outlives this call
+            _flush(p, uses)
+    finally:  # also when a backward_fn raises: nothing queued or running outlives this call
         _DEFERRED = None
+        for task in tasks:
+            task.exception()  # waits; a sweep error goes first
+    for task in tasks:
+        task.result()
 
 
 def zero_grads(arrays) -> None:
@@ -912,30 +1009,18 @@ def _adam_update(p, g, m, v, t1, t2, b1, b2, c1, c2, lr, eps) -> None:
     p -= t1
 
 
-def adam_step(params: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update over `params` (name -> DiffArray).
+# Parameter elements from which `adam_step` updates half of the tensors on the worker thread.
+# Each update streams its tensor through memory. Whole model, inline | split, medians of 20 on a
+# 2-core x86-64 VM: d=64 (0.56M elements) 4.3 | 5.0 ms, d=128 (1.56M) 8.4 | 7.6, d=192 (3.19M)
+# 16.4 | 13.0, d=320 (8.34M) 42.7 | 30.4.
+_ADAM_WORKER_ELEMENTS = 2_000_000
 
-    Missing grads count as zero. Any non-finite gradient rejects the whole
-    step before touching parameters or state. A tensor larger than
-    `_ADAM_BLOCK` elements is updated in blocks of that size through two
-    reused scratch buffers. A smaller one, or one without a flat view (it,
-    its gradient or its moments not C-contiguous), is updated whole.
-    """
-    if lr <= 0:
-        raise ValueError(f"adam_step: lr must be positive, got {lr}")
-    grads = {}
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam_step: grad shape {g.shape} does not match parameter '{name}' {p.data.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"adam_step: non-finite gradient for parameter '{name}'")
-        grads[name] = g
-    t = state.step + 1
-    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-    consts = (b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, lr, _ADAM_EPSILON)
+
+def _adam_updates(params: dict, names, grads: dict, state: AdamState, consts) -> None:
+    """`_adam_update` of each named tensor, a large one in `_ADAM_BLOCK` blocks through two reused scratch buffers."""
     scratch = {}  # dtype -> two buffers of one block
-    for name, p in params.items():
+    for name in names:
+        p = params[name]
         arrays = (p.data, grads[name], state.m[name], state.v[name])
         n = p.data.size
         # a tensor of at most one block already fits in cache; its flat views and block slices
@@ -950,6 +1035,56 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
             end = min(start + _ADAM_BLOCK, n)
             _adam_update(*(a[start:end] for a in flat), *(b[:end - start] for b in scratch[p.data.dtype]),
                          *consts)
+
+
+def _halves(params: dict) -> tuple[list, list]:
+    """The parameter names in two lists of near-equal element counts, largest tensors placed first."""
+    halves, counts = ([], []), [0, 0]
+    for name in sorted(params, key=lambda n: params[n].data.size, reverse=True):
+        i = counts[1] < counts[0]
+        halves[i].append(name)
+        counts[i] += params[name].data.size
+    return halves
+
+
+def adam_step(params: dict, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update over `params` (name -> DiffArray).
+
+    Missing grads count as zero. Any non-finite gradient rejects the whole
+    step before touching parameters or state. A tensor larger than
+    `_ADAM_BLOCK` elements is updated in blocks of that size through two
+    reused scratch buffers. A smaller one, or one without a flat view (it,
+    its gradient or its moments not C-contiguous), is updated whole. With
+    at least `_ADAM_WORKER_ELEMENTS` elements in all, the worker thread
+    updates one of two halves of the tensors while the caller updates the
+    other; each tensor's update is the same either way.
+    """
+    if lr <= 0:
+        raise ValueError(f"adam_step: lr must be positive, got {lr}")
+    grads = {}
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if g.shape != p.data.shape:
+            raise ShapeError(f"adam_step: grad shape {g.shape} does not match parameter '{name}' {p.data.shape}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"adam_step: non-finite gradient for parameter '{name}'")
+        grads[name] = g
+    t = state.step + 1
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
+    consts = (b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, lr, _ADAM_EPSILON)
+    names, task = params, None
+    if sum(p.data.size for p in params.values()) >= _ADAM_WORKER_ELEMENTS:
+        mine, theirs = _halves(params)
+        task = submit(_adam_updates, params, theirs, grads, state, consts)
+        if task is not None:
+            names = mine
+    try:
+        _adam_updates(params, names, grads, state, consts)
+    finally:
+        if task is not None:
+            task.exception()  # waits; the caller's error goes first
+    if task is not None:
+        task.result()
     state.step = t
 
 

@@ -2,7 +2,11 @@
 
 Training runs the trajectory stream, the image stream, and the alignment
 module together; inference touches only the trajectory stream and the
-alignment module (parameter prefixes make that auditable).
+alignment module (parameter prefixes make that auditable). The two streams
+meet only at the alignment loss, so from width `_STREAMS_BESIDE_D` a
+training sample runs its image stream on autodiff's worker thread while the
+trajectory stream runs on the caller's; both build the nodes and values
+they would build one after the other.
 """
 
 from __future__ import annotations
@@ -20,6 +24,13 @@ from .layers import BiGRUStack, ParamStore
 
 TRAJ_PREFIXES = ("traj_conv.", "traj_gru.", "align.", "dec_traj.")
 IMAGE_PREFIXES = ("img_cnn.", "img_gru.", "dec_img.")
+
+# Model width from which `sample_losses` runs the two streams side by side. Forward time of 8
+# samples side by side over one after the other, 2-core x86-64 VM (OpenBLAS, one BLAS thread),
+# on 2-4 | 6-10 glyph lines: d=64 1.26 | 1.05, d=128 1.11 | 0.89, d=192 1.01 | 0.85, d=256
+# 0.82 | 0.80, d=320 0.71 on 6-10. Narrower streams are mostly per-node Python work, which two
+# threads cannot do at once.
+_STREAMS_BESIDE_D = 256
 
 
 class Recognizer:
@@ -72,14 +83,28 @@ class Recognizer:
 
     # ----- collaborative training losses -------------------------------------
 
-    def sample_losses(self, seq: TrajectorySequence) -> dict[str, DiffArray | None]:
-        """Per-sample loss components on a normalized sequence."""
-        target = self.vocab.encode(seq.text) + [EOS]
-        f_enc, f_conv, f_aligned = self.trajectory_features(seq)
-        loss_traj = self.dec_traj.ce_loss(f_enc, target)
-
+    def image_losses(self, seq: TrajectorySequence, target: list[int]) -> tuple[DiffArray, DiffArray]:
+        """Image stream: render -> CNN -> BiGRU -> CE. Returns (the CNN's features, the CE loss)."""
         f2d_conv = self.img_cnn(render(seq))
-        loss_img = self.dec_img.ce_loss(self.img_gru(f2d_conv), target)
+        return f2d_conv, self.dec_img.ce_loss(self.img_gru(f2d_conv), target)
+
+    def sample_losses(self, seq: TrajectorySequence) -> dict[str, DiffArray | None]:
+        """Per-sample loss components on a normalized sequence.
+
+        From width `_STREAMS_BESIDE_D` the image stream runs on the worker
+        thread while this one runs the trajectory stream. An error of the
+        trajectory stream is raised first, as in sequential order, once the
+        image stream has finished.
+        """
+        target = self.vocab.encode(seq.text) + [EOS]
+        image = ad.submit(self.image_losses, seq, target) if self.enc_cfg.d >= _STREAMS_BESIDE_D else None
+        try:
+            f_enc, f_conv, f_aligned = self.trajectory_features(seq)
+            loss_traj = self.dec_traj.ce_loss(f_enc, target)
+        finally:
+            if image is not None:
+                image.exception()  # waits
+        f2d_conv, loss_img = image.result() if image is not None else self.image_losses(seq, target)
 
         loss_align = None
         if self.align_cfg.use_align_loss and f_aligned is not None:
