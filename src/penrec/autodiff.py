@@ -5,9 +5,7 @@ with an optional bias, strided 1D/2D convolution, relu, multi-head
 self-attention over a packed q|k|v projection, layer norm, a whole-sequence
 bidirectional GRU, the decoder's whole-sequence attention-fed GRU, row
 gather, linear interpolation along the leading axis, and the two losses.
-`sigmoid`, `tanh`, `softmax` and `asum` have no model caller; they
-stay because the tests compose reference paths from them. The GRU step,
-the decoder's attention step, the softmax and the convolutions'
+The GRU step, the decoder's attention step, the softmax and the convolutions'
 strided-window im2col/col2im are each written once, as private helpers the
 kernels share; greedy decoding runs the two step helpers on plain arrays.
 A parameter's `a.T @ g` gradients are not formed per use: `backward` queues
@@ -43,7 +41,6 @@ class ShapeError(ValueError):
 
 
 _GRAD_ENABLED = True
-_VALIDATE = False
 
 
 @contextlib.contextmanager
@@ -56,12 +53,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def set_validation(flag: bool) -> None:
-    """Toggle finiteness checks on kernel inputs (slow, for debugging)."""
-    global _VALIDATE
-    _VALIDATE = bool(flag)
 
 
 def _usable_cpus() -> int:
@@ -133,11 +124,7 @@ def array(data, requires_grad: bool = False, dtype=np.float32) -> DiffArray:
 
 
 def _make(data, parents, op, backward_fn) -> DiffArray:
-    """The output node of every kernel; with validation on, first refuse a non-finite input."""
-    if _VALIDATE:
-        for p in parents:
-            if not np.all(np.isfinite(p.data)):
-                raise ValueError(f"{op}: non-finite input")
+    """The output node of every kernel."""
     out = DiffArray(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -538,24 +525,6 @@ def _softmax_back(y, g):
     return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
 
-def sigmoid(x: DiffArray) -> DiffArray:
-    y = _sigmoid(x.data)
-
-    def back(g):
-        _acc(x, g * y * (1.0 - y))
-
-    return _make(y, (x,), "sigmoid", back)
-
-
-def tanh(x: DiffArray) -> DiffArray:
-    y = np.tanh(x.data)
-
-    def back(g):
-        _acc(x, g * (1.0 - y * y))
-
-    return _make(y, (x,), "tanh", back)
-
-
 def relu(x: DiffArray) -> DiffArray:
     y = np.maximum(x.data, 0)
 
@@ -563,16 +532,6 @@ def relu(x: DiffArray) -> DiffArray:
         _acc(x, g * (x.data > 0))
 
     return _make(y, (x,), "relu", back)
-
-
-def softmax(x: DiffArray) -> DiffArray:
-    """Softmax along the last axis."""
-    y = _softmax(x.data)
-
-    def back(g):
-        _acc(x, _softmax_back(y, g))
-
-    return _make(y, (x,), "softmax", back)
 
 
 def attention(qkv: DiffArray, heads: int, attn_sink: list | None = None) -> DiffArray:
@@ -917,16 +876,7 @@ def interp_rows(feat: DiffArray, positions) -> DiffArray:
 
 
 # ---------------------------------------------------------------------------
-# reductions and losses
-
-
-def asum(x: DiffArray) -> DiffArray:
-    y = x.data.sum()
-
-    def back(g):
-        _acc(x, np.full(x.shape, g, dtype=x.dtype))
-
-    return _make(y, (x,), "sum", back)
+# losses
 
 
 def cross_entropy_logits(logits: DiffArray, targets) -> DiffArray:

@@ -40,6 +40,9 @@ GLYPH_SIZE = 24.0      # glyph box side, px
 ADVANCE = 1.2          # glyph pitch, in glyph sizes
 GLYPH_JITTER = 0.05    # uniform glyph offset per axis, in glyph sizes
 POINT_JITTER = 0.012   # Gaussian point noise, in glyph sizes
+# Longest line, in glyphs. `normalize` makes a glyph about 35 px wide, so 100 glyphs render
+# under data.MAX_WIDTH (4096 px).
+MAX_GLYPHS = 100
 
 
 def _resample(stroke, step: float) -> np.ndarray:
@@ -68,6 +71,8 @@ def synth_generate(alphabet: str, n: int, rng: np.random.Generator,
     Each stroke is preceded by a pen-up travel point at its start, so
     rendering never connects strokes or glyphs.
     """
+    if not alphabet:
+        raise ConfigError("empty glyph alphabet")
     for ch in alphabet:
         if ch not in GLYPH_STROKES:
             raise ConfigError(f"no glyph template for {ch!r}")
@@ -76,6 +81,8 @@ def synth_generate(alphabet: str, n: int, rng: np.random.Generator,
     lo, hi = length_range
     if not 1 <= lo <= hi:
         raise ConfigError(f"bad length range {length_range}")
+    if hi > MAX_GLYPHS:
+        raise ConfigError(f"lines of up to {hi} glyphs requested, at most {MAX_GLYPHS} are allowed")
     symbols = list(alphabet)
     out = []
     for i in range(n):

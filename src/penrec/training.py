@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import AdamState
-from .config import (AlignConfig, EncoderConfig, TrainConfig,
+from .config import (AlignConfig, ConfigError, EncoderConfig, TrainConfig,
                      align_config_from_dict, encoder_config_from_dict)
 from .data import DataError, Vocabulary, augment, normalize
 from .decoder import MAX_DECODE_LEN
@@ -87,6 +87,15 @@ def split_train_val(dataset, val_fraction: float, rng: np.random.Generator):
     return train, val
 
 
+def _param_budget() -> int | None:
+    """Parameter elements that fit in physical memory, as training holds each one five times in
+    float32 (weights, gradient, Adam m and v, the last-good copy); None where sysconf is missing."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // (5 * 4)
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name on this platform
+        return None
+
+
 def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainConfig,
           vocab: Vocabulary, out_dir=None, quiet: bool = True) -> TrainResult:
     """Run the collaborative loop; returns the model plus the JSONL records."""
@@ -101,7 +110,11 @@ def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainCon
     if val_set and not any(s.text for s in val_set):
         raise DataError(f"the validation split ({len(val_set)} lines) has no reference characters "
                         f"to score a CER against")
-    model = Recognizer(enc_cfg, align_cfg, vocab, seed=cfg.seed)
+    try:
+        model = Recognizer(enc_cfg, align_cfg, vocab, seed=cfg.seed,
+                           store=ParamStore(np.random.default_rng(cfg.seed), budget=_param_budget()))
+    except ValueError as e:  # a config error, or a model larger than the budget
+        raise ConfigError(str(e)) from e
 
     steps_per_epoch = max(1, -(-len(train_set) // cfg.batch_size))
     if cfg.max_steps is not None:

@@ -11,13 +11,13 @@ import time
 import numpy as np
 
 from conftest import edit_oracle
+from gradcheck import check, standard_battery, tiny_sequence
 from penrec import autodiff as ad
 from penrec import metrics as M
 from penrec.alignment import rope2d, sample_image_columns
 from penrec.cli import main
 from penrec.config import AlignConfig, EncoderConfig, TrainConfig
 from penrec.data import build_vocab, normalize, save_dataset
-from penrec.gradcheck import check, standard_battery, tiny_sequence
 from penrec.model import Recognizer
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
 from penrec.training import (batch_losses, load_checkpoint, save_checkpoint,

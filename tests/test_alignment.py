@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_node_count
+from gradcheck import tiny_model, tiny_sequence
 from penrec import autodiff as ad
 from penrec.alignment import align_loss, merge_features, rope2d, sample_image_columns
-from penrec.gradcheck import tiny_model, tiny_sequence
 from penrec.layers import ParamStore, TransformerLayer
 
 

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import asum, softmax, tanh
 from penrec import autodiff as ad
 
 
 def test_softmax_symmetry():
-    out = ad.softmax(ad.array([[0.0, 0.0]]))
+    out = softmax(ad.array([[0.0, 0.0]]))
     np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
 
@@ -62,7 +63,7 @@ def test_layer_norm_is_bit_identical_to_an_ndarray_method_reference(dtype, shape
 
     leaves = [ad.array(v, requires_grad=True, dtype=dtype) for v in (x, gain, bias)]
     y = ad.layer_norm(*leaves)
-    ad.backward(ad.asum(ad.mul(y, g)))  # y's gradient is g, exactly
+    ad.backward(asum(ad.mul(y, g)))  # y's gradient is g, exactly
     for name, got, w in zip(["y", "x", "gain", "bias"], [y.data] + [p.grad for p in leaves], want):
         assert got.dtype == dtype and np.array_equal(got, w), name
 
@@ -136,7 +137,7 @@ def test_conv_matches_loop_oracle_in_float64(op, x_shape, w_shape, stride, pad):
     x, w, b = (ad.array(a, requires_grad=True, dtype=np.float64) for a in (xd, wd, bd))
     y = getattr(ad, op)(x, w, b, stride=stride, pad=pad)
     g = rng.normal(size=y.shape)
-    ad.backward(ad.asum(ad.mul(y, ad.array(g, dtype=np.float64))))
+    ad.backward(asum(ad.mul(y, ad.array(g, dtype=np.float64))))
     if op == "conv1d":  # a height-1 image
         xd, wd, g, stride, pad = xd[None], wd[None], g[None], (1, stride), (0, pad)
     expected = _conv_loop_oracle(xd, wd, bd, g, stride, pad)
@@ -153,7 +154,7 @@ def test_one_weight_on_inputs_1_and_4_rows_high_gets_both_gradients():
     xs = [ad.array(xd, requires_grad=True, dtype=np.float64) for xd in xds]
     ys = [ad.conv2d(x, w, b, stride=(1, 1), pad=(1, 1)) for x in xs]
     gs = [rng.normal(size=y.shape) for y in ys]
-    ad.backward(ad.add(*(ad.asum(ad.mul(y, ad.array(g, dtype=np.float64))) for y, g in zip(ys, gs))))
+    ad.backward(ad.add(*(asum(ad.mul(y, ad.array(g, dtype=np.float64))) for y, g in zip(ys, gs))))
     expected = [_conv_loop_oracle(xd, wd, bd, g, (1, 1), (1, 1)) for xd, g in zip(xds, gs)]
     for x, y, (want_y, want_dx, _, _) in zip(xs, ys, expected):
         np.testing.assert_allclose(y.data, want_y, rtol=0, atol=1e-12)
@@ -169,7 +170,7 @@ def test_a_leaf_with_long_and_short_uses_gets_the_same_gradient_per_use_and_join
     gs = [rng.normal(size=(x.shape[0], 4)) for x in xs]
 
     def loss(uses):
-        terms = [ad.asum(ad.mul(ad.matmul(ad.array(xs[i], dtype=np.float64), w), ad.array(gs[i], dtype=np.float64)))
+        terms = [asum(ad.mul(ad.matmul(ad.array(xs[i], dtype=np.float64), w), ad.array(gs[i], dtype=np.float64)))
                  for i in uses]
         return functools.reduce(ad.add, terms)
 
@@ -277,7 +278,7 @@ def test_bigru_deferred_hidden_weight_gradient_is_the_sum_over_uses():
             for steps in (1, 5, 3)]
 
     def loss(pairs):
-        terms = [ad.asum(ad.mul(ad.bigru(xs, h0, w_x, b_x, w_h, b_h), proj)) for xs, proj in pairs]
+        terms = [asum(ad.mul(ad.bigru(xs, h0, w_x, b_x, w_h, b_h), proj)) for xs, proj in pairs]
         return functools.reduce(ad.add, terms)
 
     per_use = []
@@ -292,7 +293,7 @@ def test_bigru_deferred_hidden_weight_gradient_is_the_sum_over_uses():
 
 def test_backward_sum_gives_ones():
     x = ad.array(np.random.default_rng(0).normal(size=(2, 3, 4)), requires_grad=True)
-    ad.backward(ad.asum(x))
+    ad.backward(asum(x))
     np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4), dtype=np.float32))
 
 
@@ -314,13 +315,13 @@ def test_backward_rejects_non_scalar_loss():
 def test_gradients_accumulate_across_uses():
     values = np.random.default_rng(2).normal(size=(3,)).astype(np.float32)
     x = ad.array(values, requires_grad=True)
-    ad.backward(ad.asum(ad.add(ad.mul(x, x), x)))
+    ad.backward(asum(ad.add(ad.mul(x, x), x)))
     both = x.grad.copy()
 
     x1 = ad.array(values, requires_grad=True)
-    ad.backward(ad.asum(ad.mul(x1, x1)))
+    ad.backward(asum(ad.mul(x1, x1)))
     x2 = ad.array(values, requires_grad=True)
-    ad.backward(ad.asum(x2))
+    ad.backward(asum(x2))
     np.testing.assert_allclose(both, x1.grad + x2.grad, rtol=1e-6)
 
 
@@ -352,26 +353,12 @@ def test_matmul_bias_is_added_to_every_row_in_one_node():
     np.testing.assert_array_equal(y.data, a.data @ w.data + b.data)
     assert y.op == "matmul" and y.parents == (a, w, b)
     g = rng.normal(size=(3, 2))
-    ad.backward(ad.asum(ad.mul(y, g)))
+    ad.backward(asum(ad.mul(y, g)))
     np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-12)
     np.testing.assert_allclose(w.grad, a.data.T @ g, rtol=1e-12)
     np.testing.assert_allclose(a.grad, g @ w.data.T, rtol=1e-12)
     with pytest.raises(ad.ShapeError, match="bias"):
         ad.matmul(a, w, ad.array(np.ones(3)))
-
-
-def test_validation_mode_rejects_non_finite():
-    ad.set_validation(True)
-    try:
-        bad = ad.array([np.inf, 1.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            ad.relu(bad)
-        # every input of a kernel is checked, a convolution's bias included
-        x, w = ad.array(np.ones((5, 6, 2))), ad.array(np.ones((3, 3, 2, 3)))
-        with pytest.raises(ValueError, match="conv2d: non-finite"):
-            ad.conv2d(x, w, ad.array([0.0, np.nan, 0.0]), pad=(1, 1))
-    finally:
-        ad.set_validation(False)
 
 
 def test_interp_rows_clamps_and_matches_grid_points():
@@ -531,12 +518,12 @@ def test_clip_grads_leaves_non_finite_gradients_for_the_caller():
 
 def _two_use_loss(x, w, raising=False):
     """sum(tanh(x) @ w) + sum(x @ w): w has two deferred uses; tanh's backward can be made to raise."""
-    h = ad.tanh(x)
+    h = tanh(x)
     if raising:
         def fail(g):
             raise RuntimeError("backward_fn failed")
         h.backward_fn = fail
-    return ad.add(ad.asum(ad.matmul(h, w)), ad.asum(ad.matmul(x, w)))
+    return ad.add(asum(ad.matmul(h, w)), asum(ad.matmul(x, w)))
 
 
 def test_a_raising_backward_leaves_nothing_queued_for_the_next_one():

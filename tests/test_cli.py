@@ -80,7 +80,9 @@ def test_synth_unknown_glyph_is_config_error(tmp_path):
     ("a!", 1, (1, 2), "no glyph template for '!'"),
     ("ab", -1, (1, 2), "sequence count must be >= 0"),
     ("ab", 1, (3, 2), "bad length range (3, 2)"),
-], ids=["unknown_glyph", "negative_count", "bad_length_range"])
+    ("", 1, (1, 2), "empty glyph alphabet"),
+    ("ab", 1, (1, 10**20), "lines of up to 100000000000000000000 glyphs requested, at most 100 are allowed"),
+], ids=["unknown_glyph", "negative_count", "bad_length_range", "empty_alphabet", "length_beyond_max_glyphs"])
 def test_synth_bad_arguments_exit_2_through_a_config_error(tmp_path, capsys, alphabet, n, length_range, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         synth_generate(alphabet, n, np.random.default_rng(0), length_range=length_range)
@@ -160,6 +162,24 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, section, key, value, me
     code = main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "run")])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_model_larger_than_physical_memory_exits_2_before_allocating_it(tmp_path, capsys):
+    data = make_data(tmp_path)
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["encoder"]["d"] = 800_000_000
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "parameter of shape (3, 256, 800000000) needs 614400000000 elements" in capsys.readouterr().err
+    assert peak < 16 * 2**20
     assert not (tmp_path / "run").exists()
 
 

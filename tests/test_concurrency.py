@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradcheck import asum
 import penrec.model as pm
 from penrec import autodiff as ad
 from penrec.config import AlignConfig, EncoderConfig
@@ -205,7 +206,7 @@ def test_a_backward_fn_raising_mid_sweep_leaves_no_task_running(monkeypatch):
     # the sweep passes the matmul, w's only consumer, so w's products go to the worker, then fails
     failing = ad._make(x.data * 2.0, (x,), "failing", back)
     with pytest.raises(TrajectoryError):
-        bounded(ad.backward, ad.asum(ad.matmul(failing, w)))
+        bounded(ad.backward, asum(ad.matmul(failing, w)))
     assert finished == [w]
     assert ad._DEFERRED is None
     np.testing.assert_array_equal(w.grad, (x.data * 2.0).T @ np.ones((5, 4), dtype=np.float32))

@@ -247,6 +247,24 @@ def test_isolated_pen_down_point_leaves_a_dot():
     assert img.sum() == 1.0
 
 
+def strokes_of(points):
+    """A line's strokes: each its pen-up lead-in, then its pen-down run."""
+    starts = [i for i in range(1, len(points)) if points[i, 2] == 0 and points[i - 1, 2] == 1]
+    return np.split(points, starts)
+
+
+# Stroke direction is not covered: `bresenham` does not draw a reversed segment pixel for pixel.
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_render_does_not_depend_on_stroke_order(seed, data):
+    seq = synth_generate(DEFAULT_ALPHABET, 1, np.random.default_rng(seed), length_range=(1, 6))[0]
+    assert seq.points[0, 2] == 0  # so a stroke moved to the front joins no segment to the one before
+    strokes = strokes_of(seq.points)
+    order = data.draw(st.permutations(range(len(strokes))))
+    shuffled = seq_of(np.concatenate([strokes[i] for i in order]), seq.text, seq.id)
+    np.testing.assert_array_equal(D.render(D.normalize(shuffled)), D.render(D.normalize(seq)))
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import graph_node_count
+from gradcheck import asum, sigmoid, softmax, tanh, tiny_model, tiny_sequence
 from penrec import autodiff as ad
 from penrec.data import EOS, PAD, SOS
 from penrec.decoder import AttentionDecoder
-from penrec.gradcheck import tiny_model, tiny_sequence
 from penrec.layers import Linear, ParamStore
 
 
@@ -27,7 +27,7 @@ def test_step_probabilities_sum_to_one():
     dec, _ = make_decoder()
     f_enc = random_enc(5, 8)
     logits, state = dec.step_logits(SOS, dec.initial_state(), f_enc, dec.keys(f_enc))
-    probs = ad.softmax(logits)
+    probs = softmax(logits)
     assert probs.shape == (1, 6)
     assert np.all(probs.data >= 0)
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
@@ -161,14 +161,14 @@ def test_greedy_equals_beam_size_one_by_enumeration():
 
     keys = dec.keys(f_enc)
     logits1, s1 = dec.step_logits(SOS, dec.initial_state(), f_enc, keys)
-    probs1 = ad.softmax(logits1)
+    probs1 = softmax(logits1)
     scores1 = {tok: float(probs1.data[0, tok]) for tok in range(6)}
     t1 = max(scores1, key=scores1.get)
     expected = []
     if t1 != EOS:
         expected.append(t1)
         logits2, _ = dec.step_logits(t1, s1, f_enc, keys)
-        probs2 = ad.softmax(logits2)
+        probs2 = softmax(logits2)
         scores2 = {tok: float(probs2.data[0, tok]) for tok in range(6)}
         t2 = max(scores2, key=scores2.get)
         if t2 != EOS:
@@ -196,7 +196,7 @@ def test_ce_loss_matches_per_step_probability_oracle():
     prev = SOS
     for tok in target:
         logits, state = dec.step_logits(prev, state, f_enc, keys)
-        probs = ad.softmax(logits)
+        probs = softmax(logits)
         total -= math.log(float(probs.data[0, tok]))
         prev = tok
     assert loss == pytest.approx(total / len(target), rel=1e-5)
@@ -241,9 +241,9 @@ def gru_step(gru, x, h):
     r_sel, z_sel, n_sel = (ad.array(eye[:, k * hidden:(k + 1) * hidden], dtype=h.dtype) for k in range(3))
     px = ad.matmul(x, w_x, b_x)
     a = ad.matmul(h, w_h, b_h)
-    r = ad.sigmoid(ad.add(ad.matmul(px, r_sel), ad.matmul(a, r_sel)))
-    z = ad.sigmoid(ad.add(ad.matmul(px, z_sel), ad.matmul(a, z_sel)))
-    n = ad.tanh(ad.add(ad.matmul(px, n_sel), ad.mul(r, ad.matmul(a, n_sel))))
+    r = sigmoid(ad.add(ad.matmul(px, r_sel), ad.matmul(a, r_sel)))
+    z = sigmoid(ad.add(ad.matmul(px, z_sel), ad.matmul(a, z_sel)))
+    n = tanh(ad.add(ad.matmul(px, n_sel), ad.mul(r, ad.matmul(a, n_sel))))
     return ad.add(n, ad.mul(z, ad.add(h, ad.mul(n, -1.0))))
 
 
@@ -258,7 +258,7 @@ def per_token_path(y, h0, wq, keys_t, values, gru, out, sink):
     for t in range(y.shape[0]):
         y_t = ad.gather_rows(y, [t])
         q = ad.matmul(ad.add(y_t, state), wq)
-        alpha = ad.softmax(ad.mul(ad.matmul(q, keys_t), scale))
+        alpha = softmax(ad.mul(ad.matmul(q, keys_t), scale))
         if sink is not None:
             sink.append(alpha.data)
         state = gru_step(gru, ad.add(y_t, ad.matmul(alpha, values)), state)
@@ -296,7 +296,7 @@ def test_attention_gru_matches_per_token_composition_in_float64():
         for lg, st in zip(logits, states):
             rows = slice(row, row + lg.shape[0])
             row = rows.stop
-            terms += [ad.asum(ad.mul(lg, proj_logits[rows])), ad.asum(ad.mul(st, proj_states[rows]))]
+            terms += [asum(ad.mul(lg, proj_logits[rows])), asum(ad.mul(st, proj_states[rows]))]
         ad.backward(functools.reduce(ad.add, terms))
         outputs = [np.concatenate([a.data for a in arrays]) for arrays in (logits, states)]
         return outputs + [np.concatenate(sink)] + [p.grad.copy() for p in wrt]

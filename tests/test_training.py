@@ -10,11 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gradcheck import tiny_model, tiny_sequence
 from penrec import autodiff as ad
 from penrec.config import (AlignConfig, EncoderConfig, TrainConfig, align_config_from_dict,
                            encoder_config_from_dict)
 from penrec.data import Vocabulary, build_vocab, normalize
-from penrec.gradcheck import tiny_model, tiny_sequence
 from penrec.model import IMAGE_PREFIXES, TRAJ_PREFIXES, Recognizer
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
 from penrec.training import (CheckpointError, DivergenceError, batch_losses, evaluate,
