@@ -19,7 +19,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .data import (DataError, build_vocab, load_dataset, normalize, render,
                    save_dataset, write_pgm)
 from .decoder import MAX_DECODE_LEN
-from .synth import DEFAULT_ALPHABET, synth_generate
+from .synth import DEFAULT_ALPHABET, synth_lines
 from .training import (CheckpointError, DivergenceError, evaluate,
                        load_checkpoint, train)
 
@@ -110,9 +110,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seqs = synth_generate(args.vocab, args.n, np.random.default_rng(args.seed),
-                          length_range=(args.min_len, args.max_len))
-    save_dataset(args.out, seqs)
+    # the arguments are checked here, before the file is opened; each line is written as it is generated
+    lines = synth_lines(args.vocab, args.n, np.random.default_rng(args.seed),
+                        length_range=(args.min_len, args.max_len))
+    save_dataset(args.out, lines)
     return EXIT_OK
 
 

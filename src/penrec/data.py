@@ -109,12 +109,13 @@ def load_dataset(path, require_text: bool = True) -> list[TrajectorySequence]:
 
 
 def save_dataset(path, seqs) -> None:
+    """Write `seqs`, any iterable of sequences, as JSONL; each line is written as the iterable yields it."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         for seq in seqs:
             rec = {
                 "id": seq.id,
-                "points": [[float(p[0]), float(p[1]), int(p[2])] for p in seq.points],
+                "points": [[x, y, int(s)] for x, y, s in seq.points.tolist()],
                 "text": seq.text,
             }
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
@@ -188,18 +189,22 @@ def render(seq: TrajectorySequence) -> np.ndarray:
     W is ceil(max px)+1 rounded up to a multiple of 8 (minimum 8). Segments
     are drawn only between consecutive touching samples; every touching
     sample also inks its own pixel, so isolated pen-down points stay visible.
-    Ink is 1.0 on a 0.0 background, no anti-aliasing.
+    Ink is 1.0 on a 0.0 background, no anti-aliasing. The pixels are
+    walked as Python ints and inked with one assignment per image.
     """
     pts = seq.points
     width = render_width(pts[:, 0].max())
     img = np.zeros((IMAGE_HEIGHT, width), dtype=np.float32)
     rows, cols = _point_pixels(pts, width)
     down = pts[:, 2] == 1
-    img[rows[down], cols[down]] = 1.0
-    for t in range(1, pts.shape[0]):
-        if pts[t - 1, 2] == 1 and pts[t, 2] == 1:
+    ink_rows, ink_cols = rows[down].tolist(), cols[down].tolist()
+    rows, cols, down = rows.tolist(), cols.tolist(), down.tolist()
+    for t in range(1, len(rows)):
+        if down[t - 1] and down[t]:
             for r, c in bresenham(rows[t - 1], cols[t - 1], rows[t], cols[t]):
-                img[r, c] = 1.0
+                ink_rows.append(r)
+                ink_cols.append(c)
+    img[ink_rows, ink_cols] = 1.0
     return img
 
 

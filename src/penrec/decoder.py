@@ -6,7 +6,9 @@ advances a GRU cell, and projects to vocabulary logits. `ad.attention_gru`
 runs the attention and the GRU of all steps as one graph node; the keys
 depend only on the frames, so `keys` computes them once per sequence.
 Training uses teacher forcing, which knows every step's previous token up
-front, so the whole target runs in one kernel call. Greedy inference learns
+front, so the whole target runs in one kernel call, and so does a whole
+batch of lines: `ce_loss` pads the targets to the longest, and the kernel
+masks each line's padding frames and steps. Greedy inference learns
 each input only from the previous argmax, so it runs one loop per line over
 plain arrays: per token the embedding row, the kernel's own attention step
 and GRU step (`ad._attention_step`, `ad._gru_step`), the output projection
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffArray
-from .data import EOS, SOS
+from .data import EOS, PAD, SOS
 from .layers import Linear, ParamStore
 
 MAX_DECODE_LEN = 256  # tokens a greedy decode emits at most when no eos comes
@@ -50,19 +52,25 @@ class AttentionDecoder:
         return self.store.const(np.zeros((1, self.d)))
 
     def keys(self, f_enc: DiffArray) -> DiffArray:
-        """Attention keys (frames, d) of the encoded sequence, shared by all its steps."""
-        if f_enc.shape[0] < 1:
+        """Attention keys (frames, d) of the encoded sequence, shared by all its steps; (B, frames, d) for a batch."""
+        if f_enc.shape[-2] < 1:
             raise ValueError("decoder needs a nonempty encoded sequence")
         return ad.matmul(f_enc, self.wk)
 
-    def _run(self, prev_ids: list[int], state: DiffArray, f_enc: DiffArray, keys: DiffArray,
-             attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
-        """Logits (T, V) and states (T, d) of T steps fed `prev_ids`, starting from `state`."""
-        for tok in prev_ids:
-            if not 0 <= tok < self.vocab_size:
-                raise ValueError(f"token {tok} out of vocabulary (size {self.vocab_size})")
-        ys = ad.gather_rows(self.embed, prev_ids)
-        states = ad.attention_gru(ys, state, self.wq, keys, f_enc, *self.gru, attn_sink)
+    def _run(self, prev_ids, state: DiffArray, f_enc: DiffArray, keys: DiffArray,
+             attn_sink: list | None = None, lengths=None, frames=None) -> tuple[DiffArray, DiffArray]:
+        """Logits (T, V) and states (T, d) of T steps fed `prev_ids`, starting from `state`.
+
+        A batch: `prev_ids` (B, T), f_enc and keys (B, frames, d), with
+        `attention_gru`'s `lengths` and `frames`; the results gain the B axis.
+        """
+        ids = np.asarray(prev_ids, dtype=np.intp)
+        bad = ids[(ids < 0) | (ids >= self.vocab_size)]
+        if bad.size:
+            raise ValueError(f"token {bad[0]} out of vocabulary (size {self.vocab_size})")
+        ys = ad.gather_rows(self.embed, ids)
+        states = ad.attention_gru(ys, state, self.wq, keys, f_enc, *self.gru, attn_sink,
+                                  lengths=lengths, frames=frames)
         return self.out(states), states
 
     def step_logits(self, prev_token: int, state: DiffArray, f_enc: DiffArray, keys: DiffArray,
@@ -111,17 +119,44 @@ class AttentionDecoder:
             h, h_new = h_new, h
         return out
 
-    def sequence_logits(self, f_enc: DiffArray, target_ids: list[int]) -> DiffArray:
-        """Teacher-forced logits, one row per target position."""
-        prev_ids = [SOS, *target_ids][:len(target_ids)]
-        logits, _ = self._run(prev_ids, self.initial_state(), f_enc, self.keys(f_enc))
+    def sequence_logits(self, f_enc: DiffArray, target_ids: list, frames=None) -> DiffArray:
+        """Teacher-forced logits, one row per target position: sos, then each target token, fed in.
+
+        For a batch, with `frames` as `ce_loss` takes them, (B, L, V) for the
+        longest target's length L; a line's rows past its own target are padding.
+        """
+        targets = [target_ids] if frames is None else target_ids
+        prev, lengths = _padded([[SOS, *target][:len(target)] for target in targets])
+        if frames is None:
+            prev, lengths = prev[0], None
+        logits, _ = self._run(prev, self.initial_state(), f_enc, self.keys(f_enc), lengths=lengths, frames=frames)
         return logits
 
-    def ce_loss(self, f_enc: DiffArray, target_ids: list[int]) -> DiffArray:
-        """Mean per-step cross entropy; targets must end with eos."""
-        if not target_ids:
-            raise ValueError("ce_loss: empty target")
-        if target_ids[-1] != EOS:
-            raise ValueError("ce_loss: target must end with eos")
-        logits = self.sequence_logits(f_enc, target_ids)
-        return ad.cross_entropy_logits(logits, target_ids)
+    def ce_loss(self, f_enc: DiffArray, target_ids: list, frames=None) -> DiffArray:
+        """Mean per-step cross entropy; targets must end with eos.
+
+        For a batch of lines, f_enc (B, T, d) holds line b's encoded frames in
+        its first frames[b] rows and `target_ids` holds one target per line.
+        Teacher forcing runs every line to the longest target in one kernel
+        call, and the loss is the mean over lines of each line's own mean.
+        """
+        targets = [target_ids] if frames is None else target_ids
+        for target in targets:
+            if not target:
+                raise ValueError("ce_loss: empty target")
+            if target[-1] != EOS:
+                raise ValueError("ce_loss: target must end with eos")
+        logits = self.sequence_logits(f_enc, target_ids, frames)
+        gold, lengths = _padded(targets)
+        if frames is None:
+            return ad.cross_entropy_logits(logits, gold[0])
+        return ad.cross_entropy_logits(logits, gold, lengths)
+
+
+def _padded(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Token rows as one (B, L) array, each padded with PAD to the longest row's length L, and their lengths."""
+    lengths = np.array([len(row) for row in rows])
+    out = np.full((len(rows), lengths.max()), PAD, dtype=np.intp)
+    for b, row in enumerate(rows):
+        out[b, :len(row)] = row
+    return out, lengths

@@ -124,9 +124,10 @@ class BiGRUStack:
             b_h = store.new(f"{name}.l{i}.b_h", (6 * H,), "zeros")
             self.layers.append((w_x, b_x, w_h, b_h))
 
-    def __call__(self, xs: DiffArray) -> DiffArray:
+    def __call__(self, xs: DiffArray, lengths=None) -> DiffArray:
+        """(T, d) -> (T, d); or a zero-padded batch (B, T, d) with per-sequence `lengths` (B,) -> (B, T, d)."""
         for weights in self.layers:
-            xs = ad.bigru(xs, self.h0, *weights)
+            xs = ad.bigru(xs, self.h0, *weights, lengths=lengths)
         return xs
 
 

@@ -2,14 +2,18 @@
 
 Training runs the trajectory stream, the image stream, and the alignment
 module together; inference touches only the trajectory stream and the
-alignment module (parameter prefixes make that auditable). The two streams
-meet only at the alignment loss, so from width `_STREAMS_BESIDE_D` a
-training sample runs its image stream on autodiff's worker thread while the
-trajectory stream runs on the caller's; both build the nodes and values
-they would build one after the other.
+alignment module (parameter prefixes make that auditable). A training batch
+runs each line's convolutions, aligner and rendering on their own, then
+each stream's BiGRU stack and decoder once over all lines, zero-padded to
+the longest. The two streams meet only at the alignment loss, so from width
+`_STREAMS_BESIDE_D` a batch's image stream runs on autodiff's worker thread
+while the trajectory stream runs on the caller's; both build the nodes and
+values they would build one after the other.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,12 +29,12 @@ from .layers import BiGRUStack, ParamStore
 TRAJ_PREFIXES = ("traj_conv.", "traj_gru.", "align.", "dec_traj.")
 IMAGE_PREFIXES = ("img_cnn.", "img_gru.", "dec_img.")
 
-# Model width from which `sample_losses` runs the two streams side by side. Forward time of 8
-# samples side by side over one after the other, 2-core x86-64 VM (OpenBLAS, one BLAS thread),
-# on 2-4 | 6-10 glyph lines: d=64 1.26 | 1.05, d=128 1.11 | 0.89, d=192 1.01 | 0.85, d=256
-# 0.82 | 0.80, d=320 0.71 on 6-10. Narrower streams are mostly per-node Python work, which two
-# threads cannot do at once.
-_STREAMS_BESIDE_D = 256
+# Model width from which `losses` runs a batch's image stream beside its trajectory stream.
+# Forward time of 8 lines beside over one after the other, 2-core x86-64 VM (OpenBLAS, one BLAS
+# thread), medians of 9, on 2-4 | 6-10 glyph lines: d=64 1.28 | 1.18, d=128 0.99 | 0.98 (1.11 |
+# 0.80 in a second run of 21), d=192 0.83 | 0.78 (0.80 | 0.76), d=256 0.73 | 0.76, d=320 0.88 |
+# 0.73. Narrower streams are mostly per-node Python work, which two threads cannot do at once.
+_STREAMS_BESIDE_D = 192
 
 
 class Recognizer:
@@ -83,32 +87,51 @@ class Recognizer:
 
     # ----- collaborative training losses -------------------------------------
 
-    def image_losses(self, seq: TrajectorySequence, target: list[int]) -> tuple[DiffArray, DiffArray]:
-        """Image stream: render -> CNN -> BiGRU -> CE. Returns (the CNN's features, the CE loss)."""
-        f2d_conv = self.img_cnn(render(seq))
-        return f2d_conv, self.dec_img.ce_loss(self.img_gru(f2d_conv), target)
+    def image_losses(self, batch: list[TrajectorySequence],
+                     targets: list[list[int]]) -> tuple[list[DiffArray], DiffArray]:
+        """Image stream of a batch: render -> CNN per line, then one BiGRU and one CE over all lines.
 
-    def sample_losses(self, seq: TrajectorySequence) -> dict[str, DiffArray | None]:
-        """Per-sample loss components on a normalized sequence.
-
-        From width `_STREAMS_BESIDE_D` the image stream runs on the worker
-        thread while this one runs the trajectory stream. An error of the
-        trajectory stream is raised first, as in sequential order, once the
-        image stream has finished.
+        Returns (each line's CNN features, the CE loss averaged over lines).
         """
-        target = self.vocab.encode(seq.text) + [EOS]
-        image = ad.submit(self.image_losses, seq, target) if self.enc_cfg.d >= _STREAMS_BESIDE_D else None
+        f2d_conv = [self.img_cnn(render(seq)) for seq in batch]
+        frames = [f.shape[0] for f in f2d_conv]
+        f2d_gru = self.img_gru(ad.pad_stack(f2d_conv), frames)
+        return f2d_conv, self.dec_img.ce_loss(f2d_gru, targets, frames)
+
+    def losses(self, batch: list[TrajectorySequence]) -> dict[str, DiffArray | None]:
+        """Loss components of a batch of normalized sequences, each the mean over its lines.
+
+        Each line runs its own trajectory conv stack, aligner and alignment
+        loss; each stream then runs its BiGRU stack and decoder once over the
+        batch. From width `_STREAMS_BESIDE_D` the image stream runs on the
+        worker thread while this one runs the trajectory stream. An error of
+        the trajectory stream is raised first, as in sequential order, once
+        the image stream has finished. "align" is None when the alignment
+        loss is off.
+        """
+        targets = [self.vocab.encode(seq.text) + [EOS] for seq in batch]
+        image = ad.submit(self.image_losses, batch, targets) if self.enc_cfg.d >= _STREAMS_BESIDE_D else None
         try:
-            f_enc, f_conv, f_aligned = self.trajectory_features(seq)
-            loss_traj = self.dec_traj.ce_loss(f_enc, target)
+            f_conv = [self.traj_conv(seq) for seq in batch]
+            f_aligned = [self.aligner(f) if self.align_cfg.enabled else None for f in f_conv]
+            frames = [f.values.shape[0] for f in f_conv]
+            merged = ad.pad_stack([merge_features(f.values, a) for f, a in zip(f_conv, f_aligned)])
+            loss_traj = self.dec_traj.ce_loss(self.traj_gru(merged, frames), targets, frames)
         finally:
             if image is not None:
                 image.exception()  # waits
-        f2d_conv, loss_img = image.result() if image is not None else self.image_losses(seq, target)
+        f2d_conv, loss_img = image.result() if image is not None else self.image_losses(batch, targets)
 
         loss_align = None
-        if self.align_cfg.use_align_loss and f_aligned is not None:
-            sampled = sample_image_columns(f2d_conv, f_conv.positions)
-            loss_align = align_loss(f_aligned, sampled,
-                                    stop_grad=self.align_cfg.use_stop_gradient)
+        if self.align_cfg.use_align_loss:  # which implies an aligner
+            stop_grad = self.align_cfg.use_stop_gradient
+            loss_align = functools.reduce(ad.add, [
+                align_loss(a, sample_image_columns(f2d, f.positions), stop_grad=stop_grad)
+                for a, f2d, f in zip(f_aligned, f2d_conv, f_conv)])
+            if len(batch) > 1:
+                loss_align = ad.mul(loss_align, 1.0 / len(batch))
         return {"traj": loss_traj, "img": loss_img, "align": loss_align}
+
+    def sample_losses(self, seq: TrajectorySequence) -> dict[str, DiffArray | None]:
+        """`losses` of a batch of one."""
+        return self.losses([seq])

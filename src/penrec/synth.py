@@ -8,6 +8,8 @@ learnable at desk scale.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .config import ConfigError
@@ -57,19 +59,29 @@ def _resample(stroke, step: float) -> np.ndarray:
     return np.asarray(out)
 
 
+@functools.cache
+def _glyph_template(ch: str) -> tuple[np.ndarray, ...]:
+    """The resampled strokes of a glyph, made once and shared, so read only."""
+    strokes = tuple(_resample(s, GLYPH_STEP) for s in GLYPH_STROKES[ch])
+    for stroke in strokes:
+        stroke.flags.writeable = False
+    return strokes
+
+
 def glyph_points(ch: str) -> list[np.ndarray]:
     if ch not in GLYPH_STROKES:
         raise KeyError(f"no glyph template for {ch!r}")
-    return [_resample(s, GLYPH_STEP) for s in GLYPH_STROKES[ch]]
+    return [s.copy() for s in _glyph_template(ch)]
 
 
-def synth_generate(alphabet: str, n: int, rng: np.random.Generator,
-                   length_range: tuple[int, int] = (2, 4),
-                   id_prefix: str = "synth") -> list[TrajectorySequence]:
-    """Generate `n` sequences with uniform random transcripts over `alphabet`.
+def synth_lines(alphabet: str, n: int, rng: np.random.Generator,
+                length_range: tuple[int, int] = (2, 4),
+                id_prefix: str = "synth"):
+    """Check the arguments, then return an iterator over `n` sequences, each generated when asked for.
 
-    Each stroke is preceded by a pen-up travel point at its start, so
-    rendering never connects strokes or glyphs.
+    Transcripts are uniform random over `alphabet`. Each stroke is preceded
+    by a pen-up travel point at its start, so rendering never connects
+    strokes or glyphs.
     """
     if not alphabet:
         raise ConfigError("empty glyph alphabet")
@@ -84,23 +96,31 @@ def synth_generate(alphabet: str, n: int, rng: np.random.Generator,
     if hi > MAX_GLYPHS:
         raise ConfigError(f"lines of up to {hi} glyphs requested, at most {MAX_GLYPHS} are allowed")
     symbols = list(alphabet)
-    out = []
-    for i in range(n):
-        length = int(rng.integers(lo, hi + 1))
-        chars = [symbols[int(j)] for j in rng.integers(0, len(symbols), size=length)]
-        rows = []
-        for k, ch in enumerate(chars):
-            ox = (k * ADVANCE + rng.uniform(-GLYPH_JITTER, GLYPH_JITTER)) * GLYPH_SIZE
-            oy = rng.uniform(-GLYPH_JITTER, GLYPH_JITTER) * GLYPH_SIZE
-            for stroke in glyph_points(ch):
-                pts = stroke * GLYPH_SIZE
-                pts = pts + rng.normal(0.0, POINT_JITTER * GLYPH_SIZE, size=pts.shape)
-                pts[:, 0] += ox
-                pts[:, 1] += oy
-                rows.append([pts[0, 0], pts[0, 1], 0.0])
-                for p in pts:
-                    rows.append([p[0], p[1], 1.0])
-        out.append(TrajectorySequence(id=f"{id_prefix}-{i:06d}",
-                                      points=np.asarray(rows, dtype=np.float64),
-                                      text="".join(chars)))
-    return out
+    return (_synth_line(symbols, rng, lo, hi, f"{id_prefix}-{i:06d}") for i in range(n))
+
+
+def _synth_line(symbols: list[str], rng: np.random.Generator, lo: int, hi: int, sid: str) -> TrajectorySequence:
+    length = int(rng.integers(lo, hi + 1))
+    chars = [symbols[int(j)] for j in rng.integers(0, len(symbols), size=length)]
+    blocks = []
+    for k, ch in enumerate(chars):
+        ox = (k * ADVANCE + rng.uniform(-GLYPH_JITTER, GLYPH_JITTER)) * GLYPH_SIZE
+        oy = rng.uniform(-GLYPH_JITTER, GLYPH_JITTER) * GLYPH_SIZE
+        for stroke in _glyph_template(ch):
+            pts = stroke * GLYPH_SIZE
+            pts = pts + rng.normal(0.0, POINT_JITTER * GLYPH_SIZE, size=pts.shape)
+            pts[:, 0] += ox
+            pts[:, 1] += oy
+            block = np.empty((len(pts) + 1, 3))  # the pen-up travel point, then the stroke pen-down
+            block[0] = (pts[0, 0], pts[0, 1], 0.0)
+            block[1:, :2] = pts
+            block[1:, 2] = 1.0
+            blocks.append(block)
+    return TrajectorySequence(id=sid, points=np.concatenate(blocks), text="".join(chars))
+
+
+def synth_generate(alphabet: str, n: int, rng: np.random.Generator,
+                   length_range: tuple[int, int] = (2, 4),
+                   id_prefix: str = "synth") -> list[TrajectorySequence]:
+    """`synth_lines` as a list."""
+    return list(synth_lines(alphabet, n, rng, length_range, id_prefix))

@@ -1,15 +1,17 @@
 """Collaborative two-stream training, checkpointing, and evaluation.
 
-Batches are processed sample by sample (sequences keep their exact lengths,
-so no padding or masking is needed) and the per-sample losses are averaged
-before the weighted combination. Runs are deterministic under the config
+A batch runs as one forward pass (`Recognizer.losses`): each line runs its
+own convolutions and aligner, and each stream's recurrences run once over
+all lines, zero-padded to the longest, with per-line lengths that keep the
+padding out of every state, attention weight and loss. Each loss component
+is the mean over lines of each line's own loss, and the components are
+combined with the alignment weight. Runs are deterministic under the config
 seed: parameter init, shuffling, and augmentation all derive from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -44,23 +46,15 @@ HEADER_KEYS = ("version", "encoder", "alignment", "seed", "vocab", "manifest")
 
 
 def batch_losses(model: Recognizer, batch, align_weight: float):
-    """Average per-sample components and combine into the total loss.
+    """The batch's loss components, from one batched forward pass, combined into the total loss.
 
     Returns (total, components) where components maps "traj"/"img"/"align"
-    to scalar DiffArrays; "align" is present only when the loss is active.
-    The total is exactly traj + img (+ weight * align when active).
+    to scalar DiffArrays, each the mean over the batch's lines of that
+    line's loss; "align" is present only when the loss is active. The
+    total is exactly traj + img (+ weight * align when active).
     """
-    per = [model.sample_losses(seq) for seq in batch]
-    inv = 1.0 / len(per)
-
-    def avg(key):
-        vals = [p[key] for p in per]
-        if any(v is None for v in vals):
-            return None
-        return ad.mul(functools.reduce(ad.add, vals), inv)
-
-    comps = {"traj": avg("traj"), "img": avg("img")}
-    align = avg("align")
+    comps = model.losses(batch)
+    align = comps.pop("align")
     total = ad.add(comps["traj"], comps["img"])
     if align is not None:
         comps["align"] = align

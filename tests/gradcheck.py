@@ -202,6 +202,33 @@ def kernel_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
         return lambda: p(ad.attention_gru(*ins)), ins
 
+    def bigru_batched_case():
+        # three sequences of 5, 1 and 3 rows; the padding rows are probed too, and must get zero
+        d, hidden = 4, 3
+        ins = [_rand(rng, shape) for shape in [
+            (3, 5, d), (2, hidden), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
+        p = fixed_projector(rng)
+        return lambda: p(ad.bigru(*ins, lengths=[5, 1, 3])), ins
+
+    def attention_gru_batched_case():
+        # three sequences of 3, 1 and 2 steps over 4, 1 and 2 frames
+        steps, frames, hidden, dk = 3, 4, 3, 4
+        ins = [_rand(rng, shape) for shape in [
+            (3, steps, hidden), (1, hidden), (hidden, dk), (3, frames, dk), (3, frames, hidden),
+            (hidden, 3 * hidden), (3 * hidden,), (hidden, 3 * hidden), (3 * hidden,)]]
+        p = fixed_projector(rng)
+        return lambda: p(ad.attention_gru(*ins, lengths=[3, 1, 2], frames=[4, 1, 2])), ins
+
+    def pad_stack_case():
+        xs = [_rand(rng, (n, 3)) for n in (2, 4, 1)]
+        p = fixed_projector(rng)
+        return lambda: p(ad.pad_stack(xs)), xs
+
+    def ce_batched_case():
+        logits = _rand(rng, (3, 4, 7))
+        targets = rng.integers(0, 7, size=(3, 4))
+        return lambda: ad.cross_entropy_logits(logits, targets, lengths=[4, 1, 2]), [logits]
+
     def matmul_bias_case():
         a, b, bias = _rand(rng, (3, 4)), _rand(rng, (4, 2)), _rand(rng, (2,))
         p = fixed_projector(rng)
@@ -246,6 +273,13 @@ def kernel_cases(rng: np.random.Generator):
         # last, so the cases above keep their draws
         ("conv2d_h1_s11_p11", *conv2d_case((1, 1), (1, 1), height=1)),
         ("conv2d_h2_s21_p11", *conv2d_case((2, 1), (1, 1), height=2)),
+        # batches of unequal lengths, length 1 included; last, so the cases above keep their draws
+        ("matmul_bias_batched", *binary(lambda a, b: ad.matmul(a, b, ad.array(np.ones(2), dtype=F64)),
+                                        (2, 3, 4), (4, 2))),
+        ("pad_stack", *pad_stack_case()),
+        ("bigru_batched", *bigru_batched_case()),
+        ("attention_gru_batched", *attention_gru_batched_case()),
+        ("cross_entropy_logits_batched", *ce_batched_case()),
     ]
 
 

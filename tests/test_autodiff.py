@@ -291,6 +291,76 @@ def test_bigru_deferred_hidden_weight_gradient_is_the_sum_over_uses():
     np.testing.assert_allclose(w_h.grad, sum(per_use), rtol=1e-12, atol=1e-12)
 
 
+def _batch_against_each_sequence(kernel, shared, per_seq, lengths_of, proj):
+    """Run `kernel` once on a padded batch and once per sequence alone; compare outputs and every gradient.
+
+    `per_seq` holds (B, T, ...) arrays whose sequence b lives in the first
+    lengths_of[i][b] rows of array i; the rest is random, so a leak would
+    show. `kernel(arrays, lengths)` gets the lengths, or None for one
+    sequence alone. The loss projects the output onto `proj` (B, T, width).
+    """
+    def leaf(a):
+        return ad.array(a, requires_grad=True, dtype=np.float64)
+
+    def loss(out, p):
+        return asum(ad.mul(out, ad.array(p, dtype=np.float64)))
+
+    batch = [leaf(a) for a in per_seq]
+    ad.zero_grads(shared)
+    out = kernel(batch, lengths_of)
+    ad.backward(loss(out, proj))
+    shared_grads = [p.grad.copy() for p in shared]
+    summed = [np.zeros_like(p.data) for p in shared]
+    for b in range(len(lengths_of[0])):
+        n = [lengths[b] for lengths in lengths_of]
+        alone = [leaf(a[b, :k]) for a, k in zip(per_seq, n)]
+        ad.zero_grads(shared)
+        got = kernel(alone, None)
+        ad.backward(loss(got, proj[b, :n[0]]))
+        np.testing.assert_allclose(out.data[b, :n[0]], got.data, rtol=0, atol=1e-12)
+        assert not np.any(out.data[b, n[0]:]), "output rows past the length are zero"
+        for p, total in zip(shared, summed):
+            total += p.grad
+        for a_batch, a, k in zip(batch, alone, n):
+            np.testing.assert_allclose(a_batch.grad[b, :k], a.grad, rtol=0, atol=1e-12)
+            assert not np.any(a_batch.grad[b, k:]), "padding rows get no gradient"
+    for g, total in zip(shared_grads, summed):
+        np.testing.assert_allclose(g, total, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lengths", [(5, 1, 3), (1, 1), (4,), (2, 6, 1, 6)])
+def test_batched_bigru_matches_each_sequence_alone_in_float64(lengths):
+    rng = np.random.default_rng(len(lengths))
+    d, hidden, B, T = 4, 3, len(lengths), max(lengths)
+    shared = [ad.array(rng.normal(size=shape), requires_grad=True, dtype=np.float64) for shape in
+              [(2, hidden), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
+
+    def kernel(arrays, lengths):
+        return ad.bigru(arrays[0], *shared, lengths=None if lengths is None else lengths[0])
+
+    _batch_against_each_sequence(kernel, shared, [rng.normal(size=(B, T, d))], [lengths],
+                                 rng.normal(size=(B, T, 2 * hidden)))
+
+
+@pytest.mark.parametrize("lengths,frames", [((3, 1, 2), (4, 1, 2)), ((1, 1), (1, 3)), ((2,), (3,)),
+                                            ((1, 4, 4), (5, 5, 2))])
+def test_batched_attention_gru_matches_each_sequence_alone_in_float64(lengths, frames):
+    rng = np.random.default_rng(len(lengths) + 10)
+    hidden, dk, B, T, tk = 3, 4, len(lengths), max(lengths), max(frames)
+    shared = [ad.array(rng.normal(size=shape), requires_grad=True, dtype=np.float64) for shape in
+              [(1, hidden), (hidden, dk), (hidden, 3 * hidden), (3 * hidden,), (hidden, 3 * hidden), (3 * hidden,)]]
+
+    def kernel(arrays, lengths):
+        h0, wq, *gru = shared
+        if lengths is None:
+            return ad.attention_gru(arrays[0], h0, wq, *arrays[1:], *gru)
+        return ad.attention_gru(arrays[0], h0, wq, *arrays[1:], *gru, lengths=lengths[0], frames=lengths[1])
+
+    per_seq = [rng.normal(size=shape) for shape in [(B, T, hidden), (B, tk, dk), (B, tk, hidden)]]
+    _batch_against_each_sequence(kernel, shared, per_seq, [lengths, frames, frames],
+                                 rng.normal(size=(B, T, hidden)))
+
+
 def test_backward_sum_gives_ones():
     x = ad.array(np.random.default_rng(0).normal(size=(2, 3, 4)), requires_grad=True)
     ad.backward(asum(x))

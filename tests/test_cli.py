@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, output schemas."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -56,6 +57,29 @@ def test_synth_writes_valid_jsonl(tmp_path):
     assert main(["synth", "--n", "5", "--vocab", "abc", "--seed", "1", "--out", str(out)]) == 0
     seqs = load_dataset(out)
     assert len(seqs) == 5
+
+
+def test_synth_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "synth.jsonl"
+    assert main(["synth", "--n", "50", "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "b04719efd65554925b3cc00d0031df058d57019a2161911271b8b12962407f14"
+
+
+def test_synth_memory_does_not_grow_with_the_line_count(tmp_path):
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["synth", "--n", str(n), "--seed", "0", "--min-len", "1", "--max-len", "1",
+                         "--out", str(tmp_path / f"{n}.jsonl")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # first use: one-time imports and caches
+    small, large = peak(20), peak(2000)
+    assert len((tmp_path / "2000.jsonl").read_text().splitlines()) == 2000
+    assert large <= 2 * small, (small, large)
 
 
 def test_synth_n_zero_gives_empty_file(tmp_path):

@@ -124,7 +124,7 @@ def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, subm
     finally:
         sys.setswitchinterval(prev)
     assert set(submissions) == WORKER_SITES
-    assert submissions.count("image_losses") == 8  # one per sample
+    assert submissions.count("image_losses") == 2  # one per step: the batch's whole image stream
     (inline_steps, inline_state, inline_t), (worker_steps, worker_state, worker_t) = inline, worker
     for (comps_a, grads_a), (comps_b, grads_b) in zip(inline_steps, worker_steps):
         assert comps_a == comps_b
@@ -141,7 +141,7 @@ def test_a_trajectory_stream_error_surfaces_first_once_the_image_stream_is_done(
     model = small_model()
     done = threading.Event()
 
-    def slow_failing_image(seq, target):
+    def slow_failing_image(batch, targets):
         time.sleep(0.2)
         done.set()
         raise ImageError("image stream")
@@ -265,7 +265,7 @@ assert ad._WORKER is None
 
 
 def test_import_load_and_inference_start_no_thread(tmp_path):
-    # d=320 is the width from which training runs its streams side by side; inference must not
+    # at d=320 training runs its streams side by side; inference must not
     from penrec.training import save_checkpoint
     ckpt = tmp_path / "wide.ckpt"
     save_checkpoint(Recognizer(EncoderConfig(d=320), AlignConfig(), build_vocab(LINES), seed=0), ckpt)

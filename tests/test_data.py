@@ -247,6 +247,38 @@ def test_isolated_pen_down_point_leaves_a_dot():
     assert img.sum() == 1.0
 
 
+def render_by_pixel(seq):
+    """The reference rasterizer: `render`'s rule, one pixel assignment at a time."""
+    pts = seq.points
+    width = D.render_width(pts[:, 0].max())
+    img = np.zeros((D.IMAGE_HEIGHT, width), dtype=np.float32)
+    rows = np.clip(np.rint(pts[:, 1]).astype(int), 0, D.IMAGE_HEIGHT - 1)
+    cols = np.clip(np.rint(pts[:, 0]).astype(int), 0, width - 1)
+    down = pts[:, 2] == 1
+    img[rows[down], cols[down]] = 1.0
+    for t in range(1, pts.shape[0]):
+        if pts[t - 1, 2] == 1 and pts[t, 2] == 1:
+            for r, c in D.bresenham(rows[t - 1], cols[t - 1], rows[t], cols[t]):
+                img[r, c] = 1.0
+    return img
+
+
+def test_render_is_bit_identical_to_the_per_pixel_reference():
+    rng = np.random.default_rng(17)
+    lines = synth_generate(DEFAULT_ALPHABET, 40, rng, length_range=(1, 10))
+    for seq in lines:
+        pts = seq.points.copy()
+        # lift the pen at random points: isolated pen-down points and extra gaps inside strokes
+        pts[rng.random(len(pts)) < 0.2, 2] = 0.0
+        for points in (seq.points, pts):
+            norm = D.normalize(seq_of(points))
+            got = D.render(norm)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, render_by_pixel(norm))
+    isolated = D.normalize(seq_of([[0, 0, 1], [3, 9, 0], [5, 20, 1], [9, 2, 0], [30, 31, 1], [31, 31, 1]]))
+    np.testing.assert_array_equal(D.render(isolated), render_by_pixel(isolated))
+
+
 def strokes_of(points):
     """A line's strokes: each its pen-up lead-in, then its pen-down run."""
     starts = [i for i in range(1, len(points)) if points[i, 2] == 0 and points[i - 1, 2] == 1]

@@ -59,7 +59,7 @@ def test_every_kernel_has_a_model_caller(monkeypatch):
     model = tiny_model(dtype=np.float32)
     rng = np.random.default_rng(0)
     batch = [tiny_sequence(rng), tiny_sequence(rng)]
-    total, _ = batch_losses(model, batch, align_weight=2.0)  # each sample through `sample_losses`
+    total, _ = batch_losses(model, batch, align_weight=2.0)  # one batched forward pass
     ad.backward(total)
     model.infer_ids(batch[0], max_len=3)
     unused = kernel_op_names() - reached

@@ -75,6 +75,32 @@ def test_batched_weight_gradients_equal_the_sum_of_per_sample_passes():
         np.testing.assert_allclose(g, summed[name], rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_batch_leaks_nothing_between_lines_through_padding_or_masks(order):
+    # float64: a 1-glyph and an 8-glyph line batched give the mean of each line alone, so the
+    # short line's padding frames, steps and targets reach no value and no gradient
+    lines = [normalize(synth_generate(DEFAULT_ALPHABET, 1, np.random.default_rng(k), length_range=(k, k))[0])
+             for k in (1, 8)]
+    m = Recognizer(tiny_enc_cfg(16), AlignConfig(layers=1, heads=2), build_vocab(lines), seed=4,
+                   dtype=np.float64)
+
+    def step(batch):
+        total, comps = batch_losses(m, batch, align_weight=2.0)
+        ad.zero_grads(m.params.values())
+        ad.backward(total)
+        values = {"total": float(total.data), **{k: float(v.data) for k, v in comps.items()}}
+        return values, {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for n, p in m.params.items()}
+
+    values, grads = step([lines[i] for i in order])
+    alone = [step([line]) for line in lines]
+    assert values.keys() == {"total", "traj", "img", "align"}
+    for key, value in values.items():
+        assert value == pytest.approx((alone[0][0][key] + alone[1][0][key]) / 2, rel=1e-12, abs=1e-12), key
+    for name, g in grads.items():
+        want = (alone[0][1][name] + alone[1][1][name]) / 2
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max()), err_msg=name)
+
+
 def test_zero_weight_collapses_exactly():
     m = tiny_model()
     batch = [tiny_sequence(np.random.default_rng(9))]
