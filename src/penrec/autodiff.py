@@ -5,13 +5,14 @@ with an optional bias, strided 1D/2D convolution, relu, multi-head
 self-attention over a packed q|k|v projection, layer norm, a whole-sequence
 bidirectional GRU, the decoder's whole-sequence attention-fed GRU, padded
 stacking, row gather, linear interpolation along the leading axis, and the
-two losses. The two GRUs and the cross entropy also take a batch: sequences
-zero-padded to one length by `pad_stack`, with per-sequence lengths. One
-time loop then advances every sequence's state, attention masks each one's
-padding frames, and padding rows reach no result and get no gradient. The
-GRU step, the decoder's attention step, the softmax and the convolutions'
-strided-window im2col/col2im are each written once, as private helpers the
-kernels share; greedy decoding runs the two step helpers on plain arrays.
+two losses. The two GRUs and the cross entropy take a batch: sequences
+zero-padded to one length by `pad_stack`, with per-sequence lengths. Each
+has one path: one time loop advances every sequence's state, attention
+masks each one's padding frames, and padding rows reach no result and get
+no gradient; a lone sequence runs as a batch of one. The GRU step, the
+decoder's attention step, the softmax and the convolutions' strided-window
+im2col/col2im are each written once, as private helpers the kernels share;
+greedy decoding runs the two step helpers on plain arrays.
 A parameter's `a.T @ g` gradients are not formed per use: `backward` queues
 them and forms each one once the reverse sweep has passed the parameter's
 last consumer, joining short uses into one matmul. Convolutions leave out
@@ -611,15 +612,15 @@ def layer_norm(x: DiffArray, gain: DiffArray, bias: DiffArray) -> DiffArray:
 # backprop-through-time loop; they differ only in where each step's input
 # projection comes from, which they pass in as per-step callbacks. `bigru`
 # runs its two directions side by side, as a leading axis of the state.
-# Both take a batch of sequences padded to one length and advance every
+# Both run a batch of sequences padded to one length and advance every
 # sequence's state in each step, so the loop runs once per batch: the state
-# gains a batch axis, and each step's hidden-side product is one matrix
-# product over it. A sequence's padding comes after its last step in every
-# direction, so it cannot reach the sequence's own states; the kernels zero
-# the outputs there and pass back no gradient from them. A batch of one runs
-# as a single sequence. The step bodies, `_gru_step` and `_attention_step`,
-# are also what the decoder's greedy loop runs, one token at a time and with
-# no graph.
+# has a batch axis, and each step's hidden-side product is one matrix
+# product over it. A lone sequence is a batch of one and takes the same
+# loop. A sequence's padding comes after its last step in every direction,
+# so it cannot reach the sequence's own states; the kernels zero the outputs
+# there and pass back no gradient from them. The step bodies, `_gru_step`
+# and `_attention_step`, are also what the decoder's greedy loop runs, one
+# token at a time on plain arrays and with no graph.
 
 
 def _check_lengths(op: str, lengths, batch: int, most: int):
@@ -645,28 +646,26 @@ def _reverse_each(a, reversal):
     return a[:, ::-1] if reversal is None else a[reversal]
 
 
-def _gru_step(h, px, w_h, b_rows, hw, hw_rows, a, rz, n, h_out, product=np.vecmat) -> None:
-    """One GRU step from the state h (H,) and its input projection px.
+def _gru_step(h, px, w_h, b_rows, hw, hw_rows, a, rz, n, h_out) -> None:
+    """One GRU step from the states h (B, H) and their input projection px.
 
     With a = h @ w_h + b_h, per gate block [r | z | n]:
 
         r = sigmoid(px_r + a_r)    z = sigmoid(px_z + a_z)
         n = tanh(px_n + r * a_n)   h' = n + z * (h - n)
 
-    w_h (H, 3H) packs its columns as [r | z | n]; `product`, np.vecmat by
-    default, writes h @ w_h into hw (3H,), and `hw_rows` views hw as (3, H),
-    one gate block per row.
-    px, b_rows and a (3, H) and rz (2, H) hold one gate block per row too, so
-    every elementwise operation reads whole rows. The step writes a, the
-    gates r and z, then n and h' (H,) into a, rz, n and h_out, none of which
-    may overlap h or px. D GRUs advance together when h is (D, H), w_h
-    (D, H, 3H) and hw (D, 3H): every other array gains the direction axis
-    after the gate axis, so each gate's rows of all directions stay one
-    contiguous block. A batch of B states, h (B, H) or (D, B, H), advances
-    the same way, with np.matmul as `product` (`_hidden_product` picks it):
-    h @ w_h is then one matrix product per direction.
+    w_h (H, 3H) packs its columns as [r | z | n]; h @ w_h is one matrix
+    product over the batch, written into hw (B, 3H), and `hw_rows` views hw
+    as (3, B, H), one gate block per row. px, b_rows and a (3, B, H) and
+    rz (2, B, H) hold one gate block per row too, so every elementwise
+    operation reads whole rows. The step writes a, the gates r and z, then
+    n and h' (B, H) into a, rz, n and h_out, none of which may overlap h or
+    px. D GRUs advance together when h is (D, B, H), w_h (D, H, 3H) and hw
+    (D, B, 3H): every other array gains the direction axis after the gate
+    axis, so each gate's rows of all directions stay one contiguous block.
+    Greedy decoding runs the step on one state without the batch axis.
     """
-    product(h, w_h, out=hw)
+    np.matmul(h, w_h, out=hw)
     np.add(hw_rows, b_rows, out=a)
     np.add(px[:2], a[:2], out=rz)
     _sigmoid(rz, out=rz)
@@ -678,11 +677,6 @@ def _gru_step(h, px, w_h, b_rows, hw, hw_rows, a, rz, n, h_out, product=np.vecma
     h_out += n
 
 
-def _hidden_product(h, w_h):
-    """The product of states h with hidden-side weights: a vecmat per state, or for a batch of states one matmul."""
-    return np.vecmat if h.ndim < w_h.ndim else np.matmul
-
-
 def _gate_rows(packed):
     """A view of packed gate blocks [r | z | n], (..., 3H), as (3, ..., H): one block per row."""
     rows = packed.reshape(*packed.shape[:-1], 3, packed.shape[-1] // 3)
@@ -691,17 +685,16 @@ def _gate_rows(packed):
 
 
 def _gru_forward(T: int, h0, w_h, b_h, step_input):
-    """Run T `_gru_step`s from the state h0 (H,); `step_input(t, h)` gives step t's input projection.
+    """Run T `_gru_step`s from the states h0 (B, H); `step_input(t, h)` gives step t's input projection.
 
-    w_h (H, 3H) and b_h (3H,) are packed as gate blocks [r | z | n];
-    `step_input` returns its projection with one gate block per row, (3, H).
-    Returns the states hs (T+1, H), hs[t] entering step t, the gates r and z
-    (T, 2, H) and n (T, H) after their nonlinearities, and a_n (T, H), the
-    n block of h @ w_h + b_h. D independent GRUs advance together when h0 is
-    (D, H), w_h (D, H, 3H) and b_h (D, 3H): the projection is then
-    (3, D, H), and every returned array gains the direction axis last but one.
-    A batch axis of h0, (B, H) or (D, B, H), is carried the same way; b_h
-    then needs a length-1 axis in its place, (D, 1, 3H), to broadcast.
+    w_h (H, 3H) and b_h (1, 3H) are packed as gate blocks [r | z | n];
+    `step_input` returns its projection with one gate block per row,
+    (3, B, H). Returns the states hs (T+1, B, H), hs[t] entering step t, the
+    gates r and z (T, 2, B, H) and n (T, B, H) after their nonlinearities,
+    and a_n (T, B, H), the n block of h @ w_h + b_h. D independent GRUs
+    advance together when h0 is (D, B, H), w_h (D, H, 3H) and b_h
+    (D, 1, 3H): the projection is then (3, D, B, H), and every returned
+    array gains the direction axis before the batch axis.
     """
     H = h0.shape[-1]
     lead = h0.shape[:-1]
@@ -711,21 +704,20 @@ def _gru_forward(T: int, h0, w_h, b_h, step_input):
     a = np.empty((T, 3, *lead, H), dtype=w_h.dtype)
     hw = np.empty((*lead, 3 * H), dtype=w_h.dtype)
     hw_rows, b_rows = _gate_rows(hw), _gate_rows(b_h)
-    product = _hidden_product(h0, w_h)
     hs[0] = h0
     for t in range(T):
-        _gru_step(hs[t], step_input(t, hs[t]), w_h, b_rows, hw, hw_rows, a[t], rz[t], n[t], hs[t + 1], product)
+        _gru_step(hs[t], step_input(t, hs[t]), w_h, b_rows, hw, hw_rows, a[t], rz[t], n[t], hs[t + 1])
     return hs, rz, n, a[:, 2]
 
 
 def _gru_backward(g, hs, rz, n, a_n, w_h, step_input_back=None):
-    """Backprop through time for `_gru_forward`, given its results and dL/dh' of every step, g (T, H).
+    """Backprop through time for `_gru_forward`, given its results and dL/dh' of every step, g (T, B, H).
 
-    Returns the gradients of the input projections dpx (T, 3H), of
-    a = h @ w_h + b_h, da (T, 3H), and of h0, (H,). `step_input_back(t, dpx_t)`,
-    when given, backpropagates step t's input projection and returns the
-    part of dL/dh_t that flowed through it. With a direction or batch axis
-    (g is (T, D, H), (T, B, H) or (T, D, B, H)) every result gains it as
+    Returns the gradients of the input projections dpx (T, B, 3H), of
+    a = h @ w_h + b_h, da (T, B, 3H), and of h0, (B, H).
+    `step_input_back(t, dpx_t)`, when given, backpropagates step t's input
+    projection and returns the part of dL/dh_t that flowed through it. With
+    a direction axis (g is (T, D, B, H)) every result gains it as
     `_gru_forward`'s do.
     """
     T, H = g.shape[0], g.shape[-1]
@@ -740,12 +732,11 @@ def _gru_backward(g, hs, rz, n, a_n, w_h, step_input_back=None):
     dpx_flat, da_flat = dpx.reshape(*g.shape[:-1], 3 * H), da.reshape(*g.shape[:-1], 3 * H)
     carry = np.zeros(g.shape[1:], dtype=hs.dtype)
     w_t = w_h.swapaxes(-1, -2)
-    product = _hidden_product(carry, w_h)
     for t in range(T - 1, -1, -1):
         dh = g[t] + carry
         dpx[t] = dh[..., None, :] * k_px[t]
         da[t] = dh[..., None, :] * k_a[t]
-        carry = dh * z[t] + product(da_flat[t], w_t)
+        carry = dh * z[t] + np.matmul(da_flat[t], w_t)
         if step_input_back is not None:
             carry += step_input_back(t, dpx_flat[t])
     return dpx_flat, da_flat, carry
@@ -753,49 +744,42 @@ def _gru_backward(g, hs, rz, n, a_n, w_h, step_input_back=None):
 
 def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
           w_h: DiffArray, b_h: DiffArray, lengths=None) -> DiffArray:
-    """Bidirectional GRU over a whole sequence: (T, d) rows -> (T, 2H) states.
+    """Bidirectional GRU over a zero-padded batch: (B, T, d) rows -> (B, T, 2H) states.
 
-    A forward GRU reads rows 0..T-1 and a backward one rows T-1..0, each
-    with `_gru_forward`'s step equations; output row t is [forward state
-    after row t | backward state after row t]. `w_x` (d, 6H) and `b_x` (6H,)
-    hold the forward direction's input-side gate blocks [r | z | n], then
-    the backward's; `w_h` (2H, 3H) holds the forward's hidden-side rows,
-    then the backward's, and `b_h` (6H,) their biases laid out as `b_x`;
-    `h0` (2, H) holds the two initial states. One matmul projects every row
-    for both directions, and one time loop advances both: step t reads row t
-    forward and row T-1-t backward.
-
-    A batch, xs (B, T, d) with `lengths` (B,), holds sequence b in its first
-    lengths[b] rows, and gives (B, T, 2H). The one time loop advances all B
-    sequences; the backward direction of sequence b starts at its own last
-    row, lengths[b]-1. Output rows past a sequence's length are zero, and no
-    gradient flows back from them. One graph node; backward is hand-written
-    backprop through time.
+    Sequence b fills the first lengths[b] rows of xs. A forward GRU reads
+    its rows from 0 and a backward one from its own last row, lengths[b]-1,
+    back to 0, each with `_gru_forward`'s step equations; output row t is
+    [forward state after row t | backward state after row t]. `w_x` (d, 6H)
+    and `b_x` (6H,) hold the forward direction's input-side gate blocks
+    [r | z | n], then the backward's; `w_h` (2H, 3H) holds the forward's
+    hidden-side rows, then the backward's, and `b_h` (6H,) their biases laid
+    out as `b_x`; `h0` (2, H) holds the two initial states. One matmul
+    projects every row for both directions, and one time loop advances both
+    directions of all B sequences. Output rows past a sequence's length are
+    zero, and no gradient flows back from them. A lone (T, d) line, without
+    `lengths`, runs as a batch of one and gives (T, 2H). One graph node;
+    backward is hand-written backprop through time.
     """
     ins = (xs, h0, w_x, b_x, w_h, b_h)
-    batched = xs.data.ndim == 3
-    B, T, d = xs.shape if batched else (1, *xs.shape) if xs.data.ndim == 2 else (0, 0, 0)
+    line = xs.data.ndim == 2
+    B, T, d = (1, *xs.shape) if line else xs.shape if xs.data.ndim == 3 else (0, 0, 0)
     H = h0.shape[1] if h0.data.ndim == 2 else 0
     if (d < 1 or H < 1 or h0.shape != (2, H) or w_x.shape != (d, 6 * H) or b_x.shape != (6 * H,)
-            or w_h.shape != (2 * H, 3 * H) or b_h.shape != (6 * H,) or (lengths is not None) != batched):
+            or w_h.shape != (2 * H, 3 * H) or b_h.shape != (6 * H,) or (lengths is None) != line):
         raise ShapeError(f"bigru: incompatible shapes {', '.join(str(a.shape) for a in ins)}"
-                         + ("" if (lengths is not None) == batched else "; lengths go with a (B, T, d) batch"))
-    lengths = _check_lengths("bigru", lengths, B, T) if batched else None
-    padded = batched and lengths.min() < T
+                         + ("" if (lengths is None) == line else "; lengths go with a (B, T, d) batch"))
+    lengths = None if line else _check_lengths("bigru", lengths, B, T)  # a line is a batch of one, unpadded
+    padded = lengths is not None and lengths.min() < T
     reversal = _reversal(lengths, T) if padded else None
-    one = B == 1  # a single sequence keeps the state unbatched, (2, H), and its hidden product a vecmat
     wh = w_h.data.reshape(2, H, 3 * H)
-    bh = b_h.data.reshape((2, 3 * H) if one else (2, 1, 3 * H))
     proj = (xs.data.reshape(B * T, d) @ w_x.data + b_x.data).reshape(B, T, 6 * H)
     # (T, 3, 2, B, H), in step order: per step the gate blocks of both directions, one per row
     px = np.empty((T, 3, 2, B, H), dtype=proj.dtype)
     px[:, :, 0] = proj[:, :, :3 * H].reshape(B, T, 3, H).transpose(1, 2, 0, 3)
     px[:, :, 1] = _reverse_each(proj[:, :, 3 * H:], reversal).reshape(B, T, 3, H).transpose(1, 2, 0, 3)
-    h0d = h0.data if one else np.broadcast_to(h0.data[:, None], (2, B, H))
-    step_px = px[:, :, :, 0] if one else px
-    hs, rz, n, a_n = _gru_forward(T, h0d, wh, bh, lambda t, h: step_px[t])
-    hb = hs[:, :, None] if one else hs  # (T+1, 2, B, H)
-    y = np.concatenate([hb[1:, 0].transpose(1, 0, 2), _reverse_each(hb[1:, 1].transpose(1, 0, 2), reversal)],
+    hs, rz, n, a_n = _gru_forward(T, h0.data[:, None].repeat(B, axis=1), wh, b_h.data.reshape(2, 1, 3 * H),
+                                  lambda t, h: px[t])
+    y = np.concatenate([hs[1:, 0].transpose(1, 0, 2), _reverse_each(hs[1:, 1].transpose(1, 0, 2), reversal)],
                        axis=2)
     valid = np.arange(T) < lengths[:, None] if padded else None  # (B, T)
     if padded:
@@ -808,9 +792,7 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
         gs = np.empty((T, 2, B, H), dtype=g.dtype)
         gs[:, 0] = g[:, :, :H].transpose(1, 0, 2)
         gs[:, 1] = _reverse_each(g[:, :, H:], reversal).transpose(1, 0, 2)
-        dpx, da, dh0 = _gru_backward(gs[:, :, 0] if one else gs, hs, rz, n, a_n, wh)
-        if one:
-            dpx, da, dh0 = dpx[:, :, None], da[:, :, None], dh0[:, None]
+        dpx, da, dh0 = _gru_backward(gs, hs, rz, n, a_n, wh)
         dproj = np.empty((B, T, 6 * H), dtype=g.dtype)  # in row order
         dproj[:, :, :3 * H] = dpx[:, 0].transpose(1, 0, 2)
         dproj[:, :, 3 * H:] = _reverse_each(dpx[:, 1].transpose(1, 0, 2), reversal)
@@ -820,120 +802,94 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
         _acc_product(w_x, xs.data.reshape(B * T, d), dproj)
         _acc(b_x, dproj.sum(axis=0))
         # per direction: its states entering each step against its da, all steps and sequences as rows
-        _acc_product(w_h, hb[:-1].swapaxes(0, 1).reshape(2, T * B, H), da.swapaxes(0, 1).reshape(2, T * B, 3 * H))
+        _acc_product(w_h, hs[:-1].swapaxes(0, 1).reshape(2, T * B, H), da.swapaxes(0, 1).reshape(2, T * B, 3 * H))
         _acc(b_h, da.sum(axis=(0, 2)).reshape(-1))
 
-    return _make(y if batched else y[0], ins, "bigru", back)
+    return _make(y[0] if line else y, ins, "bigru", back)
 
 
 def _attention_step(y_t, h, wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x, mask=None):
-    """`attention_gru`'s input side of one step, from the input row y_t and the state h.
+    """`attention_gru`'s input side of one step, from the input rows y_t and the states h, each (B, H).
 
-    Writes the query input y_t + h, the query, the attention weights and
-    the GRU input y_t + alpha @ values into the rows u, q, alpha and x;
-    returns the GRU input projection x @ w_x + b_x with one gate block per
-    row, (3, H). `keys_t` holds the keys transposed, (dk, Tk). With `mask`
-    the step advances a batch: y_t and h are (B, H), `keys_t` (B, dk, Tk),
-    `values` (B, Tk, H), every written row gains the batch axis first, and
-    `mask` (B, Tk), 0 or -inf, is added to the scores so that no sequence
-    attends to its padding frames.
+    Writes the query inputs y_t + h, the queries, the attention weights and
+    the GRU inputs y_t + alpha @ values into u, q, alpha and x, one row per
+    sequence; returns the GRU input projection x @ w_x + b_x with one gate
+    block per row, (3, B, H). `keys_t` (B, dk, Tk) holds each sequence's
+    keys transposed and `values` (B, Tk, H) its frames; `mask` (B, Tk), 0 or
+    -inf, is added to the scores so that no sequence attends to its padding
+    frames. Greedy decoding runs the step on one sequence without the batch
+    axis and without a mask.
     """
-    vecmat = np.matmul if mask is None else np.vecmat
     np.add(y_t, h, out=u)
     np.matmul(u, wq, out=q)
-    s = vecmat(q, keys_t) * scale
+    s = np.vecmat(q, keys_t) * scale
     if mask is not None:
         s += mask
     _softmax(s, out=alpha)
-    np.add(y_t, vecmat(alpha, values), out=x)
-    px = x @ w_x + b_x
-    return px.reshape(3, -1) if mask is None else _gate_rows(px)
+    np.add(y_t, np.vecmat(alpha, values), out=x)
+    return _gate_rows(x @ w_x + b_x)
 
 
 def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, values: DiffArray,
                   w_x: DiffArray, b_x: DiffArray, w_h: DiffArray, b_h: DiffArray,
-                  attn_sink: list | None = None, lengths=None, frames=None) -> DiffArray:
-    """Attention-fed GRU over a whole sequence: (T, H) input rows -> (T, H) states.
+                  lengths, frames, attn_sink: list | None = None) -> DiffArray:
+    """Attention-fed GRU over a zero-padded batch: (B, T, H) input rows -> (B, T, H) states.
 
-    Step t reads row y_t and the state h entering it (`h0` (1, H) at t = 0),
-    attends with one head over `keys` (Tk, dk) and `values` (Tk, H), and
-    advances `_gru_forward`'s GRU with input-side weights `w_x` (H, 3H), `b_x`
-    and hidden-side weights `w_h` (H, 3H), `b_h`:
+    Sequence b reads its inputs from the first lengths[b] rows of y and
+    attends over its frames, the first frames[b] rows of `keys` (B, Tk, dk)
+    and `values` (B, Tk, H). Step t reads row y_t and the state h entering
+    it (`h0` (1, H) at t = 0), attends with one head, and advances
+    `_gru_forward`'s GRU with input-side weights `w_x` (H, 3H), `b_x` and
+    hidden-side weights `w_h` (H, 3H), `b_h`:
 
         q = (y_t + h) @ wq      alpha = softmax(q @ keys^T / sqrt(dk))
         x = y_t + alpha @ values      h' = GRU(x @ w_x + b_x, h)
 
-    A batch runs in the same one time loop: y (B, T, H) holds sequence b's
-    inputs in its first lengths[b] rows, keys (B, Tk, dk) and values
-    (B, Tk, H) its frames in their first frames[b] rows, and the states are
-    (B, T, H). Attention gives a sequence's padding frames weight zero; its
-    states past lengths[b] are zero and pass no gradient back. `attn_sink`,
-    when given, receives the attention weights, (T, Tk) or (B, T, Tk). One
-    graph node: backward runs through time with matrix-vector products only,
-    then forms each weight gradient with one matmul over all steps.
+    One time loop advances all B sequences. Attention gives a sequence's
+    padding frames weight zero; its states past lengths[b] are zero and pass
+    no gradient back. `attn_sink`, when given, receives the attention
+    weights, (B, T, Tk). One graph node: backward runs through time with
+    matrix-vector products per sequence only, then forms each weight
+    gradient with one matmul over all steps.
     """
     ins = (y, h0, wq, keys, values, w_x, b_x, w_h, b_h)
-    batched = y.data.ndim == 3
-    lead = y.shape[:-2] if y.data.ndim in (2, 3) else None
-    T, H = y.shape[-2:] if lead is not None else (0, 0)
-    tk, dk = keys.shape[-2:] if lead is not None and keys.shape[:-2] == lead and keys.data.ndim >= 2 else (0, 0)
-    if (H < 1 or tk < 1 or h0.shape != (1, H) or wq.shape != (H, dk) or values.shape != (*lead, tk, H)
+    B, T, H = y.shape if y.data.ndim == 3 else (0, 0, 0)
+    tk, dk = keys.shape[1:] if keys.data.ndim == 3 and keys.shape[0] == B else (0, 0)
+    if (H < 1 or tk < 1 or h0.shape != (1, H) or wq.shape != (H, dk) or values.shape != (B, tk, H)
             or w_x.shape != (H, 3 * H) or b_x.shape != (3 * H,)
-            or w_h.shape != (H, 3 * H) or b_h.shape != (3 * H,)
-            or (lengths is not None) != batched or (frames is not None) != batched):
-        raise ShapeError(f"attention_gru: incompatible shapes {', '.join(str(a.shape) for a in ins)}"
-                         + ("" if (lengths is not None) == (frames is not None) == batched
-                            else "; lengths and frames go with a (B, T, H) batch"))
-    B = y.shape[0] if batched else 1
-    if batched:
-        lengths = _check_lengths("attention_gru", lengths, B, T)
-        frames = _check_lengths("attention_gru", frames, B, tk)
-    # a single sequence, or a batch of one without padding, runs unbatched: no mask, vector products
-    one = not batched or (B == 1 and lengths[0] == T and frames[0] == tk)
+            or w_h.shape != (H, 3 * H) or b_h.shape != (3 * H,)):
+        raise ShapeError(f"attention_gru: incompatible shapes {', '.join(str(a.shape) for a in ins)}")
+    lengths = _check_lengths("attention_gru", lengths, B, T)
+    frames = _check_lengths("attention_gru", frames, B, tk)
     scale = 1.0 / math.sqrt(dk)
     wqd, wxd, bxd = wq.data, w_x.data, b_x.data
-    if one:
-        yd, kd, vd = (a.data.reshape(a.shape[-2:]) for a in (y, keys, values))
-        kd_t, mask, state = kd.T, None, (H,)
-        h0d = h0.data[0]
-        vecmat = matvec = np.matmul
-    else:
-        yd, kd, vd = y.data.swapaxes(0, 1), keys.data, values.data  # inputs in step order, (T, B, H)
-        kd_t = np.ascontiguousarray(kd.swapaxes(1, 2))
-        mask = np.where(np.arange(tk) < frames[:, None], 0.0, -np.inf).astype(yd.dtype)
-        state = (B, H)
-        h0d = np.broadcast_to(h0.data, state)
-        vecmat, matvec = np.vecmat, np.matvec
-    U = np.empty((T, *state), dtype=yd.dtype)                # query inputs y_t + h
-    Q = np.empty((T, *state[:-1], dk), dtype=yd.dtype)
-    A = np.empty((T, *state[:-1], tk), dtype=yd.dtype)       # attention weights
-    X = np.empty((T, *state), dtype=yd.dtype)                # GRU inputs y_t + alpha @ values
+    yd, kd, vd = y.data.swapaxes(0, 1), keys.data, values.data  # inputs in step order, (T, B, H)
+    kd_t = np.ascontiguousarray(kd.swapaxes(1, 2))
+    mask = np.where(np.arange(tk) < frames[:, None], 0.0, -np.inf).astype(yd.dtype)
+    U = np.empty((T, B, H), dtype=yd.dtype)                # query inputs y_t + h
+    Q = np.empty((T, B, dk), dtype=yd.dtype)
+    A = np.empty((T, B, tk), dtype=yd.dtype)               # attention weights
+    X = np.empty((T, B, H), dtype=yd.dtype)                # GRU inputs y_t + alpha @ values
 
     def step_input(t, h):
         return _attention_step(yd[t], h, wqd, kd_t, vd, scale, wxd, bxd, U[t], Q[t], A[t], X[t], mask)
 
-    hs, rz, n, a_n = _gru_forward(T, h0d, w_h.data, b_h.data if one else b_h.data[None], step_input)
-
-    def per_sequence(a):
-        """A step-major array, (T, H) or (T, B, H), with y's leading axes."""
-        return a.reshape(*lead, T, a.shape[-1]) if one else a.swapaxes(0, 1)
-
+    hs, rz, n, a_n = _gru_forward(T, h0.data.repeat(B, axis=0), w_h.data, b_h.data[None], step_input)
     if attn_sink is not None:
-        attn_sink.append(per_sequence(A).copy())
-    out = np.ascontiguousarray(per_sequence(hs[1:]))
-    valid = None if one else np.arange(T) < lengths[:, None]  # (B, T)
-    if valid is not None:
-        out[~valid] = 0.0
+        attn_sink.append(A.swapaxes(0, 1).copy())
+    out = np.ascontiguousarray(hs[1:].swapaxes(0, 1))
+    valid = np.arange(T) < lengths[:, None]  # (B, T)
+    out[~valid] = 0.0
 
     def back(g):
-        g = g.reshape(T, H) if one else (g * valid[:, :, None]).swapaxes(0, 1)
+        g = (g * valid[:, :, None]).swapaxes(0, 1)
         dU, dQ, dS, dX = np.empty_like(U), np.empty_like(Q), np.empty_like(A), np.empty_like(X)
         wxd_t, wqd_t = wxd.T, wqd.T
 
         def step_input_back(t, dpx):
             dX[t] = dpx @ wxd_t
-            dS[t] = _softmax_back(A[t], matvec(vd, dX[t])) * scale
-            dQ[t] = vecmat(dS[t], kd)
+            dS[t] = _softmax_back(A[t], np.matvec(vd, dX[t])) * scale
+            dQ[t] = np.vecmat(dS[t], kd)
             dU[t] = dQ[t] @ wqd_t
             return dU[t]
 
@@ -941,11 +897,11 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
             return a.reshape(-1, a.shape[-1])
 
         dpx, da, dh0 = _gru_backward(g, hs, rz, n, a_n, w_h.data, step_input_back)
-        _acc(y, per_sequence(dX + dU).reshape(y.shape))
-        _acc(h0, rows(dh0).sum(axis=0, keepdims=True))
+        _acc(y, (dX + dU).swapaxes(0, 1))
+        _acc(h0, dh0.sum(axis=0, keepdims=True))
         _acc_product(wq, rows(U), rows(dQ))
-        _acc_product(keys, per_sequence(dS), per_sequence(Q))
-        _acc_product(values, per_sequence(A), per_sequence(dX))
+        _acc_product(keys, dS.swapaxes(0, 1), Q.swapaxes(0, 1))
+        _acc_product(values, A.swapaxes(0, 1), dX.swapaxes(0, 1))
         _acc_product(w_x, rows(X), rows(dpx))
         _acc(b_x, rows(dpx).sum(axis=0))
         _acc_product(w_h, rows(hs[:-1]), rows(da))
@@ -1033,37 +989,32 @@ def interp_rows(feat: DiffArray, positions) -> DiffArray:
 # losses
 
 
-def cross_entropy_logits(logits: DiffArray, targets, lengths=None) -> DiffArray:
-    """Mean over rows of -log softmax(logits)[target]; stable log-sum-exp.
+def cross_entropy_logits(logits: DiffArray, targets, lengths) -> DiffArray:
+    """-log softmax(logits)[target] over a padded batch; stable log-sum-exp.
 
-    For a batch, logits (B, T, V) and targets (B, T) with `lengths` (B,):
-    the mean over sequences of each one's own mean over its first
-    lengths[b] rows. The rows past a sequence's length get no gradient.
+    Logits (B, T, V) and targets (B, T) with `lengths` (B,): the mean over
+    sequences of each one's own mean over its first lengths[b] rows, formed
+    as one sum with each row weighted 1 / (B * lengths[b]). The rows past a
+    sequence's length get no gradient.
     """
     t = np.asarray(targets, dtype=np.intp)
-    batched = lengths is not None
-    if logits.data.ndim != 2 + batched or t.shape != logits.shape[:-1]:
+    if logits.data.ndim != 3 or t.shape != logits.shape[:-1]:
         raise ShapeError(f"cross_entropy_logits: incompatible shapes {logits.shape} and {t.shape}")
-    if t.size == 0:
-        raise ShapeError("cross_entropy_logits: empty target")
-    if batched:
-        lengths = _check_lengths("cross_entropy_logits", lengths, t.shape[0], t.shape[1])
+    B, T = t.shape
+    lengths = _check_lengths("cross_entropy_logits", lengths, B, T)
     lg, t = logits.data.reshape(-1, logits.shape[-1]), t.reshape(-1)
     N = t.shape[0]
     m = lg.max(axis=-1, keepdims=True)
     z = lg - m
     lse = np.log(np.exp(z).sum(axis=-1)) + m[:, 0]
     nll = lse - lg[np.arange(N), t]
-    weights = None  # per row; the plain mean for one sequence, or a batch of one without padding
-    if batched and (lengths.shape[0] > 1 or lengths[0] < logits.shape[1]):
-        valid = np.arange(logits.shape[1]) < lengths[:, None]
-        weights = (valid / (lengths[:, None] * lengths.shape[0])).reshape(-1).astype(lg.dtype)
-    y = nll.mean() if weights is None else np.dot(nll, weights)
+    weights = ((np.arange(T) < lengths[:, None]) / (lengths[:, None] * B)).reshape(-1).astype(lg.dtype)
+    y = np.dot(nll, weights)
 
     def back(g):
         p = _softmax(lg)
         p[np.arange(N), t] -= 1.0
-        _acc(logits, ((g / N) * p if weights is None else (g * weights)[:, None] * p).reshape(logits.shape))
+        _acc(logits, ((g * weights)[:, None] * p).reshape(logits.shape))
 
     return _make(y, (logits,), "cross_entropy_logits", back)
 

@@ -4,17 +4,15 @@ Each step embeds the previous token, attends over the encoded frames with
 one head (learned q/k projections, the frames themselves as values),
 advances a GRU cell, and projects to vocabulary logits. `ad.attention_gru`
 runs the attention and the GRU of all steps as one graph node; the keys
-depend only on the frames, so `keys` computes them once per sequence.
+depend only on the frames, so `keys` computes them once per batch.
 Training uses teacher forcing, which knows every step's previous token up
-front, so the whole target runs in one kernel call, and so does a whole
-batch of lines: `ce_loss` pads the targets to the longest, and the kernel
-masks each line's padding frames and steps. Greedy inference learns
-each input only from the previous argmax, so it runs one loop per line over
-plain arrays: per token the embedding row, the kernel's own attention step
-and GRU step (`ad._attention_step`, `ad._gru_step`), the output projection
-and the argmax, with no graph node and with its buffers allocated once per
-line. `step_logits` runs the kernel for one token and stays as the per-token
-reference.
+front, so a whole batch of lines runs in one kernel call: `ce_loss` pads
+the targets to the longest, and the kernel masks each line's padding frames
+and steps. Greedy inference learns each input only from the previous
+argmax, so it runs one loop per line over plain arrays: per token the
+embedding row, the kernel's own attention step and GRU step
+(`ad._attention_step`, `ad._gru_step`), the output projection and the
+argmax, with no graph node and with its buffers allocated once per line.
 """
 
 from __future__ import annotations
@@ -57,26 +55,20 @@ class AttentionDecoder:
             raise ValueError("decoder needs a nonempty encoded sequence")
         return ad.matmul(f_enc, self.wk)
 
-    def _run(self, prev_ids, state: DiffArray, f_enc: DiffArray, keys: DiffArray,
-             attn_sink: list | None = None, lengths=None, frames=None) -> tuple[DiffArray, DiffArray]:
-        """Logits (T, V) and states (T, d) of T steps fed `prev_ids`, starting from `state`.
+    def _run(self, prev_ids, state: DiffArray, f_enc: DiffArray, keys: DiffArray, lengths, frames,
+             attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
+        """Logits (B, T, V) and states (B, T, d) of a batch fed `prev_ids` (B, T), starting from `state`.
 
-        A batch: `prev_ids` (B, T), f_enc and keys (B, frames, d), with
-        `attention_gru`'s `lengths` and `frames`; the results gain the B axis.
+        f_enc and keys are (B, frames, d); `lengths` and `frames` are
+        `attention_gru`'s.
         """
         ids = np.asarray(prev_ids, dtype=np.intp)
         bad = ids[(ids < 0) | (ids >= self.vocab_size)]
         if bad.size:
             raise ValueError(f"token {bad[0]} out of vocabulary (size {self.vocab_size})")
         ys = ad.gather_rows(self.embed, ids)
-        states = ad.attention_gru(ys, state, self.wq, keys, f_enc, *self.gru, attn_sink,
-                                  lengths=lengths, frames=frames)
+        states = ad.attention_gru(ys, state, self.wq, keys, f_enc, *self.gru, lengths, frames, attn_sink)
         return self.out(states), states
-
-    def step_logits(self, prev_token: int, state: DiffArray, f_enc: DiffArray, keys: DiffArray,
-                    attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
-        """Logits (1, V) and the new state after `prev_token`; `keys` is `self.keys(f_enc)`."""
-        return self._run([prev_token], state, f_enc, keys, attn_sink)
 
     def greedy(self, f_enc: DiffArray, max_len: int = MAX_DECODE_LEN) -> list[int]:
         """Greedy decode from sos; stops at eos or after max_len tokens.
@@ -86,8 +78,8 @@ class AttentionDecoder:
         reserved ids. One loop over plain arrays, with every buffer allocated
         before the first token: per token it looks up the embedding row, runs
         `ad.attention_gru`'s attention step and GRU step, projects to logits
-        and takes the argmax. Each state is bit for bit the one chained
-        `step_logits` calls reach.
+        and takes the argmax. Each state is bit for bit the one that
+        `_run` reaches, token by token, on the line as a batch of one.
         """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -97,7 +89,7 @@ class AttentionDecoder:
         w_x, b_x, w_h, b_h = (p.data for p in self.gru)
         w_out, b_out = self.out.w.data, self.out.b.data
         scale = 1.0 / math.sqrt(keys.shape[1])
-        keys_t = keys.T
+        keys_t = np.ascontiguousarray(keys.T)  # the layout `attention_gru` gives its keys
         dtype = w_h.dtype  # every parameter's, as the store holds them in one dtype
         h, h_new = np.zeros((2, 1, self.d), dtype=dtype)  # the state entering a step and the one it writes
         u, x, q, alpha = (np.empty(k, dtype=dtype) for k in (self.d, self.d, keys.shape[1], keys.shape[0]))
@@ -119,38 +111,31 @@ class AttentionDecoder:
             h, h_new = h_new, h
         return out
 
-    def sequence_logits(self, f_enc: DiffArray, target_ids: list, frames=None) -> DiffArray:
-        """Teacher-forced logits, one row per target position: sos, then each target token, fed in.
+    def sequence_logits(self, f_enc: DiffArray, targets: list, frames) -> DiffArray:
+        """Teacher-forced logits (B, L, V) of a batch: per line sos, then each target token, fed in.
 
-        For a batch, with `frames` as `ce_loss` takes them, (B, L, V) for the
-        longest target's length L; a line's rows past its own target are padding.
+        f_enc and `frames` are as `ce_loss` takes them; L is the longest
+        target's length, and a line's rows past its own target are padding.
         """
-        targets = [target_ids] if frames is None else target_ids
         prev, lengths = _padded([[SOS, *target][:len(target)] for target in targets])
-        if frames is None:
-            prev, lengths = prev[0], None
-        logits, _ = self._run(prev, self.initial_state(), f_enc, self.keys(f_enc), lengths=lengths, frames=frames)
+        logits, _ = self._run(prev, self.initial_state(), f_enc, self.keys(f_enc), lengths, frames)
         return logits
 
-    def ce_loss(self, f_enc: DiffArray, target_ids: list, frames=None) -> DiffArray:
-        """Mean per-step cross entropy; targets must end with eos.
+    def ce_loss(self, f_enc: DiffArray, targets: list, frames) -> DiffArray:
+        """Mean per-step cross entropy of a batch of lines; each target must end with eos.
 
-        For a batch of lines, f_enc (B, T, d) holds line b's encoded frames in
-        its first frames[b] rows and `target_ids` holds one target per line.
-        Teacher forcing runs every line to the longest target in one kernel
-        call, and the loss is the mean over lines of each line's own mean.
+        f_enc (B, T, d) holds line b's encoded frames in its first frames[b]
+        rows, and `targets` holds one target per line. Teacher forcing runs
+        every line to the longest target in one kernel call, and the loss is
+        the mean over lines of each line's own mean.
         """
-        targets = [target_ids] if frames is None else target_ids
         for target in targets:
             if not target:
                 raise ValueError("ce_loss: empty target")
             if target[-1] != EOS:
                 raise ValueError("ce_loss: target must end with eos")
-        logits = self.sequence_logits(f_enc, target_ids, frames)
         gold, lengths = _padded(targets)
-        if frames is None:
-            return ad.cross_entropy_logits(logits, gold[0])
-        return ad.cross_entropy_logits(logits, gold, lengths)
+        return ad.cross_entropy_logits(self.sequence_logits(f_enc, targets, frames), gold, lengths)
 
 
 def _padded(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:

@@ -125,7 +125,10 @@ class BiGRUStack:
             self.layers.append((w_x, b_x, w_h, b_h))
 
     def __call__(self, xs: DiffArray, lengths=None) -> DiffArray:
-        """(T, d) -> (T, d); or a zero-padded batch (B, T, d) with per-sequence `lengths` (B,) -> (B, T, d)."""
+        """A zero-padded batch (B, T, d) with per-sequence `lengths` (B,) -> (B, T, d).
+
+        A lone (T, d) line, without `lengths`, runs as a batch of one -> (T, d).
+        """
         for weights in self.layers:
             xs = ad.bigru(xs, self.h0, *weights, lengths=lengths)
         return xs

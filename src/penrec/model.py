@@ -131,7 +131,3 @@ class Recognizer:
             if len(batch) > 1:
                 loss_align = ad.mul(loss_align, 1.0 / len(batch))
         return {"traj": loss_traj, "img": loss_img, "align": loss_align}
-
-    def sample_losses(self, seq: TrajectorySequence) -> dict[str, DiffArray | None]:
-        """`losses` of a batch of one."""
-        return self.losses([seq])

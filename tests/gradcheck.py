@@ -5,8 +5,9 @@ probed subset of elements, in float64 (float32 differencing is too noisy
 for tight tolerances). `standard_battery` enumerates every kernel plus the
 composite blocks the model is built from; the test suite and the acceptance
 gate both run it. Also holds `sigmoid`, `tanh`, `softmax` and `asum`, the
-kernels only tests compose reference paths from, and the tiny model and
-sequence the tests share.
+kernels only tests compose reference paths from, `step_logits`, greedy
+decoding's per-token reference, and the tiny model and sequence the tests
+share.
 """
 
 from __future__ import annotations
@@ -65,6 +66,21 @@ def asum(x: DiffArray) -> DiffArray:
         ad._acc(x, np.full(x.shape, g, dtype=x.dtype))
 
     return ad._make(y, (x,), "sum", back)
+
+
+def step_logits(dec: AttentionDecoder, prev_token: int, state: DiffArray, f_enc: DiffArray,
+                attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
+    """Logits (1, V) and the new state (1, d) after `prev_token`: one decoder step over the (T, d) frames f_enc.
+
+    Runs `dec._run` on the line as a batch of one; `attn_sink`, when given,
+    receives the step's (1, T) attention weights.
+    """
+    frames = ad.pad_stack([f_enc])
+    sink = None if attn_sink is None else []
+    logits, states = dec._run([[prev_token]], state, frames, dec.keys(frames), [1], [f_enc.shape[0]], sink)
+    if attn_sink is not None:
+        attn_sink.extend(a[0] for a in sink)
+    return ad.squeeze_lead(logits), ad.squeeze_lead(states)
 
 
 def numeric_grad_at(f, arr: DiffArray, index, h: float = 1e-5) -> float:
@@ -179,9 +195,9 @@ def kernel_cases(rng: np.random.Generator):
         return lambda: p(ad.interp_rows(feat, pos)), [feat]
 
     def ce_case():
-        logits = _rand(rng, (5, 7))
-        targets = rng.integers(0, 7, size=5)
-        return lambda: ad.cross_entropy_logits(logits, targets), [logits]
+        logits = _rand(rng, (1, 5, 7))
+        targets = rng.integers(0, 7, size=(1, 5))
+        return lambda: ad.cross_entropy_logits(logits, targets, lengths=[5]), [logits]
 
     def mse_case():
         a, b = _rand(rng, (4, 5)), _rand(rng, (4, 5))
@@ -190,17 +206,17 @@ def kernel_cases(rng: np.random.Generator):
     def bigru_case(steps):
         d, hidden = 4, 3
         ins = [_rand(rng, shape) for shape in [
-            (steps, d), (2, hidden), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
+            (1, steps, d), (2, hidden), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
         p = fixed_projector(rng)
-        return lambda: p(ad.bigru(*ins)), ins
+        return lambda: p(ad.bigru(*ins, lengths=[steps])), ins
 
     def attention_gru_case():
         steps, frames, hidden, dk = 3, 4, 3, 4
         ins = [_rand(rng, shape) for shape in [
-            (steps, hidden), (1, hidden), (hidden, dk), (frames, dk), (frames, hidden),
+            (1, steps, hidden), (1, hidden), (hidden, dk), (1, frames, dk), (1, frames, hidden),
             (hidden, 3 * hidden), (3 * hidden,), (hidden, 3 * hidden), (3 * hidden,)]]
         p = fixed_projector(rng)
-        return lambda: p(ad.attention_gru(*ins)), ins
+        return lambda: p(ad.attention_gru(*ins, lengths=[steps], frames=[frames])), ins
 
     def bigru_batched_case():
         # three sequences of 5, 1 and 3 rows; the padding rows are probed too, and must get zero
@@ -326,7 +342,7 @@ def composite_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
 
         def f():
-            logits, _ = dec.step_logits(3, dec.initial_state(), f_enc, dec.keys(f_enc))
+            logits, _ = step_logits(dec, 3, dec.initial_state(), f_enc)
             return p(logits)
 
         return f, wrt
@@ -336,10 +352,10 @@ def composite_cases(rng: np.random.Generator):
     def ce_loss_composite():
         store = ParamStore(rng, dtype=F64)
         dec = AttentionDecoder(store, "dec", vocab_size=6, d=8)
-        f_enc = _rand(rng, (4, 8))
+        f_enc = _rand(rng, (1, 4, 8))
         target = [3, 4, 5, EOS]
         wrt = [f_enc] + list(store.params.values())
-        return lambda: dec.ce_loss(f_enc, target), wrt
+        return lambda: dec.ce_loss(f_enc, [target], [4]), wrt
 
     cases.append(("teacher_forced_ce", *ce_loss_composite()))
 
@@ -409,7 +425,7 @@ def model_loss_cases(rng: np.random.Generator, params_per_group: int | None = 2)
 
     def loss_fn(key):
         def f():
-            losses = model.sample_losses(seq)
+            losses = model.losses([seq])
             return losses[key]
         return f
 
@@ -427,7 +443,7 @@ def _align_no_sg(model, seq):
     model.align_cfg.use_stop_gradient = False
 
     def f():
-        return model.sample_losses(seq)["align"]
+        return model.losses([seq])["align"]
 
     return f
 

@@ -54,7 +54,7 @@ def test_c02_stop_gradient_contract():
     def image_grads(stop_gradient):
         m = Recognizer(small_enc_cfg(), small_align_cfg(use_stop_gradient=stop_gradient),
                        build_vocab(synth_generate("abc", 3, np.random.default_rng(0))), seed=1)
-        losses = m.sample_losses(tiny_sequence(np.random.default_rng(2), n_points=32))
+        losses = m.losses([tiny_sequence(np.random.default_rng(2), n_points=32)])
         scaled = ad.mul(losses["align"], 2.0)
         ad.zero_grads(m.params.values())
         ad.backward(scaled)
@@ -212,7 +212,7 @@ def test_c08_ablation_structure(tmp_path):
         else:
             assert align_count == 0
 
-        losses = m.sample_losses(normalize(data[0]))
+        losses = m.losses([normalize(data[0])])
         traj_flow = _flow_groups(m, losses["traj"])
         expected_traj = {"traj_conv", "traj_gru", "dec_traj"}
         if toggles["use_transformer"]:

@@ -244,7 +244,7 @@ def test_unit_offset_gives_loss_one():
 def _align_grad_probe(stop_grad: bool):
     m = tiny_model(use_stop_gradient=stop_grad)
     seq = tiny_sequence(np.random.default_rng(12))
-    losses = m.sample_losses(seq)
+    losses = m.losses([seq])
     scaled = ad.mul(losses["align"], 2.0)
     ad.zero_grads(m.params.values())
     ad.backward(scaled)

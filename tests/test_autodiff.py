@@ -242,11 +242,12 @@ def gru_by_gate_equations(xs, h0, wx, wh, bx, bh):
     return np.array(states)
 
 
-@pytest.mark.parametrize("steps", [1, 6])
-def test_bigru_matches_gate_equations_in_float64(steps):
+@pytest.mark.parametrize("lengths", [(1,), (6,), (6, 1, 3), (2, 4, 1, 4)],
+                         ids=lambda lengths: "-".join(map(str, lengths)))
+def test_bigru_matches_gate_equations_in_float64(lengths):
     rng = np.random.default_rng(4)
-    d_in, hidden = 5, 4
-    xs = rng.normal(size=(steps, d_in))
+    d_in, hidden, B, T = 5, 4, len(lengths), max(lengths)
+    xs = rng.normal(size=(B, T, d_in))  # padding rows filled with random values too
     h0 = rng.normal(size=(2, hidden))
     cells = [{key: {g: rng.normal(size=shape) for g in "rzn"}
               for key, shape in [("wx", (d_in, hidden)), ("wh", (hidden, hidden)),
@@ -257,12 +258,17 @@ def test_bigru_matches_gate_equations_in_float64(steps):
         blocks = [np.concatenate([c[key][g] for g in "rzn"], axis=-1) for c in cells]
         return ad.array(np.concatenate(blocks, axis=axis), dtype=np.float64)
 
-    got = ad.bigru(ad.array(xs, dtype=np.float64), ad.array(h0, dtype=np.float64),
-                   packed("wx", -1), packed("bx", -1), packed("wh", 0), packed("bh", -1)).data
-    fwd = gru_by_gate_equations(xs, h0[0], **cells[0])
-    bwd = gru_by_gate_equations(xs[::-1], h0[1], **cells[1])[::-1]
-    np.testing.assert_allclose(got[:, :hidden], fwd, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got[:, hidden:], bwd, rtol=0, atol=1e-12)
+    weights = [ad.array(h0, dtype=np.float64), packed("wx", -1), packed("bx", -1), packed("wh", 0), packed("bh", -1)]
+    got = ad.bigru(ad.array(xs, dtype=np.float64), *weights, lengths=lengths).data
+    for b, n in enumerate(lengths):
+        # each line's forward runs from row 0, its backward from its own last row
+        fwd = gru_by_gate_equations(xs[b, :n], h0[0], **cells[0])
+        bwd = gru_by_gate_equations(xs[b, :n][::-1], h0[1], **cells[1])[::-1]
+        np.testing.assert_allclose(got[b, :n, :hidden], fwd, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[b, :n, hidden:], bwd, rtol=0, atol=1e-12)
+        assert not np.any(got[b, n:]), "rows past the length are zero"
+    if B == 1:  # a lone (T, d) line is that batch of one
+        assert np.array_equal(ad.bigru(ad.array(xs[0], dtype=np.float64), *weights).data, got[0])
 
 
 def test_bigru_deferred_hidden_weight_gradient_is_the_sum_over_uses():
@@ -352,8 +358,10 @@ def test_batched_attention_gru_matches_each_sequence_alone_in_float64(lengths, f
 
     def kernel(arrays, lengths):
         h0, wq, *gru = shared
-        if lengths is None:
-            return ad.attention_gru(arrays[0], h0, wq, *arrays[1:], *gru)
+        if lengths is None:  # one sequence alone, as a batch of one
+            y, keys, values = (ad.pad_stack([a]) for a in arrays)
+            return ad.squeeze_lead(ad.attention_gru(y, h0, wq, keys, values, *gru,
+                                                    lengths=[y.shape[1]], frames=[keys.shape[1]]))
         return ad.attention_gru(arrays[0], h0, wq, *arrays[1:], *gru, lengths=lengths[0], frames=lengths[1])
 
     per_seq = [rng.normal(size=shape) for shape in [(B, T, hidden), (B, tk, dk), (B, tk, hidden)]]

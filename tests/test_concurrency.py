@@ -152,7 +152,7 @@ def test_a_trajectory_stream_error_surfaces_first_once_the_image_stream_is_done(
     monkeypatch.setattr(model, "image_losses", slow_failing_image)
     monkeypatch.setattr(model, "traj_conv", failing_trajectory)
     with pytest.raises(TrajectoryError):
-        bounded(model.sample_losses, LINES[0])
+        bounded(model.losses, LINES[:1])
     # beside it, the image stream ran and had finished; one after the other, it never started
     assert done.is_set() == (cpus == 2)
 

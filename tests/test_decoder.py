@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_node_count
-from gradcheck import asum, sigmoid, softmax, tanh, tiny_model, tiny_sequence
+from gradcheck import asum, sigmoid, softmax, step_logits, tanh, tiny_model, tiny_sequence
 from penrec import autodiff as ad
 from penrec.data import EOS, PAD, SOS
 from penrec.decoder import AttentionDecoder
@@ -23,10 +23,15 @@ def random_enc(frames, d, seed=1):
     return ad.array(np.random.default_rng(seed).normal(size=(frames, d)))
 
 
+def line_ce_loss(dec, f_enc, target):
+    """`dec.ce_loss` of one line over its (T, d) frames f_enc, run as a batch of one."""
+    return dec.ce_loss(ad.pad_stack([f_enc]), [target], [f_enc.shape[0]])
+
+
 def test_step_probabilities_sum_to_one():
     dec, _ = make_decoder()
     f_enc = random_enc(5, 8)
-    logits, state = dec.step_logits(SOS, dec.initial_state(), f_enc, dec.keys(f_enc))
+    logits, state = step_logits(dec, SOS, dec.initial_state(), f_enc)
     probs = softmax(logits)
     assert probs.shape == (1, 6)
     assert np.all(probs.data >= 0)
@@ -38,7 +43,7 @@ def test_single_frame_attention_returns_that_frame():
     dec, _ = make_decoder()
     f_enc = random_enc(1, 8, seed=2)
     sink = []
-    dec.step_logits(SOS, dec.initial_state(), f_enc, dec.keys(f_enc), attn_sink=sink)
+    step_logits(dec, SOS, dec.initial_state(), f_enc, attn_sink=sink)
     np.testing.assert_allclose(sink[0], [[1.0]])
 
 
@@ -47,7 +52,7 @@ def test_attention_weights_match_loop_oracle():
     f_enc = random_enc(7, 8, seed=4)
     state = ad.array(np.random.default_rng(5).normal(size=(1, 8)).astype(np.float32))
     sink = []
-    dec.step_logits(3, state, f_enc, dec.keys(f_enc), attn_sink=sink)
+    step_logits(dec, 3, state, f_enc, attn_sink=sink)
 
     y = dec.embed.data[3]
     q = (y + state.data[0]) @ dec.wq.data
@@ -64,7 +69,7 @@ def test_token_out_of_vocabulary_rejected():
     dec, _ = make_decoder()
     with pytest.raises(ValueError, match="vocabulary"):
         f_enc = random_enc(3, 8)
-        dec.step_logits(99, dec.initial_state(), f_enc, dec.keys(f_enc))
+        step_logits(dec, 99, dec.initial_state(), f_enc)
 
 
 def test_immediate_eos_gives_empty_transcript():
@@ -101,11 +106,10 @@ def test_greedy_feeds_back_a_reserved_argmax_and_decode_drops_it():
 
 def chained_step_logits(dec, f_enc, max_len):
     """Greedy decoding by chained `step_logits` calls: the ids and the state after every step."""
-    keys = dec.keys(f_enc)
     state, prev, ids, states = dec.initial_state(), SOS, [], []
     with ad.no_grad():
         for _ in range(max_len):
-            logits, state = dec.step_logits(prev, state, f_enc, keys)
+            logits, state = step_logits(dec, prev, state, f_enc)
             states.append(state.data[0].copy())
             tok = int(np.argmax(logits.data[0]))
             if tok == EOS:
@@ -159,15 +163,14 @@ def test_greedy_equals_beam_size_one_by_enumeration():
     f_enc = random_enc(5, 8, seed=7)
     greedy = dec.greedy(f_enc, max_len=2)
 
-    keys = dec.keys(f_enc)
-    logits1, s1 = dec.step_logits(SOS, dec.initial_state(), f_enc, keys)
+    logits1, s1 = step_logits(dec, SOS, dec.initial_state(), f_enc)
     probs1 = softmax(logits1)
     scores1 = {tok: float(probs1.data[0, tok]) for tok in range(6)}
     t1 = max(scores1, key=scores1.get)
     expected = []
     if t1 != EOS:
         expected.append(t1)
-        logits2, _ = dec.step_logits(t1, s1, f_enc, keys)
+        logits2, _ = step_logits(dec, t1, s1, f_enc)
         probs2 = softmax(logits2)
         scores2 = {tok: float(probs2.data[0, tok]) for tok in range(6)}
         t2 = max(scores2, key=scores2.get)
@@ -180,7 +183,7 @@ def test_uniform_logits_give_log_vocab_loss():
     dec, store = make_decoder(vocab_size=9, d=8)
     for p in store.params.values():
         p.data = np.zeros_like(p.data)
-    loss = dec.ce_loss(random_enc(3, 8), [3, 4, EOS])
+    loss = line_ce_loss(dec, random_enc(3, 8), [3, 4, EOS])
     assert float(loss.data) == pytest.approx(math.log(9), rel=1e-6)
 
 
@@ -188,14 +191,13 @@ def test_ce_loss_matches_per_step_probability_oracle():
     dec, _ = make_decoder(vocab_size=7, d=8, seed=8)
     f_enc = random_enc(6, 8, seed=9)
     target = [3, 5, 4, EOS]
-    loss = float(dec.ce_loss(f_enc, target).data)
+    loss = float(line_ce_loss(dec, f_enc, target).data)
 
     total = 0.0
     state = dec.initial_state()
-    keys = dec.keys(f_enc)
     prev = SOS
     for tok in target:
-        logits, state = dec.step_logits(prev, state, f_enc, keys)
+        logits, state = step_logits(dec, prev, state, f_enc)
         probs = softmax(logits)
         total -= math.log(float(probs.data[0, tok]))
         prev = tok
@@ -205,9 +207,9 @@ def test_ce_loss_matches_per_step_probability_oracle():
 def test_ce_loss_rejects_empty_or_unterminated_target():
     dec, _ = make_decoder()
     with pytest.raises(ValueError, match="empty"):
-        dec.ce_loss(random_enc(3, 8), [])
+        line_ce_loss(dec, random_enc(3, 8), [])
     with pytest.raises(ValueError, match="eos"):
-        dec.ce_loss(random_enc(3, 8), [3, 4])
+        line_ce_loss(dec, random_enc(3, 8), [3, 4])
 
 
 def test_decoder_overfits_single_sample():
@@ -220,7 +222,7 @@ def test_decoder_overfits_single_sample():
     state = ad.AdamState(store.params)
     loss_val = float("inf")
     for step in range(300):
-        loss = dec.ce_loss(f_enc, target)
+        loss = line_ce_loss(dec, f_enc, target)
         loss_val = float(loss.data)
         if loss_val < 0.01:
             break
@@ -268,7 +270,9 @@ def per_token_path(y, h0, wq, keys_t, values, gru, out, sink):
 
 
 def test_attention_gru_matches_per_token_composition_in_float64():
-    steps, frames, d, dk, vocab = 5, 6, 4, 3, 7
+    # a padded batch: lines of 5, 1 and 3 steps over 6, 1 and 4 frames, padding rows filled with random values
+    lengths, frames, d, dk, vocab = (5, 1, 3), (6, 1, 4), 4, 3, 7
+    B, steps, tk = len(lengths), max(lengths), max(frames)
     rng = np.random.default_rng(12)
     store = ParamStore(rng, dtype=np.float64)
     u = f"uniform:{1.0 / math.sqrt(d)}"
@@ -279,56 +283,66 @@ def test_attention_gru_matches_per_token_composition_in_float64():
     for p in store.params.values():
         p.data[...] = rng.uniform(-0.8, 0.8, size=p.shape)
 
-    def leaf(*shape):
-        return ad.array(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+    def leaf(values):
+        return ad.array(values, requires_grad=True, dtype=np.float64)
 
-    y, h0, wq, keys, values = leaf(steps, d), leaf(1, d), leaf(d, dk), leaf(frames, dk), leaf(frames, d)
-    keys_t = ad.array(keys.data.T, requires_grad=True, dtype=np.float64)
-    shared = [*gru, out.w, out.b]
-    proj_logits, proj_states = rng.normal(size=(steps, vocab)), rng.normal(size=(steps, d))
+    y, h0, wq, keys, values = (leaf(rng.normal(size=shape)) for shape in
+                               [(B, steps, d), (1, d), (d, dk), (B, tk, dk), (B, tk, d)])
+    shared = [h0, wq, *gru, out.w, out.b]
+    # the projections read only each line's own steps: its logits past them are the output bias
+    valid = (np.arange(steps) < np.array(lengths)[:, None])[:, :, None]
+    proj_logits, proj_states = rng.normal(size=(B, steps, vocab)) * valid, rng.normal(size=(B, steps, d)) * valid
 
-    def run(path, wrt):
-        """Outputs, attention weights and the gradients of `wrt` under one projected loss."""
-        ad.zero_grads(wrt)
-        sink = []
-        logits, states = path(sink)  # lists of row blocks, in order
-        terms, row = [], 0
-        for lg, st in zip(logits, states):
-            rows = slice(row, row + lg.shape[0])
-            row = rows.stop
-            terms += [asum(ad.mul(lg, proj_logits[rows])), asum(ad.mul(st, proj_states[rows]))]
-        ad.backward(functools.reduce(ad.add, terms))
-        outputs = [np.concatenate([a.data for a in arrays]) for arrays in (logits, states)]
-        return outputs + [np.concatenate(sink)] + [p.grad.copy() for p in wrt]
+    sink = []
+    states = ad.attention_gru(y, h0, wq, keys, values, *gru, lengths, frames, sink)
+    logits = out(states)
+    ad.backward(ad.add(asum(ad.mul(logits, proj_logits)), asum(ad.mul(states, proj_states))))
+    got_shared = [p.grad.copy() for p in shared]
 
-    def fused(sink):
-        states = ad.attention_gru(y, h0, wq, keys, values, *gru, sink)
-        return [out(states)], [states]
+    # each line alone, one token at a time, all lines under one loss
+    ad.zero_grads(shared)
+    lines, terms = [], []
+    for b, (n, f) in enumerate(zip(lengths, frames)):
+        y_b, keys_t_b, values_b = leaf(y.data[b, :n]), leaf(keys.data[b, :f].T), leaf(values.data[b, :f])
+        sink_b = []
+        logits_b, states_b = per_token_path(y_b, h0, wq, keys_t_b, values_b, gru, out, sink_b)
+        for t, (lg, st) in enumerate(zip(logits_b, states_b)):
+            terms += [asum(ad.mul(lg, proj_logits[b, t:t + 1])), asum(ad.mul(st, proj_states[b, t:t + 1]))]
+        lines.append((y_b, keys_t_b, values_b, logits_b, states_b, sink_b))
+    ad.backward(functools.reduce(ad.add, terms))
 
-    got = run(fused, [y, h0, wq, keys, values] + shared)
-    want = run(lambda sink: per_token_path(y, h0, wq, keys_t, values, gru, out, sink),
-               [y, h0, wq, keys_t, values] + shared)
-    want[6] = want[6].T  # the keys' gradient, from the transposed leaf
-    names = ["logits", "states", "sink", "y", "h0", "wq", "keys", "values",
-             "w_x", "b_x", "w_h", "b_h", "out.w", "out.b"]
-    for name, a, b in zip(names, got, want):
+    def close(a, b, name):
         assert a.shape == b.shape, name
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    for b, (n, f, (y_b, keys_t_b, values_b, logits_b, states_b, sink_b)) in enumerate(zip(lengths, frames, lines)):
+        close(logits.data[b, :n], np.concatenate([a.data for a in logits_b]), f"logits {b}")
+        close(states.data[b, :n], np.concatenate([a.data for a in states_b]), f"states {b}")
+        close(sink[0][b, :n, :f], np.concatenate(sink_b), f"sink {b}")
+        close(y.grad[b, :n], y_b.grad, f"y {b}")
+        close(keys.grad[b, :f], keys_t_b.grad.T, f"keys {b}")
+        close(values.grad[b, :f], values_b.grad, f"values {b}")
+        assert not np.any(states.data[b, n:]), "states past a line's length are zero"
+        assert not np.any(sink[0][b, :, f:]), "padding frames get no attention"
+        assert not np.any(y.grad[b, n:]) and not np.any(keys.grad[b, f:]) and not np.any(values.grad[b, f:])
+    for name, got, p in zip(["h0", "wq", "w_x", "b_x", "w_h", "b_h", "out.w", "out.b"], got_shared, shared):
+        close(got, p.grad, name)
 
 
 def test_sequence_logits_feed_sos_then_the_target():
     dec = AttentionDecoder(ParamStore(np.random.default_rng(13), dtype=np.float64), "dec", 7, 8)
     f_enc = ad.array(np.random.default_rng(14).normal(size=(5, 8)), dtype=np.float64)
     target = [3, 6, 4, EOS]
-    logits = dec.sequence_logits(f_enc, target)
+    logits = dec.sequence_logits(ad.pad_stack([f_enc]), [target], [5])
+    assert logits.shape == (1, len(target), 7)
     want, _ = per_token_path(ad.gather_rows(dec.embed, [SOS] + target[:-1]), dec.initial_state(), dec.wq,
                              ad.array(dec.keys(f_enc).data.T, dtype=np.float64), f_enc, dec.gru, dec.out, None)
-    np.testing.assert_allclose(logits.data, np.concatenate([w.data for w in want]), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(logits.data[0], np.concatenate([w.data for w in want]), rtol=1e-12, atol=1e-12)
 
 
 def test_ce_loss_graph_size_does_not_grow_with_target_length():
     dec, _ = make_decoder(vocab_size=7, d=8)
     f_enc = random_enc(5, 8)
-    short = dec.ce_loss(f_enc, [3, 4, EOS])
-    long = dec.ce_loss(f_enc, [3, 4, 5, 6, 3, 4, 5, 6, EOS])
+    short = line_ce_loss(dec, f_enc, [3, 4, EOS])
+    long = line_ce_loss(dec, f_enc, [3, 4, 5, 6, 3, 4, 5, 6, EOS])
     assert graph_node_count(short) == graph_node_count(long)

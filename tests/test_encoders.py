@@ -175,7 +175,7 @@ def test_padding_only_kernel_rows_of_the_last_stage_are_never_read():
     dead = {"img_cnn.s3.b0.conv1.w": [0], "img_cnn.s3.b0.conv2.w": [0, 2]}
     for name, rows in dead.items():
         m.params[name].data[rows] = np.nan
-    losses = [loss for loss in m.sample_losses(line_sequence(40)).values() if loss is not None]
+    losses = [loss for loss in m.losses([line_sequence(40)]).values() if loss is not None]
     assert all(np.isfinite(loss.data) for loss in losses)
     ad.backward(functools.reduce(ad.add, losses))
     for name, rows in dead.items():

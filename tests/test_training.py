@@ -113,7 +113,7 @@ def test_components_recomputed_independently_match():
     m = tiny_model()
     batch = [tiny_sequence(np.random.default_rng(3))]
     total, comps = batch_losses(m, batch, align_weight=2.0)
-    again = m.sample_losses(batch[0])
+    again = m.losses([batch[0]])
     assert float(again["traj"].data) == float(comps["traj"].data)
     assert float(again["img"].data) == float(comps["img"].data)
     assert float(again["align"].data) == float(comps["align"].data)
@@ -143,7 +143,7 @@ def _groups_with_signal(model, loss):
 
 def test_trajectory_loss_updates_only_its_stream():
     m = tiny_model()
-    losses = m.sample_losses(tiny_sequence(np.random.default_rng(5)))
+    losses = m.losses([tiny_sequence(np.random.default_rng(5))])
     touched = _groups_with_signal(m, losses["traj"])
     assert touched <= {"traj_conv", "traj_gru", "align", "dec_traj"}
     assert {"traj_conv", "traj_gru", "dec_traj", "align"} <= touched
@@ -151,14 +151,14 @@ def test_trajectory_loss_updates_only_its_stream():
 
 def test_image_loss_updates_only_its_stream():
     m = tiny_model()
-    losses = m.sample_losses(tiny_sequence(np.random.default_rng(6)))
+    losses = m.losses([tiny_sequence(np.random.default_rng(6))])
     touched = _groups_with_signal(m, losses["img"])
     assert touched == {"img_cnn", "img_gru", "dec_img"}
 
 
 def test_align_loss_with_sg_updates_alignment_and_conv_only():
     m = tiny_model()
-    losses = m.sample_losses(tiny_sequence(np.random.default_rng(7)))
+    losses = m.losses([tiny_sequence(np.random.default_rng(7))])
     touched = _groups_with_signal(m, ad.mul(losses["align"], 2.0))
     assert touched <= {"align", "traj_conv"}
     assert "align" in touched
@@ -166,7 +166,7 @@ def test_align_loss_with_sg_updates_alignment_and_conv_only():
 
 def test_align_loss_without_sg_reaches_image_encoder():
     m = tiny_model(use_stop_gradient=False)
-    losses = m.sample_losses(tiny_sequence(np.random.default_rng(8)))
+    losses = m.losses([tiny_sequence(np.random.default_rng(8))])
     touched = _groups_with_signal(m, ad.mul(losses["align"], 2.0))
     assert "img_cnn" in touched
     assert touched <= {"align", "traj_conv", "img_cnn"}
@@ -200,7 +200,7 @@ def test_ablation_rows_parameter_counts():
 
 def test_baseline_row_runs_without_alignment():
     m = tiny_model(**ABLATION_ROWS[0])
-    losses = m.sample_losses(tiny_sequence(np.random.default_rng(10)))
+    losses = m.losses([tiny_sequence(np.random.default_rng(10))])
     assert losses["align"] is None
     touched = _groups_with_signal(m, losses["traj"])
     assert touched == {"traj_conv", "traj_gru", "dec_traj"}
