@@ -23,7 +23,7 @@ ROPE_BASE = 10000.0
 
 
 def rope2d(positions: np.ndarray, d: int) -> np.ndarray:
-    """Sinusoidal 2D embedding, (frames, 2) pixel positions -> (frames, d).
+    """Sinusoidal 2D embedding, (..., 2) pixel positions -> (..., d).
 
     Within each axis half, pair j holds (cos t, sin t) with
     t = pos / ROPE_BASE**(j / (d/4)), so every pair has unit norm and changing
@@ -32,15 +32,15 @@ def rope2d(positions: np.ndarray, d: int) -> np.ndarray:
     if d % 4 != 0:
         raise ValueError(f"embedding width must be divisible by 4, got {d}")
     positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise ValueError(f"positions must be (frames, 2), got {positions.shape}")
+    if positions.ndim < 1 or positions.shape[-1] != 2:
+        raise ValueError(f"positions must be (..., 2), got {positions.shape}")
     quarter = d // 4
     inv = ROPE_BASE ** (-(np.arange(quarter) / quarter))
-    ang = positions[:, :, None] * inv  # (frames, axis, pair)
-    out = np.empty((positions.shape[0], 2, quarter, 2), dtype=np.float64)
+    ang = positions[..., None] * inv  # (..., axis, pair)
+    out = np.empty((*positions.shape, quarter, 2), dtype=np.float64)
     out[..., 0] = np.cos(ang)
     out[..., 1] = np.sin(ang)
-    return out.reshape(positions.shape[0], d)
+    return out.reshape(*positions.shape[:-1], d)
 
 
 class SpatialAligner:
@@ -61,33 +61,41 @@ class SpatialAligner:
                 self.layers.append(TransformerLayer(store, f"{name}.l{i}", d, cfg.heads))
 
     def __call__(self, feat: FeatureSequence, attn_sink: list | None = None) -> DiffArray:
+        """A lone line's (T, d) features -> (T, d); a batch's (B, T, d), attending within each line's frames."""
         x = feat.values
         if self.cfg.use_rope:
             x = ad.add(x, self.store.const(rope2d(feat.positions, self.d)))
         for layer in self.layers:
-            x = layer(x, attn_sink=attn_sink)
+            x = layer(x, attn_sink=attn_sink, frames=feat.frames)
         return x
 
 
-def sample_image_columns(f2d_conv: DiffArray, positions: np.ndarray) -> DiffArray:
+def sample_image_columns(f2d_conv: DiffArray, positions: np.ndarray, starts=None, frames=None) -> DiffArray:
     """Point-level sampling of image-encoder columns at trajectory positions.
 
     Column coordinate is px / 8 (the image stack's width stride), clamped to
     the valid range; rows are linearly interpolated along the width axis and
-    the result is differentiable w.r.t. the image features.
+    the result is differentiable w.r.t. the image features. A lone line
+    samples its own (W/8, d) columns at (T, 2) positions. A batch samples
+    the joined columns of all its images (see `encoders.Joined`) at
+    (B, T, 2) positions: line b's columns are offset by starts[b] and
+    clamped within its own frames[b].
     """
-    cols = np.asarray(positions, dtype=np.float64)[:, 0] / IMAGE_STRIDE_W
+    cols = np.asarray(positions, dtype=np.float64)[..., 0] / IMAGE_STRIDE_W
+    if starts is not None:
+        cols = np.clip(cols, 0.0, frames[:, None] - 1.0) + starts[:, None]
     return ad.interp_rows(f2d_conv, cols)
 
 
-def align_loss(f_aligned: DiffArray, f_sampled: DiffArray, stop_grad: bool = True) -> DiffArray:
+def align_loss(f_aligned: DiffArray, f_sampled: DiffArray, stop_grad: bool = True, frames=None) -> DiffArray:
     """Mean squared error between aligned features and image samples.
 
     With stop_grad the image branch is a fixed target; without it the loss
-    also backpropagates into the image encoder.
+    also backpropagates into the image encoder. For a (B, T, d) batch,
+    `frames` (B,) makes it the mean over lines of each line's own loss.
     """
     target = ad.stop_gradient(f_sampled) if stop_grad else f_sampled
-    return ad.mse(f_aligned, target)
+    return ad.mse(f_aligned, target, frames)
 
 
 def merge_features(f_conv: DiffArray, f_aligned: DiffArray | None) -> DiffArray:

@@ -1,23 +1,26 @@
 """Reverse-mode differentiable array engine.
 
 The kernels the recognizer calls: elementwise add and multiply, matmul
-with an optional bias, strided 1D/2D convolution, relu, multi-head
-self-attention over a packed q|k|v projection, layer norm, a whole-sequence
-bidirectional GRU, the decoder's whole-sequence attention-fed GRU, padded
-stacking, row gather, linear interpolation along the leading axis, and the
-two losses. The two GRUs and the cross entropy take a batch: sequences
-zero-padded to one length by `pad_stack`, with per-sequence lengths. Each
-has one path: one time loop advances every sequence's state, attention
-masks each one's padding frames, and padding rows reach no result and get
-no gradient; a lone sequence runs as a batch of one. The GRU step, the
-decoder's attention step, the softmax and the convolutions' strided-window
-im2col/col2im are each written once, as private helpers the kernels share;
-greedy decoding runs the two step helpers on plain arrays.
-A parameter's `a.T @ g` gradients are not formed per use: `backward` queues
-them and forms each one once the reverse sweep has passed the parameter's
-last consumer, joining short uses into one matmul. Convolutions leave out
-the kernel rows that read only zero padding. Arrays are float32 by default;
-build everything in float64 for finite-difference checks.
+with an optional bias, strided 1D/2D convolution, relu (optionally zeroing
+the gaps between a batch's joined lines), multi-head self-attention over a
+packed q|k|v projection, layer norm, a whole-sequence bidirectional GRU,
+the decoder's whole-sequence attention-fed GRU, row gather, linear
+interpolation between rows, and the two losses. The convolutions run over
+a batch's lines joined along one axis with zero gaps between them; one
+`gather_rows` cuts the joined rows into a batch of sequences zero-padded
+to one length. Attention, the two GRUs and both losses take that batch
+with per-sequence lengths. Each has one path: attention masks each
+sequence's padding keys, one time loop advances every sequence's state,
+and padding rows reach no result and get no gradient; a lone sequence
+runs as a batch of one. The GRU step, the decoder's attention step, the
+softmax and the convolutions' strided-window im2col/col2im are each
+written once, as private helpers the kernels share; greedy decoding runs
+the two step helpers on plain arrays. A parameter's `a.T @ g` gradients
+are not formed as they arrive: `backward` queues them and forms them,
+one product per use, once the reverse sweep has passed the parameter's
+last consumer. Convolutions leave out the kernel rows that read only zero
+padding. Arrays are float32 by default; build everything in float64 for
+finite-difference checks.
 
 Also hosts the optimizer pieces: Adam with bias correction, updated in
 cache-sized blocks, and the cosine learning-rate schedule.
@@ -150,14 +153,6 @@ def _acc(p: DiffArray, g) -> None:
 # id(leaf) -> (leaf, {rows: ([a, ...], [g, ...])}) while `backward` runs, None outside it.
 _DEFERRED: dict | None = None
 
-# A queued use with at least this many rows forms its a.T @ g as fast alone as joined to the
-# leaf's other uses; below it, a matmul is mostly call overhead and joining the uses pays.
-# Timed on the model's leaf shapes, 8 uses of 1-1.7x this many rows each, single-threaded
-# float32: from 128 rows per use, forming the products one at a time is faster than joining
-# them or within 3%, except where a (N, m) and g (N, k) are both at most 16 wide, which cost
-# microseconds either way.
-_PER_USE_ROWS = 128
-
 
 def _acc_product(p: DiffArray, a, g, rows: tuple[int, int] | None = None) -> None:
     """Accumulate the gradient (a.T @ g).reshape(p.shape) into p.
@@ -181,15 +176,11 @@ def _acc_product(p: DiffArray, a, g, rows: tuple[int, int] | None = None) -> Non
 
 
 def _sum_of_products(as_, gs):
-    """The sum over uses of as_[i].T @ gs[i]."""
-    if min(a.shape[-2] for a in as_) >= _PER_USE_ROWS:
-        # no copy into one matrix: with this many rows per use it would buy no speed
-        total = np.matmul(as_[0].swapaxes(-1, -2), gs[0])
-        for a, g in zip(as_[1:], gs[1:]):
-            total += np.matmul(a.swapaxes(-1, -2), g)
-        return total
-    a, g = (as_[0], gs[0]) if len(as_) == 1 else (np.concatenate(as_, axis=-2), np.concatenate(gs, axis=-2))
-    return np.matmul(a.swapaxes(-1, -2), g)
+    """The sum over uses of as_[i].T @ gs[i], one product per use."""
+    total = np.matmul(as_[0].swapaxes(-1, -2), gs[0])
+    for a, g in zip(as_[1:], gs[1:]):
+        total += np.matmul(a.swapaxes(-1, -2), g)
+    return total
 
 
 def _add_rows(p: DiffArray, dw, rows: tuple[int, int] | None) -> None:
@@ -537,45 +528,68 @@ def _softmax_back(y, g):
     return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
 
-def relu(x: DiffArray) -> DiffArray:
+def relu(x: DiffArray, keep=None) -> DiffArray:
+    """max(x, 0); with `keep`, a boolean array that broadcasts against x, zero wherever it is False.
+
+    Those outputs pass no gradient back. The conv stacks zero the gaps
+    between a batch's joined lines this way, in the same node as their relu.
+    """
     y = np.maximum(x.data, 0)
+    if keep is not None:
+        y *= keep
 
     def back(g):
-        _acc(x, g * (x.data > 0))
+        live = x.data > 0
+        if keep is not None:
+            live &= keep
+        _acc(x, g * live)
 
     return _make(y, (x,), "relu", back)
 
 
-def attention(qkv: DiffArray, heads: int, attn_sink: list | None = None) -> DiffArray:
-    """Multi-head scaled dot-product self-attention: a packed (T, 3d) projection -> (T, d).
+def attention(qkv: DiffArray, heads: int, attn_sink: list | None = None, frames=None) -> DiffArray:
+    """Multi-head scaled dot-product self-attention over a zero-padded batch: (B, T, 3d) -> (B, T, d).
 
     `qkv` holds q, k and v as column blocks [q | k | v] of width d, and
     head j owns column block j (width d/heads) of each; per head,
     out_j = softmax(q_j @ k_j^T / sqrt(d/heads)) @ v_j, and the heads'
-    outputs are laid out as column blocks in the same order. `attn_sink`,
-    when given, receives one (T, T) weight matrix per head.
+    outputs are laid out as column blocks in the same order. Sequence b
+    fills the first frames[b] rows; a 0 or -inf mask added to the scores,
+    as in `attention_gru`, gives its padding keys weight zero, so no row
+    of b reads them. Padding rows are queries like any other; their outputs
+    are for the caller to ignore. A lone (T, 3d) line, without `frames`,
+    runs as a batch of one, unmasked, and gives (T, d). `attn_sink`, when
+    given, receives one weight matrix per head: (T, T) for a lone line,
+    (B, T, T) for a batch.
     """
-    if qkv.data.ndim != 2 or heads < 1 or qkv.shape[0] < 1 or qkv.shape[1] % (3 * heads):
-        raise ShapeError(f"attention: incompatible shape {qkv.shape} for {heads} heads")
-    T, d = qkv.shape[0], qkv.shape[1] // 3
+    line = qkv.data.ndim == 2
+    B, T, width = (1, *qkv.shape) if line else qkv.shape if qkv.data.ndim == 3 else (0, 0, 0)
+    if heads < 1 or T < 1 or width % (3 * heads) or (frames is None) != line:
+        raise ShapeError(f"attention: incompatible shape {qkv.shape} for {heads} heads"
+                         + ("" if (frames is None) == line else "; frames go with a (B, T, 3d) batch"))
+    d = width // 3
     dk = d // heads
     scale = 1.0 / math.sqrt(dk)
-    # (heads, T, dk) views of the column blocks
-    qh, kh, vh = qkv.data.reshape(T, 3, heads, dk).transpose(1, 2, 0, 3)
-    alpha = _softmax((qh @ kh.transpose(0, 2, 1)) * scale)
+    # (B, heads, T, dk) views of the column blocks
+    qh, kh, vh = qkv.data.reshape(B, T, 3, heads, dk).transpose(2, 0, 3, 1, 4)
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
+    if not line:
+        frames = _check_lengths("attention", frames, B, T)
+        s += np.where(np.arange(T) < frames[:, None], 0.0, -np.inf).astype(s.dtype)[:, None, None]
+    alpha = _softmax(s)
     if attn_sink is not None:
-        attn_sink.extend(a.copy() for a in alpha)
-    y = (alpha @ vh).transpose(1, 0, 2).reshape(T, d)
+        attn_sink.extend(a.copy() for a in (alpha[0] if line else alpha.swapaxes(0, 1)))
+    y = (alpha @ vh).transpose(0, 2, 1, 3).reshape(qkv.shape[:-1] + (d,))
 
     def back(g):
-        gh = g.reshape(T, heads, dk).transpose(1, 0, 2)
-        ds = _softmax_back(alpha, gh @ vh.transpose(0, 2, 1)) * scale
-        dqkv = np.empty((T, 3, heads, dk), dtype=alpha.dtype)
-        dh = dqkv.transpose(1, 2, 0, 3)  # (3, heads, T, dk), laid out as qkv's columns
+        gh = g.reshape(B, T, heads, dk).transpose(0, 2, 1, 3)
+        ds = _softmax_back(alpha, gh @ vh.swapaxes(-1, -2)) * scale
+        dqkv = np.empty((B, T, 3, heads, dk), dtype=alpha.dtype)
+        dh = dqkv.transpose(2, 0, 3, 1, 4)  # (3, B, heads, T, dk), laid out as qkv's columns
         dh[0] = ds @ kh
-        dh[1] = ds.transpose(0, 2, 1) @ qh
-        dh[2] = alpha.transpose(0, 2, 1) @ gh
-        _acc(qkv, dqkv.reshape(T, 3 * d))
+        dh[1] = ds.swapaxes(-1, -2) @ qh
+        dh[2] = alpha.swapaxes(-1, -2) @ gh
+        _acc(qkv, dqkv.reshape(qkv.shape))
 
     return _make(y, (qkv,), "attention", back)
 
@@ -911,78 +925,70 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
 
 
 # ---------------------------------------------------------------------------
-# structure: padded stacking, gather, squeeze, interpolation
+# structure: row gather, interpolation
 
 
-def pad_stack(xs: list[DiffArray]) -> DiffArray:
-    """Sequences (T_b, d) as one zero-padded batch (B, T_max, d): sequence b fills rows 0..T_b-1 of b."""
-    if not xs or any(x.data.ndim != 2 or x.shape[1:] != xs[0].shape[1:] for x in xs):
-        raise ShapeError(f"pad_stack: need (T, d) sequences of one width, got {[x.shape for x in xs]}")
-    y = np.zeros((len(xs), max(x.shape[0] for x in xs), xs[0].shape[1]), dtype=xs[0].dtype)
-    for row, x in zip(y, xs):
-        row[:x.shape[0]] = x.data
-
-    def back(g):
-        for row, x in zip(g, xs):
-            _acc(x, row[:x.shape[0]])
-
-    return _make(y, tuple(xs), "pad_stack", back)
+def _rows(table: DiffArray, op: str):
+    """`table` (..., d) as rows (N, d), its leading axes flattened."""
+    if table.data.ndim < 2:
+        raise ShapeError(f"{op}: need rows (..., d), got {table.shape}")
+    return table.data.reshape(-1, table.shape[-1])
 
 
 def gather_rows(table: DiffArray, ids) -> DiffArray:
-    """Row lookup (embedding): table (V, d), integer ids (L,) -> (L, d)."""
+    """Row lookup: the rows (N, d) of `table` (..., d) at integer `ids` of any shape -> (*ids.shape, d).
+
+    An id of -1 gives a zero row that passes no gradient back, so one call
+    cuts a batch's joined lines into a zero-padded (B, T, d) batch. The
+    decoder's embedding lookup passes ids in range.
+    """
+    rows = _rows(table, "gather_rows")
     ids = np.asarray(ids, dtype=np.intp)
-    if table.data.ndim != 2:
-        raise ShapeError(f"gather_rows: table must be 2D, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+    if ids.size and (ids.min() < -1 or ids.max() >= rows.shape[0]):
         raise IndexError(f"gather_rows: index out of range for table {table.shape}")
-    y = table.data[ids]
+    pad = ids < 0
+    padded = bool(pad.any())
+    y = rows[ids]
+    if padded:
+        y[pad] = 0.0
 
     def back(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids, g)
-        _acc(table, dt)
+        dt = np.zeros_like(rows)
+        if padded:
+            np.add.at(dt, ids[~pad], g[~pad])
+        else:
+            np.add.at(dt, ids, g)
+        _acc(table, dt.reshape(table.shape))
 
     return _make(y, (table,), "gather_rows", back)
 
 
-def squeeze_lead(x: DiffArray) -> DiffArray:
-    """Drop a leading axis of extent 1 (layout view, identity values)."""
-    if x.shape[0] != 1:
-        raise ShapeError(f"squeeze_lead: leading extent must be 1, got {x.shape}")
-    y = x.data.reshape(x.shape[1:])
-
-    def back(g):
-        _acc(x, g.reshape(x.shape))
-
-    return _make(y, (x,), "squeeze_lead", back)
-
-
 def interp_rows(feat: DiffArray, positions) -> DiffArray:
-    """Linear interpolation along axis 0 at fractional row coordinates.
+    """Linear interpolation between the rows (N, d) of `feat` (..., d) at fractional row coordinates.
 
-    `positions` (M,) are clamped to [0, N-1]; each output row mixes the two
-    bracketing feature rows. Differentiable w.r.t. `feat` only.
+    `positions` of any shape are clamped to [0, N-1]; each output row mixes
+    the two bracketing feature rows, (*positions.shape, d). Differentiable
+    w.r.t. `feat` only.
     """
-    if feat.data.ndim != 2:
-        raise ShapeError(f"interp_rows: features must be 2D, got {feat.shape}")
-    n = feat.shape[0]
-    pos = np.asarray(positions, dtype=feat.dtype).reshape(-1)
-    c = np.clip(pos, 0.0, float(n - 1))
+    rows = _rows(feat, "interp_rows")
+    n = rows.shape[0]
+    pos = np.asarray(positions, dtype=feat.dtype)
+    c = np.clip(pos.reshape(-1), 0.0, float(n - 1))
     i0 = np.floor(c).astype(np.intp)
     frac = (c - i0).astype(feat.dtype)
     i1 = np.minimum(i0 + 1, n - 1)
     w0 = (1.0 - frac)[:, None].astype(feat.dtype)
     w1 = frac[:, None]
-    y = w0 * feat.data[i0] + w1 * feat.data[i1]
+    y = w0 * rows[i0] + w1 * rows[i1]
 
     def back(g):
-        df = np.zeros_like(feat.data)
+        g = g.reshape(-1, rows.shape[1])
+        df = np.zeros_like(rows)
         np.add.at(df, i0, w0 * g)
         np.add.at(df, i1, w1 * g)
-        _acc(feat, df)
+        _acc(feat, df.reshape(feat.shape))
 
-    return _make(y, (feat,), "interp_rows", back)
+    return _make(y.reshape(pos.shape + (rows.shape[1],)), (feat,), "interp_rows", back)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,13 +1025,27 @@ def cross_entropy_logits(logits: DiffArray, targets, lengths) -> DiffArray:
     return _make(y, (logits,), "cross_entropy_logits", back)
 
 
-def mse(a: DiffArray, b: DiffArray) -> DiffArray:
-    """Mean squared error over all elements."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mse: incompatible shapes {a.shape} and {b.shape}")
+def mse(a: DiffArray, b: DiffArray, lengths=None) -> DiffArray:
+    """Mean squared error over all elements; with `lengths`, over a zero-padded batch.
+
+    With `lengths` (B,), a and b are (B, T, d) and the loss is the mean over
+    sequences of each one's own mean over its first lengths[b] rows, formed
+    as one sum with each row's squared error weighted 1 / (B * lengths[b] * d).
+    The rows past a sequence's length get no gradient.
+    """
+    if a.shape != b.shape or (lengths is not None and a.data.ndim != 3):
+        raise ShapeError(f"mse: incompatible shapes {a.shape} and {b.shape}"
+                         + ("" if lengths is None else "; lengths go with a (B, T, d) batch"))
     diff = a.data - b.data
-    y = (diff * diff).mean()
-    scale = 2.0 / diff.size
+    if lengths is None:
+        y = (diff * diff).mean()
+        scale = 2.0 / diff.size
+    else:
+        B, T, d = a.shape
+        lengths = _check_lengths("mse", lengths, B, T)
+        weights = ((np.arange(T) < lengths[:, None]) / (lengths[:, None] * B * d)).astype(diff.dtype)
+        y = np.dot(np.add.reduce(diff * diff, axis=-1).reshape(-1), weights.reshape(-1))
+        scale = 2.0 * weights[:, :, None]
 
     def back(g):
         d = (g * scale) * diff

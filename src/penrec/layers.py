@@ -162,9 +162,10 @@ class TransformerLayer:
         self.ff1 = Linear(store, f"{name}.ff1", d, 2 * d)
         self.ff2 = Linear(store, f"{name}.ff2", 2 * d, d)
 
-    def __call__(self, x: DiffArray, attn_sink: list | None = None) -> DiffArray:
+    def __call__(self, x: DiffArray, attn_sink: list | None = None, frames=None) -> DiffArray:
+        """A lone (T, d) line, or a (B, T, d) batch with per-line `frames`, as `ad.attention` takes them."""
         h = ad.layer_norm(x, self.ln1_g, self.ln1_b)
-        ctx = ad.attention(ad.matmul(h, self.w_qkv), self.heads, attn_sink)
+        ctx = ad.attention(ad.matmul(h, self.w_qkv), self.heads, attn_sink, frames)
         x = ad.add(x, self.out(ctx))
         h2 = ad.layer_norm(x, self.ln2_g, self.ln2_b)
         return ad.add(x, self.ff2(ad.relu(self.ff1(h2))))

@@ -1,9 +1,10 @@
 """Collaborative two-stream training, checkpointing, and evaluation.
 
-A batch runs as one forward pass (`Recognizer.losses`): each line runs its
-own convolutions and aligner, and each stream's recurrences run once over
-all lines, zero-padded to the longest, with per-line lengths that keep the
-padding out of every state, attention weight and loss. Each loss component
+A batch runs as one forward pass (`Recognizer.losses`) in which every layer
+runs once over all lines: each conv stack over the lines joined with zero
+gaps, then the aligner, the recurrences and the losses over the lines
+zero-padded to the longest, with per-line lengths that keep the gaps and
+the padding out of every state, attention weight and loss. Each loss component
 is the mean over lines of each line's own loss, and the components are
 combined with the alignment weight. Runs are deterministic under the config
 seed: parameter init, shuffling, and augmentation all derive from it.

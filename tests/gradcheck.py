@@ -5,7 +5,8 @@ probed subset of elements, in float64 (float32 differencing is too noisy
 for tight tolerances). `standard_battery` enumerates every kernel plus the
 composite blocks the model is built from; the test suite and the acceptance
 gate both run it. Also holds `sigmoid`, `tanh`, `softmax` and `asum`, the
-kernels only tests compose reference paths from, `step_logits`, greedy
+kernels only tests compose reference paths from, `as_batch` and `lone`
+between a lone sequence and a batch of one, `step_logits`, greedy
 decoding's per-token reference, and the tiny model and sequence the tests
 share.
 """
@@ -68,6 +69,16 @@ def asum(x: DiffArray) -> DiffArray:
     return ad._make(y, (x,), "sum", back)
 
 
+def as_batch(x: DiffArray) -> DiffArray:
+    """A lone (T, d) sequence as a batch of one, (1, T, d): one `gather_rows` node."""
+    return ad.gather_rows(x, [np.arange(x.shape[0])])
+
+
+def lone(x: DiffArray) -> DiffArray:
+    """A batch of one, (1, T, d), as its lone (T, d) sequence: one `gather_rows` node."""
+    return ad.gather_rows(x, np.arange(x.shape[1]))
+
+
 def step_logits(dec: AttentionDecoder, prev_token: int, state: DiffArray, f_enc: DiffArray,
                 attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
     """Logits (1, V) and the new state (1, d) after `prev_token`: one decoder step over the (T, d) frames f_enc.
@@ -75,12 +86,12 @@ def step_logits(dec: AttentionDecoder, prev_token: int, state: DiffArray, f_enc:
     Runs `dec._run` on the line as a batch of one; `attn_sink`, when given,
     receives the step's (1, T) attention weights.
     """
-    frames = ad.pad_stack([f_enc])
+    frames = as_batch(f_enc)
     sink = None if attn_sink is None else []
     logits, states = dec._run([[prev_token]], state, frames, dec.keys(frames), [1], [f_enc.shape[0]], sink)
     if attn_sink is not None:
         attn_sink.extend(a[0] for a in sink)
-    return ad.squeeze_lead(logits), ad.squeeze_lead(states)
+    return lone(logits), lone(states)
 
 
 def numeric_grad_at(f, arr: DiffArray, index, h: float = 1e-5) -> float:
@@ -235,11 +246,6 @@ def kernel_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
         return lambda: p(ad.attention_gru(*ins, lengths=[3, 1, 2], frames=[4, 1, 2])), ins
 
-    def pad_stack_case():
-        xs = [_rand(rng, (n, 3)) for n in (2, 4, 1)]
-        p = fixed_projector(rng)
-        return lambda: p(ad.pad_stack(xs)), xs
-
     def ce_batched_case():
         logits = _rand(rng, (3, 4, 7))
         targets = rng.integers(0, 7, size=(3, 4))
@@ -254,6 +260,28 @@ def kernel_cases(rng: np.random.Generator):
         qkv = _rand(rng, (steps, 3 * heads * dk))
         p = fixed_projector(rng)
         return lambda: p(ad.attention(qkv, heads)), [qkv]
+
+    def attention_masked_case():
+        # three sequences of 3, 1 and 2 frames; the padding keys are probed too, and must get zero
+        qkv = _rand(rng, (3, 3, 3 * 2 * 2))
+        p = fixed_projector(rng)
+        return lambda: p(ad.attention(qkv, 2, frames=[3, 1, 2])), [qkv]
+
+    def relu_gap_case():
+        # rows 1 and 4 are gaps between joined lines: zero out, no gradient back
+        keep = np.array([True, False, True, True, False])[:, None]
+        return unary(lambda a: ad.relu(a, keep), (5, 3), away=True)
+
+    def gather_cut_case():
+        # joined rows cut into a zero-padded batch of 3, 1 and 2 rows; -1 marks padding
+        joined = _rand(rng, (8, 4))
+        p = fixed_projector(rng)
+        ids = [[0, 1, 2], [4, -1, -1], [6, 7, -1]]
+        return lambda: p(ad.gather_rows(joined, ids)), [joined]
+
+    def mse_batched_case():
+        a, b = _rand(rng, (3, 4, 5)), _rand(rng, (3, 4, 5))
+        return lambda: ad.mse(a, b, lengths=[4, 1, 2]), [a, b]
 
     return [
         ("add_same", *binary(ad.add, (3, 4), (3, 4))),
@@ -277,7 +305,6 @@ def kernel_cases(rng: np.random.Generator):
         ("conv2d_k1_s22", *conv2d_case((2, 2), (0, 0), k=1)),
         ("layer_norm", *layer_norm_case()),
         ("gather_rows", *gather_case()),
-        ("squeeze_lead", *unary(ad.squeeze_lead, (1, 4, 3))),
         ("interp_rows", *interp_case()),
         ("cross_entropy_logits", *ce_case()),
         ("mse", *mse_case()),
@@ -292,10 +319,14 @@ def kernel_cases(rng: np.random.Generator):
         # batches of unequal lengths, length 1 included; last, so the cases above keep their draws
         ("matmul_bias_batched", *binary(lambda a, b: ad.matmul(a, b, ad.array(np.ones(2), dtype=F64)),
                                         (2, 3, 4), (4, 2))),
-        ("pad_stack", *pad_stack_case()),
         ("bigru_batched", *bigru_batched_case()),
         ("attention_gru_batched", *attention_gru_batched_case()),
         ("cross_entropy_logits_batched", *ce_batched_case()),
+        # a batch's joined conv stack, aligner and alignment loss
+        ("attention_masked", *attention_masked_case()),
+        ("relu_gap", *relu_gap_case()),
+        ("gather_rows_cut", *gather_cut_case()),
+        ("mse_batched", *mse_batched_case()),
     ]
 
 

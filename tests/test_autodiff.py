@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import asum, softmax, tanh
+from gradcheck import as_batch, asum, lone, softmax, tanh
 from penrec import autodiff as ad
 
 
@@ -163,10 +163,11 @@ def test_one_weight_on_inputs_1_and_4_rows_high_gets_both_gradients():
     np.testing.assert_allclose(b.grad, expected[0][3] + expected[1][3], rtol=0, atol=1e-12)
 
 
-def test_a_leaf_with_long_and_short_uses_gets_the_same_gradient_per_use_and_joined(monkeypatch):
+def test_a_leaf_used_several_times_gets_the_sum_of_its_products():
+    # `backward` queues each use's product and sums them once the sweep has passed the leaf
     rng = np.random.default_rng(12)
     w = ad.array(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
-    xs = [rng.normal(size=(rows, 3)) for rows in (ad._PER_USE_ROWS, 5, 2 * ad._PER_USE_ROWS)]
+    xs = [rng.normal(size=(rows, 3)) for rows in (128, 5, 256)]
     gs = [rng.normal(size=(x.shape[0], 4)) for x in xs]
 
     def loss(uses):
@@ -174,12 +175,10 @@ def test_a_leaf_with_long_and_short_uses_gets_the_same_gradient_per_use_and_join
                  for i in uses]
         return functools.reduce(ad.add, terms)
 
-    for per_use_rows in (1, ad._PER_USE_ROWS, 10 ** 9):  # every use alone, the default rule, all joined
-        monkeypatch.setattr(ad, "_PER_USE_ROWS", per_use_rows)
-        for uses in ((0, 2), (0, 1, 2)):  # long uses only, long and short
-            w.grad = None
-            ad.backward(loss(uses))
-            np.testing.assert_allclose(w.grad, sum(xs[i].T @ gs[i] for i in uses), rtol=1e-12, atol=1e-12)
+    for uses in ((0,), (0, 2), (0, 1, 2)):
+        w.grad = None
+        ad.backward(loss(uses))
+        np.testing.assert_allclose(w.grad, sum(xs[i].T @ gs[i] for i in uses), rtol=1e-12, atol=1e-12)
 
 
 # lengths for which the output-length formula alone would accept these; stride 0
@@ -359,8 +358,8 @@ def test_batched_attention_gru_matches_each_sequence_alone_in_float64(lengths, f
     def kernel(arrays, lengths):
         h0, wq, *gru = shared
         if lengths is None:  # one sequence alone, as a batch of one
-            y, keys, values = (ad.pad_stack([a]) for a in arrays)
-            return ad.squeeze_lead(ad.attention_gru(y, h0, wq, keys, values, *gru,
+            y, keys, values = (as_batch(a) for a in arrays)
+            return lone(ad.attention_gru(y, h0, wq, keys, values, *gru,
                                                     lengths=[y.shape[1]], frames=[keys.shape[1]]))
         return ad.attention_gru(arrays[0], h0, wq, *arrays[1:], *gru, lengths=lengths[0], frames=lengths[1])
 

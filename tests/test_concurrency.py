@@ -146,11 +146,11 @@ def test_a_trajectory_stream_error_surfaces_first_once_the_image_stream_is_done(
         done.set()
         raise ImageError("image stream")
 
-    def failing_trajectory(seq):
+    def failing_trajectory(batch):
         raise TrajectoryError("trajectory stream")
 
     monkeypatch.setattr(model, "image_losses", slow_failing_image)
-    monkeypatch.setattr(model, "traj_conv", failing_trajectory)
+    monkeypatch.setattr(model.traj_conv, "batch", failing_trajectory)
     with pytest.raises(TrajectoryError):
         bounded(model.losses, LINES[:1])
     # beside it, the image stream ran and had finished; one after the other, it never started
@@ -161,22 +161,22 @@ def test_an_image_stream_error_surfaces_with_its_type_and_the_next_step_succeeds
     every_site_on_the_worker(monkeypatch)
     model = small_model()
     adam = ad.AdamState(model.params)
-    cnn, conv = model.img_cnn, model.traj_conv
 
-    def failing_cnn(img):
+    def failing_cnn(imgs):
         raise ImageError("image stream")
 
-    def failing_trajectory(seq):
+    def failing_trajectory(batch):
         raise TrajectoryError("trajectory stream")
 
-    model.img_cnn = failing_cnn
+    model.img_cnn.join = failing_cnn
     with pytest.raises(ImageError):
         bounded(train_step, model, adam, LINES[:4])
     assert submissions == ["image_losses"]
-    model.img_cnn, model.traj_conv = cnn, failing_trajectory
+    del model.img_cnn.join
+    model.traj_conv.batch = failing_trajectory
     with pytest.raises(TrajectoryError):
         bounded(train_step, model, adam, LINES[:4])
-    model.traj_conv = conv
+    del model.traj_conv.batch
     # the failed steps left no trace: the next one is a fresh model's first step
     got = bounded(train_step, model, adam, LINES[:4])
     fresh = small_model()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_node_count
-from gradcheck import asum, sigmoid, softmax, step_logits, tanh, tiny_model, tiny_sequence
+from gradcheck import as_batch, asum, sigmoid, softmax, step_logits, tanh, tiny_model, tiny_sequence
 from penrec import autodiff as ad
 from penrec.data import EOS, PAD, SOS
 from penrec.decoder import AttentionDecoder
@@ -25,7 +25,7 @@ def random_enc(frames, d, seed=1):
 
 def line_ce_loss(dec, f_enc, target):
     """`dec.ce_loss` of one line over its (T, d) frames f_enc, run as a batch of one."""
-    return dec.ce_loss(ad.pad_stack([f_enc]), [target], [f_enc.shape[0]])
+    return dec.ce_loss(as_batch(f_enc), [target], [f_enc.shape[0]])
 
 
 def test_step_probabilities_sum_to_one():
@@ -333,7 +333,7 @@ def test_sequence_logits_feed_sos_then_the_target():
     dec = AttentionDecoder(ParamStore(np.random.default_rng(13), dtype=np.float64), "dec", 7, 8)
     f_enc = ad.array(np.random.default_rng(14).normal(size=(5, 8)), dtype=np.float64)
     target = [3, 6, 4, EOS]
-    logits = dec.sequence_logits(ad.pad_stack([f_enc]), [target], [5])
+    logits = dec.sequence_logits(as_batch(f_enc), [target], [5])
     assert logits.shape == (1, len(target), 7)
     want, _ = per_token_path(ad.gather_rows(dec.embed, [SOS] + target[:-1]), dec.initial_state(), dec.wq,
                              ad.array(dec.keys(f_enc).data.T, dtype=np.float64), f_enc, dec.gru, dec.out, None)

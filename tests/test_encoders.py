@@ -37,11 +37,17 @@ def test_frame_count_is_ceil_T_over_8():
         assert feat.positions.shape == (frames, 2)
 
 
-def test_rejects_single_point():
+def test_rejects_single_point(monkeypatch):
     m = make_model()
     seq = TrajectorySequence(id="x", points=np.array([[0.0, 0.0, 1.0]]), text="")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^x: "):
         m.traj_conv(seq)
+    # in a batch, the bad line is named before the joined stack runs on any line
+    convs = []
+    monkeypatch.setattr(ad, "conv1d", lambda *a, **k: convs.append(a))
+    with pytest.raises(ValueError, match="^x: "):
+        m.traj_conv.batch([line_sequence(16), seq])
+    assert convs == []
 
 
 def test_pad_repeats_last_point_pen_up():

@@ -14,7 +14,7 @@ from gradcheck import tiny_model, tiny_sequence
 from penrec import autodiff as ad
 from penrec.config import (AlignConfig, EncoderConfig, TrainConfig, align_config_from_dict,
                            encoder_config_from_dict)
-from penrec.data import Vocabulary, build_vocab, normalize
+from penrec.data import TrajectorySequence, Vocabulary, build_vocab, normalize
 from penrec.model import IMAGE_PREFIXES, TRAJ_PREFIXES, Recognizer
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
 from penrec.training import (CheckpointError, DivergenceError, batch_losses, evaluate,
@@ -75,12 +75,23 @@ def test_batched_weight_gradients_equal_the_sum_of_per_sample_passes():
         np.testing.assert_allclose(g, summed[name], rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
-@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def _isolation_lines():
+    """A 1-glyph and an 8-glyph line, a 2-point line, and a line of 24 points, which `pad_to_multiple` leaves as is."""
+    glyphs = [normalize(synth_generate(DEFAULT_ALPHABET, 1, np.random.default_rng(k), length_range=(k, k))[0])
+              for k in (1, 8)]
+    two = normalize(TrajectorySequence("two", np.array([[0.0, 0.0, 1.0], [9.0, 20.0, 1.0]]), "b"))
+    base = synth_generate(DEFAULT_ALPHABET, 1, np.random.default_rng(3), length_range=(2, 2))[0]
+    whole = normalize(TrajectorySequence("whole", base.points[:24], base.text))
+    assert two.length == 2 and whole.length == 24
+    return [*glyphs, two, whole]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0), (0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1), (1, 3, 0, 2)])
 def test_a_batch_leaks_nothing_between_lines_through_padding_or_masks(order):
-    # float64: a 1-glyph and an 8-glyph line batched give the mean of each line alone, so the
-    # short line's padding frames, steps and targets reach no value and no gradient
-    lines = [normalize(synth_generate(DEFAULT_ALPHABET, 1, np.random.default_rng(k), length_range=(k, k))[0])
-             for k in (1, 8)]
+    # float64: lines batched give the mean of each line alone, so neither the gaps between the
+    # joined lines in the conv stacks nor a short line's padding frames, steps and targets reach
+    # another line's value or gradient
+    lines = _isolation_lines()
     m = Recognizer(tiny_enc_cfg(16), AlignConfig(layers=1, heads=2), build_vocab(lines), seed=4,
                    dtype=np.float64)
 
@@ -92,12 +103,13 @@ def test_a_batch_leaks_nothing_between_lines_through_padding_or_masks(order):
         return values, {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for n, p in m.params.items()}
 
     values, grads = step([lines[i] for i in order])
-    alone = [step([line]) for line in lines]
+    alone = [step([lines[i]]) for i in order]
     assert values.keys() == {"total", "traj", "img", "align"}
     for key, value in values.items():
-        assert value == pytest.approx((alone[0][0][key] + alone[1][0][key]) / 2, rel=1e-12, abs=1e-12), key
+        want = sum(a[0][key] for a in alone) / len(order)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12), key
     for name, g in grads.items():
-        want = (alone[0][1][name] + alone[1][1][name]) / 2
+        want = sum(a[1][name] for a in alone) / len(order)
         np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max()), err_msg=name)
 
 
