@@ -15,11 +15,10 @@ and padding rows reach no result and get no gradient; a lone sequence
 runs as a batch of one. The GRU step, the decoder's attention step, the
 softmax and the convolutions' strided-window im2col/col2im are each
 written once, as private helpers the kernels share; greedy decoding runs
-the two step helpers on plain arrays. A parameter's `a.T @ g` gradients
-are not formed as they arrive: `backward` queues them and forms them,
-one product per use, once the reverse sweep has passed the parameter's
-last consumer. Convolutions leave out the kernel rows that read only zero
-padding. Arrays are float32 by default; build everything in float64 for
+the two step helpers on plain arrays. A parameter's `a.T @ g` gradient
+is one matmul per use, formed as the reverse sweep reaches the use.
+Convolutions leave out the kernel rows that read only zero padding.
+Arrays are float32 by default; build everything in float64 for
 finite-difference checks.
 
 Also hosts the optimizer pieces: Adam with bias correction, updated in
@@ -30,7 +29,7 @@ started by the first training step that has work large enough for it, and
 only when the process may run on at least two CPUs; importing, loading and
 inference start none. Three places hand it work, each above a size timed
 on the model's shapes: the recognizer's image stream (model.py), a
-parameter's queued gradient products in `backward`, and half of the
+parameter's large gradient products in `backward`, and half of the
 tensors in `adam_step`. Each task makes the numpy calls the inline path
 makes, on the same operands, so every result is bit-identical to it.
 """
@@ -144,14 +143,32 @@ def _make(data, parents, op, backward_fn) -> DiffArray:
 
 def _acc(p: DiffArray, g) -> None:
     if p.requires_grad:
+        if _FORMING:
+            _settle(p)
         if p.grad is None:
             p.grad = np.array(g, dtype=p.data.dtype)
         else:
             p.grad += g
 
 
-# id(leaf) -> (leaf, {rows: ([a, ...], [g, ...])}) while `backward` runs, None outside it.
-_DEFERRED: dict | None = None
+# A product into a leaf of at least this many multiply-adds is formed on the worker thread while
+# the sweep goes on. Backward of a step of 8 lines, 2-core x86-64 VM (OpenBLAS, one BLAS thread),
+# each cut-off in 4 processes, range of their medians of 15 steps: d=320 on 6-10 glyph lines
+# (2.3G multiply-adds of products in all, the largest 139M, 18 of them from 48M) all inline
+# 107.4-112.1 ms, from 16M 79.7-80.4, from 32M 82.6-83.4, from 48M 87.1-88.8, from 64M
+# 87.2-89.8; d=64 on 6-10 glyphs (190M, the largest 40M) all inline 15.4-15.9 ms, from 48M
+# 15.5-15.9, from 32M 15.2-15.4, from 16M 14.6-15.1, from 8M 14.4-14.8. 48M keeps every d=64
+# product inline (the largest on 2-4 glyph lines is 15M), so a d=64 step starts no thread; a
+# lower cut-off would need its own end-to-end measurement.
+_WORKER_MACS = 48_000_000
+
+# id(leaf) -> (leaf, rows, Future) for each product the worker is forming while `backward` runs, None outside it.
+_FORMING: dict | None = None
+
+
+def _product(a, g):
+    """a.T @ g over the last two axes."""
+    return np.matmul(a.swapaxes(-1, -2), g)
 
 
 def _acc_product(p: DiffArray, a, g, rows: tuple[int, int] | None = None) -> None:
@@ -160,27 +177,23 @@ def _acc_product(p: DiffArray, a, g, rows: tuple[int, int] | None = None) -> Non
     a (N, m) and g (N, k) may carry a leading batch axis, (B, N, m) and
     (B, N, k), whose B products are stacked in order. With `rows` (lo, hi)
     the product is only p's leading-axis rows lo:hi; p's other rows get 0.
-    Inside `backward`, a leaf (a parameter) only queues the pair; `backward`
-    forms the leaf's gradient from all of its queued pairs once the reverse
-    sweep has passed the leaf's last consumer. Anything else accumulates at
-    once.
+    The product is formed at once and added to p's gradient, except that
+    inside `backward` a product into a leaf (a parameter) of at least
+    `_WORKER_MACS` multiply-adds is handed to the worker thread, and the
+    calling thread adds it once it is formed: before the next contribution
+    to that leaf, or else when the sweep ends. So every leaf's gradient is
+    the sum of its contributions in the order they arose, as inline.
     """
     if not p.requires_grad:
         return
-    if _DEFERRED is not None and p.backward_fn is None:
-        as_, gs = _DEFERRED.setdefault(id(p), (p, {}))[1].setdefault(rows, ([], []))
-        as_.append(a)
-        gs.append(g)
-    else:
-        _add_rows(p, np.matmul(a.swapaxes(-1, -2), g), rows)
-
-
-def _sum_of_products(as_, gs):
-    """The sum over uses of as_[i].T @ gs[i], one product per use."""
-    total = np.matmul(as_[0].swapaxes(-1, -2), gs[0])
-    for a, g in zip(as_[1:], gs[1:]):
-        total += np.matmul(a.swapaxes(-1, -2), g)
-    return total
+    if _FORMING is not None and p.backward_fn is None:
+        _settle(p)
+        if a.size * g.shape[-1] >= _WORKER_MACS:
+            task = submit(_product, a, g)
+            if task is not None:
+                _FORMING[id(p)] = (p, rows, task)
+                return
+    _add_rows(p, _product(a, g), rows)
 
 
 def _add_rows(p: DiffArray, dw, rows: tuple[int, int] | None) -> None:
@@ -198,58 +211,24 @@ def _add_rows(p: DiffArray, dw, rows: tuple[int, int] | None) -> None:
     p.grad[lo:hi] += dw.reshape((hi - lo, *p.shape[1:]))
 
 
-def _flush(p: DiffArray, uses: dict) -> None:
-    """Add a leaf's queued products to its gradient, one sum per block of rows, in queuing order."""
-    for rows, (as_, gs) in uses.items():
-        _add_rows(p, _sum_of_products(as_, gs), rows)
-
-
-# A leaf whose queued products hold at least this many multiply-adds has them formed on the
-# worker thread during the sweep; smaller ones are formed after it, on the calling thread.
-# A step of 8 lines queues, in all and for its largest leaf: d=64 on 2-4 glyph lines 57M and
-# 12M, d=64 on 6-10 glyphs 177M and 38M, d=320 on 6-10 glyphs 2.1G and 132M. Backward of that
-# d=320 step, 2-core x86-64 VM (OpenBLAS, one BLAS thread), medians of 6: all inline 315 ms,
-# from 16M 216 ms, from 32M 226, from 48M 219, from 64M 251. From 48M every d=64 leaf stays
-# inline: sending leaves of 2M and up slowed a d=64 step by 8-18%, the worker's numpy calls
-# contending for the interpreter with the sweep's many small ones.
-_WORKER_MACS = 48_000_000
-
-
-def _queued_macs(uses: dict) -> int:
-    """Multiply-adds of the products a leaf has queued: a (N, m) and g (N, k) take N * m * k."""
-    return sum(a.size * g.shape[-1] for as_, gs in uses.values() for a, g in zip(as_, gs))
-
-
-def _last_consumers(order) -> dict:
-    """id(node) -> the leaves for which that node is the last consumer the reverse sweep reaches.
-
-    A node's consumers all follow it in the topological `order`, which the
-    sweep walks backwards, so a leaf's first consumer in `order` is its last
-    in the sweep. Every backward_fn accumulates only into its own node's
-    parents, so once that node is swept no more products reach the leaf.
-    """
-    last, claimed = {}, set()
-    for node in order:
-        for p in node.parents:
-            if p.backward_fn is None and p.requires_grad and id(p) not in claimed:
-                claimed.add(id(p))
-                last.setdefault(id(node), []).append(p)
-    return last
+def _settle(p: DiffArray) -> None:
+    """Wait for the product the worker is forming for p, if any, and add it: it arose before what reaches p now."""
+    entry = _FORMING.pop(id(p), None)
+    if entry is not None:
+        _add_rows(p, entry[2].result(), entry[1])
 
 
 def backward(loss: DiffArray) -> None:
     """Populate grads of every reachable array that requires them.
 
-    Gradients accumulate across multiple uses of the same array. A leaf's
-    `a.T @ g` contributions (see `_acc_product`) are summed per block of
-    rows the uses write. Once the reverse sweep has passed the leaf's last
-    consumer, a leaf with at least `_WORKER_MACS` queued multiply-adds has
-    its sums formed on the worker thread while the sweep goes on; the others
-    are formed after the sweep. Either way each leaf's gradient is made by
-    the same calls in the same order. Every task has finished when this
-    returns or raises. Only a scalar-shaped loss is accepted.
+    Gradients accumulate across multiple uses of the same array, in the
+    order the reverse sweep reaches them. Large weight-gradient products run
+    on the worker thread meanwhile (see `_acc_product`). Every task has
+    finished when this returns or raises, and each product formed by then
+    is in its leaf's gradient, also when a backward_fn raises. Only a
+    scalar-shaped loss is accepted.
     """
-    global _DEFERRED
+    global _FORMING
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -270,32 +249,18 @@ def backward(loss: DiffArray) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    # 0.23 ms for a d=64 step's 816 nodes, under 0.5% of its backward, where no leaf goes to the worker
-    last = _last_consumers(order) if _usable_cpus() >= 2 else {}
-    tasks = []
-    _DEFERRED = {}
+    _FORMING = {}
     try:
         for node in reversed(order):
             if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
-            for p in last.get(id(node), ()):
-                entry = _DEFERRED.get(id(p))
-                if entry is not None and _queued_macs(entry[1]) >= _WORKER_MACS:
-                    del _DEFERRED[id(p)]
-                    task = submit(_flush, p, entry[1])
-                    if task is None:
-                        _flush(p, entry[1])
-                    else:
-                        tasks.append(task)
-        # the rest, leaves in the order the sweep first queued them
-        for p, uses in _DEFERRED.values():
-            _flush(p, uses)
-    finally:  # also when a backward_fn raises: nothing queued or running outlives this call
-        _DEFERRED = None
-        for task in tasks:
-            task.exception()  # waits; a sweep error goes first
-    for task in tasks:
-        task.result()
+    finally:  # also when a backward_fn raises: every handed product is waited for and, if formed, added
+        forming, _FORMING = _FORMING, None
+        for p, rows, task in forming.values():  # in the order they were handed over
+            if task.exception() is None:
+                _add_rows(p, task.result(), rows)
+    for _, _, task in forming.values():
+        task.result()  # a product that failed raises, after the sweep's own error if there was one
 
 
 def zero_grads(arrays) -> None:

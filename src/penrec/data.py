@@ -20,6 +20,12 @@ IMAGE_HEIGHT = 32
 # Widest normalized line, in px: far above real lines (synthetic lines of ten
 # glyphs are about 350 px wide), and it caps a rendered image at 32 x 4104.
 MAX_WIDTH = 4096
+# Most points in a line. The aligner's self-attention is quadratic in frames (points / 8):
+# peak RSS of one line's inference at d=320 (`infer_ids`, one decode step, 2-core x86-64 VM)
+# is 77, 97, 172, 297 and 465 MB at 2k, 4k, 8k, 12k and 16k points, and a d=320 training
+# step on one line of 8,192 points peaks at 654 MB, on two at 1,219 MB. Synthetic lines of
+# synth.MAX_GLYPHS (100) glyphs have about 2,300 points.
+MAX_POINTS = 8192
 
 PAD, SOS, EOS = 0, 1, 2
 RESERVED_SYMBOLS = ("\x00", "\x01", "\x02")
@@ -52,6 +58,8 @@ def validate_sequence(seq: TrajectorySequence, where: str = "") -> None:
         raise DataError(f"{tag}points must be T x 3, got {pts.shape}")
     if pts.shape[0] < 2:
         raise DataError(f"{tag}need at least 2 points, got {pts.shape[0]}")
+    if pts.shape[0] > MAX_POINTS:
+        raise DataError(f"{tag}{pts.shape[0]} points, at most {MAX_POINTS} are allowed")
     if not np.all(np.isfinite(pts)):
         raise DataError(f"{tag}non-finite coordinate")
     # finite coordinates can still span more than a double holds (-1e308 .. 1e308)

@@ -31,10 +31,11 @@ IMAGE_PREFIXES = ("img_cnn.", "img_gru.", "dec_img.")
 
 # Model width from which `losses` runs a batch's image stream beside its trajectory stream.
 # Time of 8 lines beside over one after the other, every layer run once per batch, 2-core
-# x86-64 VM (OpenBLAS, one BLAS thread), each setting in its own process, medians of 15 in
-# two runs, forward | forward + backward, on 2-4 glyph lines: d=64 1.07 | 1.05, d=128 0.83 |
-# 0.93, d=192 0.80 | 0.98, d=256 0.71 | 0.94, d=320 0.70 | 0.96; on 6-10 glyph lines: d=64
-# 0.84 | 0.93, d=128 0.70 | 0.87, d=192 0.69 | 0.83, d=256 0.70 | 0.87, d=320 0.70 | 0.87.
+# x86-64 VM (OpenBLAS, one BLAS thread), each setting in its own process, medians of 15, the
+# larger of two runs, forward | forward + backward, on 2-4 glyph lines: d=64 1.03 | 1.03,
+# d=128 0.88 | 0.96, d=192 0.77 | 0.92, d=256 0.71 | 0.90, d=320 0.70 | 0.88; on 6-10 glyph
+# lines: d=64 0.90 | 0.95, d=128 0.69 | 0.86, d=192 0.72 | 0.91, d=256 0.70 | 0.87, d=320
+# 0.69 | 0.87. The backward alone takes as long either way (0.93-1.04).
 # The d=64 forward on short lines, 6 ms, is mostly per-node Python work, which two threads
 # cannot do at once.
 _STREAMS_BESIDE_D = 128

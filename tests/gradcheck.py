@@ -350,7 +350,7 @@ def composite_cases(rng: np.random.Generator):
         x = _rand(rng, (5, 4))
         wrt = [x] + list(store.params.values())
         p = fixed_projector(rng)
-        # applied twice: each packed weight's gradient is formed from two queued uses
+        # applied twice: each packed weight's gradient is the sum of two uses' products
         return lambda: p(layer(layer(x))), wrt
 
     cases.append(("bigru_layer", *bigru_layer()))
@@ -398,7 +398,7 @@ def composite_cases(rng: np.random.Generator):
     cases.append(("align_mse", *align_mse()))
 
     def shared_weight():
-        # w's two matmul products are queued until the end of backward; the add reaches it at once
+        # w gets two matmul products and one elementwise contribution from the add
         w, x1, x2 = _rand(rng, (4, 3)), _rand(rng, (4, 4)), _rand(rng, (5, 4))
         p = fixed_projector(rng)
         return lambda: ad.add(p(ad.add(ad.matmul(x1, w), w)), p(ad.matmul(x2, w))), [w, x1, x2]

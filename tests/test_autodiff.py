@@ -164,7 +164,7 @@ def test_one_weight_on_inputs_1_and_4_rows_high_gets_both_gradients():
 
 
 def test_a_leaf_used_several_times_gets_the_sum_of_its_products():
-    # `backward` queues each use's product and sums them once the sweep has passed the leaf
+    # `backward` adds each use's product as the sweep reaches that use
     rng = np.random.default_rng(12)
     w = ad.array(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
     xs = [rng.normal(size=(rows, 3)) for rows in (128, 5, 256)]
@@ -270,7 +270,7 @@ def test_bigru_matches_gate_equations_in_float64(lengths):
         assert np.array_equal(ad.bigru(ad.array(xs[0], dtype=np.float64), *weights).data, got[0])
 
 
-def test_bigru_deferred_hidden_weight_gradient_is_the_sum_over_uses():
+def test_bigru_hidden_weight_gradient_is_the_sum_over_uses():
     rng = np.random.default_rng(9)
     d_in, hidden = 3, 4
 
@@ -292,7 +292,7 @@ def test_bigru_deferred_hidden_weight_gradient_is_the_sum_over_uses():
         ad.backward(loss([pair]))
         per_use.append(w_h.grad)
     w_h.grad = None
-    ad.backward(loss(uses))  # one backward: the three uses' products are queued and formed together
+    ad.backward(loss(uses))  # one backward: the three uses' products add up in one gradient
     np.testing.assert_allclose(w_h.grad, sum(per_use), rtol=1e-12, atol=1e-12)
 
 
@@ -594,13 +594,16 @@ def test_clip_grads_leaves_non_finite_gradients_for_the_caller():
 
 
 def _two_use_loss(x, w, raising=False):
-    """sum(tanh(x) @ w) + sum(x @ w): w has two deferred uses; tanh's backward can be made to raise."""
+    """sum(x @ w) + sum(tanh(x) @ w): w has two matmul uses; tanh's backward can be made to raise.
+
+    The reverse sweep reaches both matmuls before tanh.
+    """
     h = tanh(x)
     if raising:
         def fail(g):
             raise RuntimeError("backward_fn failed")
         h.backward_fn = fail
-    return ad.add(asum(ad.matmul(h, w)), asum(ad.matmul(x, w)))
+    return ad.add(asum(ad.matmul(x, w)), asum(ad.matmul(h, w)))
 
 
 def test_a_raising_backward_leaves_nothing_queued_for_the_next_one():
@@ -612,9 +615,12 @@ def test_a_raising_backward_leaves_nothing_queued_for_the_next_one():
 
     ad.zero_grads([x, w])
     with pytest.raises(RuntimeError, match="backward_fn failed"):
-        ad.backward(_two_use_loss(x, w, raising=True))  # tanh's backward runs after w's products are queued
-    assert w.grad is None  # what was queued is dropped, not flushed
-    # outside backward() nothing is queued: a node's backward_fn run by hand accumulates at once
+        ad.backward(_two_use_loss(x, w, raising=True))  # tanh's backward runs after w's products are formed
+    # the two products formed before the error stay in the gradient
+    ones = np.ones((5, 4))
+    np.testing.assert_array_equal(w.grad, np.tanh(x.data).T @ ones + x.data.T @ ones)
+    # outside backward() a node's backward_fn run by hand accumulates at once
+    ad.zero_grads([w])
     y = ad.matmul(x, w)
     y.backward_fn(np.ones(y.shape))
     np.testing.assert_array_equal(w.grad, x.data.T @ np.ones(y.shape))

@@ -23,7 +23,7 @@ from penrec import autodiff as ad
 from penrec.cli import main
 from penrec.config import (AlignConfig, ConfigError, EncoderConfig, RunConfig, TrainConfig,
                            align_config_from_dict, encoder_config_from_dict, run_config_from_dict)
-from penrec.data import build_vocab, load_dataset, save_dataset
+from penrec.data import MAX_POINTS, build_vocab, load_dataset, save_dataset
 from penrec.model import Recognizer
 from penrec.synth import synth_generate
 from penrec.training import load_checkpoint, save_checkpoint
@@ -610,6 +610,15 @@ def test_values_the_loader_would_coerce_exit_2(tmp_path, capsys, command, record
     flag = "--data" if command == "eval" else "--input"
     assert main([command, "--checkpoint", str(ckpt), flag, str(data)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_infer_on_a_line_of_more_than_max_points_exits_2_before_decoding(tmp_path, capsys):
+    ckpt, data = tiny_checkpoint(tmp_path)
+    rows = [[i, i % 7, 1] for i in range(MAX_POINTS + 1)]
+    data.write_text(data.read_text() + json.dumps({"id": "long", "points": rows}) + "\n")
+    assert main(["infer", "--checkpoint", str(ckpt), "--input", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"line 9: {MAX_POINTS + 1} points" in captured.err
 
 
 @pytest.mark.parametrize("magnitude", [-0.5, 1e308], ids=["negative", "range_beyond_double"])

@@ -26,7 +26,7 @@ from penrec.training import batch_losses
 
 STEP_TIMEOUT_S = 120
 LINES = [normalize(s) for s in synth_generate(DEFAULT_ALPHABET, 8, np.random.default_rng(3), length_range=(2, 3))]
-WORKER_SITES = {"image_losses", "_flush", "_adam_updates"}
+WORKER_SITES = {"image_losses", "_product", "_adam_updates"}
 
 
 class TrajectoryError(RuntimeError):
@@ -108,11 +108,23 @@ def two_steps(dtype):
     return steps, state, adam.step
 
 
+def shared_leaf_gradient(dtype):
+    """The bytes of the gradient of a leaf that the reverse sweep reaches by two matmuls, then by one mul."""
+    rng = np.random.default_rng(11)
+    w, x1, x2 = (ad.array(rng.normal(size=s), requires_grad=True, dtype=dtype) for s in ((4, 3), (4, 4), (5, 4)))
+
+    def proj(y):
+        return asum(ad.mul(y, rng.normal(size=y.shape)))
+
+    bounded(ad.backward, ad.add(proj(ad.matmul(x1, w)), ad.add(proj(ad.matmul(x2, w)), proj(w))))
+    return w.grad.tobytes()
+
+
 @pytest.mark.parametrize("switch_s", [None, 1e-6])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, submissions, dtype, switch_s):
     set_cpus(monkeypatch, 1)
-    inline = two_steps(dtype)
+    inline = two_steps(dtype), shared_leaf_gradient(dtype)
     assert submissions == []  # a d=16 model is below every cut-off
     every_site_on_the_worker(monkeypatch)
     submissions.clear()
@@ -120,12 +132,16 @@ def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, subm
     try:
         if switch_s is not None:  # the interpreter switches threads as often as it can
             sys.setswitchinterval(switch_s)
-        worker = two_steps(dtype)
+        steps = two_steps(dtype)
+        steps_submitted = len(submissions)
+        worker = steps, shared_leaf_gradient(dtype)
     finally:
         sys.setswitchinterval(prev)
     assert set(submissions) == WORKER_SITES
     assert submissions.count("image_losses") == 2  # one per step: the batch's whole image stream
-    (inline_steps, inline_state, inline_t), (worker_steps, worker_state, worker_t) = inline, worker
+    assert submissions[steps_submitted:] == ["_product", "_product"]  # the shared leaf's two products
+    assert inline[1] == worker[1]  # the mul's contribution came last, after both products, as inline
+    (inline_steps, inline_state, inline_t), (worker_steps, worker_state, worker_t) = inline[0], worker[0]
     for (comps_a, grads_a), (comps_b, grads_b) in zip(inline_steps, worker_steps):
         assert comps_a == comps_b
         assert grads_a.keys() == grads_b.keys()
@@ -188,14 +204,14 @@ def test_an_image_stream_error_surfaces_with_its_type_and_the_next_step_succeeds
 def test_a_backward_fn_raising_mid_sweep_leaves_no_task_running(monkeypatch):
     every_site_on_the_worker(monkeypatch)
     finished = []
-    real_flush = ad._flush
+    real_product = ad._product
 
-    def slow_flush(p, uses):
+    def slow_product(a, g):
         time.sleep(0.2)
-        real_flush(p, uses)
-        finished.append(p)
+        finished.append(real_product(a, g))
+        return finished[-1]
 
-    monkeypatch.setattr(ad, "_flush", slow_flush)
+    monkeypatch.setattr(ad, "_product", slow_product)
     rng = np.random.default_rng(0)
     x = ad.array(rng.normal(size=(5, 3)), requires_grad=True)
     w = ad.array(rng.normal(size=(3, 4)), requires_grad=True)
@@ -203,12 +219,12 @@ def test_a_backward_fn_raising_mid_sweep_leaves_no_task_running(monkeypatch):
     def back(g):
         raise TrajectoryError("mid-sweep")
 
-    # the sweep passes the matmul, w's only consumer, so w's products go to the worker, then fails
+    # the sweep hands w's product from the matmul to the worker, then fails
     failing = ad._make(x.data * 2.0, (x,), "failing", back)
     with pytest.raises(TrajectoryError):
         bounded(ad.backward, asum(ad.matmul(failing, w)))
-    assert finished == [w]
-    assert ad._DEFERRED is None
+    assert len(finished) == 1
+    assert ad._FORMING is None
     np.testing.assert_array_equal(w.grad, (x.data * 2.0).T @ np.ones((5, 4), dtype=np.float32))
 
 

@@ -66,6 +66,18 @@ def test_load_refuses_values_it_would_have_to_coerce(tmp_path, record, message):
         D.load_dataset(p)
 
 
+def test_a_line_of_more_than_max_points_is_refused_by_load_and_normalize(tmp_path):
+    rows = [[i, i % 7, 1] for i in range(D.MAX_POINTS + 1)]
+    p = tmp_path / "d.jsonl"
+    p.write_text(json.dumps({"id": "a", "points": rows[:-1], "text": "x"}) + "\n")
+    assert D.load_dataset(p)[0].length == D.MAX_POINTS
+    p.write_text(p.read_text() + json.dumps({"id": "b", "points": rows, "text": "y"}) + "\n")
+    with pytest.raises(D.DataError, match=f"line 2: {D.MAX_POINTS + 1} points, at most {D.MAX_POINTS} are allowed"):
+        D.load_dataset(p)
+    with pytest.raises(D.DataError, match=f"^b: {D.MAX_POINTS + 1} points"):
+        D.normalize(seq_of(rows, sid="b"))
+
+
 def dataset_files():
     """Dataset file bytes: lines of arbitrary text, JSON values, records with arbitrary fields, deep nesting."""
     number = st.integers() | st.floats(allow_nan=True, allow_infinity=True)
