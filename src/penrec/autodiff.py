@@ -5,10 +5,11 @@ with an optional bias, strided 1D/2D convolution, relu (optionally zeroing
 the gaps between a batch's joined lines), multi-head self-attention over a
 packed q|k|v projection, layer norm, a whole-sequence bidirectional GRU,
 the decoder's whole-sequence attention-fed GRU, row gather, linear
-interpolation between rows, and the two losses. The convolutions run over
-a batch's lines joined along one axis with zero gaps between them; one
-`gather_rows` cuts the joined rows into a batch of sequences zero-padded
-to one length. Attention, the two GRUs and both losses take that batch
+interpolation between rows, the two losses, and `branch`, an identity that
+marks the part of the graph below it for its own backward sweep. The
+convolutions run over a batch's lines joined along one axis with zero gaps
+between them; one `gather_rows` cuts the joined rows into a batch of
+sequences zero-padded to one length. Attention, the two GRUs and both losses take that batch
 with per-sequence lengths. Each has one path: attention masks each
 sequence's padding keys, one time loop advances every sequence's state,
 and padding rows reach no result and get no gradient; a lone sequence
@@ -27,11 +28,16 @@ cache-sized blocks, and the cosine learning-rate schedule.
 Training can use a second core through one worker thread (`submit`). It is
 started by the first training step that has work large enough for it, and
 only when the process may run on at least two CPUs; importing, loading and
-inference start none. Three places hand it work, each above a size timed
-on the model's shapes: the recognizer's image stream (model.py), a
-parameter's large gradient products in `backward`, and half of the
+inference start none. Four places hand it work, each above a size timed
+on the model's shapes: the recognizer's image stream, forward (model.py);
+its backward sweep, when `backward` splits the sweep in two at the
+`branch` that marks the stream's loss, the worker sweeping the branch and
+the calling thread the rest; a parameter's large gradient products, which
+a sweep of the whole graph hands the worker while it goes on and the
+branch's sweep hands to whichever thread is free first; and half of the
 tensors in `adam_step`. Each task makes the numpy calls the inline path
-makes, on the same operands, so every result is bit-identical to it.
+makes, on the same operands, and every gradient sums its contributions in
+the inline order, so every result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
+from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -143,8 +151,9 @@ def _make(data, parents, op, backward_fn) -> DiffArray:
 
 def _acc(p: DiffArray, g) -> None:
     if p.requires_grad:
-        if _FORMING:
-            _settle(p)
+        sweep = getattr(_LOCAL, "sweep", None)
+        if sweep is not None:
+            sweep.settle(p)
         if p.grad is None:
             p.grad = np.array(g, dtype=p.data.dtype)
         else:
@@ -152,18 +161,63 @@ def _acc(p: DiffArray, g) -> None:
 
 
 # A product into a leaf of at least this many multiply-adds is formed on the worker thread while
-# the sweep goes on. Backward of a step of 8 lines, 2-core x86-64 VM (OpenBLAS, one BLAS thread),
-# each cut-off in 4 processes, range of their medians of 15 steps: d=320 on 6-10 glyph lines
-# (2.3G multiply-adds of products in all, the largest 139M, 18 of them from 48M) all inline
-# 107.4-112.1 ms, from 16M 79.7-80.4, from 32M 82.6-83.4, from 48M 87.1-88.8, from 64M
-# 87.2-89.8; d=64 on 6-10 glyphs (190M, the largest 40M) all inline 15.4-15.9 ms, from 48M
-# 15.5-15.9, from 32M 15.2-15.4, from 16M 14.6-15.1, from 8M 14.4-14.8. 48M keeps every d=64
-# product inline (the largest on 2-4 glyph lines is 15M), so a d=64 step starts no thread; a
-# lower cut-off would need its own end-to-end measurement.
+# a sweep of the whole graph goes on, and the worker's sweep of a split graph hands it to whichever
+# thread finishes its own sweep first (`_Sweep`). Backward of a step of 8 lines, 2-core x86-64 VM
+# (OpenBLAS, one BLAS thread), medians of 15 steps. One sweep, each cut-off in 4 processes, range
+# of their medians: d=320 on 6-10 glyph lines (2.3G multiply-adds of products in all, the largest
+# 139M, 18 of them from 48M) all inline 107.4-112.1 ms, from 16M 79.7-80.4, from 32M 82.6-83.4,
+# from 48M 87.1-88.8, from 64M 87.2-89.8; d=64 on 6-10 glyphs (190M, the largest 40M) all inline
+# 15.4-15.9 ms, from 48M 15.5-15.9, from 32M 15.2-15.4, from 16M 14.6-15.1, from 8M 14.4-14.8.
+# Split, the same d=320 steps, two line seeds in 2 processes each: none handed over 66.5-67.7 ms,
+# from 4M 54.4-56.6, from 16M 55.4-55.6, from 48M 55.2-56.8 (12 products, the image CNN's and
+# the image BiGRU's), from 80M 55.6-56.6; one sweep from 48M in the same runs 85.0-87.9. 48M
+# keeps every d=64 product inline (the largest on 2-4 glyph lines is 15M), so a d=64 step starts
+# no thread; a lower cut-off would need its own end-to-end measurement.
 _WORKER_MACS = 48_000_000
 
-# id(leaf) -> (leaf, rows, Future) for each product the worker is forming while `backward` runs, None outside it.
-_FORMING: dict | None = None
+# `sweep`: the `_Sweep` the current thread runs, while it runs one.
+_LOCAL = threading.local()
+
+
+class _Sweep:
+    """Where one reverse sweep puts its large leaf products, those of at least `_WORKER_MACS` multiply-adds.
+
+    A sweep of the whole graph hands each one to the worker thread, which
+    forms it while the sweep goes on: `forming` maps id(leaf) -> (leaf, rows,
+    Future) until the sweep's thread adds the product, before the next
+    contribution to that leaf reaches it or else when the sweep ends. The
+    worker's sweep of a split graph (see `backward`) keeps the worker busy;
+    it puts each product into a leaf of `sole`, whose only consumer this is,
+    on the queue `handed` as (leaf, rows, a, g), for whichever thread is
+    done with its own sweep first to form and add (`_sweep_branch`). It
+    forms any other product at once, as the calling thread's sweep of a
+    split graph, which has no `_Sweep`, forms every product.
+    """
+
+    __slots__ = ("forming", "sole", "handed")
+
+    def __init__(self, sole=frozenset(), handed=None):
+        self.forming = {} if handed is None else None
+        self.sole, self.handed = sole, handed
+
+    def settle(self, p: DiffArray) -> None:
+        """Wait for the product the worker is forming for p, if any, and add it: it arose before what reaches p now."""
+        entry = self.forming.pop(id(p), None) if self.forming else None
+        if entry is not None:
+            _add_rows(p, entry[2].result(), entry[1])
+
+    def hand_over(self, p: DiffArray, a, g, rows) -> bool:
+        """Have p's product formed elsewhere; False when this thread is to form it now."""
+        if self.handed is not None:
+            if id(p) not in self.sole:
+                return False
+            self.handed.put((p, rows, a, g))
+            return True
+        task = submit(_product, a, g)
+        if task is None:
+            return False
+        self.forming[id(p)] = (p, rows, task)
+        return True
 
 
 def _product(a, g):
@@ -179,20 +233,17 @@ def _acc_product(p: DiffArray, a, g, rows: tuple[int, int] | None = None) -> Non
     the product is only p's leading-axis rows lo:hi; p's other rows get 0.
     The product is formed at once and added to p's gradient, except that
     inside `backward` a product into a leaf (a parameter) of at least
-    `_WORKER_MACS` multiply-adds is handed to the worker thread, and the
-    calling thread adds it once it is formed: before the next contribution
-    to that leaf, or else when the sweep ends. So every leaf's gradient is
-    the sum of its contributions in the order they arose, as inline.
+    `_WORKER_MACS` multiply-adds may be formed on another thread (see
+    `_Sweep`) and added later. So every leaf's gradient is the sum of its
+    contributions in the order they arose, as inline.
     """
     if not p.requires_grad:
         return
-    if _FORMING is not None and p.backward_fn is None:
-        _settle(p)
-        if a.size * g.shape[-1] >= _WORKER_MACS:
-            task = submit(_product, a, g)
-            if task is not None:
-                _FORMING[id(p)] = (p, rows, task)
-                return
+    sweep = getattr(_LOCAL, "sweep", None)
+    if sweep is not None and p.backward_fn is None:
+        sweep.settle(p)
+        if a.size * g.shape[-1] >= _WORKER_MACS and sweep.hand_over(p, a, g, rows):
+            return
     _add_rows(p, _product(a, g), rows)
 
 
@@ -211,24 +262,93 @@ def _add_rows(p: DiffArray, dw, rows: tuple[int, int] | None) -> None:
     p.grad[lo:hi] += dw.reshape((hi - lo, *p.shape[1:]))
 
 
-def _settle(p: DiffArray) -> None:
-    """Wait for the product the worker is forming for p, if any, and add it: it arose before what reaches p now."""
-    entry = _FORMING.pop(id(p), None)
-    if entry is not None:
-        _add_rows(p, entry[2].result(), entry[1])
+def _run(nodes) -> None:
+    """The reverse sweep over `nodes`: each one's backward_fn, if it has one and a gradient reached it."""
+    for node in nodes:
+        if node.backward_fn is not None and node.grad is not None:
+            node.backward_fn(node.grad)
+
+
+def _split(order: list):
+    """How the reverse sweep of `order` (a topological order) splits between two threads, or None.
+
+    The branch is the first `branch` node the sweep meets and every node it
+    reaches. The graph splits when no node outside the branch consumes one
+    inside it but that first node, whose gradient is then complete once its
+    last consumer has run. Returns (rest, launch, side, sole): the sweep's
+    nodes outside the branch, in its order, of which the first `launch` end
+    with that last consumer; the branch's nodes in the sweep's order; and the
+    ids of the branch's leaves that have a single consumer.
+    """
+    mark = next((node for node in reversed(order) if node.op == "branch"), None)
+    if mark is None:
+        return None
+    inside = set()
+    stack = [mark]
+    while stack:
+        node = stack.pop()
+        if id(node) not in inside:
+            inside.add(id(node))
+            stack.extend(p for p in node.parents if p.requires_grad)
+    rest, side, uses, launch = [], [], {}, 0
+    for node in reversed(order):
+        if id(node) in inside:
+            side.append(node)
+            for p in node.parents:
+                uses[id(p)] = uses.get(id(p), 0) + 1
+            continue
+        rest.append(node)
+        for p in node.parents:
+            if p is mark:
+                launch = len(rest)
+            elif id(p) in inside:
+                return None
+    if not launch:  # the branch is the whole graph
+        return None
+    return rest, launch, side, {id(n) for n in side if n.backward_fn is None and uses.get(id(n)) == 1}
+
+
+def _sweep_branch(nodes: list, sole: set, handed: SimpleQueue) -> None:
+    """The worker's part of a split sweep: `_run` over the branch's nodes, handing products over as `_Sweep` says.
+
+    Once its own sweep is done, it forms and adds the products the calling
+    thread has not yet taken, so whichever thread is free forms the next
+    one; then it puts None on `handed`. Both happen also when a backward_fn
+    raises.
+    """
+    _LOCAL.sweep = _Sweep(sole, handed)
+    try:
+        _run(nodes)
+    finally:
+        _LOCAL.sweep = None
+        try:
+            while True:
+                p, rows, a, g = handed.get_nowait()
+                _add_rows(p, _product(a, g), rows)
+        except Empty:
+            pass
+        finally:
+            handed.put(None)  # the calling thread takes the products still queued, then stops
 
 
 def backward(loss: DiffArray) -> None:
     """Populate grads of every reachable array that requires them.
 
     Gradients accumulate across multiple uses of the same array, in the
-    order the reverse sweep reaches them. Large weight-gradient products run
-    on the worker thread meanwhile (see `_acc_product`). Every task has
-    finished when this returns or raises, and each product formed by then
-    is in its leaf's gradient, also when a backward_fn raises. Only a
-    scalar-shaped loss is accepted.
+    order the reverse sweep reaches them. When `_split` finds a branch that
+    only its root connects to the rest of the graph (the model's image
+    stream, marked when its forward ran on the worker), the worker sweeps
+    the branch, from the moment the root's gradient is complete, while this
+    thread sweeps the rest; each sweep runs its nodes in the order of the
+    single sweep, so every gradient is the one sweep's, bit for bit. The
+    large products the worker's sweep hands over are formed by whichever
+    thread has finished its own sweep. A graph without such a branch is
+    swept here in one piece while the worker forms its large products.
+    Either way see `_Sweep`. When a backward_fn raises, every task has
+    still finished, each product formed or handed over by then is in its
+    leaf's gradient, and the error of this thread's sweep goes first. Only
+    a scalar-shaped loss is accepted.
     """
-    global _FORMING
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -249,18 +369,39 @@ def backward(loss: DiffArray) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    _FORMING = {}
+    split = _split(order)
+    if split is None:
+        sweep = _LOCAL.sweep = _Sweep()
+        try:
+            _run(reversed(order))
+        finally:  # also when a backward_fn raises: every handed product is waited for and, if formed, added
+            _LOCAL.sweep = None
+            for p, rows, task in sweep.forming.values():  # in the order they were handed over
+                if task.exception() is None:
+                    _add_rows(p, task.result(), rows)
+        for _, _, task in sweep.forming.values():
+            task.result()  # a product that failed raises, after the sweep's own error if there was one
+        return
+    rest, launch, side, sole = split
+    handed = SimpleQueue()
+    task, started = None, False
     try:
-        for node in reversed(order):
-            if node.backward_fn is not None and node.grad is not None:
-                node.backward_fn(node.grad)
-    finally:  # also when a backward_fn raises: every handed product is waited for and, if formed, added
-        forming, _FORMING = _FORMING, None
-        for p, rows, task in forming.values():  # in the order they were handed over
-            if task.exception() is None:
-                _add_rows(p, task.result(), rows)
-    for _, _, task in forming.values():
-        task.result()  # a product that failed raises, after the sweep's own error if there was one
+        _run(rest[:launch])
+        task = submit(_sweep_branch, side, sole, handed)
+        started = True
+        if task is None:  # a single CPU: this thread sweeps the branch first
+            _sweep_branch(side, sole, handed)
+        _run(rest[launch:])
+    finally:  # also when a sweep raises: the branch's has ended, and every product it handed over is added
+        if started:
+            try:
+                for p, rows, a, g in iter(handed.get, None):
+                    _add_rows(p, _product(a, g), rows)
+            finally:
+                if task is not None:
+                    task.exception()  # waits
+    if task is not None:
+        task.result()  # the branch's error, after this thread's own if there was one
 
 
 def zero_grads(arrays) -> None:
@@ -271,6 +412,18 @@ def zero_grads(arrays) -> None:
 def stop_gradient(x: DiffArray) -> DiffArray:
     """Forward identity that detaches the array from the graph."""
     return DiffArray(x.data)
+
+
+def branch(x: DiffArray) -> DiffArray:
+    """Forward identity that marks x and the graph under it as a branch `backward` may sweep on the worker thread.
+
+    It does so when nothing else consumes a node of the branch (see `_split`).
+    """
+
+    def back(g):
+        _acc(x, g)
+
+    return _make(x.data, (x,), "branch", back)
 
 
 # ---------------------------------------------------------------------------

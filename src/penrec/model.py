@@ -10,7 +10,10 @@ joined image features. Inference runs a lone line as a batch of one, with no
 gap and no mask. The two streams meet only at the alignment loss, so from width
 `_STREAMS_BESIDE_D` a batch's image stream runs on autodiff's worker thread
 while the trajectory stream runs on the caller's; both build the nodes and
-values they would build one after the other.
+values they would build one after the other. The image stream's loss is
+then marked as a `branch`: with the alignment loss's stop gradient, nothing
+but that loss reads the stream's nodes, so the backward pass sweeps the
+stream on the worker too.
 """
 
 from __future__ import annotations
@@ -29,15 +32,18 @@ from .layers import BiGRUStack, ParamStore
 TRAJ_PREFIXES = ("traj_conv.", "traj_gru.", "align.", "dec_traj.")
 IMAGE_PREFIXES = ("img_cnn.", "img_gru.", "dec_img.")
 
-# Model width from which `losses` runs a batch's image stream beside its trajectory stream.
-# Time of 8 lines beside over one after the other, every layer run once per batch, 2-core
-# x86-64 VM (OpenBLAS, one BLAS thread), each setting in its own process, medians of 15, the
-# larger of two runs, forward | forward + backward, on 2-4 glyph lines: d=64 1.03 | 1.03,
-# d=128 0.88 | 0.96, d=192 0.77 | 0.92, d=256 0.71 | 0.90, d=320 0.70 | 0.88; on 6-10 glyph
-# lines: d=64 0.90 | 0.95, d=128 0.69 | 0.86, d=192 0.72 | 0.91, d=256 0.70 | 0.87, d=320
-# 0.69 | 0.87. The backward alone takes as long either way (0.93-1.04).
+# Model width from which `losses` runs a batch's image stream beside its trajectory stream, and the
+# backward pass sweeps it there too. Time of 8 lines beside over one after the other (the backward
+# pass then one sweep), every layer run once per batch, 2-core x86-64 VM (OpenBLAS, one BLAS
+# thread), each setting in its own process, medians of 15, the larger of two runs, forward |
+# forward + backward, on 2-4 glyph lines: d=64 1.06 | 1.01, d=128 0.85 | 0.79, d=192 0.70 | 0.68,
+# d=256 0.66 | 0.66, d=320 0.63 | 0.61; on 6-10 glyph lines: d=64 0.92 | 0.86, d=128 0.75 | 0.73,
+# d=192 0.63 | 0.64, d=256 0.63 | 0.61, d=320 0.64 | 0.65. The backward gains more than the
+# forward: at d=320 on 6-10 glyph lines the forward takes 38.3-38.6 ms against 60.4-61.4 and the
+# forward and backward 93.6-95.0 ms against 147.1-149.3.
 # The d=64 forward on short lines, 6 ms, is mostly per-node Python work, which two threads
-# cannot do at once.
+# cannot do at once. At d=64 only long lines gain; a lower width would need its own end-to-end
+# measurement on the C07 recipe's 2-4 glyph lines.
 _STREAMS_BESIDE_D = 128
 
 
@@ -111,7 +117,8 @@ class Recognizer:
         joined, then the aligner, the BiGRU stack and the decoder over them
         zero-padded to the longest, and the alignment loss samples the joined
         image features. From width `_STREAMS_BESIDE_D` the image stream runs
-        on the worker thread while this one runs the trajectory stream. An
+        on the worker thread while this one runs the trajectory stream, and
+        its loss is marked for its own backward sweep (`ad.branch`). An
         error of the trajectory stream is raised first, as in sequential
         order, once the image stream has finished. "align" is None when the
         alignment loss is off.
@@ -125,7 +132,11 @@ class Recognizer:
         finally:
             if image is not None:
                 image.exception()  # waits
-        f2d, loss_img = image.result() if image is not None else self.image_losses(batch, targets)
+        if image is not None:
+            f2d, loss_img = image.result()
+            loss_img = ad.branch(loss_img)
+        else:
+            f2d, loss_img = self.image_losses(batch, targets)
 
         loss_align = None
         if self.align_cfg.use_align_loss:  # which implies an aligner

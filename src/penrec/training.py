@@ -28,7 +28,7 @@ from . import metrics
 from .autodiff import AdamState
 from .config import (AlignConfig, ConfigError, EncoderConfig, TrainConfig,
                      align_config_from_dict, encoder_config_from_dict)
-from .data import DataError, Vocabulary, augment, normalize
+from .data import DataError, Vocabulary, augment, normalize, render_width
 from .decoder import MAX_DECODE_LEN
 from .layers import ParamStore
 from .model import IMAGE_PREFIXES, Recognizer
@@ -82,13 +82,45 @@ def split_train_val(dataset, val_fraction: float, rng: np.random.Generator):
     return train, val
 
 
-def _param_budget() -> int | None:
-    """Parameter elements that fit in physical memory, as training holds each one five times in
-    float32 (weights, gradient, Adam m and v, the last-good copy); None where sysconf is missing."""
+def _physical_bytes() -> int | None:
+    """The machine's physical memory; None where sysconf is missing."""
     try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // (5 * 4)
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name on this platform
         return None
+
+
+# Training holds each parameter five times in float32: weights, gradient, Adam m and v, the last-good copy.
+_BYTES_PER_PARAM = 5 * 4
+
+
+def _param_budget() -> int | None:
+    """Parameter elements that fit in physical memory; None where sysconf is missing."""
+    phys = _physical_bytes()
+    return None if phys is None else phys // _BYTES_PER_PARAM
+
+
+# Activation bytes of one line in a training step at width d: points * (24,000 + 80 * d) plus
+# image columns (`render_width`) * 160 * d. Recipe: peak RSS of `batch_losses` then
+# `ad.backward` on two synthetic lines, less the RSS with the model and Adam's moments built;
+# lines of 8,192 points 4,096 px wide, of 2,048 points 4,096 px wide and of 8,192 points
+# 1,094 px wide, each at d=64, 160 and 320 (from d=128 the image stream's sweep runs on the
+# worker beside the trajectory stream's), each run in its own process on a 2-core x86-64 VM
+# (OpenBLAS, one BLAS thread); a least-squares fit with its constants rounded up. The fit is
+# within -0.1% and +14% of eight of the nine runs and 34% over the d=64 run of 2,048-point
+# lines. A line at MAX_POINTS and MAX_WIDTH takes 0.57 GB at d=320, a batch of 8 of them
+# 4.6 GB. One constant per point and unit of d would not do: measured, the bytes per point
+# per unit of d are 2.3 times higher at d=64 than at d=320, and 2.1 times higher for lines of
+# 2,048 points than of 8,192 at the same width.
+_STEP_BYTES_PER_POINT, _STEP_BYTES_PER_POINT_D, _STEP_BYTES_PER_COLUMN_D = 24_000, 80, 160
+
+
+def _step_bytes(lines, batch_size: int, d: int) -> int:
+    """Activation bytes of a training step over the `batch_size` lines that need the most."""
+    need = sorted((seq.length * (_STEP_BYTES_PER_POINT + _STEP_BYTES_PER_POINT_D * d)
+                   + render_width(seq.points[:, 0].max()) * _STEP_BYTES_PER_COLUMN_D * d for seq in lines),
+                  reverse=True)
+    return sum(need[:batch_size])
 
 
 def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainConfig,
@@ -110,6 +142,15 @@ def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainCon
                            store=ParamStore(np.random.default_rng(cfg.seed), budget=_param_budget()))
     except ValueError as e:  # a config error, or a model larger than the budget
         raise ConfigError(str(e)) from e
+    phys = _physical_bytes()
+    if phys is not None:
+        need = _step_bytes(train_set, cfg.batch_size, enc_cfg.d)
+        params = _BYTES_PER_PARAM * sum(p.data.size for p in model.params.values())
+        if need + params > phys:
+            raise ConfigError(f"a training step over the {min(cfg.batch_size, len(train_set))} largest lines at "
+                              f"d={enc_cfg.d} needs about {need / 2**30:.1f} GB of activations beside "
+                              f"{params / 2**30:.1f} GB for the parameters, more than the {phys / 2**30:.1f} GB "
+                              f"of physical memory; lower training.batch_size or encoder.d, or shorten the lines")
 
     steps_per_epoch = max(1, -(-len(train_set) // cfg.batch_size))
     if cfg.max_steps is not None:

@@ -327,6 +327,8 @@ def kernel_cases(rng: np.random.Generator):
         ("relu_gap", *relu_gap_case()),
         ("gather_rows_cut", *gather_cut_case()),
         ("mse_batched", *mse_batched_case()),
+        # the identity that marks the image stream's loss for its own backward sweep
+        ("branch", *unary(ad.branch, (3, 4))),
     ]
 
 

@@ -207,6 +207,29 @@ def test_a_model_larger_than_physical_memory_exits_2_before_allocating_it(tmp_pa
     assert not (tmp_path / "run").exists()
 
 
+def test_lines_too_long_for_a_training_step_in_physical_memory_exit_2_before_any_step(tmp_path, capsys,
+                                                                                      monkeypatch):
+    import penrec.training as T
+    # eight lines of MAX_POINTS points, 4,096 px wide once normalized: a d=320 step would need about 4.6 GB
+    xs = np.linspace(0.0, 16384.0, MAX_POINTS)
+    points = np.column_stack([xs, 16.0 + 14.0 * np.sin(xs / 30.0), np.ones(MAX_POINTS)]).tolist()
+    data = tmp_path / "long.jsonl"
+    data.write_text("".join(json.dumps({"id": f"l{i}", "points": points, "text": "abc"}) + "\n" for i in range(8)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"training": {"batch_size": 8, "max_steps": 1, "val_fraction": 0.0}}))
+    monkeypatch.setattr(T, "_physical_bytes", lambda: 4 << 30)
+    tracemalloc.start()
+    try:
+        code = main(["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "more than the 4.0 GB of physical memory" in capsys.readouterr().err
+    assert peak < 256 * 2**20  # the d=320 model and the lines, not a step's activations
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("section,key", [
     ("training", "align_weight"), ("training", "grad_clip"), ("training", "augment_magnitude"),

@@ -5,6 +5,7 @@ finish within STEP_TIMEOUT_S, so a deadlock fails the test instead of
 hanging the suite.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from penrec.training import batch_losses
 
 STEP_TIMEOUT_S = 120
 LINES = [normalize(s) for s in synth_generate(DEFAULT_ALPHABET, 8, np.random.default_rng(3), length_range=(2, 3))]
-WORKER_SITES = {"image_losses", "_product", "_adam_updates"}
+WORKER_SITES = {"image_losses", "_sweep_branch", "_product", "_adam_updates"}
 
 
 class TrajectoryError(RuntimeError):
@@ -70,6 +71,22 @@ def submissions(monkeypatch):
     return names
 
 
+@pytest.fixture
+def handed(monkeypatch):
+    """The leaves whose products the worker's sweep of a split graph handed over, in order."""
+    leaves = []
+    real = ad._Sweep.hand_over
+
+    def recording(sweep, p, a, g, rows):
+        done = real(sweep, p, a, g, rows)
+        if done and sweep.handed is not None:
+            leaves.append(p)
+        return done
+
+    monkeypatch.setattr(ad._Sweep, "hand_over", recording)
+    return leaves
+
+
 def set_cpus(monkeypatch, n):
     monkeypatch.setattr(ad, "_usable_cpus", lambda: n)
 
@@ -82,9 +99,9 @@ def every_site_on_the_worker(monkeypatch):
     monkeypatch.setattr(ad, "_ADAM_WORKER_ELEMENTS", 0)
 
 
-def small_model(dtype=np.float32):
-    return Recognizer(EncoderConfig(d=16, gru_layers=1), AlignConfig(layers=1, heads=2), build_vocab(LINES),
-                      seed=5, dtype=dtype)
+def small_model(dtype=np.float32, **align):
+    return Recognizer(EncoderConfig(d=16, gru_layers=1), AlignConfig(layers=1, heads=2, **align),
+                      build_vocab(LINES), seed=5, dtype=dtype)
 
 
 def train_step(model, adam, batch):
@@ -98,14 +115,25 @@ def train_step(model, adam, batch):
     return {k: v.data.tobytes() for k, v in comps.items()}, grads
 
 
-def two_steps(dtype):
-    """Bytes of every loss component and gradient of two steps, then the parameters and Adam's state."""
-    model = small_model(dtype)
+def two_steps(dtype, **align):
+    """Bytes of every loss component and gradient of two steps, then the parameters and Adam's state, and the model."""
+    model = small_model(dtype, **align)
     adam = ad.AdamState(model.params)
     steps = [bounded(train_step, model, adam, LINES[lo:lo + 4]) for lo in (0, 4)]
     state = {name: (p.data.tobytes(), adam.m[name].tobytes(), adam.v[name].tobytes())
              for name, p in model.params.items()}
-    return steps, state, adam.step
+    return steps, state, adam.step, model
+
+
+def assert_same_steps(inline, worker):
+    """Two `two_steps` results hold the same bytes."""
+    (inline_steps, inline_state, inline_t, _), (worker_steps, worker_state, worker_t, _) = inline, worker
+    for (comps_a, grads_a), (comps_b, grads_b) in zip(inline_steps, worker_steps):
+        assert comps_a == comps_b
+        assert grads_a.keys() == grads_b.keys()
+        for name in grads_a:
+            assert grads_a[name] == grads_b[name], name
+    assert inline_state == worker_state and inline_t == worker_t == 2
 
 
 def shared_leaf_gradient(dtype):
@@ -120,12 +148,32 @@ def shared_leaf_gradient(dtype):
     return w.grad.tobytes()
 
 
+def branch_gradients(dtype, mark=ad.branch):
+    """The bytes of every leaf's gradient of a loss x1 @ w1 plus `mark` of a second term.
+
+    In the second term the reverse sweep reaches w2 by two matmuls, then by
+    one mul, and w3 by one matmul only.
+    """
+    rng = np.random.default_rng(17)
+    leaves = [ad.array(rng.normal(size=s), requires_grad=True, dtype=dtype)
+              for s in ((5, 4), (4, 3), (4, 3), (4, 4), (5, 4), (3, 4), (4, 2))]
+    x1, w1, w2, x2, x3, x4, w3 = leaves
+
+    def proj(y):
+        return asum(ad.mul(y, rng.normal(size=y.shape)))
+
+    second = ad.add(ad.add(proj(ad.matmul(x2, w2)), ad.add(proj(ad.matmul(x3, w2)), proj(w2))),
+                    proj(ad.matmul(x4, w3)))
+    bounded(ad.backward, ad.add(proj(ad.matmul(x1, w1)), mark(second)))
+    return [p.grad.tobytes() for p in leaves]
+
+
 @pytest.mark.parametrize("switch_s", [None, 1e-6])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, submissions, dtype, switch_s):
+def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, submissions, handed, dtype, switch_s):
     set_cpus(monkeypatch, 1)
-    inline = two_steps(dtype), shared_leaf_gradient(dtype)
-    assert submissions == []  # a d=16 model is below every cut-off
+    inline = two_steps(dtype), shared_leaf_gradient(dtype), branch_gradients(dtype, mark=lambda y: y)
+    assert submissions == [] and handed == []  # a d=16 model is below every cut-off
     every_site_on_the_worker(monkeypatch)
     submissions.clear()
     prev = sys.getswitchinterval()
@@ -133,21 +181,41 @@ def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, subm
         if switch_s is not None:  # the interpreter switches threads as often as it can
             sys.setswitchinterval(switch_s)
         steps = two_steps(dtype)
-        steps_submitted = len(submissions)
-        worker = steps, shared_leaf_gradient(dtype)
+        steps_submitted, steps_handed = len(submissions), len(handed)
+        worker = steps, shared_leaf_gradient(dtype), branch_gradients(dtype)
     finally:
         sys.setswitchinterval(prev)
     assert set(submissions) == WORKER_SITES
-    assert submissions.count("image_losses") == 2  # one per step: the batch's whole image stream
-    assert submissions[steps_submitted:] == ["_product", "_product"]  # the shared leaf's two products
+    # one per step each: the batch's whole image stream, forward, then its backward sweep
+    steps_sites = submissions[:steps_submitted]
+    assert steps_sites.count("image_losses") == steps_sites.count("_sweep_branch") == 2
+    assert "_product" not in steps_sites  # a split graph's own sweeps hand the worker no product
+    # the shared leaf's two products, then the sweep of the marked term
+    assert submissions[steps_submitted:] == ["_product", "_product", "_sweep_branch"]
+    # the image sweep handed over the product of each image-stream weight but the embedding, which gets no
+    # product, once per step
+    model = worker[0][3]
+    weights = sorted(n for n, p in model.params.items()
+                     if n.startswith(pm.IMAGE_PREFIXES) and p.data.ndim >= 2 and not n.endswith(".embed"))
+    names = {id(p): n for n, p in model.params.items()}
+    assert sorted(names[id(p)] for p in handed[:steps_handed]) == sorted(weights * 2)
+    assert len(handed) == steps_handed + 1  # w3's product; w2's three contributions are added in order
     assert inline[1] == worker[1]  # the mul's contribution came last, after both products, as inline
-    (inline_steps, inline_state, inline_t), (worker_steps, worker_state, worker_t) = inline[0], worker[0]
-    for (comps_a, grads_a), (comps_b, grads_b) in zip(inline_steps, worker_steps):
-        assert comps_a == comps_b
-        assert grads_a.keys() == grads_b.keys()
-        for name in grads_a:
-            assert grads_a[name] == grads_b[name], name
-    assert inline_state == worker_state and inline_t == worker_t == 2
+    assert inline[2] == worker[2]
+    assert_same_steps(inline[0], worker[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_coupled_graph_runs_one_sweep_and_stays_bit_identical(monkeypatch, submissions, handed, dtype):
+    # without the stop gradient the alignment loss reaches into the image stream, so the graph does not split
+    set_cpus(monkeypatch, 1)
+    inline = two_steps(dtype, use_stop_gradient=False)
+    every_site_on_the_worker(monkeypatch)
+    worker = two_steps(dtype, use_stop_gradient=False)
+    assert submissions.count("image_losses") == 2
+    assert "_sweep_branch" not in submissions and handed == []
+    assert "_product" in submissions  # the one sweep hands the worker its products, as without a branch
+    assert_same_steps(inline, worker)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -198,7 +266,93 @@ def test_an_image_stream_error_surfaces_with_its_type_and_the_next_step_succeeds
     fresh = small_model()
     assert got == bounded(train_step, fresh, ad.AdamState(fresh.params), LINES[:4])
     assert all(model.params[n].data.tobytes() == p.data.tobytes() for n, p in fresh.params.items())
-    assert set(submissions) == WORKER_SITES
+    assert set(submissions) == WORKER_SITES - {"_product"}  # a split graph's sweeps hand the worker no product
+
+
+def backward_node(x, back_first, name):
+    """An identity node over x whose backward calls back_first() before it passes the gradient on."""
+
+    def back(g):
+        back_first()
+        ad._acc(x, g)
+
+    return ad._make(x.data, (x,), name, back)
+
+
+def fail_in_backward(monkeypatch, model, trajectory, image):
+    """Steps of `model` run trajectory() in the backward sweep of the trajectory stream's loss, and image()
+    in that of the image CNN's output, below every other image-stream node with a weight."""
+    real_ce, real_join = model.dec_traj.ce_loss, model.img_cnn.join
+
+    def join(imgs):
+        joined = real_join(imgs)
+        return dataclasses.replace(joined, values=backward_node(joined.values, image, "img_probe"))
+
+    monkeypatch.setattr(model.dec_traj, "ce_loss", lambda *a: backward_node(real_ce(*a), trajectory, "traj_probe"))
+    monkeypatch.setattr(model.img_cnn, "join", join)
+
+
+def sweep_states():
+    """The `_Sweep` each of the two threads runs: (this thread's, the worker's)."""
+    return getattr(ad._LOCAL, "sweep", None), ad.submit(lambda: getattr(ad._LOCAL, "sweep", None)).result()
+
+
+def test_an_image_sweep_error_surfaces_with_its_type_once_the_trajectory_sweep_ends(monkeypatch, handed):
+    every_site_on_the_worker(monkeypatch)
+    model = small_model()
+    adam = ad.AdamState(model.params)
+    sweeps = []
+    real_sweep = ad._sweep_branch
+
+    def recording_sweep(*args):
+        sweeps.append("start")
+        try:
+            real_sweep(*args)
+        finally:
+            sweeps.append("end")
+
+    def slow_trajectory():
+        time.sleep(0.2)
+
+    def failing_image():
+        raise ImageError("image sweep")
+
+    monkeypatch.setattr(ad, "_sweep_branch", recording_sweep)
+    with monkeypatch.context() as m:
+        fail_in_backward(m, model, slow_trajectory, failing_image)
+        with pytest.raises(ImageError):
+            bounded(train_step, model, adam, LINES[:4])
+    assert sweeps == ["start", "end"]
+    # the trajectory sweep ran to its end: down to the first conv's weight
+    assert model.params["traj_conv.l0.w"].grad is not None
+    # every product handed over before the error was formed and added; the sweep failed above the image CNN
+    assert handed and all(p.grad is not None for p in handed)
+    assert all(model.params[n].grad is None for n in model.params if n.startswith("img_cnn."))
+    assert sweep_states() == (None, None)
+    got = bounded(train_step, model, adam, LINES[:4])
+    fresh = small_model()
+    assert got == bounded(train_step, fresh, ad.AdamState(fresh.params), LINES[:4])
+    assert all(model.params[n].data.tobytes() == p.data.tobytes() for n, p in fresh.params.items())
+
+
+def test_a_trajectory_sweep_error_surfaces_first_once_the_image_sweep_is_done(monkeypatch):
+    every_site_on_the_worker(monkeypatch)
+    model = small_model()
+    done = threading.Event()
+
+    def failing_trajectory():
+        raise TrajectoryError("trajectory sweep")
+
+    def slow_failing_image():
+        time.sleep(0.2)
+        done.set()
+        raise ImageError("image sweep")
+
+    fail_in_backward(monkeypatch, model, failing_trajectory, slow_failing_image)
+    with pytest.raises(TrajectoryError):
+        bounded(train_step, model, ad.AdamState(model.params), LINES[:4])
+    assert done.is_set()
+    assert sweep_states() == (None, None)
 
 
 def test_a_backward_fn_raising_mid_sweep_leaves_no_task_running(monkeypatch):
@@ -224,7 +378,7 @@ def test_a_backward_fn_raising_mid_sweep_leaves_no_task_running(monkeypatch):
     with pytest.raises(TrajectoryError):
         bounded(ad.backward, asum(ad.matmul(failing, w)))
     assert len(finished) == 1
-    assert ad._FORMING is None
+    assert getattr(ad._LOCAL, "sweep", None) is None
     np.testing.assert_array_equal(w.grad, (x.data * 2.0).T @ np.ones((5, 4), dtype=np.float32))
 
 
@@ -258,6 +412,8 @@ def test_on_one_cpu_every_site_runs_inline(monkeypatch):
     threads = threading.active_count()
     model = small_model()
     bounded(train_step, model, ad.AdamState(model.params), LINES[:4])
+    # a graph with a branch, which the model marks only when its image stream ran on the worker
+    assert branch_gradients(np.float32) == branch_gradients(np.float32, mark=lambda y: y)
     assert ad._WORKER is None
     assert threading.active_count() == threads
 

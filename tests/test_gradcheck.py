@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check, kernel_cases, model_loss_cases, standard_battery, tiny_model, tiny_sequence
+import penrec.model as pm
 from penrec import autodiff as ad
 from penrec.training import batch_losses
 
@@ -56,6 +57,10 @@ def test_every_kernel_has_a_model_caller(monkeypatch):
         return make(data, parents, op, backward_fn)
 
     monkeypatch.setattr(ad, "_make", recording_make)
+    # the step runs its image stream on the worker thread, as a wide model's does, which marks it for its
+    # own backward sweep
+    monkeypatch.setattr(pm, "_STREAMS_BESIDE_D", 0)
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
     model = tiny_model(dtype=np.float32)
     rng = np.random.default_rng(0)
     batch = [tiny_sequence(rng), tiny_sequence(rng)]

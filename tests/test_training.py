@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from gradcheck import tiny_model, tiny_sequence
 from penrec import autodiff as ad
-from penrec.config import (AlignConfig, EncoderConfig, TrainConfig, align_config_from_dict,
+from penrec.config import (AlignConfig, ConfigError, EncoderConfig, TrainConfig, align_config_from_dict,
                            encoder_config_from_dict)
-from penrec.data import TrajectorySequence, Vocabulary, build_vocab, normalize
+from penrec.data import MAX_POINTS, MAX_WIDTH, TrajectorySequence, Vocabulary, build_vocab, normalize
 from penrec.model import IMAGE_PREFIXES, TRAJ_PREFIXES, Recognizer
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
 from penrec.training import (CheckpointError, DivergenceError, batch_losses, evaluate,
@@ -255,6 +255,34 @@ def test_train_saves_once_per_epoch(tmp_path, monkeypatch):
     # the last epoch's save holds the returned parameters
     real(res.model, tmp_path / "final.ckpt")
     assert res.checkpoint_path.read_bytes() == (tmp_path / "final.ckpt").read_bytes()
+
+
+def long_lines(n):
+    """n lines of MAX_POINTS points that normalize to MAX_WIDTH px: the largest a dataset may hold."""
+    xs = np.linspace(0.0, 4.0 * MAX_WIDTH, MAX_POINTS)
+    pts = np.column_stack([xs, 16.0 + 14.0 * np.sin(xs / 30.0), np.ones(MAX_POINTS)])
+    return [TrajectorySequence(id=f"long{i}", points=pts, text="abc") for i in range(n)]
+
+
+def test_train_refuses_lines_whose_step_would_outgrow_physical_memory(monkeypatch):
+    import penrec.training as T
+
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    # at d=320 each of these lines needs about 0.57 GB of activations in a step, besides 0.16 GB of parameters
+    monkeypatch.setattr(T, "_physical_bytes", lambda: 4 << 30)
+    monkeypatch.setattr(T, "batch_losses", no_step)
+    lines = long_lines(8)
+    cfg = dict(max_steps=1, augment=False, val_fraction=0.0)
+    with pytest.raises(ConfigError, match="8 largest lines at d=320 needs about 4.6 GB of activations"):
+        train(lines, EncoderConfig(d=320), AlignConfig(), TrainConfig(batch_size=8, **cfg), build_vocab(lines))
+    # batches of six of the eight fit: training goes on to its first step
+    with pytest.raises(AssertionError, match="a training step ran"):
+        train(lines, EncoderConfig(d=320), AlignConfig(), TrainConfig(batch_size=6, **cfg), build_vocab(lines))
+    # the estimate grows with d: at d=128 all eight fit
+    with pytest.raises(AssertionError, match="a training step ran"):
+        train(lines, EncoderConfig(d=128), AlignConfig(), TrainConfig(batch_size=8, **cfg), build_vocab(lines))
 
 
 def test_two_seeded_runs_are_byte_identical(tmp_path):
