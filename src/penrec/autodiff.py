@@ -22,8 +22,10 @@ Convolutions leave out the kernel rows that read only zero padding.
 Arrays are float32 by default; build everything in float64 for
 finite-difference checks.
 
-Also hosts the optimizer pieces: Adam with bias correction, updated in
-cache-sized blocks, and the cosine learning-rate schedule.
+Also hosts the optimizer pieces: Adam with bias correction and the cosine
+learning-rate schedule. Adam updates the small tensors of each dtype as one
+flat array, their gradients copied into one buffer and their moments laid
+end to end, and every tensor in cache-sized blocks.
 
 Training can use a second core through one worker thread (`submit`). It is
 started by the first training step that has work large enough for it, and
@@ -34,8 +36,8 @@ its backward sweep, when `backward` splits the sweep in two at the
 `branch` that marks the stream's loss, the worker sweeping the branch and
 the calling thread the rest; a parameter's large gradient products, which
 a sweep of the whole graph hands the worker while it goes on and the
-branch's sweep hands to whichever thread is free first; and half of the
-tensors in `adam_step`. Each task makes the numpy calls the inline path
+branch's sweep hands to whichever thread is free first; and half of
+`adam_step`'s update. Each task makes the numpy calls the inline path
 makes, on the same operands, and every gradient sums its contributions in
 the inline order, so every result is bit-identical to it.
 """
@@ -149,15 +151,24 @@ def _make(data, parents, op, backward_fn) -> DiffArray:
     return out
 
 
-def _acc(p: DiffArray, g) -> None:
+def _acc(p: DiffArray, g, fresh: bool = False) -> None:
+    """Add g to p's gradient.
+
+    A `fresh` g is an array its caller has just made and holds no other
+    reference to; it becomes p's first gradient as it is when its dtype is
+    p's. Any other first contribution is copied, since p's gradient is
+    added to in place.
+    """
     if p.requires_grad:
         sweep = getattr(_LOCAL, "sweep", None)
         if sweep is not None:
             sweep.settle(p)
-        if p.grad is None:
-            p.grad = np.array(g, dtype=p.data.dtype)
-        else:
+        if p.grad is not None:
             p.grad += g
+        elif fresh and isinstance(g, np.ndarray) and g.dtype == p.data.dtype:
+            p.grad = g
+        else:
+            p.grad = np.array(g, dtype=p.data.dtype)
 
 
 # A product into a leaf of at least this many multiply-adds is formed on the worker thread while
@@ -451,9 +462,9 @@ def mul(a: DiffArray, b) -> DiffArray:
     y = a.data * b.data
 
     def back(g):
-        _acc(a, g * b.data)
+        _acc(a, g * b.data, fresh=True)
         gb = g * a.data
-        _acc(b, gb.sum() if b.shape == () else gb)
+        _acc(b, gb.sum() if b.shape == () else gb, fresh=True)
 
     return _make(y, (a, b), "mul", back)
 
@@ -475,10 +486,10 @@ def matmul(a: DiffArray, b: DiffArray, bias: DiffArray | None = None) -> DiffArr
 
     def back(g):
         g2 = g.reshape(y.shape)
-        _acc(a, (g2 @ b.data.T).reshape(a.shape))
+        _acc(a, (g2 @ b.data.T).reshape(a.shape), fresh=True)
         _acc_product(b, a2, g2)
         if bias is not None:
-            _acc(bias, g2.sum(axis=0))
+            _acc(bias, g2.sum(axis=0), fresh=True)
 
     out = y.reshape(*a.shape[:-1], b.shape[1]) if batched else y
     return _make(out, (a, b) if bias is None else (a, b, bias), "matmul", back)
@@ -556,7 +567,7 @@ def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad) -> D
         g2 = g.reshape(ho * wo, cout)
         _acc_product(w, cols, g2, None if hi - lo == kh else (lo, hi))
         if b is not None:
-            _acc(b, g2.sum(axis=0))
+            _acc(b, g2.sum(axis=0), fresh=True)
         if x.requires_grad:
             # tap-major, (taps, H_out * W_out, C_in): each tap's slice-add reads one contiguous block
             dcols = np.matmul(g2, w2.reshape(taps, cin, cout).swapaxes(1, 2))
@@ -565,7 +576,7 @@ def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad) -> D
             # windows of different taps overlap, those of one tap do not
             for t in range(taps):
                 dwin[:, :, t // kw, t % kw] += dcols[t].reshape(ho, wo, cin)
-            _acc(x, dxp[ph:ph + H, pw:pw + W].reshape(x.shape))
+            _acc(x, dxp[ph:ph + H, pw:pw + W].reshape(x.shape), fresh=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(y.reshape((ho, wo, cout)[len(lead):]), parents, op, back)
@@ -657,10 +668,7 @@ def relu(x: DiffArray, keep=None) -> DiffArray:
         y *= keep
 
     def back(g):
-        live = x.data > 0
-        if keep is not None:
-            live &= keep
-        _acc(x, g * live)
+        _acc(x, g * (y > 0), fresh=True)  # y is 0 wherever x is not positive or `keep` is False
 
     return _make(y, (x,), "relu", back)
 
@@ -707,7 +715,7 @@ def attention(qkv: DiffArray, heads: int, attn_sink: list | None = None, frames=
         dh[0] = ds @ kh
         dh[1] = ds.swapaxes(-1, -2) @ qh
         dh[2] = alpha.swapaxes(-1, -2) @ gh
-        _acc(qkv, dqkv.reshape(qkv.shape))
+        _acc(qkv, dqkv.reshape(qkv.shape), fresh=True)
 
     return _make(y, (qkv,), "attention", back)
 
@@ -727,12 +735,12 @@ def layer_norm(x: DiffArray, gain: DiffArray, bias: DiffArray) -> DiffArray:
     y = xh * gain.data + bias.data
 
     def back(g):
-        _acc(gain, np.add.reduce((g * xh).reshape(-1, d), axis=0))
-        _acc(bias, np.add.reduce(g.reshape(-1, d), axis=0))
+        _acc(gain, np.add.reduce((g * xh).reshape(-1, d), axis=0), fresh=True)
+        _acc(bias, np.add.reduce(g.reshape(-1, d), axis=0), fresh=True)
         if x.requires_grad:
             dxh = g * gain.data
             term = dxh - _mean_last(dxh) - xh * _mean_last(dxh * xh)
-            _acc(x, inv * term)
+            _acc(x, inv * term, fresh=True)
 
     return _make(y, (x, gain, bias), "layer_norm", back)
 
@@ -929,13 +937,13 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
         dproj[:, :, :3 * H] = dpx[:, 0].transpose(1, 0, 2)
         dproj[:, :, 3 * H:] = _reverse_each(dpx[:, 1].transpose(1, 0, 2), reversal)
         dproj = dproj.reshape(B * T, 6 * H)
-        _acc(xs, (dproj @ w_x.data.T).reshape(xs.shape))
-        _acc(h0, dh0.sum(axis=1))
+        _acc(xs, (dproj @ w_x.data.T).reshape(xs.shape), fresh=True)
+        _acc(h0, dh0.sum(axis=1), fresh=True)
         _acc_product(w_x, xs.data.reshape(B * T, d), dproj)
-        _acc(b_x, dproj.sum(axis=0))
+        _acc(b_x, dproj.sum(axis=0), fresh=True)
         # per direction: its states entering each step against its da, all steps and sequences as rows
         _acc_product(w_h, hs[:-1].swapaxes(0, 1).reshape(2, T * B, H), da.swapaxes(0, 1).reshape(2, T * B, 3 * H))
-        _acc(b_h, da.sum(axis=(0, 2)).reshape(-1))
+        _acc(b_h, da.sum(axis=(0, 2)).reshape(-1), fresh=True)
 
     return _make(y[0] if line else y, ins, "bigru", back)
 
@@ -1029,15 +1037,15 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
             return a.reshape(-1, a.shape[-1])
 
         dpx, da, dh0 = _gru_backward(g, hs, rz, n, a_n, w_h.data, step_input_back)
-        _acc(y, (dX + dU).swapaxes(0, 1))
-        _acc(h0, dh0.sum(axis=0, keepdims=True))
+        _acc(y, (dX + dU).swapaxes(0, 1), fresh=True)
+        _acc(h0, dh0.sum(axis=0, keepdims=True), fresh=True)
         _acc_product(wq, rows(U), rows(dQ))
         _acc_product(keys, dS.swapaxes(0, 1), Q.swapaxes(0, 1))
         _acc_product(values, A.swapaxes(0, 1), dX.swapaxes(0, 1))
         _acc_product(w_x, rows(X), rows(dpx))
-        _acc(b_x, rows(dpx).sum(axis=0))
+        _acc(b_x, rows(dpx).sum(axis=0), fresh=True)
         _acc_product(w_h, rows(hs[:-1]), rows(da))
-        _acc(b_h, rows(da).sum(axis=0))
+        _acc(b_h, rows(da).sum(axis=0), fresh=True)
 
     return _make(out, ins, "attention_gru", back)
 
@@ -1076,7 +1084,7 @@ def gather_rows(table: DiffArray, ids) -> DiffArray:
             np.add.at(dt, ids[~pad], g[~pad])
         else:
             np.add.at(dt, ids, g)
-        _acc(table, dt.reshape(table.shape))
+        _acc(table, dt.reshape(table.shape), fresh=True)
 
     return _make(y, (table,), "gather_rows", back)
 
@@ -1104,7 +1112,7 @@ def interp_rows(feat: DiffArray, positions) -> DiffArray:
         df = np.zeros_like(rows)
         np.add.at(df, i0, w0 * g)
         np.add.at(df, i1, w1 * g)
-        _acc(feat, df.reshape(feat.shape))
+        _acc(feat, df.reshape(feat.shape), fresh=True)
 
     return _make(y.reshape(pos.shape + (rows.shape[1],)), (feat,), "interp_rows", back)
 
@@ -1138,7 +1146,7 @@ def cross_entropy_logits(logits: DiffArray, targets, lengths) -> DiffArray:
     def back(g):
         p = _softmax(lg)
         p[np.arange(N), t] -= 1.0
-        _acc(logits, ((g * weights)[:, None] * p).reshape(logits.shape))
+        _acc(logits, ((g * weights)[:, None] * p).reshape(logits.shape), fresh=True)
 
     return _make(y, (logits,), "cross_entropy_logits", back)
 
@@ -1167,8 +1175,8 @@ def mse(a: DiffArray, b: DiffArray, lengths=None) -> DiffArray:
 
     def back(g):
         d = (g * scale) * diff
-        _acc(a, d)
-        _acc(b, -d)
+        _acc(a, d, fresh=True)
+        _acc(b, -d, fresh=True)
 
     return _make(y, (a, b), "mse", back)
 
@@ -1179,119 +1187,197 @@ def mse(a: DiffArray, b: DiffArray, lengths=None) -> DiffArray:
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
-
-class AdamState:
-    """Per-parameter first/second moment buffers plus the shared step count."""
-
-    def __init__(self, params: dict):
-        self.step = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-
-
-# Elements per block of `adam_step`: its 14 elementwise passes over a block then stay in
-# cache, where over a whole d=320 tensor (up to millions of elements) each pass streams memory.
+# Elements per block of an Adam update: its 14 elementwise passes over a block then stay in cache,
+# where over a whole d=320 tensor (up to millions of elements) each pass streams memory. A
+# parameter of at most this many elements joins its dtype's `_Group`, which is updated once per
+# block rather than once per tensor, each update costing 14 numpy calls: at d=64 100 of the 101
+# tensors (457,494 elements), at d=320 67 of 101 (306,454). The d=64 group's update on a 2-core
+# x86-64 VM, blocks of 8K elements 1.18 ms, 16K 1.01, 32K 0.89, 64K 0.86, 128K 0.89, 512K 1.95.
 _ADAM_BLOCK = 1 << 16
 
 
-def _adam_update(p, g, m, v, t1, t2, b1, b2, c1, c2, lr, eps) -> None:
-    """In place: the moment updates of m and v, then p -= lr * (m / c1) / (sqrt(v / c2) + eps).
+class _Group:
+    """Parameters of one dtype of at most `_ADAM_BLOCK` elements each, laid end to end for one Adam update.
 
-    t1 and t2 are scratch of p's shape. The operations and their order are
-    those of the plain array expressions, so every rounding is theirs too.
+    `m` and `v` are flat buffers of their moments, and the AdamState's
+    `m[name]` and `v[name]` are views of a member's slots. `adam_step`
+    copies the members' gradients into `g`, updates the moments and forms
+    the step of every element in `g` as one flat array, then subtracts each
+    member's slot of `g` from its `data`. The three buffers are made here,
+    each on its own: made at the first step, amid a step's arrays, the
+    gather buffer raised a d=64 run's peak RSS by another 1.7 MB.
     """
+
+    __slots__ = ("members", "bounds", "m", "v", "g", "g_slots")
+
+    def __init__(self, members: list):
+        self.members = members  # (name, parameter)
+        ends = np.cumsum([p.data.size for _, p in members]).tolist()
+        self.bounds = list(zip([0] + ends[:-1], ends))
+        self.m, self.v = (np.zeros(ends[-1], dtype=members[0][1].data.dtype) for _ in range(2))
+        self.g = np.zeros(ends[-1], dtype=members[0][1].data.dtype)
+        self.g_slots = self.slots(self.g)
+
+    def slots(self, flat) -> list:
+        """Each member's slot of `flat` (m, v or g), in the member's shape."""
+        return [flat[lo:hi].reshape(p.data.shape) for (_, p), (lo, hi) in zip(self.members, self.bounds)]
+
+
+class AdamState:
+    """Adam's first and second moments for one params dict (name -> DiffArray), and the shared step count.
+
+    `m[name]` and `v[name]` are parameter `name`'s moments. Those of every
+    parameter of at most `_ADAM_BLOCK` elements are views of its dtype's
+    `_Group`; `large` names the other parameters, in params order.
+    """
+
+    def __init__(self, params: dict):
+        self.params = params
+        self.step = 0
+        by_dtype = {}
+        for name, p in params.items():
+            if p.data.size <= _ADAM_BLOCK:
+                by_dtype.setdefault(p.data.dtype, []).append((name, p))
+        self.groups = [_Group(members) for members in by_dtype.values()]
+        grouped = {}
+        for group in self.groups:
+            for (name, _), m, v in zip(group.members, group.slots(group.m), group.slots(group.v)):
+                grouped[name] = m, v
+        self.m = {name: grouped[name][0] if name in grouped else np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: grouped[name][1] if name in grouped else np.zeros_like(p.data) for name, p in params.items()}
+        self.large = [name for name in params if name not in grouped]
+
+
+def _adam_update(p, g, m, v, t1, t2, b1, b2, c1, c2, lr, eps) -> None:
+    """In place: the moment updates of v and m, the step lr * (m / c1) / (sqrt(v / c2) + eps) into t1, then p -= t1.
+
+    t1 and t2 are scratch of g's shape. t1 may be g itself, which the m
+    update reads last; with p None the step is left in t1. The operations
+    and their order within each moment and the step are those of the plain
+    array expressions, so every rounding is theirs too.
+    """
+    v *= b2
+    np.multiply(g, g, out=t2)
+    t2 *= 1.0 - b2
+    v += t2
     m *= b1
     np.multiply(g, 1.0 - b1, out=t1)
     m += t1
-    v *= b2
-    np.multiply(g, g, out=t1)
-    t1 *= 1.0 - b2
-    v += t1
     np.divide(m, c1, out=t1)
     t1 *= lr
     np.divide(v, c2, out=t2)
     np.sqrt(t2, out=t2)
     t2 += eps
     t1 /= t2
-    p -= t1
+    if p is not None:
+        p -= t1
 
 
-# Parameter elements from which `adam_step` updates half of the tensors on the worker thread.
-# Each update streams its tensor through memory. Whole model, inline | split, medians of 20 on a
-# 2-core x86-64 VM: d=64 (0.56M elements) 4.3 | 5.0 ms, d=128 (1.56M) 8.4 | 7.6, d=192 (3.19M)
-# 16.4 | 13.0, d=320 (8.34M) 42.7 | 30.4.
+# Parameter elements from which `adam_step` updates half of them on the worker thread: the larger
+# tensors are split between the threads, and each group is cut in two. Whole model, inline | split,
+# medians of 20 back-to-back steps on a 2-core x86-64 VM: d=64 (0.56M elements) 1.41 | 1.52 ms,
+# d=128 (1.55M) 3.72 | 2.96, d=192 (3.18M) 7.13 | 5.36, d=320 (8.32M) 17.8 | 12.2. A cut-off
+# below d=128's count would need its own end-to-end measurement; the benchmark has no such width.
 _ADAM_WORKER_ELEMENTS = 2_000_000
 
 
-def _adam_updates(params: dict, names, grads: dict, state: AdamState, consts) -> None:
-    """`_adam_update` of each named tensor, a large one in `_ADAM_BLOCK` blocks through two reused scratch buffers."""
+def _adam_updates(jobs, consts) -> None:
+    """`_adam_update` of each job (p, g, m, v), a flat one in `_ADAM_BLOCK` blocks through reused scratch.
+
+    A job of N-d arrays (a tensor without a flat view) is updated whole. A
+    group's job has p None: its step is left in g.
+    """
     scratch = {}  # dtype -> two buffers of one block
-    for name in names:
-        p = params[name]
-        arrays = (p.data, grads[name], state.m[name], state.v[name])
-        n = p.data.size
-        # a tensor of at most one block already fits in cache; its flat views and block slices
-        # would cost more than two fresh temporaries (d=64 model, 100 of 101 tensors: 3.4 vs 3.8 ms)
-        if n <= _ADAM_BLOCK or not all(a.flags.c_contiguous for a in arrays):
-            _adam_update(*arrays, np.empty_like(p.data), np.empty_like(p.data), *consts)
+    for p, g, m, v in jobs:
+        if g.ndim != 1:
+            _adam_update(p, g, m, v, np.empty_like(g), np.empty_like(g), *consts)
             continue
-        flat = [a.reshape(-1) for a in arrays]  # views, so the updates land in p, m and v
-        if p.data.dtype not in scratch:
-            scratch[p.data.dtype] = [np.empty(_ADAM_BLOCK, dtype=p.data.dtype) for _ in range(2)]
-        for start in range(0, n, _ADAM_BLOCK):
-            end = min(start + _ADAM_BLOCK, n)
-            _adam_update(*(a[start:end] for a in flat), *(b[:end - start] for b in scratch[p.data.dtype]),
-                         *consts)
+        if g.dtype not in scratch:
+            scratch[g.dtype] = [np.empty(_ADAM_BLOCK, dtype=g.dtype) for _ in range(2)]
+        t1, t2 = scratch[g.dtype]
+        for lo in range(0, g.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, g.size)
+            gb, tb = g[lo:hi], t2[:hi - lo]
+            if p is None:
+                _adam_update(None, gb, m[lo:hi], v[lo:hi], gb, tb, *consts)
+            else:
+                _adam_update(p[lo:hi], gb, m[lo:hi], v[lo:hi], t1[:hi - lo], tb, *consts)
 
 
-def _halves(params: dict) -> tuple[list, list]:
-    """The parameter names in two lists of near-equal element counts, largest tensors placed first."""
+def _halves(jobs: list) -> tuple[list, list]:
+    """The jobs in two lists of near-equal element counts, largest jobs placed first."""
     halves, counts = ([], []), [0, 0]
-    for name in sorted(params, key=lambda n: params[n].data.size, reverse=True):
+    for job in sorted(jobs, key=lambda job: job[1].size, reverse=True):
         i = counts[1] < counts[0]
-        halves[i].append(name)
-        counts[i] += params[name].data.size
+        halves[i].append(job)
+        counts[i] += job[1].size
     return halves
 
 
 def adam_step(params: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update over `params` (name -> DiffArray).
+    """One bias-corrected Adam update over `params` (name -> DiffArray), the dict `state` was built on.
 
     Missing grads count as zero. Any non-finite gradient rejects the whole
-    step before touching parameters or state. A tensor larger than
-    `_ADAM_BLOCK` elements is updated in blocks of that size through two
-    reused scratch buffers. A smaller one, or one without a flat view (it,
-    its gradient or its moments not C-contiguous), is updated whole. With
-    at least `_ADAM_WORKER_ELEMENTS` elements in all, the worker thread
-    updates one of two halves of the tensors while the caller updates the
-    other; each tensor's update is the same either way.
+    step, naming the first such parameter, before touching parameters or
+    state. Each `_Group` gathers its members' gradients and is updated as
+    one flat array in `_ADAM_BLOCK` blocks. A larger tensor is updated in
+    blocks too, or whole when it, its gradient or its moments are not
+    C-contiguous. With at least `_ADAM_WORKER_ELEMENTS` elements in all,
+    the worker thread updates one of two halves while the caller updates
+    the other. Every element's update is the same either way.
     """
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
-    grads = {}
+    if params is not state.params:
+        raise ValueError("adam_step: params is not the dict its AdamState was built on")
     for name, p in params.items():
+        if p.grad is not None and p.grad.shape != p.data.shape:
+            raise ShapeError(f"adam_step: grad shape {p.grad.shape} does not match parameter '{name}' {p.data.shape}")
+    finite, jobs = True, []
+    for group in state.groups:
+        for (name, p), g in zip(group.members, group.g_slots):
+            if p.data.shape != g.shape:
+                raise ShapeError(f"adam_step: parameter '{name}' is {p.data.shape}, its Adam state {g.shape}")
+            if p.grad is None:
+                g.fill(0)
+            else:
+                np.copyto(g, p.grad)
+        finite = finite and bool(np.isfinite(group.g).all())
+        jobs.append((None, group.g, group.m, group.v))
+    for name in state.large:
+        p = params[name]
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam_step: grad shape {g.shape} does not match parameter '{name}' {p.data.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"adam_step: non-finite gradient for parameter '{name}'")
-        grads[name] = g
+        finite = finite and bool(np.isfinite(g).all())
+        arrays = (p.data, g, state.m[name], state.v[name])
+        jobs.append(tuple(a.reshape(-1) for a in arrays) if all(a.flags.c_contiguous for a in arrays) else arrays)
+    if not finite:  # a grouped gradient is checked as gathered, in the group's dtype
+        gathered = {name: g for group in state.groups for (name, _), g in zip(group.members, group.g_slots)}
+        bad = next(name for name, p in params.items()
+                   if not np.all(np.isfinite(gathered.get(name, 0.0 if p.grad is None else p.grad))))
+        raise ValueError(f"adam_step: non-finite gradient for parameter '{bad}'")
     t = state.step + 1
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     consts = (b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, lr, _ADAM_EPSILON)
-    names, task = params, None
-    if sum(p.data.size for p in params.values()) >= _ADAM_WORKER_ELEMENTS:
-        mine, theirs = _halves(params)
-        task = submit(_adam_updates, params, theirs, grads, state, consts)
-        if task is not None:
-            names = mine
+    mine, task = jobs, None
+    if sum(job[1].size for job in jobs) >= _ADAM_WORKER_ELEMENTS:
+        cut = []
+        for _, *flat in jobs[:len(state.groups)]:  # each group cut in two
+            mid = flat[0].size // 2
+            cut += [(None, *(a[:mid] for a in flat)), (None, *(a[mid:] for a in flat))]
+        mine, theirs = _halves(cut + jobs[len(state.groups):])
+        task = submit(_adam_updates, theirs, consts)
+        if task is None:
+            mine = jobs
     try:
-        _adam_updates(params, names, grads, state, consts)
+        _adam_updates(mine, consts)
     finally:
         if task is not None:
             task.exception()  # waits; the caller's error goes first
     if task is not None:
         task.result()
+    for group in state.groups:
+        for (_, p), step in zip(group.members, group.g_slots):
+            p.data -= step
     state.step = t
 
 

@@ -166,29 +166,33 @@ def _point_pixels(points: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
     return rows, cols
 
 
-def bresenham(r0: int, c0: int, r1: int, c1: int):
-    """Integer line from (r0,c0) to (r1,c1), both endpoints included."""
-    dr = abs(r1 - r0)
-    dc = abs(c1 - c0)
-    sr = 1 if r0 < r1 else -1
-    sc = 1 if c0 < c1 else -1
-    err = dc - dr
-    while True:
-        yield r0, c0
-        if r0 == r1 and c0 == c1:
-            return
-        e2 = 2 * err
-        if e2 > -dr:
-            err -= dr
-            c0 += sc
-        if e2 < dc:
-            err += dc
-            r0 += sr
-
-
 def render_width(max_px: float) -> int:
     w = max(8, math.ceil(max_px) + 1)
     return ((w + 7) // 8) * 8
+
+
+def _segment_pixels(r0, c0, r1, c1) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels of the integer lines from (r0, c0) to (r1, c1), arrays of segments, endpoints included.
+
+    A segment whose longer axis spans n pixels has n + 1 of them: pixel k
+    (0..n) lies k steps along that axis and round(k * m / n) steps along the
+    other, which spans m, ties rounded toward the segment's start; that is
+    (2 k m + n - 1) // (2 n), which is k along the longer axis itself. These
+    are Bresenham's pixels as drawn from (r0, c0) (`tests/test_data.py` holds
+    the stepping loop, checked against every ordered segment of a 9 x 13 box).
+    """
+    dr, dc = r1 - r0, c1 - c0
+    n = np.maximum(np.abs(dr), np.abs(dc))
+    count = n + 1
+    seg = np.repeat(np.arange(len(n)), count)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    n1 = np.maximum(n, 1)[seg]  # a one-pixel segment (n = 0) has only k = 0
+
+    def along(start, delta):
+        d = delta[seg]
+        return start[seg] + np.sign(d) * ((2 * k * np.abs(d) + n1 - 1) // (2 * n1))
+
+    return along(r0, dr), along(c0, dc)
 
 
 def render(seq: TrajectorySequence) -> np.ndarray:
@@ -197,22 +201,18 @@ def render(seq: TrajectorySequence) -> np.ndarray:
     W is ceil(max px)+1 rounded up to a multiple of 8 (minimum 8). Segments
     are drawn only between consecutive touching samples; every touching
     sample also inks its own pixel, so isolated pen-down points stay visible.
-    Ink is 1.0 on a 0.0 background, no anti-aliasing. The pixels are
-    walked as Python ints and inked with one assignment per image.
+    Ink is 1.0 on a 0.0 background, no anti-aliasing. The pixels of all the
+    line's segments are formed at once (`_segment_pixels`) and inked with one
+    assignment per image.
     """
     pts = seq.points
     width = render_width(pts[:, 0].max())
     img = np.zeros((IMAGE_HEIGHT, width), dtype=np.float32)
     rows, cols = _point_pixels(pts, width)
     down = pts[:, 2] == 1
-    ink_rows, ink_cols = rows[down].tolist(), cols[down].tolist()
-    rows, cols, down = rows.tolist(), cols.tolist(), down.tolist()
-    for t in range(1, len(rows)):
-        if down[t - 1] and down[t]:
-            for r, c in bresenham(rows[t - 1], cols[t - 1], rows[t], cols[t]):
-                ink_rows.append(r)
-                ink_cols.append(c)
-    img[ink_rows, ink_cols] = 1.0
+    img[rows[down], cols[down]] = 1.0
+    start = np.flatnonzero(down[:-1] & down[1:])  # segment i runs from point start[i] to the next
+    img[_segment_pixels(rows[start], cols[start], rows[start + 1], cols[start + 1])] = 1.0
     return img
 
 

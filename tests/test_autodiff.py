@@ -8,6 +8,10 @@ import pytest
 
 from gradcheck import as_batch, asum, lone, softmax, tanh
 from penrec import autodiff as ad
+from penrec.config import AlignConfig, EncoderConfig
+from penrec.data import build_vocab
+from penrec.model import Recognizer
+from penrec.synth import DEFAULT_ALPHABET, synth_generate
 
 
 def test_softmax_symmetry():
@@ -402,6 +406,47 @@ def test_gradients_accumulate_across_uses():
     np.testing.assert_allclose(both, x1.grad + x2.grad, rtol=1e-6)
 
 
+def _graph(loss):
+    """Every array the loss was computed from, the loss included."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    return list(nodes.values())
+
+
+def _chain(rng):
+    x = ad.array(rng.normal(size=(12, 3)), requires_grad=True)
+    w1, w2 = (ad.array(rng.normal(size=(3, 3, 3)), requires_grad=True) for _ in range(2))
+    h = ad.relu(ad.conv1d(x, w1, ad.array(np.zeros(3), requires_grad=True), pad=1))
+    return asum(ad.relu(ad.conv1d(h, w2, None, stride=2, pad=1)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: (lambda a: asum(ad.add(a, a)))(ad.array(rng.normal(size=(4, 3)), requires_grad=True)),
+    lambda rng: ad.mse(*(ad.array(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2))),
+    _chain,
+], ids=["add_a_a", "mse", "conv_relu_chain"])
+def test_no_two_gradients_share_memory(build):
+    # a kernel's fresh gradient is kept, not copied; `add` hands one gradient to both its parents
+    loss = build(np.random.default_rng(4))
+    ad.backward(loss)
+    grads = [node.grad for node in _graph(loss) if node.grad is not None]
+    assert len(grads) >= 3
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_acc_copies_a_fresh_gradient_of_another_dtype():
+    x = ad.array(np.ones(3), requires_grad=True, dtype=np.float32)
+    g = np.ones(3, dtype=np.float64)
+    ad._acc(x, g, fresh=True)
+    assert x.grad.dtype == np.float32 and not np.shares_memory(x.grad, g)
+
+
 def test_stop_gradient_identity_and_blocking():
     values = np.random.default_rng(3).normal(size=(4, 2)).astype(np.float32)
     x = ad.array(values, requires_grad=True)
@@ -536,6 +581,125 @@ def test_adam_nan_in_the_last_tensor_leaves_every_tensor_untouched():
     assert state.step == 1
     for name, p in params.items():
         for got, kept in zip((p.data, state.m[name], state.v[name]), before[name]):
+            np.testing.assert_array_equal(got, kept)
+
+
+def _recognizer(dtype):
+    lines = synth_generate(DEFAULT_ALPHABET, 4, np.random.default_rng(2), length_range=(2, 3))
+    return Recognizer(EncoderConfig(d=64), AlignConfig(), build_vocab(lines), seed=3, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grouped_adam_on_a_d64_recognizer_equals_the_formula_per_tensor_bit_for_bit(dtype):
+    rng = np.random.default_rng(21)
+    params = _recognizer(dtype).params
+    state = ad.AdamState(params)
+    want = {name: (p.data.copy(), state.m[name].copy(), state.v[name].copy()) for name, p in params.items()}
+    for step, lr in enumerate((1e-3, 3e-3, 2e-3), start=1):
+        for name, p in params.items():
+            p.grad = rng.normal(scale=1e-2, size=p.shape).astype(dtype)
+            pw, mw, vw = want[name]
+            want[name] = _adam_by_formula(pw, p.grad, mw, vw, step, lr)
+        ad.adam_step(params, state, lr=lr)
+        for name, p in params.items():
+            for got, expected in zip((p.data, state.m[name], state.v[name]), want[name]):
+                assert got.dtype == dtype and got.tobytes() == expected.tobytes(), name
+    (group,) = state.groups
+    grouped = [name for name, *_ in group.members]
+    assert len(grouped) == 100 and len(state.large) == 1 and len(grouped) + len(state.large) == len(params)
+    for name in grouped:  # the moments are views of the group's buffers
+        for a, flat in zip((state.m[name], state.v[name]), (group.m, group.v)):
+            assert np.shares_memory(a, flat)
+
+
+def _mixed_params(rng):
+    """Small tensors of both float dtypes, each in its own group, and one larger than a block."""
+    params = {"a32": ad.array(rng.normal(size=(3, 5)), requires_grad=True),
+              "big": ad.array(rng.normal(size=ad._ADAM_BLOCK + 7), requires_grad=True),
+              "b64": ad.array(rng.normal(size=7), requires_grad=True, dtype=np.float64),
+              "c32": ad.array(rng.normal(size=()), requires_grad=True)}
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape).astype(p.dtype)
+    return params
+
+
+def _snapshot(params, state):
+    return {name: (p.data.copy(), state.m[name].copy(), state.v[name].copy()) for name, p in params.items()}
+
+
+@pytest.mark.parametrize("bad", ["a32", "b64", "c32"])
+def test_a_nan_in_a_grouped_tensor_names_it_and_leaves_every_tensor_and_moment_untouched(bad):
+    rng = np.random.default_rng(23)
+    params = _mixed_params(rng)
+    state = ad.AdamState(params)
+    for step in (1, 2):  # a rejected first step, then a rejected later one
+        before = _snapshot(params, state)
+        params[bad].grad[...] = np.nan
+        with pytest.raises(ValueError, match=f"'{bad}'"):
+            ad.adam_step(params, state, lr=0.1)
+        assert state.step == step - 1
+        for name, p in params.items():
+            for got, kept in zip((p.data, state.m[name], state.v[name]), before[name]):
+                np.testing.assert_array_equal(got, kept)
+        params[bad].grad[...] = 0.5
+        ad.adam_step(params, state, lr=0.1)
+        assert state.step == step
+    assert len(state.groups) == 2 and state.large == ["big"]
+
+
+def test_a_gradient_that_overflows_its_groups_dtype_is_rejected_by_name():
+    params = {"w": _param([1.0, 2.0])}
+    state = ad.AdamState(params)
+    params["w"].grad = np.array([1e300, 0.0])  # finite in float64, inf in the float32 group
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="'w'"):
+        ad.adam_step(params, state, lr=0.1)
+    assert state.step == 0 and params["w"].data.tolist() == [1.0, 2.0]
+
+
+def test_adam_uses_a_gradient_assigned_to_p_grad_and_counts_a_missing_one_as_zeros():
+    rng = np.random.default_rng(25)
+    params = _mixed_params(rng)
+    state = ad.AdamState(params)
+    ad.adam_step(params, state, lr=1e-2)
+    want = _snapshot(params, state)
+    for name, p in params.items():
+        p.grad = None if name in ("a32", "big") else rng.normal(size=p.shape).astype(p.dtype)  # new arrays
+        pw, mw, vw = want[name]
+        want[name] = _adam_by_formula(pw, np.zeros_like(pw) if p.grad is None else p.grad, mw, vw, 2, 1e-2)
+    ad.adam_step(params, state, lr=1e-2)
+    for name, p in params.items():
+        for got, expected in zip((p.data, state.m[name], state.v[name]), want[name]):
+            assert got.tobytes() == expected.tobytes(), name
+
+
+def test_adam_refuses_a_params_dict_other_than_its_states():
+    params = {"w": _param([1.0, 2.0])}
+    state = ad.AdamState(params)
+    params["w"].grad = np.ones(2, dtype=np.float32)
+    with pytest.raises(ValueError, match="AdamState"):
+        ad.adam_step(dict(params), state, lr=0.1)
+    assert state.step == 0 and params["w"].data.tolist() == [1.0, 2.0]
+
+
+def test_adam_updates_a_rebound_parameter_of_a_group_and_refuses_a_reshaped_one():
+    rng = np.random.default_rng(27)
+    params = _mixed_params(rng)
+    state = ad.AdamState(params)
+    ad.adam_step(params, state, lr=1e-2)
+    p = params["a32"]
+    p.data = rng.normal(size=p.shape).astype(np.float32)  # as training restores its last-good weights
+    want = _adam_by_formula(p.data, p.grad, state.m["a32"], state.v["a32"], 2, 1e-2)
+    ad.adam_step(params, state, lr=1e-2)
+    for got, expected in zip((p.data, state.m["a32"], state.v["a32"]), want):
+        assert got.tobytes() == expected.tobytes()
+    before = _snapshot(params, state)
+    p.data = np.zeros((5, 3), dtype=np.float32)
+    p.grad = np.zeros((5, 3), dtype=np.float32)
+    with pytest.raises(ad.ShapeError, match="'a32'"):
+        ad.adam_step(params, state, lr=1e-2)
+    assert state.step == 2
+    for name in ("big", "b64", "c32"):
+        for got, kept in zip((params[name].data, state.m[name], state.v[name]), before[name]):
             np.testing.assert_array_equal(got, kept)
 
 

@@ -270,7 +270,7 @@ def test_train_refuses_lines_whose_step_would_outgrow_physical_memory(monkeypatc
     def no_step(*args):
         raise AssertionError("a training step ran")
 
-    # at d=320 each of these lines needs about 0.57 GB of activations in a step, besides 0.16 GB of parameters
+    # at d=320 each of these lines needs about 0.57 GB of activations in a step, besides 0.19 GB of parameters
     monkeypatch.setattr(T, "_physical_bytes", lambda: 4 << 30)
     monkeypatch.setattr(T, "batch_losses", no_step)
     lines = long_lines(8)
