@@ -1,24 +1,27 @@
 """Reverse-mode differentiable array engine.
 
 The kernels the recognizer calls: elementwise add and multiply, matmul
-with an optional bias, strided 1D/2D convolution, relu (optionally zeroing
-the gaps between a batch's joined lines), multi-head self-attention over a
-packed q|k|v projection, layer norm, a whole-sequence bidirectional GRU,
-the decoder's whole-sequence attention-fed GRU, row gather, linear
-interpolation between rows, the two losses, and `branch`, an identity that
-marks the part of the graph below it for its own backward sweep. The
-convolutions run over a batch's lines joined along one axis with zero gaps
-between them; one `gather_rows` cuts the joined rows into a batch of
-sequences zero-padded to one length. Attention, the two GRUs and both losses take that batch
+with an optional bias, strided 1D/2D convolution (which can apply its own
+relu and zero the gaps between a batch's joined lines), `residual_block`
+(two 3x3 convolutions and a 1x1 projection shortcut, with their relus, as
+one node), relu, multi-head self-attention over a packed q|k|v
+projection, layer norm, a whole-sequence bidirectional GRU, the decoder's
+whole-sequence attention-fed GRU, row gather, linear interpolation between
+rows, the two losses, and `branch`, an identity that marks the part of
+the graph below it for its own backward sweep. The convolutions run over
+a batch's lines joined along one axis with zero gaps between them; one
+`gather_rows` cuts the joined rows into a batch of sequences zero-padded
+to one length. Attention, the two GRUs and both losses take that batch
 with per-sequence lengths. Each has one path: attention masks each
 sequence's padding keys, one time loop advances every sequence's state,
 and padding rows reach no result and get no gradient; a lone sequence
 runs as a batch of one. The GRU step, the decoder's attention step, the
-softmax and the convolutions' strided-window im2col/col2im are each
-written once, as private helpers the kernels share; greedy decoding runs
-the two step helpers on plain arrays. A parameter's `a.T @ g` gradient
-is one matmul per use, formed as the reverse sweep reaches the use.
-Convolutions leave out the kernel rows that read only zero padding.
+softmax and the convolutions' strided windows (`_Windows`: im2col and
+col2im) are each written once, as private helpers the kernels share;
+greedy decoding runs the two step helpers on plain arrays. A parameter's
+`a.T @ g` gradient is one matmul per use, formed as the reverse sweep
+reaches the use. Convolutions leave out the kernel rows that read only
+zero padding.
 Arrays are float32 by default; build everything in float64 for
 finite-difference checks.
 
@@ -521,99 +524,212 @@ def _live_taps(size: int, kernel: int, stride: int, pad: int, out: int) -> tuple
     return (live[0], live[-1] + 1) if live else (0, 0)
 
 
-def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad) -> DiffArray:
+class _Windows:
+    """The strided windows of one convolution over a channels-last (H, W, C_in) input: im2col and col2im.
+
+    Shared by `_conv` and `residual_block`. Kernel rows that read only zero
+    padding for every output row (the image stack's last stages are 2 and 1
+    rows high) are left out of the im2col matrix and of the weight, so they
+    cost nothing and get a zero gradient. `_view` looks at a zero-padded
+    input as (H_out, W_out, kept rows, KW, C_in) strided windows, so the
+    gather (im2col) is one copy of that view and, in backward, the
+    scatter-add back into the input (col2im) is one vectorised slice-add per
+    kept kernel tap. Only the padded shape is kept, not the padded copy.
+    """
+
+    __slots__ = ("shape", "kernel", "stride", "pad", "out", "lo", "hi")
+
+    def __init__(self, shape, kernel, stride, pad):
+        self.shape, self.kernel, self.stride, self.pad = shape, kernel, stride, pad
+        self.out = tuple(map(conv1d_out_length, shape[:2], kernel, stride, pad))
+        self.lo, self.hi = _live_taps(shape[0], kernel[0], stride[0], pad[0], self.out[0])
+
+    def _view(self, a):
+        # [oi, oj, i, j] is a[oi*sh + lo + i, oj*sw + j]: tap (lo + i, j) of output (oi, oj), always in bounds
+        s0, s1, s2 = a.strides
+        (ho, wo), (sh, sw) = self.out, self.stride
+        return np.ndarray((ho, wo, self.hi - self.lo, self.kernel[1], self.shape[2]), a.dtype, a, self.lo * s0,
+                          (s0 * sh, s1 * sw, s0, s1, s2))
+
+    def cols(self, xd):
+        """im2col: the (H_out * W_out, taps * C_in) matrix of xd's windows."""
+        (H, W, cin), (ph, pw) = self.shape, self.pad
+        if ph or pw:  # filled by hand: np.pad's own overhead is most of a small conv1d call
+            xp = np.zeros((H + 2 * ph, W + 2 * pw, cin), dtype=xd.dtype)
+            xp[ph:ph + H, pw:pw + W] = xd
+        else:  # `_view` addresses the array's own memory, so it must be laid out C-contiguously
+            xp = np.ascontiguousarray(xd)
+        return self._view(xp).reshape(self.out[0] * self.out[1], -1)
+
+    def centre(self, cols):
+        """The columns of `cols` that tap (pad_h, pad_w) fills: x[::s_h, ::s_w], a 1x1 stride-s convolution's input."""
+        (ph, pw), cin = self.pad, self.shape[2]
+        t = (ph - self.lo) * self.kernel[1] + pw
+        return cols[:, t * cin:(t + 1) * cin]
+
+    def weight(self, wd):
+        """The (taps * C_in, C_out) weight matrix of the kept kernel rows of wd (KH, KW, C_in, C_out)."""
+        return wd[self.lo:self.hi].reshape(-1, wd.shape[-1])
+
+    def rows(self):
+        """`_acc_product`'s rows of the weight gradient: the kept kernel rows, or None for all of them."""
+        return None if self.hi - self.lo == self.kernel[0] else (self.lo, self.hi)
+
+    def input_grad(self, g2, w2, centre=None):
+        """col2im: dL/dx (H, W, C_in), a view, from the output gradient g2 (N, C_out) and `weight`'s w2.
+
+        `centre` (N, C_in), when given, is added at each window's `centre`
+        tap once every tap's own slice-add is in.
+        """
+        (H, W, cin), (ph, pw) = self.shape, self.pad
+        (ho, wo), kw, cout = self.out, self.kernel[1], g2.shape[1]
+        taps = (self.hi - self.lo) * kw
+        # tap-major, (taps, H_out * W_out, C_in): each tap's slice-add reads one contiguous block
+        dcols = np.matmul(g2, w2.reshape(taps, cin, cout).swapaxes(1, 2))
+        dxp = np.zeros((H + 2 * ph, W + 2 * pw, cin), dtype=g2.dtype)
+        dwin = self._view(dxp)
+        # windows of different taps overlap, those of one tap do not
+        for t in range(taps):
+            dwin[:, :, t // kw, t % kw] += dcols[t].reshape(ho, wo, cin)
+        if centre is not None:
+            dwin[:, :, ph - self.lo, pw] += centre.reshape(ho, wo, cin)
+        return dxp[ph:ph + H, pw:pw + W]
+
+
+def _relu_gaps(y, gaps) -> None:
+    """relu of y (H_out, W_out, C) in place; then zero its output columns `gaps` (indices along W_out), if given."""
+    np.maximum(y, 0, out=y)
+    if gaps is not None:
+        y[:, gaps] = 0.0
+
+
+def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad, relu: bool, gaps) -> DiffArray:
     """Strided, zero-padded convolution by im2col, shared by `conv1d` and `conv2d`.
 
     Works on channels-last images: x (H, W, C_in) and w (KH, KW, C_in, C_out)
     give (H_out, W_out, C_out); a 1D input (L, C_in) with weights
-    (K, C_in, C_out) runs as a height-1 image and gives (L_out, C_out).
-    Kernel rows that read only zero padding for every output row (the image
-    stack's last stages are 2 and 1 rows high) are left out of the im2col
-    matrix and the weight, so they cost nothing and get a zero gradient.
-    `windows` views the padded input as (H_out, W_out, kept rows, KW, C_in)
-    strided windows, so the gather (im2col) is one copy of that view and, in
-    backward, the scatter-add back into the input (col2im) is one
-    vectorised slice-add per kept kernel tap.
+    (K, C_in, C_out) runs as a height-1 image and gives (L_out, C_out). With
+    `relu` the node also applies relu and zeroes the output columns `gaps`
+    (see `conv2d`).
     """
     cout = w.shape[-1]
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"{op}: incompatible shapes {b.shape} and {w.shape}")
+    if gaps is not None and not relu:
+        raise ShapeError(f"{op}: gaps go with relu")
     lead = (1,) * (4 - w.data.ndim)
     xd, wd = x.data.reshape(lead + x.shape), w.data.reshape(lead + w.shape)
-    H, W, cin = xd.shape
-    kh, kw = wd.shape[:2]
-    (sh, sw), (ph, pw) = stride, pad
-    ho, wo = conv1d_out_length(H, kh, sh, ph), conv1d_out_length(W, kw, sw, pw)
-    lo, hi = _live_taps(H, kh, sh, ph, ho)
-    taps = (hi - lo) * kw
-    if ph or pw:  # filled by hand: np.pad's own overhead is most of a small conv1d call
-        xp = np.zeros((H + 2 * ph, W + 2 * pw, cin), dtype=xd.dtype)
-        xp[ph:ph + H, pw:pw + W] = xd
-    else:  # `windows` addresses the array's own memory, so it must be laid out C-contiguously
-        xp = np.ascontiguousarray(xd)
-
-    def windows(a):
-        # [oi, oj, i, j] is a[oi*sh + lo + i, oj*sw + j]: tap (lo + i, j) of output (oi, oj), always in bounds
-        s0, s1, s2 = a.strides
-        return np.ndarray((ho, wo, hi - lo, kw, cin), a.dtype, a, lo * s0, (s0 * sh, s1 * sw, s0, s1, s2))
-
-    cols = windows(xp).reshape(ho * wo, taps * cin)
-    w2 = wd[lo:hi].reshape(taps * cin, cout)
+    win = _Windows(xd.shape, wd.shape[:2], stride, pad)
+    cols, w2 = win.cols(xd), win.weight(wd)
     y = cols @ w2
     if b is not None:
         y += b.data
+    if relu:
+        _relu_gaps(y.reshape(*win.out, cout), gaps)
 
     def back(g):
-        g2 = g.reshape(ho * wo, cout)
-        _acc_product(w, cols, g2, None if hi - lo == kh else (lo, hi))
+        g2 = g.reshape(-1, cout)
+        if relu:
+            g2 = g2 * (y > 0)  # y is 0 wherever the relu cut or a gap was zeroed
+        _acc_product(w, cols, g2, win.rows())
         if b is not None:
             _acc(b, g2.sum(axis=0), fresh=True)
         if x.requires_grad:
-            # tap-major, (taps, H_out * W_out, C_in): each tap's slice-add reads one contiguous block
-            dcols = np.matmul(g2, w2.reshape(taps, cin, cout).swapaxes(1, 2))
-            dxp = np.zeros_like(xp)
-            dwin = windows(dxp)
-            # windows of different taps overlap, those of one tap do not
-            for t in range(taps):
-                dwin[:, :, t // kw, t % kw] += dcols[t].reshape(ho, wo, cin)
-            _acc(x, dxp[ph:ph + H, pw:pw + W].reshape(x.shape), fresh=True)
+            _acc(x, win.input_grad(g2, w2).reshape(x.shape), fresh=True)
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(y.reshape((ho, wo, cout)[len(lead):]), parents, op, back)
+    return _make(y.reshape((*win.out, cout)[len(lead):]), parents, op, back)
 
 
 def _check_stride_pad(op, stride, pad) -> None:
-    # before any output length, which divides by the stride; `windows` would reach outside the input
+    # before any output length, which divides by the stride; `_Windows` would reach outside the input
     if min(stride) < 1 or min(pad) < 0:
         raise ShapeError(f"{op}: stride {stride} must be positive and pad {pad} non-negative")
 
 
-def conv1d(x: DiffArray, w: DiffArray, b: DiffArray | None, stride: int = 1, pad: int = 0) -> DiffArray:
+def conv1d(x: DiffArray, w: DiffArray, b: DiffArray | None, stride: int = 1, pad: int = 0,
+           relu: bool = False, gaps=None) -> DiffArray:
     """Strided 1D convolution over a time-major (L, C_in) input.
 
     Weights are (K, C_in, C_out); output is (L_out, C_out) with
-    L_out = floor((L + 2*pad - K) / stride) + 1.
+    L_out = floor((L + 2*pad - K) / stride) + 1. `relu` and `gaps` (output
+    rows) are `conv2d`'s.
     """
     if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
     _check_stride_pad("conv1d", (1, stride), (0, pad))
     if conv1d_out_length(x.shape[0], w.shape[0], stride, pad) <= 0:
         raise ShapeError(f"conv1d: input shape {x.shape} too short for kernel {w.shape}")
-    return _conv("conv1d", x, w, b, (1, stride), (0, pad))
+    return _conv("conv1d", x, w, b, (1, stride), (0, pad), relu, gaps)
 
 
 def conv2d(x: DiffArray, w: DiffArray, b: DiffArray | None,
-           stride: tuple[int, int] = (1, 1), pad: tuple[int, int] = (0, 0)) -> DiffArray:
+           stride: tuple[int, int] = (1, 1), pad: tuple[int, int] = (0, 0),
+           relu: bool = False, gaps=None) -> DiffArray:
     """Strided 2D convolution over a channels-last (H, W, C_in) input.
 
     Weights are (KH, KW, C_in, C_out); output is (H_out, W_out, C_out).
+    With `relu` the output is max(conv, 0), and `gaps`, integer indices
+    along W_out, are output columns set to zero: the gaps between a batch's
+    joined lines. Those outputs pass no gradient back.
     """
     if x.data.ndim != 3 or w.data.ndim != 4 or x.shape[2] != w.shape[2]:
         raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
     _check_stride_pad("conv2d", stride, pad)
     if min(map(conv1d_out_length, x.shape[:2], w.shape[:2], stride, pad)) <= 0:
         raise ShapeError(f"conv2d: input shape {x.shape} too small for kernel {w.shape}")
-    return _conv("conv2d", x, w, b, stride, pad)
+    return _conv("conv2d", x, w, b, stride, pad, relu, gaps)
+
+
+def residual_block(x: DiffArray, w1: DiffArray, b1: DiffArray, w2: DiffArray, b2: DiffArray, wp: DiffArray,
+                   stride: tuple[int, int], gaps=None) -> DiffArray:
+    """A residual block with a projection shortcut over a channels-last (H, W, C_in) input, as one node.
+
+        h = relu(conv1(x))      y = relu(conv2(h) + proj(x))
+
+    conv1 is 3x3 with stride `stride`, weights w1 (3, 3, C_in, C) and bias
+    b1; conv2 is 3x3 with stride 1, w2 (3, 3, C, C) and b2; both pad by 1.
+    proj, the shortcut, is the 1x1 stride-s convolution wp (1, 1, C_in, C)
+    without bias. It reads x[::s_h, ::s_w], which are exactly the centre-tap
+    columns of conv1's im2col matrix, so it makes no im2col of its own. Both
+    relus zero the output columns `gaps`, as `conv2d`'s. The values and
+    gradients are those of the same graph built from `conv2d`, `relu` and
+    `add` nodes, bit for bit.
+    """
+    ins = (x, w1, b1, w2, b2, wp)
+    c = w1.shape[-1] if w1.data.ndim == 4 else 0
+    if (x.data.ndim != 3 or min(x.shape) < 1 or c < 1 or w1.shape != (3, 3, x.shape[2], c) or b1.shape != (c,)
+            or w2.shape != (3, 3, c, c) or b2.shape != (c,) or wp.shape != (1, 1, x.shape[2], c)):
+        raise ShapeError(f"residual_block: incompatible shapes {', '.join(str(a.shape) for a in ins)}")
+    _check_stride_pad("residual_block", stride, (1, 1))
+    win1 = _Windows(x.shape, (3, 3), tuple(stride), (1, 1))
+    cols1, w1m = win1.cols(x.data), win1.weight(w1.data)
+    h = cols1 @ w1m
+    h += b1.data
+    h = h.reshape(*win1.out, c)
+    _relu_gaps(h, gaps)
+    win2 = _Windows(h.shape, (3, 3), (1, 1), (1, 1))
+    cols2, w2m = win2.cols(h), win2.weight(w2.data)
+    xs, wpm = win1.centre(cols1), wp.data.reshape(-1, c)
+    y = cols2 @ w2m
+    y += b2.data
+    y += xs @ wpm
+    _relu_gaps(y.reshape(*win1.out, c), gaps)
+
+    def back(g):
+        g2 = g.reshape(-1, c) * (y > 0)
+        _acc_product(w2, cols2, g2, win2.rows())
+        _acc(b2, g2.sum(axis=0), fresh=True)
+        dh = (win2.input_grad(g2, w2m) * (h > 0)).reshape(-1, c)
+        _acc_product(w1, cols1, dh, win1.rows())
+        _acc(b1, dh.sum(axis=0), fresh=True)
+        if x.requires_grad:
+            # the shortcut's part, (N, C_in), formed as `input_grad` forms a one-tap convolution's
+            ds = np.matmul(g2, wpm.reshape(1, -1, c).swapaxes(1, 2))[0]
+            _acc(x, win1.input_grad(dh, w1m, ds), fresh=True)
+        _acc_product(wp, xs, g2)
+
+    return _make(y.reshape(*win1.out, c), ins, "residual_block", back)
 
 
 # ---------------------------------------------------------------------------
@@ -657,18 +773,12 @@ def _softmax_back(y, g):
     return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
 
-def relu(x: DiffArray, keep=None) -> DiffArray:
-    """max(x, 0); with `keep`, a boolean array that broadcasts against x, zero wherever it is False.
-
-    Those outputs pass no gradient back. The conv stacks zero the gaps
-    between a batch's joined lines this way, in the same node as their relu.
-    """
+def relu(x: DiffArray) -> DiffArray:
+    """max(x, 0). The convolutions apply their own (`conv2d`'s `relu`)."""
     y = np.maximum(x.data, 0)
-    if keep is not None:
-        y *= keep
 
     def back(g):
-        _acc(x, g * (y > 0), fresh=True)  # y is 0 wherever x is not positive or `keep` is False
+        _acc(x, g * (y > 0), fresh=True)
 
     return _make(y, (x,), "relu", back)
 

@@ -7,10 +7,11 @@ clocks are what the point-to-spatial sampling aligns.
 
 Each stack runs a batch's lines as one input: the lines' padded points, or
 their images, are joined along time or width with `GAP` zero rows or
-columns between consecutive lines, so every layer is one convolution node.
-Every layer's relu zeroes the gap again, so a line's edge reads zeros, as
-its own zero padding would give it, and each line's output equals the
-stack's output on the line alone. `Joined` records where each line's
+columns between consecutive lines, so every layer is one node: a
+convolution that applies its own relu, or a whole residual block
+(`ad.residual_block`). Every such node zeroes the gap again, by index, in
+its relu, so a line's edge reads zeros, as its own zero padding would give
+it, and each line's output equals the stack's output on the line alone. `Joined` records where each line's
 frames lie; a lone line is a batch of one, with no gap and no mask.
 """
 
@@ -75,9 +76,9 @@ def _join(parts: list[np.ndarray], axis: int) -> tuple[np.ndarray, np.ndarray, n
     return out, np.array(starts), live
 
 
-def _keep(live: np.ndarray | None, stride: int) -> np.ndarray | None:
-    """The gap mask after a layer of this stride along the joined axis, as `ad.relu`'s (n, 1) `keep`."""
-    return None if live is None else live[::stride, None]
+def _gaps(live: np.ndarray | None, stride: int) -> np.ndarray | None:
+    """The gap indices after a layer of this stride along the joined axis, as the kernels' `gaps`."""
+    return None if live is None else np.flatnonzero(~live[::stride])
 
 
 @dataclass
@@ -108,7 +109,7 @@ class Conv1dStack:
     def __call__(self, x: DiffArray, live: np.ndarray | None = None) -> DiffArray:
         """x (L, C_in) -> (L_out, C_out); `live` (L,), when given, is False on the gaps, zeroed after every layer."""
         for (_, k, s), w, b in zip(self.spec, self.weights, self.biases):
-            x = ad.relu(ad.conv1d(x, w, b, stride=s, pad=(k - 1) // 2), _keep(live, s))
+            x = ad.conv1d(x, w, b, stride=s, pad=(k - 1) // 2, relu=True, gaps=_gaps(live, s))
             live = None if live is None else live[::s]
         return x
 
@@ -162,7 +163,7 @@ class TrajectoryEncoder:
 
 
 class ResidualBlock:
-    """Two 3x3 convs plus a strided 1x1 projection shortcut (every block changes the stride)."""
+    """Two 3x3 convs plus a strided 1x1 projection shortcut (every block changes the stride), one graph node."""
 
     def __init__(self, store: ParamStore, name: str, cin: int, cout: int, stride):
         self.stride = tuple(stride)
@@ -174,11 +175,8 @@ class ResidualBlock:
 
     def __call__(self, x: DiffArray, live: np.ndarray | None = None) -> DiffArray:
         """`live`, when given, marks the input columns that belong to a line; both relus zero the rest."""
-        keep = _keep(live, self.stride[1])
-        y = ad.relu(ad.conv2d(x, self.w1, self.b1, stride=self.stride, pad=(1, 1)), keep)
-        y = ad.conv2d(y, self.w2, self.b2, stride=(1, 1), pad=(1, 1))
-        short = ad.conv2d(x, self.wp, None, stride=self.stride, pad=(0, 0))
-        return ad.relu(ad.add(y, short), keep)
+        return ad.residual_block(x, self.w1, self.b1, self.w2, self.b2, self.wp, self.stride,
+                                 _gaps(live, self.stride[1]))
 
 
 class ImageEncoder:
@@ -217,7 +215,7 @@ class ImageEncoder:
                 raise ValueError(f"image width must be a positive multiple of 8, got {w}")
         pixels, starts, live = _join(imgs, 1)
         x = self.store.const(pixels[:, :, None])
-        x = ad.relu(ad.conv2d(x, self.stem_w, self.stem_b, stride=(2, 1), pad=(1, 1)), _keep(live, 1))
+        x = ad.conv2d(x, self.stem_w, self.stem_b, stride=(2, 1), pad=(1, 1), relu=True, gaps=_gaps(live, 1))
         for block in self.blocks:
             x = block(x, live)
             live = None if live is None else live[::block.stride[1]]

@@ -164,6 +164,9 @@ def fixed_projector(rng):
 def kernel_cases(rng: np.random.Generator):
     """(name, loss_fn, wrt) triples covering every differentiable kernel."""
     proj = fixed_projector(rng)
+    # the cases added since the battery's first form draw from a generator of their own, spawned
+    # without advancing rng, so every other case, here and in the later batteries, keeps its draws
+    own = rng.spawn(1)[0]
 
     def unary(op, shape, away=False):
         a = (_rand_away_from_zero if away else _rand)(rng, shape)
@@ -267,10 +270,24 @@ def kernel_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
         return lambda: p(ad.attention(qkv, 2, frames=[3, 1, 2])), [qkv]
 
-    def relu_gap_case():
-        # rows 1 and 4 are gaps between joined lines: zero out, no gradient back
-        keep = np.array([True, False, True, True, False])[:, None]
-        return unary(lambda a: ad.relu(a, keep), (5, 3), away=True)
+    def conv_gap_case():
+        # two lines of 2 rows joined with a 1-row gap, as the trajectory stack runs them: the conv applies
+        # its own relu and zeroes the gap's output row, which passes no gradient back. x and the (5, 3)
+        # projection take the draws of the relu-with-gaps case this one replaced, w and b come from `own`
+        x = _rand_away_from_zero(rng, (5, 3))
+        w, b = _rand(own, (3, 3, 3)), _rand(own, (3,))
+        p = fixed_projector(rng)
+        return lambda: p(ad.conv1d(x, w, b, pad=1, relu=True, gaps=[2])), [x, w, b]
+
+    def residual_block_case(stride, height):
+        # two lines 4 columns wide joined with a 2-column gap, which both relus zero at the output
+        live = np.array([True] * 4 + [False] * 2 + [True] * 4)
+        x = _rand(own, (height, 10, 2))
+        x.data[:, ~live] = 0.0
+        ws = [_rand(own, shape) for shape in ((3, 3, 2, 3), (3,), (3, 3, 3, 3), (3,), (1, 1, 2, 3))]
+        gaps = np.flatnonzero(~live[::stride[1]])
+        p = fixed_projector(own)
+        return lambda: p(ad.residual_block(x, *ws, stride, gaps)), [x, *ws]
 
     def gather_cut_case():
         # joined rows cut into a zero-padded batch of 3, 1 and 2 rows; -1 marks padding
@@ -324,11 +341,16 @@ def kernel_cases(rng: np.random.Generator):
         ("cross_entropy_logits_batched", *ce_batched_case()),
         # a batch's joined conv stack, aligner and alignment loss
         ("attention_masked", *attention_masked_case()),
-        ("relu_gap", *relu_gap_case()),
+        ("conv1d_relu_gap", *conv_gap_case()),
         ("gather_rows_cut", *gather_cut_case()),
         ("mse_batched", *mse_batched_case()),
         # the identity that marks the image stream's loss for its own backward sweep
         ("branch", *unary(ad.branch, (3, 4))),
+        # the residual block as one node over joined lines: strides (2, 2) and (2, 1), and a height-2
+        # input whose padding-only kernel rows both convs leave out
+        ("residual_block_s22_gap", *residual_block_case((2, 2), 6)),
+        ("residual_block_s21_gap", *residual_block_case((2, 1), 6)),
+        ("residual_block_h2_s21_gap", *residual_block_case((2, 1), 2)),
     ]
 
 

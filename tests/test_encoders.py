@@ -5,10 +5,11 @@ import functools
 import numpy as np
 import pytest
 
+from gradcheck import asum
 from penrec import autodiff as ad
 from penrec.config import AlignConfig, EncoderConfig
-from penrec.data import TrajectorySequence, Vocabulary
-from penrec.encoders import pad_to_multiple
+from penrec.data import IMAGE_HEIGHT, TrajectorySequence, Vocabulary
+from penrec.encoders import _join, pad_to_multiple
 from penrec.layers import BiGRUStack, ParamStore
 from penrec.model import Recognizer
 
@@ -188,3 +189,43 @@ def test_padding_only_kernel_rows_of_the_last_stage_are_never_read():
         grad = m.params[name].grad
         assert np.all(grad[rows] == 0.0), name
         assert np.all(np.isfinite(grad)) and np.any(np.delete(grad, rows, axis=0) != 0.0), name
+
+
+def _composed_block(x, w1, b1, w2, b2, wp, stride, keep):
+    """The graph of `conv2d`, `relu`, `add` and gap-mask `mul` nodes that one `ad.residual_block` node replaces."""
+
+    def relu_gaps(a):
+        return ad.mul(ad.relu(a), np.broadcast_to(keep[None, :, None], a.shape))
+
+    h = relu_gaps(ad.conv2d(x, w1, b1, stride=stride, pad=(1, 1)))
+    y = ad.conv2d(h, w2, b2, stride=(1, 1), pad=(1, 1))
+    return relu_gaps(ad.add(y, ad.conv2d(x, wp, None, stride=stride, pad=(0, 0))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_residual_block_equals_its_composed_graph_bit_for_bit(dtype):
+    # the four stages of a d=64 image encoder over three images joined with gaps: inputs 16, 8, 4 and
+    # 2 rows high, 8 to 64 channels; each stage reads the one before's output
+    rng = np.random.default_rng(8)
+    m = Recognizer(EncoderConfig(d=64), AlignConfig(), Vocabulary(list("ab")), seed=3, dtype=dtype)
+    _, _, live = _join([np.zeros((IMAGE_HEIGHT, w)) for w in (24, 48, 16)], 1)
+    x = rng.uniform(0.0, 1.0, size=(IMAGE_HEIGHT // 2, live.size, 8)).astype(dtype)
+    x[:, ~live] = 0.0
+    for block in m.img_cnn.blocks:
+        ws = [block.w1.data, rng.normal(size=block.b1.shape), block.w2.data, rng.normal(size=block.b2.shape),
+              block.wp.data]
+        keep = live[::block.stride[1]]
+        outs = []
+        for fused in (True, False):
+            ins = [ad.array(a, requires_grad=True, dtype=dtype) for a in (x, *ws)]
+            y = (ad.residual_block(*ins, block.stride, np.flatnonzero(~keep)) if fused
+                 else _composed_block(*ins, block.stride, keep))
+            g = np.random.default_rng(9).normal(size=y.shape)
+            ad.backward(asum(ad.mul(y, g)))
+            outs.append([y.data] + [a.grad for a in ins])
+        assert outs[0][0].shape == (x.shape[0] // 2, keep.size, block.w1.shape[-1])
+        for fused, composed in zip(*outs):
+            assert fused.dtype == composed.dtype == dtype
+            assert fused.tobytes() == composed.tobytes()
+        assert np.all(outs[0][0][:, ~keep] == 0.0) and np.any(outs[0][0] > 0.0)
+        x, live = outs[0][0], keep
