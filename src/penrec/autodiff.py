@@ -18,10 +18,15 @@ and padding rows reach no result and get no gradient; a lone sequence
 runs as a batch of one. The GRU step, the decoder's attention step, the
 softmax and the convolutions' strided windows (`_Windows`: im2col and
 col2im) are each written once, as private helpers the kernels share;
-greedy decoding runs the two step helpers on plain arrays. A parameter's
-`a.T @ g` gradient is one matmul per use, formed as the reverse sweep
-reaches the use. Convolutions leave out the kernel rows that read only
-zero padding.
+greedy decoding runs the two step helpers on plain arrays. Each step of
+a recurrence multiplies a few rows, one per sequence, by a weight, and
+such a product falls off OpenBLAS's small-matrix fast path once it passes
+about 1M multiply-adds or reads a transposed view. So `attention_gru`
+multiplies by its w_x and w_h as three contiguous (H, H) gate blocks, and
+the backward steps multiply by contiguous transposed copies, made once
+per call (timings beside `_gate_blocks`). A parameter's `a.T @ g`
+gradient is one matmul per use, formed as the reverse sweep reaches the
+use. Convolutions leave out the kernel rows that read only zero padding.
 Arrays are float32 by default; build everything in float64 for
 finite-difference checks.
 
@@ -906,7 +911,9 @@ def _gru_step(h, px, w_h, b_rows, hw, hw_rows, a, rz, n, h_out) -> None:
 
     w_h (H, 3H) packs its columns as [r | z | n]; h @ w_h is one matrix
     product over the batch, written into hw (B, 3H), and `hw_rows` views hw
-    as (3, B, H), one gate block per row. px, b_rows and a (3, B, H) and
+    as (3, B, H), one gate block per row. w_h may instead be `_gate_blocks`'
+    (3, H, H), whose three products write hw (3, B, H) gate row by gate row;
+    `hw_rows` is then hw itself. px, b_rows and a (3, B, H) and
     rz (2, B, H) hold one gate block per row too, so every elementwise
     operation reads whole rows. The step writes a, the gates r and z, then
     n and h' (B, H) into a, rz, n and h_out, none of which may overlap h or
@@ -934,11 +941,29 @@ def _gate_rows(packed):
     return rows.transpose(k, *range(k), k + 1)
 
 
+# A GEMM packs its whole right operand on every call, and only enough rows amortize that: below
+# about 1M multiply-adds OpenBLAS takes a small-matrix path that skips the packing (Goto and van de
+# Geijn, ACM TOMS 2008). The recurrences multiply 8 rows per step, so their per-step products are
+# laid out to stay under that limit, each on C-contiguous operands: `attention_gru` runs its w_x and
+# w_h products as three (H, H) gate blocks, and every backward step product reads a contiguous copy
+# of its transposed weight, made once per call. Microseconds per float32 product, best of 7 x 2,000
+# calls, one OpenBLAS 0.3.31 thread (Haswell kernels), 2-core x86-64 VM; (M, K) @ (K, N):
+#   (8, 320) @ (320, N)   N=320 (0.82M) 11.8 | 384 (0.98M) 14.1 | 448 (1.15M) 36.1 | 512 33.7 | 960 83.3
+#   (8, 320) @ (3, 320, 320) gate blocks, the N=960 product's three parts: 24.9
+#   (2, 8, 480) @ (2, 480, 160), a d=320 BiGRU backward step: swapaxes view 73.2, contiguous 11.7
+#   (8, 960) @ (960, 320), an attention-GRU backward step: .T view 151.2, contiguous 85.3
+
+
+def _gate_blocks(w):
+    """Packed gate weights [r | z | n], (H, 3H), as three C-contiguous (H, H) gate blocks, (3, H, H)."""
+    return np.ascontiguousarray(w.reshape(w.shape[0], 3, -1).swapaxes(0, 1))
+
+
 def _gru_forward(T: int, h0, w_h, b_h, step_input):
     """Run T `_gru_step`s from the states h0 (B, H); `step_input(t, h)` gives step t's input projection.
 
-    w_h (H, 3H) and b_h (1, 3H) are packed as gate blocks [r | z | n];
-    `step_input` returns its projection with one gate block per row,
+    w_h (H, 3H) and b_h (1, 3H) are packed as gate blocks [r | z | n], or
+    w_h is `_gate_blocks`' (3, H, H); `step_input` returns its projection with one gate block per row,
     (3, B, H). Returns the states hs (T+1, B, H), hs[t] entering step t, the
     gates r and z (T, 2, B, H) and n (T, B, H) after their nonlinearities,
     and a_n (T, B, H), the n block of h @ w_h + b_h. D independent GRUs
@@ -952,8 +977,12 @@ def _gru_forward(T: int, h0, w_h, b_h, step_input):
     rz = np.empty((T, 2, *lead, H), dtype=w_h.dtype)
     n = np.empty((T, *lead, H), dtype=w_h.dtype)
     a = np.empty((T, 3, *lead, H), dtype=w_h.dtype)
-    hw = np.empty((*lead, 3 * H), dtype=w_h.dtype)
-    hw_rows, b_rows = _gate_rows(hw), _gate_rows(b_h)
+    if w_h.shape[-1] == H:  # gate blocks: the product is laid out one gate per row already
+        hw = hw_rows = np.empty((3, *lead, H), dtype=w_h.dtype)
+    else:
+        hw = np.empty((*lead, 3 * H), dtype=w_h.dtype)
+        hw_rows = _gate_rows(hw)
+    b_rows = _gate_rows(b_h)
     hs[0] = h0
     for t in range(T):
         _gru_step(hs[t], step_input(t, hs[t]), w_h, b_rows, hw, hw_rows, a[t], rz[t], n[t], hs[t + 1])
@@ -981,7 +1010,7 @@ def _gru_backward(g, hs, rz, n, a_n, w_h, step_input_back=None):
     da = np.empty(k_a.shape, dtype=hs.dtype)
     dpx_flat, da_flat = dpx.reshape(*g.shape[:-1], 3 * H), da.reshape(*g.shape[:-1], 3 * H)
     carry = np.zeros(g.shape[1:], dtype=hs.dtype)
-    w_t = w_h.swapaxes(-1, -2)
+    w_t = np.ascontiguousarray(w_h.swapaxes(-1, -2))  # see `_gate_blocks`: a view would leave the fast path
     for t in range(T - 1, -1, -1):
         dh = g[t] + carry
         dpx[t] = dh[..., None, :] * k_px[t]
@@ -1067,8 +1096,10 @@ def _attention_step(y_t, h, wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x,
     block per row, (3, B, H). `keys_t` (B, dk, Tk) holds each sequence's
     keys transposed and `values` (B, Tk, H) its frames; `mask` (B, Tk), 0 or
     -inf, is added to the scores so that no sequence attends to its padding
-    frames. Greedy decoding runs the step on one sequence without the batch
-    axis and without a mask.
+    frames. With `_gate_blocks`' w_x (3, H, H) and b_x (3, 1, H) the
+    projection is three products that write its gate rows. Greedy decoding
+    runs the step on one sequence without the batch axis and without a
+    mask, with w_x (H, 3H) and b_x (3H,) packed.
     """
     np.add(y_t, h, out=u)
     np.matmul(u, wq, out=q)
@@ -1077,7 +1108,8 @@ def _attention_step(y_t, h, wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x,
         s += mask
     _softmax(s, out=alpha)
     np.add(y_t, np.vecmat(alpha, values), out=x)
-    return _gate_rows(x @ w_x + b_x)
+    px = x @ w_x + b_x
+    return px if w_x.ndim == 3 else _gate_rows(px)
 
 
 def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, values: DiffArray,
@@ -1112,7 +1144,8 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
     lengths = _check_lengths("attention_gru", lengths, B, T)
     frames = _check_lengths("attention_gru", frames, B, tk)
     scale = 1.0 / math.sqrt(dk)
-    wqd, wxd, bxd = wq.data, w_x.data, b_x.data
+    wqd, wxd = wq.data, w_x.data
+    wx_blocks, bx_rows = _gate_blocks(wxd), _gate_rows(b_x.data[None])
     yd, kd, vd = y.data.swapaxes(0, 1), keys.data, values.data  # inputs in step order, (T, B, H)
     kd_t = np.ascontiguousarray(kd.swapaxes(1, 2))
     mask = np.where(np.arange(tk) < frames[:, None], 0.0, -np.inf).astype(yd.dtype)
@@ -1122,9 +1155,10 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
     X = np.empty((T, B, H), dtype=yd.dtype)                # GRU inputs y_t + alpha @ values
 
     def step_input(t, h):
-        return _attention_step(yd[t], h, wqd, kd_t, vd, scale, wxd, bxd, U[t], Q[t], A[t], X[t], mask)
+        return _attention_step(yd[t], h, wqd, kd_t, vd, scale, wx_blocks, bx_rows, U[t], Q[t], A[t], X[t], mask)
 
-    hs, rz, n, a_n = _gru_forward(T, h0.data.repeat(B, axis=0), w_h.data, b_h.data[None], step_input)
+    hs, rz, n, a_n = _gru_forward(T, h0.data.repeat(B, axis=0), _gate_blocks(w_h.data), b_h.data[None],
+                                  step_input)
     if attn_sink is not None:
         attn_sink.append(A.swapaxes(0, 1).copy())
     out = np.ascontiguousarray(hs[1:].swapaxes(0, 1))
@@ -1134,7 +1168,7 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
     def back(g):
         g = (g * valid[:, :, None]).swapaxes(0, 1)
         dU, dQ, dS, dX = np.empty_like(U), np.empty_like(Q), np.empty_like(A), np.empty_like(X)
-        wxd_t, wqd_t = wxd.T, wqd.T
+        wxd_t, wqd_t = np.ascontiguousarray(wxd.T), np.ascontiguousarray(wqd.T)  # see `_gate_blocks`
 
         def step_input_back(t, dpx):
             dX[t] = dpx @ wxd_t
