@@ -963,8 +963,8 @@ def _gru_forward(T: int, h0, w_h, b_h, step_input):
     """Run T `_gru_step`s from the states h0 (B, H); `step_input(t, h)` gives step t's input projection.
 
     w_h (H, 3H) and b_h (1, 3H) are packed as gate blocks [r | z | n], or
-    w_h is `_gate_blocks`' (3, H, H); `step_input` returns its projection with one gate block per row,
-    (3, B, H). Returns the states hs (T+1, B, H), hs[t] entering step t, the
+    w_h is `_gate_blocks`' (3, H, H); `step_input` returns its projection
+    with one gate block per row, (3, B, H). Returns the states hs (T+1, B, H), hs[t] entering step t, the
     gates r and z (T, 2, B, H) and n (T, B, H) after their nonlinearities,
     and a_n (T, B, H), the n block of h @ w_h + b_h. D independent GRUs
     advance together when h0 is (D, B, H), w_h (D, H, 3H) and b_h

@@ -11,8 +11,9 @@ columns between consecutive lines, so every layer is one node: a
 convolution that applies its own relu, or a whole residual block
 (`ad.residual_block`). Every such node zeroes the gap again, by index, in
 its relu, so a line's edge reads zeros, as its own zero padding would give
-it, and each line's output equals the stack's output on the line alone. `Joined` records where each line's
-frames lie; a lone line is a batch of one, with no gap and no mask.
+it, and each line's output equals the stack's output on the line alone.
+`Joined` records where each line's frames lie; a lone line is a batch of
+one, with no gap and no mask.
 """
 
 from __future__ import annotations

@@ -41,7 +41,10 @@ IMAGE_PREFIXES = ("img_cnn.", "img_gru.", "dec_img.")
 # d=192 0.63 | 0.64, d=256 0.63 | 0.61, d=320 0.64 | 0.65. The backward gains more than the
 # forward: at d=320 on 6-10 glyph lines the forward takes 38.3-38.6 ms against 60.4-61.4 and the
 # forward and backward 93.6-95.0 ms against 147.1-149.3.
-# The d=64 forward on short lines, 6 ms, is mostly per-node Python work, which two threads
+# Those figures predate the one-node residual blocks and the gate-blocked recurrences. Re-timed
+# with them (same recipe, lines from one seed): on 2-4 glyph lines d=64 1.01 | 1.01, d=128
+# 0.90 | 0.90; on 6-10 glyph lines d=64 0.93 | 0.90, d=128 0.76 | 0.78.
+# The d=64 forward on short lines, 5.5 ms, is mostly per-node Python work, which two threads
 # cannot do at once. At d=64 only long lines gain; a lower width would need its own end-to-end
 # measurement on the C07 recipe's 2-4 glyph lines.
 _STREAMS_BESIDE_D = 128

@@ -229,6 +229,9 @@ def train(dataset, enc_cfg: EncoderConfig, align_cfg: AlignConfig, cfg: TrainCon
                     "grad_norm": grad_norm,
                     "clipped": grad_norm > cfg.grad_clip > 0,  # clip_grads' own rule
                 })
+                # the step's graph, every activation and node gradient, goes now, not once the next
+                # step's forward has returned
+                del total, comps, align_val
             if val_set:
                 refs = [s.text for s in val_set]
                 hyps = [model.infer_text(s) for s in val_set]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -283,6 +284,43 @@ def test_train_refuses_lines_whose_step_would_outgrow_physical_memory(monkeypatc
     # the estimate grows with d: at d=128 all eight fit
     with pytest.raises(AssertionError, match="a training step ran"):
         train(lines, EncoderConfig(d=128), AlignConfig(), TrainConfig(batch_size=8, **cfg), build_vocab(lines))
+
+
+def _graph_closures(loss):
+    """A weak reference to the backward closure of each node of loss's graph, which lives as long as its node."""
+    refs, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.backward_fn is not None:
+            seen.add(id(node))
+            refs.append(weakref.ref(node.backward_fn))
+            stack.extend(node.parents)
+    return refs
+
+
+@pytest.mark.parametrize("beside", [False, True], ids=["one_thread", "image_stream_on_the_worker"])
+def test_train_releases_each_steps_graph_before_the_next_forward(monkeypatch, beside):
+    import penrec.model as pm
+    import penrec.training as T
+
+    if beside:  # the image stream's forward and backward sweep run on the worker, as from d=128
+        monkeypatch.setattr(pm, "_STREAMS_BESIDE_D", 0)
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    real, graphs, alive = T.batch_losses, [], []
+
+    def recording(model, batch, align_weight):
+        if beside and graphs:
+            ad.submit(lambda: None).result()  # the worker thread is done with its last task and that task's arguments
+        alive.append(sum(ref() is not None for refs in graphs for ref in refs))
+        total, comps = real(model, batch, align_weight)
+        graphs.append(_graph_closures(total))
+        return total, comps
+
+    monkeypatch.setattr(T, "batch_losses", recording)
+    train(small_dataset(), tiny_enc_cfg(), AlignConfig(layers=1, heads=2), tiny_train_cfg(),
+          build_vocab(small_dataset()))
+    assert len(graphs) == 3 and min(len(refs) for refs in graphs) > 40
+    assert alive == [0, 0, 0]
 
 
 def test_two_seeded_runs_are_byte_identical(tmp_path):
