@@ -38,16 +38,15 @@ end to end, and every tensor in cache-sized blocks.
 Training can use a second core through one worker thread (`submit`). It is
 started by the first training step that has work large enough for it, and
 only when the process may run on at least two CPUs; importing, loading and
-inference start none. Four places hand it work, each above a size timed
+inference start none. Three places hand it work, each above a size timed
 on the model's shapes: the recognizer's image stream, forward (model.py);
 its backward sweep, when `backward` splits the sweep in two at the
-`branch` that marks the stream's loss, the worker sweeping the branch and
-the calling thread the rest; a parameter's large gradient products, which
-a sweep of the whole graph hands the worker while it goes on and the
-branch's sweep hands to whichever thread is free first; and half of
-`adam_step`'s update. Each task makes the numpy calls the inline path
-makes, on the same operands, and every gradient sums its contributions in
-the inline order, so every result is bit-identical to it.
+`branch` nodes that mark where the rest of the graph reads the stream,
+the worker sweeping the branch and the calling thread the rest, while
+the branch's large gradient products go to whichever thread is free
+first; and half of `adam_step`'s update. Each task makes the numpy calls
+the inline path makes, on the same operands, and every gradient sums its
+contributions in the inline order, so every result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -168,9 +167,6 @@ def _acc(p: DiffArray, g, fresh: bool = False) -> None:
     added to in place.
     """
     if p.requires_grad:
-        sweep = getattr(_LOCAL, "sweep", None)
-        if sweep is not None:
-            sweep.settle(p)
         if p.grad is not None:
             p.grad += g
         elif fresh and isinstance(g, np.ndarray) and g.dtype == p.data.dtype:
@@ -179,64 +175,19 @@ def _acc(p: DiffArray, g, fresh: bool = False) -> None:
             p.grad = np.array(g, dtype=p.data.dtype)
 
 
-# A product into a leaf of at least this many multiply-adds is formed on the worker thread while
-# a sweep of the whole graph goes on, and the worker's sweep of a split graph hands it to whichever
-# thread finishes its own sweep first (`_Sweep`). Backward of a step of 8 lines, 2-core x86-64 VM
-# (OpenBLAS, one BLAS thread), medians of 15 steps. One sweep, each cut-off in 4 processes, range
-# of their medians: d=320 on 6-10 glyph lines (2.3G multiply-adds of products in all, the largest
-# 139M, 18 of them from 48M) all inline 107.4-112.1 ms, from 16M 79.7-80.4, from 32M 82.6-83.4,
-# from 48M 87.1-88.8, from 64M 87.2-89.8; d=64 on 6-10 glyphs (190M, the largest 40M) all inline
-# 15.4-15.9 ms, from 48M 15.5-15.9, from 32M 15.2-15.4, from 16M 14.6-15.1, from 8M 14.4-14.8.
-# Split, the same d=320 steps, two line seeds in 2 processes each: none handed over 66.5-67.7 ms,
-# from 4M 54.4-56.6, from 16M 55.4-55.6, from 48M 55.2-56.8 (12 products, the image CNN's and
-# the image BiGRU's), from 80M 55.6-56.6; one sweep from 48M in the same runs 85.0-87.9. 48M
-# keeps every d=64 product inline (the largest on 2-4 glyph lines is 15M), so a d=64 step starts
-# no thread; a lower cut-off would need its own end-to-end measurement.
+# The worker's sweep of a split graph (see `backward`) puts a product of at least this many
+# multiply-adds into a leaf with a single consumer on a queue, for whichever thread finishes its
+# own sweep first to form; it forms any smaller product at once. Backward of a step of 8 lines of
+# 6-10 glyphs at d=320 (2.3G multiply-adds of products in all, the largest 139M), 2-core x86-64
+# VM (OpenBLAS, one BLAS thread), medians of 15 steps, two line seeds in 2 processes each: none
+# handed over 66.5-67.7 ms, from 4M 54.4-56.6, from 16M 55.4-55.6, from 48M 55.2-56.8 (12
+# products, the image CNN's and the image BiGRU's), from 80M 55.6-56.6. 48M lies inside that
+# flat range; a cut-off outside it would need its own end-to-end measurement. No graph splits
+# below the model's `_STREAMS_BESIDE_D`, so a d=64 step starts no thread at any line length.
 _WORKER_MACS = 48_000_000
 
-# `sweep`: the `_Sweep` the current thread runs, while it runs one.
+# `branch`: (sole, handed) while the current thread runs `_sweep_branch`.
 _LOCAL = threading.local()
-
-
-class _Sweep:
-    """Where one reverse sweep puts its large leaf products, those of at least `_WORKER_MACS` multiply-adds.
-
-    A sweep of the whole graph hands each one to the worker thread, which
-    forms it while the sweep goes on: `forming` maps id(leaf) -> (leaf, rows,
-    Future) until the sweep's thread adds the product, before the next
-    contribution to that leaf reaches it or else when the sweep ends. The
-    worker's sweep of a split graph (see `backward`) keeps the worker busy;
-    it puts each product into a leaf of `sole`, whose only consumer this is,
-    on the queue `handed` as (leaf, rows, a, g), for whichever thread is
-    done with its own sweep first to form and add (`_sweep_branch`). It
-    forms any other product at once, as the calling thread's sweep of a
-    split graph, which has no `_Sweep`, forms every product.
-    """
-
-    __slots__ = ("forming", "sole", "handed")
-
-    def __init__(self, sole=frozenset(), handed=None):
-        self.forming = {} if handed is None else None
-        self.sole, self.handed = sole, handed
-
-    def settle(self, p: DiffArray) -> None:
-        """Wait for the product the worker is forming for p, if any, and add it: it arose before what reaches p now."""
-        entry = self.forming.pop(id(p), None) if self.forming else None
-        if entry is not None:
-            _add_rows(p, entry[2].result(), entry[1])
-
-    def hand_over(self, p: DiffArray, a, g, rows) -> bool:
-        """Have p's product formed elsewhere; False when this thread is to form it now."""
-        if self.handed is not None:
-            if id(p) not in self.sole:
-                return False
-            self.handed.put((p, rows, a, g))
-            return True
-        task = submit(_product, a, g)
-        if task is None:
-            return False
-        self.forming[id(p)] = (p, rows, task)
-        return True
 
 
 def _product(a, g):
@@ -251,17 +202,18 @@ def _acc_product(p: DiffArray, a, g, rows: tuple[int, int] | None = None) -> Non
     (B, N, k), whose B products are stacked in order. With `rows` (lo, hi)
     the product is only p's leading-axis rows lo:hi; p's other rows get 0.
     The product is formed at once and added to p's gradient, except that
-    inside `backward` a product into a leaf (a parameter) of at least
-    `_WORKER_MACS` multiply-adds may be formed on another thread (see
-    `_Sweep`) and added later. So every leaf's gradient is the sum of its
-    contributions in the order they arose, as inline.
+    the worker's sweep of a split graph queues a product of at least
+    `_WORKER_MACS` multiply-adds into a leaf with a single consumer (see
+    `_sweep_branch`), which makes it the leaf's whole gradient, added
+    later. So every leaf's gradient is the sum of its contributions in the
+    order they arose, as inline.
     """
     if not p.requires_grad:
         return
-    sweep = getattr(_LOCAL, "sweep", None)
-    if sweep is not None and p.backward_fn is None:
-        sweep.settle(p)
-        if a.size * g.shape[-1] >= _WORKER_MACS and sweep.hand_over(p, a, g, rows):
+    if a.size * g.shape[-1] >= _WORKER_MACS:
+        branch = getattr(_LOCAL, "branch", None)
+        if branch is not None and id(p) in branch[0]:
+            branch[1].put((p, rows, a, g))
             return
     _add_rows(p, _product(a, g), rows)
 
@@ -291,19 +243,19 @@ def _run(nodes) -> None:
 def _split(order: list):
     """How the reverse sweep of `order` (a topological order) splits between two threads, or None.
 
-    The branch is the first `branch` node the sweep meets and every node it
-    reaches. The graph splits when no node outside the branch consumes one
-    inside it but that first node, whose gradient is then complete once its
-    last consumer has run. Returns (rest, launch, side, sole): the sweep's
-    nodes outside the branch, in its order, of which the first `launch` end
-    with that last consumer; the branch's nodes in the sweep's order; and the
-    ids of the branch's leaves that have a single consumer.
+    The marks are the `branch` nodes; the branch is the marks and every node
+    they reach. The graph splits when no node outside the branch consumes
+    one inside it but a mark, so the branch's gradients are complete once
+    the last consumer of any mark has run. Returns (rest, launch, side,
+    sole): the sweep's nodes outside the branch, in its order, of which the
+    first `launch` end with that last consumer; the branch's nodes in the
+    sweep's order; and the ids of the branch's leaves that have a single
+    consumer.
     """
-    mark = next((node for node in reversed(order) if node.op == "branch"), None)
-    if mark is None:
+    stack = [node for node in order if node.op == "branch"]
+    if not stack:
         return None
     inside = set()
-    stack = [mark]
     while stack:
         node = stack.pop()
         if id(node) not in inside:
@@ -318,7 +270,7 @@ def _split(order: list):
             continue
         rest.append(node)
         for p in node.parents:
-            if p is mark:
+            if p.op == "branch":
                 launch = len(rest)
             elif id(p) in inside:
                 return None
@@ -328,18 +280,20 @@ def _split(order: list):
 
 
 def _sweep_branch(nodes: list, sole: set, handed: SimpleQueue) -> None:
-    """The worker's part of a split sweep: `_run` over the branch's nodes, handing products over as `_Sweep` says.
+    """The worker's part of a split sweep: `_run` over the branch's nodes.
 
-    Once its own sweep is done, it forms and adds the products the calling
-    thread has not yet taken, so whichever thread is free forms the next
-    one; then it puts None on `handed`. Both happen also when a backward_fn
-    raises.
+    While it runs, `_acc_product` puts each product of at least
+    `_WORKER_MACS` multiply-adds into a leaf of `sole` on the queue `handed`
+    as (leaf, rows, a, g). Once its own sweep is done, it forms and adds the
+    products the calling thread has not yet taken, so whichever thread is
+    free forms the next one; then it puts None on `handed`. Both happen also
+    when a backward_fn raises.
     """
-    _LOCAL.sweep = _Sweep(sole, handed)
+    _LOCAL.branch = (sole, handed)
     try:
         _run(nodes)
     finally:
-        _LOCAL.sweep = None
+        _LOCAL.branch = None
         try:
             while True:
                 p, rows, a, g = handed.get_nowait()
@@ -355,18 +309,17 @@ def backward(loss: DiffArray) -> None:
 
     Gradients accumulate across multiple uses of the same array, in the
     order the reverse sweep reaches them. When `_split` finds a branch that
-    only its root connects to the rest of the graph (the model's image
+    only its marks connect to the rest of the graph (the model's image
     stream, marked when its forward ran on the worker), the worker sweeps
-    the branch, from the moment the root's gradient is complete, while this
-    thread sweeps the rest; each sweep runs its nodes in the order of the
-    single sweep, so every gradient is the one sweep's, bit for bit. The
+    the branch, from the moment the marks' gradients are complete, while
+    this thread sweeps the rest; each sweep runs its nodes in the order of
+    the single sweep, so every gradient is the one sweep's, bit for bit. The
     large products the worker's sweep hands over are formed by whichever
     thread has finished its own sweep. A graph without such a branch is
-    swept here in one piece while the worker forms its large products.
-    Either way see `_Sweep`. When a backward_fn raises, every task has
-    still finished, each product formed or handed over by then is in its
-    leaf's gradient, and the error of this thread's sweep goes first. Only
-    a scalar-shaped loss is accepted.
+    swept here in one piece. When a backward_fn raises, the branch's sweep
+    has still finished, each product handed over by then is in its leaf's
+    gradient, and the error of this thread's sweep goes first. Only a
+    scalar-shaped loss is accepted.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -390,16 +343,7 @@ def backward(loss: DiffArray) -> None:
     loss.grad = np.ones((), dtype=loss.data.dtype)
     split = _split(order)
     if split is None:
-        sweep = _LOCAL.sweep = _Sweep()
-        try:
-            _run(reversed(order))
-        finally:  # also when a backward_fn raises: every handed product is waited for and, if formed, added
-            _LOCAL.sweep = None
-            for p, rows, task in sweep.forming.values():  # in the order they were handed over
-                if task.exception() is None:
-                    _add_rows(p, task.result(), rows)
-        for _, _, task in sweep.forming.values():
-            task.result()  # a product that failed raises, after the sweep's own error if there was one
+        _run(reversed(order))
         return
     rest, launch, side, sole = split
     handed = SimpleQueue()
@@ -434,9 +378,11 @@ def stop_gradient(x: DiffArray) -> DiffArray:
 
 
 def branch(x: DiffArray) -> DiffArray:
-    """Forward identity that marks x and the graph under it as a branch `backward` may sweep on the worker thread.
+    """Forward identity that marks x and the graph under it as part of a branch `backward` may sweep on the worker thread.
 
-    It does so when nothing else consumes a node of the branch (see `_split`).
+    Every mark of a graph belongs to the one branch. `backward` splits it off
+    when nothing outside it consumes a node of the branch but a mark (see
+    `_split`).
     """
 
     def back(g):

@@ -10,10 +10,11 @@ joined image features. Inference runs a lone line as a batch of one, with no
 gap and no mask. The two streams meet only at the alignment loss, so from width
 `_STREAMS_BESIDE_D` a batch's image stream runs on autodiff's worker thread
 while the trajectory stream runs on the caller's; both build the nodes and
-values they would build one after the other. The image stream's loss is
-then marked as a `branch`: with the alignment loss's stop gradient, nothing
-but that loss reads the stream's nodes, so the backward pass sweeps the
-stream on the worker too.
+values they would build one after the other. The image stream's loss and
+the alignment loss's target are then marked as `branch` nodes: nothing but
+those two marks reads the stream's nodes, so the backward pass sweeps the
+stream on the worker too, with the alignment loss's stop gradient or
+without it.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ class Recognizer:
         zero-padded to the longest, and the alignment loss samples the joined
         image features. From width `_STREAMS_BESIDE_D` the image stream runs
         on the worker thread while this one runs the trajectory stream, and
-        its loss is marked for its own backward sweep (`ad.branch`). An
+        its loss and the alignment target sampled from it are marked for
+        its own backward sweep (`ad.branch`). An
         error of the trajectory stream is raised first, as in sequential
         order, once the image stream has finished. "align" is None when the
         alignment loss is off.
@@ -144,5 +146,7 @@ class Recognizer:
         loss_align = None
         if self.align_cfg.use_align_loss:  # which implies an aligner
             sampled = sample_image_columns(f2d.values, f_conv.positions, f2d.starts, f2d.frames)
+            if image is not None:
+                sampled = ad.branch(sampled)
             loss_align = align_loss(f_aligned, sampled, self.align_cfg.use_stop_gradient, f_conv.frames)
         return {"traj": loss_traj, "img": loss_img, "align": loss_align}

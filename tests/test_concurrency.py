@@ -27,7 +27,7 @@ from penrec.training import batch_losses
 
 STEP_TIMEOUT_S = 120
 LINES = [normalize(s) for s in synth_generate(DEFAULT_ALPHABET, 8, np.random.default_rng(3), length_range=(2, 3))]
-WORKER_SITES = {"image_losses", "_sweep_branch", "_product", "_adam_updates"}
+WORKER_SITES = {"image_losses", "_sweep_branch", "_adam_updates"}
 
 
 class TrajectoryError(RuntimeError):
@@ -75,15 +75,23 @@ def submissions(monkeypatch):
 def handed(monkeypatch):
     """The leaves whose products the worker's sweep of a split graph handed over, in order."""
     leaves = []
-    real = ad._Sweep.hand_over
 
-    def recording(sweep, p, a, g, rows):
-        done = real(sweep, p, a, g, rows)
-        if done and sweep.handed is not None:
-            leaves.append(p)
-        return done
+    class Recording:
+        def __init__(self, queue):
+            self.queue = queue
 
-    monkeypatch.setattr(ad._Sweep, "hand_over", recording)
+        def put(self, item):
+            leaves.append(item[0])
+            self.queue.put(item)
+
+    class RecordingLocal(threading.local):
+        def __setattr__(self, name, value):
+            if name == "branch" and value is not None:
+                sole, queue = value
+                value = sole, Recording(queue)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(ad, "_LOCAL", RecordingLocal())
     return leaves
 
 
@@ -136,43 +144,53 @@ def assert_same_steps(inline, worker):
     assert inline_state == worker_state and inline_t == worker_t == 2
 
 
-def shared_leaf_gradient(dtype):
-    """The bytes of the gradient of a leaf that the reverse sweep reaches by two matmuls, then by one mul."""
-    rng = np.random.default_rng(11)
-    w, x1, x2 = (ad.array(rng.normal(size=s), requires_grad=True, dtype=dtype) for s in ((4, 3), (4, 4), (5, 4)))
+def image_weights(model):
+    """The names of the image-stream weights that get a product: every one of two or more axes but the embedding."""
+    return sorted(n for n, p in model.params.items()
+                  if n.startswith(pm.IMAGE_PREFIXES) and p.data.ndim >= 2 and not n.endswith(".embed"))
 
-    def proj(y):
-        return asum(ad.mul(y, rng.normal(size=y.shape)))
 
-    bounded(ad.backward, ad.add(proj(ad.matmul(x1, w)), ad.add(proj(ad.matmul(x2, w)), proj(w))))
-    return w.grad.tobytes()
+def handed_names(model, leaves):
+    """The sorted names of model's parameters among the handed-over `leaves`, with repeats."""
+    names = {id(p): n for n, p in model.params.items()}
+    return sorted(names[id(p)] for p in leaves)
 
 
 def branch_gradients(dtype, mark=ad.branch):
-    """The bytes of every leaf's gradient of a loss x1 @ w1 plus `mark` of a second term.
+    """The bytes of every leaf's gradient of three losses, each swept by its own `backward`.
 
-    In the second term the reverse sweep reaches w2 by two matmuls, then by
-    one mul, and w3 by one matmul only.
+    One mark: x1 @ w1 plus `mark` of a second term, in which the reverse
+    sweep reaches w2 by two matmuls, then by one mul, and w3 by one matmul
+    only. Two marks: the consumer of the second mark runs later in the sweep
+    than the first's, so the branch's sweep waits for it. Read inside: a node
+    outside the marked term reads one inside it, so the graph does not split.
     """
     rng = np.random.default_rng(17)
-    leaves = [ad.array(rng.normal(size=s), requires_grad=True, dtype=dtype)
-              for s in ((5, 4), (4, 3), (4, 3), (4, 4), (5, 4), (3, 4), (4, 2))]
-    x1, w1, w2, x2, x3, x4, w3 = leaves
+
+    def leaves(*shapes):
+        return [ad.array(rng.normal(size=s), requires_grad=True, dtype=dtype) for s in shapes]
 
     def proj(y):
         return asum(ad.mul(y, rng.normal(size=y.shape)))
 
+    x1, w1, w2, x2, x3, x4, w3 = one = leaves((5, 4), (4, 3), (4, 3), (4, 4), (5, 4), (3, 4), (4, 2))
     second = ad.add(ad.add(proj(ad.matmul(x2, w2)), ad.add(proj(ad.matmul(x3, w2)), proj(w2))),
                     proj(ad.matmul(x4, w3)))
     bounded(ad.backward, ad.add(proj(ad.matmul(x1, w1)), mark(second)))
-    return [p.grad.tobytes() for p in leaves]
+    xa, wa, xb, wb, xc, wc = two = leaves((5, 4), (4, 3), (5, 4), (4, 3), (5, 4), (4, 3))
+    later = ad.add(ad.matmul(xc, wc), mark(ad.matmul(xb, wb)))
+    bounded(ad.backward, ad.add(mark(proj(ad.matmul(xa, wa))), proj(later)))
+    xa, wa, xc, wc = inside = leaves((5, 4), (4, 3), (5, 4), (4, 3))
+    h = ad.matmul(xa, wa)
+    bounded(ad.backward, ad.add(mark(proj(h)), proj(ad.add(ad.matmul(xc, wc), h))))
+    return [p.grad.tobytes() for p in one + two + inside]
 
 
 @pytest.mark.parametrize("switch_s", [None, 1e-6])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, submissions, handed, dtype, switch_s):
     set_cpus(monkeypatch, 1)
-    inline = two_steps(dtype), shared_leaf_gradient(dtype), branch_gradients(dtype, mark=lambda y: y)
+    inline = two_steps(dtype), branch_gradients(dtype, mark=lambda y: y)
     assert submissions == [] and handed == []  # a d=16 model is below every cut-off
     every_site_on_the_worker(monkeypatch)
     submissions.clear()
@@ -182,39 +200,31 @@ def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, subm
             sys.setswitchinterval(switch_s)
         steps = two_steps(dtype)
         steps_submitted, steps_handed = len(submissions), len(handed)
-        worker = steps, shared_leaf_gradient(dtype), branch_gradients(dtype)
+        worker = steps, branch_gradients(dtype)
     finally:
         sys.setswitchinterval(prev)
     assert set(submissions) == WORKER_SITES
     # one per step each: the batch's whole image stream, forward, then its backward sweep
     steps_sites = submissions[:steps_submitted]
     assert steps_sites.count("image_losses") == steps_sites.count("_sweep_branch") == 2
-    assert "_product" not in steps_sites  # a split graph's own sweeps hand the worker no product
-    # the shared leaf's two products, then the sweep of the marked term
-    assert submissions[steps_submitted:] == ["_product", "_product", "_sweep_branch"]
-    # the image sweep handed over the product of each image-stream weight but the embedding, which gets no
-    # product, once per step
-    model = worker[0][3]
-    weights = sorted(n for n, p in model.params.items()
-                     if n.startswith(pm.IMAGE_PREFIXES) and p.data.ndim >= 2 and not n.endswith(".embed"))
-    names = {id(p): n for n, p in model.params.items()}
-    assert sorted(names[id(p)] for p in handed[:steps_handed]) == sorted(weights * 2)
-    assert len(handed) == steps_handed + 1  # w3's product; w2's three contributions are added in order
-    assert inline[1] == worker[1]  # the mul's contribution came last, after both products, as inline
-    assert inline[2] == worker[2]
+    # the sweeps of the graphs with one mark and with two; the graph read inside its mark is swept inline
+    assert submissions[steps_submitted:] == ["_sweep_branch", "_sweep_branch"]
+    assert handed_names(worker[0][3], handed[:steps_handed]) == sorted(image_weights(worker[0][3]) * 2)
+    # w3's product, then wa's and wb's; w2's three contributions are added in order
+    assert len(handed) == steps_handed + 3
+    assert inline[1] == worker[1]
     assert_same_steps(inline[0], worker[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_a_coupled_graph_runs_one_sweep_and_stays_bit_identical(monkeypatch, submissions, handed, dtype):
-    # without the stop gradient the alignment loss reaches into the image stream, so the graph does not split
+def test_a_coupled_graph_splits_and_stays_bit_identical(monkeypatch, submissions, handed, dtype):
+    # without the stop gradient the alignment loss reaches into the image stream through its marked target
     set_cpus(monkeypatch, 1)
     inline = two_steps(dtype, use_stop_gradient=False)
     every_site_on_the_worker(monkeypatch)
     worker = two_steps(dtype, use_stop_gradient=False)
-    assert submissions.count("image_losses") == 2
-    assert "_sweep_branch" not in submissions and handed == []
-    assert "_product" in submissions  # the one sweep hands the worker its products, as without a branch
+    assert submissions.count("image_losses") == submissions.count("_sweep_branch") == 2
+    assert handed_names(worker[3], handed) == sorted(image_weights(worker[3]) * 2)
     assert_same_steps(inline, worker)
 
 
@@ -266,7 +276,7 @@ def test_an_image_stream_error_surfaces_with_its_type_and_the_next_step_succeeds
     fresh = small_model()
     assert got == bounded(train_step, fresh, ad.AdamState(fresh.params), LINES[:4])
     assert all(model.params[n].data.tobytes() == p.data.tobytes() for n, p in fresh.params.items())
-    assert set(submissions) == WORKER_SITES - {"_product"}  # a split graph's sweeps hand the worker no product
+    assert set(submissions) == WORKER_SITES
 
 
 def backward_node(x, back_first, name):
@@ -293,8 +303,8 @@ def fail_in_backward(monkeypatch, model, trajectory, image):
 
 
 def sweep_states():
-    """The `_Sweep` each of the two threads runs: (this thread's, the worker's)."""
-    return getattr(ad._LOCAL, "sweep", None), ad.submit(lambda: getattr(ad._LOCAL, "sweep", None)).result()
+    """The branch sweep's (sole, handed) each of the two threads holds: (this thread's, the worker's)."""
+    return getattr(ad._LOCAL, "branch", None), ad.submit(lambda: getattr(ad._LOCAL, "branch", None)).result()
 
 
 def test_an_image_sweep_error_surfaces_with_its_type_once_the_trajectory_sweep_ends(monkeypatch, handed):
@@ -367,19 +377,19 @@ def test_a_backward_fn_raising_mid_sweep_leaves_no_task_running(monkeypatch):
 
     monkeypatch.setattr(ad, "_product", slow_product)
     rng = np.random.default_rng(0)
-    x = ad.array(rng.normal(size=(5, 3)), requires_grad=True)
+    x, x2 = (ad.array(rng.normal(size=(5, 3)), requires_grad=True) for _ in range(2))
     w = ad.array(rng.normal(size=(3, 4)), requires_grad=True)
 
     def back(g):
         raise TrajectoryError("mid-sweep")
 
-    # the sweep hands w's product from the matmul to the worker, then fails
+    # the branch's sweep hands w's product over, and this thread's sweep fails while it is formed
     failing = ad._make(x.data * 2.0, (x,), "failing", back)
     with pytest.raises(TrajectoryError):
-        bounded(ad.backward, asum(ad.matmul(failing, w)))
+        bounded(ad.backward, ad.add(asum(failing), ad.branch(asum(ad.matmul(x2, w)))))
     assert len(finished) == 1
-    assert getattr(ad._LOCAL, "sweep", None) is None
-    np.testing.assert_array_equal(w.grad, (x.data * 2.0).T @ np.ones((5, 4), dtype=np.float32))
+    assert sweep_states() == (None, None)
+    np.testing.assert_array_equal(w.grad, x2.data.T @ np.ones((5, 4), dtype=np.float32))
 
 
 def test_a_non_finite_gradient_in_the_workers_half_leaves_every_tensor_untouched(monkeypatch):
@@ -396,7 +406,7 @@ def test_a_non_finite_gradient_in_the_workers_half_leaves_every_tensor_untouched
     assert not any(np.any(state.m[n]) or np.any(state.v[n]) for n in params)
 
 
-@pytest.mark.parametrize("glyphs", [(2, 4), (6, 10)])
+@pytest.mark.parametrize("glyphs", [(2, 4), (6, 10), (20, 30)])
 def test_a_d64_step_submits_no_task(monkeypatch, submissions, glyphs):
     set_cpus(monkeypatch, 2)
     lines = [normalize(s) for s in synth_generate(DEFAULT_ALPHABET, 8, np.random.default_rng(7), length_range=glyphs)]
