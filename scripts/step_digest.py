@@ -8,6 +8,12 @@ covers, step by step, the bytes of every loss component, every gradient as
 and both Adam moments. Two trees that print the same digest train the same
 model bit for bit; run it with each tree's `src` on PYTHONPATH.
 
+The float bits also depend on the BLAS kernels numpy runs, which OpenBLAS
+picks per CPU: at one tree, train_c07 printed 83737ee2... on an x86-64 VM
+with OpenBLAS's Haswell kernels and 8309f89a... on one with AVX-512. So a
+digest compares two trees only when both run on the same machine; a digest
+quoted from another machine says nothing about bit identity.
+
 Without --d it runs the benchmark's two training shapes: `train_c07` (d=64,
 lines of 2-4 glyphs) and `train_wide` (d=320, augmented lines of 6-10
 glyphs). At d=320 on two or more CPUs the image stream's forward and

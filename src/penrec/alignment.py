@@ -5,7 +5,9 @@ The 2D position embedding is sinusoidal at rotary-style geometric
 frequencies and is ADDED to the conv features (the first d/2 lanes encode
 px, the last d/2 encode py). Sampling interpolates image-encoder columns at
 each trajectory frame's pixel position; the loss pulls the aligned features
-toward those (optionally gradient-stopped) samples.
+toward those (optionally gradient-stopped) samples. Each takes a batch's
+(B, T, ·) features with per-line frame counts and the image stack's joined
+columns; a lone line is a batch of one.
 """
 
 from __future__ import annotations
@@ -61,38 +63,36 @@ class SpatialAligner:
                 self.layers.append(TransformerLayer(store, f"{name}.l{i}", d, cfg.heads))
 
     def __call__(self, feat: FeatureSequence, attn_sink: list | None = None) -> DiffArray:
-        """A lone line's (T, d) features -> (T, d); a batch's (B, T, d), attending within each line's frames."""
+        """A batch's (B, T, d) features -> (B, T, d), attending within each line's frames."""
         x = feat.values
         if self.cfg.use_rope:
             x = ad.add(x, self.store.const(rope2d(feat.positions, self.d)))
         for layer in self.layers:
-            x = layer(x, attn_sink=attn_sink, frames=feat.frames)
+            x = layer(x, feat.frames, attn_sink)
         return x
 
 
-def sample_image_columns(f2d_conv: DiffArray, positions: np.ndarray, starts=None, frames=None) -> DiffArray:
-    """Point-level sampling of image-encoder columns at trajectory positions.
+def sample_image_columns(f2d_conv: DiffArray, positions: np.ndarray, starts, frames) -> DiffArray:
+    """Point-level sampling of a batch's joined image-encoder columns at trajectory positions.
 
-    Column coordinate is px / 8 (the image stack's width stride), clamped to
-    the valid range; rows are linearly interpolated along the width axis and
-    the result is differentiable w.r.t. the image features. A lone line
-    samples its own (W/8, d) columns at (T, 2) positions. A batch samples
-    the joined columns of all its images (see `encoders.Joined`) at
-    (B, T, 2) positions: line b's columns are offset by starts[b] and
-    clamped within its own frames[b].
+    Column coordinate is px / 8 (the image stack's width stride); rows are
+    linearly interpolated along the width axis and the result is
+    differentiable w.r.t. the image features. The joined columns of all the
+    batch's images (see `encoders.Joined`) are sampled at (B, T, 2)
+    positions: line b's columns are offset by starts[b] and its coordinate
+    is clamped within its own frames[b] columns.
     """
     cols = np.asarray(positions, dtype=np.float64)[..., 0] / IMAGE_STRIDE_W
-    if starts is not None:
-        cols = np.clip(cols, 0.0, frames[:, None] - 1.0) + starts[:, None]
+    cols = np.clip(cols, 0.0, np.asarray(frames)[:, None] - 1.0) + np.asarray(starts)[:, None]
     return ad.interp_rows(f2d_conv, cols)
 
 
-def align_loss(f_aligned: DiffArray, f_sampled: DiffArray, stop_grad: bool = True, frames=None) -> DiffArray:
-    """Mean squared error between aligned features and image samples.
+def align_loss(f_aligned: DiffArray, f_sampled: DiffArray, frames, stop_grad: bool = True) -> DiffArray:
+    """Mean squared error between a batch's aligned features and image samples, (B, T, d) each.
 
-    With stop_grad the image branch is a fixed target; without it the loss
-    also backpropagates into the image encoder. For a (B, T, d) batch,
     `frames` (B,) makes it the mean over lines of each line's own loss.
+    With stop_grad the image branch is a fixed target; without it the loss
+    also backpropagates into the image encoder.
     """
     target = ad.stop_gradient(f_sampled) if stop_grad else f_sampled
     return ad.mse(f_aligned, target, frames)

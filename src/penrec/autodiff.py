@@ -11,11 +11,13 @@ rows, the two losses, and `branch`, an identity that marks the part of
 the graph below it for its own backward sweep. The convolutions run over
 a batch's lines joined along one axis with zero gaps between them; one
 `gather_rows` cuts the joined rows into a batch of sequences zero-padded
-to one length. Attention, the two GRUs and both losses take that batch
-with per-sequence lengths. Each has one path: attention masks each
+to one length. Attention, the two GRUs and both losses take that batch,
+and only that shape, with per-sequence lengths; a lone sequence is a
+batch of one, (1, T, d). Each has one path: attention masks each
 sequence's padding keys, one time loop advances every sequence's state,
-and padding rows reach no result and get no gradient; a lone sequence
-runs as a batch of one. The GRU step, the decoder's attention step, the
+and padding rows reach no result and get no gradient; attention and the
+BiGRU leave out the mask and the reversal index for a batch without
+padding. The GRU step, the decoder's attention step, the
 softmax and the convolutions' strided windows (`_Windows`: im2col and
 col2im) are each written once, as private helpers the kernels share;
 greedy decoding runs the two step helpers on plain arrays. Each step of
@@ -221,11 +223,7 @@ def _acc_product(p: DiffArray, a, g, rows: tuple[int, int] | None = None) -> Non
 def _add_rows(p: DiffArray, dw, rows: tuple[int, int] | None) -> None:
     """Add the fresh product dw to p.grad, or to its leading-axis rows lo:hi when `rows` is (lo, hi)."""
     if rows is None:
-        dw = dw.reshape(p.shape)
-        if p.grad is None:
-            p.grad = dw.astype(p.data.dtype, copy=False)  # fresh, so kept rather than copied
-        else:
-            p.grad += dw
+        _acc(p, dw.reshape(p.shape), fresh=True)
         return
     lo, hi = rows
     if p.grad is None:
@@ -432,8 +430,7 @@ def matmul(a: DiffArray, b: DiffArray, bias: DiffArray | None = None) -> DiffArr
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     if bias is not None and bias.shape != (b.shape[1],):
         raise ShapeError(f"matmul: bias shape {bias.shape} does not match {b.shape}")
-    batched = a.data.ndim > 2
-    a2 = a.data.reshape(-1, a.shape[-1]) if batched else a.data
+    a2 = a.data.reshape(-1, a.shape[-1])
     y = a2 @ b.data
     if bias is not None:
         y += bias.data
@@ -445,8 +442,7 @@ def matmul(a: DiffArray, b: DiffArray, bias: DiffArray | None = None) -> DiffArr
         if bias is not None:
             _acc(bias, g2.sum(axis=0), fresh=True)
 
-    out = y.reshape(*a.shape[:-1], b.shape[1]) if batched else y
-    return _make(out, (a, b) if bias is None else (a, b, bias), "matmul", back)
+    return _make(y.reshape(*a.shape[:-1], b.shape[1]), (a, b) if bias is None else (a, b, bias), "matmul", back)
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +554,16 @@ def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad, relu
     """Strided, zero-padded convolution by im2col, shared by `conv1d` and `conv2d`.
 
     Works on channels-last images: x (H, W, C_in) and w (KH, KW, C_in, C_out)
-    give (H_out, W_out, C_out); a 1D input (L, C_in) with weights
-    (K, C_in, C_out) runs as a height-1 image and gives (L_out, C_out). With
-    `relu` the node also applies relu and zeroes the output columns `gaps`
-    (see `conv2d`).
+    give (H_out, W_out, C_out); `conv1d`'s height-1 image (1, L, C_in) takes
+    weights (K, C_in, C_out), one kernel row. With `relu` the node also
+    applies relu and zeroes the output columns `gaps` (see `conv2d`).
     """
     cout = w.shape[-1]
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"{op}: incompatible shapes {b.shape} and {w.shape}")
     if gaps is not None and not relu:
         raise ShapeError(f"{op}: gaps go with relu")
-    lead = (1,) * (4 - w.data.ndim)
-    xd, wd = x.data.reshape(lead + x.shape), w.data.reshape(lead + w.shape)
+    xd, wd = x.data, w.data.reshape((1,) * (4 - w.data.ndim) + w.shape)
     win = _Windows(xd.shape, wd.shape[:2], stride, pad)
     cols, w2 = win.cols(xd), win.weight(wd)
     y = cols @ w2
@@ -589,7 +583,7 @@ def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad, relu
             _acc(x, win.input_grad(g2, w2).reshape(x.shape), fresh=True)
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(y.reshape((*win.out, cout)[len(lead):]), parents, op, back)
+    return _make(y.reshape(*win.out, cout), parents, op, back)
 
 
 def _check_stride_pad(op, stride, pad) -> None:
@@ -600,16 +594,16 @@ def _check_stride_pad(op, stride, pad) -> None:
 
 def conv1d(x: DiffArray, w: DiffArray, b: DiffArray | None, stride: int = 1, pad: int = 0,
            relu: bool = False, gaps=None) -> DiffArray:
-    """Strided 1D convolution over a time-major (L, C_in) input.
+    """Strided 1D convolution along a height-1 channels-last image, (1, L, C_in): time is its width.
 
-    Weights are (K, C_in, C_out); output is (L_out, C_out) with
+    Weights are (K, C_in, C_out); output is (1, L_out, C_out) with
     L_out = floor((L + 2*pad - K) / stride) + 1. `relu` and `gaps` (output
-    rows) are `conv2d`'s.
+    steps) are `conv2d`'s.
     """
-    if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
+    if x.data.ndim != 3 or x.shape[0] != 1 or w.data.ndim != 3 or x.shape[2] != w.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
     _check_stride_pad("conv1d", (1, stride), (0, pad))
-    if conv1d_out_length(x.shape[0], w.shape[0], stride, pad) <= 0:
+    if conv1d_out_length(x.shape[1], w.shape[0], stride, pad) <= 0:
         raise ShapeError(f"conv1d: input shape {x.shape} too short for kernel {w.shape}")
     return _conv("conv1d", x, w, b, (1, stride), (0, pad), relu, gaps)
 
@@ -734,7 +728,7 @@ def relu(x: DiffArray) -> DiffArray:
     return _make(y, (x,), "relu", back)
 
 
-def attention(qkv: DiffArray, heads: int, attn_sink: list | None = None, frames=None) -> DiffArray:
+def attention(qkv: DiffArray, heads: int, frames, attn_sink: list | None = None) -> DiffArray:
     """Multi-head scaled dot-product self-attention over a zero-padded batch: (B, T, 3d) -> (B, T, d).
 
     `qkv` holds q, k and v as column blocks [q | k | v] of width d, and
@@ -743,30 +737,27 @@ def attention(qkv: DiffArray, heads: int, attn_sink: list | None = None, frames=
     outputs are laid out as column blocks in the same order. Sequence b
     fills the first frames[b] rows; a 0 or -inf mask added to the scores,
     as in `attention_gru`, gives its padding keys weight zero, so no row
-    of b reads them. Padding rows are queries like any other; their outputs
-    are for the caller to ignore. A lone (T, 3d) line, without `frames`,
-    runs as a batch of one, unmasked, and gives (T, d). `attn_sink`, when
-    given, receives one weight matrix per head: (T, T) for a lone line,
-    (B, T, T) for a batch.
+    of b reads them. A batch without padding, such as a lone line's batch
+    of one, adds no mask. Padding rows are queries like any other; their
+    outputs are for the caller to ignore. `attn_sink`, when given, receives
+    one (B, T, T) weight array per head.
     """
-    line = qkv.data.ndim == 2
-    B, T, width = (1, *qkv.shape) if line else qkv.shape if qkv.data.ndim == 3 else (0, 0, 0)
-    if heads < 1 or T < 1 or width % (3 * heads) or (frames is None) != line:
-        raise ShapeError(f"attention: incompatible shape {qkv.shape} for {heads} heads"
-                         + ("" if (frames is None) == line else "; frames go with a (B, T, 3d) batch"))
+    B, T, width = qkv.shape if qkv.data.ndim == 3 else (0, 0, 0)
+    if heads < 1 or T < 1 or width % (3 * heads):
+        raise ShapeError(f"attention: incompatible shape {qkv.shape} for {heads} heads; need a (B, T, 3d) batch")
+    frames = _check_lengths("attention", frames, B, T)
     d = width // 3
     dk = d // heads
     scale = 1.0 / math.sqrt(dk)
     # (B, heads, T, dk) views of the column blocks
     qh, kh, vh = qkv.data.reshape(B, T, 3, heads, dk).transpose(2, 0, 3, 1, 4)
     s = (qh @ kh.swapaxes(-1, -2)) * scale
-    if not line:
-        frames = _check_lengths("attention", frames, B, T)
+    if frames.min() < T:
         s += np.where(np.arange(T) < frames[:, None], 0.0, -np.inf).astype(s.dtype)[:, None, None]
     alpha = _softmax(s)
     if attn_sink is not None:
-        attn_sink.extend(a.copy() for a in (alpha[0] if line else alpha.swapaxes(0, 1)))
-    y = (alpha @ vh).transpose(0, 2, 1, 3).reshape(qkv.shape[:-1] + (d,))
+        attn_sink.extend(a.copy() for a in alpha.swapaxes(0, 1))
+    y = (alpha @ vh).transpose(0, 2, 1, 3).reshape(B, T, d)
 
     def back(g):
         gh = g.reshape(B, T, heads, dk).transpose(0, 2, 1, 3)
@@ -776,7 +767,7 @@ def attention(qkv: DiffArray, heads: int, attn_sink: list | None = None, frames=
         dh[0] = ds @ kh
         dh[1] = ds.swapaxes(-1, -2) @ qh
         dh[2] = alpha.swapaxes(-1, -2) @ gh
-        _acc(qkv, dqkv.reshape(qkv.shape), fresh=True)
+        _acc(qkv, dqkv.reshape(B, T, width), fresh=True)
 
     return _make(y, (qkv,), "attention", back)
 
@@ -866,7 +857,9 @@ def _gru_step(h, px, w_h, b_rows, hw, hw_rows, a, rz, n, h_out) -> None:
     px. D GRUs advance together when h is (D, B, H), w_h (D, H, 3H) and hw
     (D, B, 3H): every other array gains the direction axis after the gate
     axis, so each gate's rows of all directions stay one contiguous block.
-    Greedy decoding runs the step on one state without the batch axis.
+    Greedy decoding, whose encoded frames are a batch of one, runs the step
+    on that one sequence's rows with the batch axis dropped: h (H,), px and
+    a (3, H).
     """
     np.matmul(h, w_h, out=hw)
     np.add(hw_rows, b_rows, out=a)
@@ -968,7 +961,7 @@ def _gru_backward(g, hs, rz, n, a_n, w_h, step_input_back=None):
 
 
 def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
-          w_h: DiffArray, b_h: DiffArray, lengths=None) -> DiffArray:
+          w_h: DiffArray, b_h: DiffArray, lengths) -> DiffArray:
     """Bidirectional GRU over a zero-padded batch: (B, T, d) rows -> (B, T, 2H) states.
 
     Sequence b fills the first lengths[b] rows of xs. A forward GRU reads
@@ -981,20 +974,19 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
     out as `b_x`; `h0` (2, H) holds the two initial states. One matmul
     projects every row for both directions, and one time loop advances both
     directions of all B sequences. Output rows past a sequence's length are
-    zero, and no gradient flows back from them. A lone (T, d) line, without
-    `lengths`, runs as a batch of one and gives (T, 2H). One graph node;
-    backward is hand-written backprop through time.
+    zero, and no gradient flows back from them. A batch without padding,
+    such as a lone line's batch of one, reverses every row and masks none.
+    One graph node; backward is hand-written backprop through time.
     """
     ins = (xs, h0, w_x, b_x, w_h, b_h)
-    line = xs.data.ndim == 2
-    B, T, d = (1, *xs.shape) if line else xs.shape if xs.data.ndim == 3 else (0, 0, 0)
+    B, T, d = xs.shape if xs.data.ndim == 3 else (0, 0, 0)
     H = h0.shape[1] if h0.data.ndim == 2 else 0
     if (d < 1 or H < 1 or h0.shape != (2, H) or w_x.shape != (d, 6 * H) or b_x.shape != (6 * H,)
-            or w_h.shape != (2 * H, 3 * H) or b_h.shape != (6 * H,) or (lengths is None) != line):
-        raise ShapeError(f"bigru: incompatible shapes {', '.join(str(a.shape) for a in ins)}"
-                         + ("" if (lengths is None) == line else "; lengths go with a (B, T, d) batch"))
-    lengths = None if line else _check_lengths("bigru", lengths, B, T)  # a line is a batch of one, unpadded
-    padded = lengths is not None and lengths.min() < T
+            or w_h.shape != (2 * H, 3 * H) or b_h.shape != (6 * H,)):
+        raise ShapeError(f"bigru: incompatible shapes {', '.join(str(a.shape) for a in ins)}; "
+                         "need a (B, T, d) batch")
+    lengths = _check_lengths("bigru", lengths, B, T)
+    padded = lengths.min() < T
     reversal = _reversal(lengths, T) if padded else None
     wh = w_h.data.reshape(2, H, 3 * H)
     proj = (xs.data.reshape(B * T, d) @ w_x.data + b_x.data).reshape(B, T, 6 * H)
@@ -1030,7 +1022,7 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
         _acc_product(w_h, hs[:-1].swapaxes(0, 1).reshape(2, T * B, H), da.swapaxes(0, 1).reshape(2, T * B, 3 * H))
         _acc(b_h, da.sum(axis=(0, 2)).reshape(-1), fresh=True)
 
-    return _make(y[0] if line else y, ins, "bigru", back)
+    return _make(y, ins, "bigru", back)
 
 
 def _attention_step(y_t, h, wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x, mask=None):
@@ -1043,9 +1035,10 @@ def _attention_step(y_t, h, wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x,
     keys transposed and `values` (B, Tk, H) its frames; `mask` (B, Tk), 0 or
     -inf, is added to the scores so that no sequence attends to its padding
     frames. With `_gate_blocks`' w_x (3, H, H) and b_x (3, 1, H) the
-    projection is three products that write its gate rows. Greedy decoding
-    runs the step on one sequence without the batch axis and without a
-    mask, with w_x (H, 3H) and b_x (3H,) packed.
+    projection is three products that write its gate rows. Greedy decoding,
+    whose frames are a batch of one, runs the step on that one sequence
+    with the batch axis dropped and without a mask, with w_x (H, 3H) and
+    b_x (3H,) packed.
     """
     np.add(y_t, h, out=u)
     np.matmul(u, wq, out=q)
@@ -1241,27 +1234,22 @@ def cross_entropy_logits(logits: DiffArray, targets, lengths) -> DiffArray:
     return _make(y, (logits,), "cross_entropy_logits", back)
 
 
-def mse(a: DiffArray, b: DiffArray, lengths=None) -> DiffArray:
-    """Mean squared error over all elements; with `lengths`, over a zero-padded batch.
+def mse(a: DiffArray, b: DiffArray, lengths) -> DiffArray:
+    """Mean squared error over a zero-padded batch: a and b (B, T, d), with per-sequence `lengths` (B,).
 
-    With `lengths` (B,), a and b are (B, T, d) and the loss is the mean over
-    sequences of each one's own mean over its first lengths[b] rows, formed
-    as one sum with each row's squared error weighted 1 / (B * lengths[b] * d).
-    The rows past a sequence's length get no gradient.
+    The loss is the mean over sequences of each one's own mean over its
+    first lengths[b] rows, formed as one sum with each row's squared error
+    weighted 1 / (B * lengths[b] * d). The rows past a sequence's length
+    get no gradient.
     """
-    if a.shape != b.shape or (lengths is not None and a.data.ndim != 3):
-        raise ShapeError(f"mse: incompatible shapes {a.shape} and {b.shape}"
-                         + ("" if lengths is None else "; lengths go with a (B, T, d) batch"))
+    if a.shape != b.shape or a.data.ndim != 3:
+        raise ShapeError(f"mse: incompatible shapes {a.shape} and {b.shape}; need two (B, T, d) batches")
+    B, T, d = a.shape
+    lengths = _check_lengths("mse", lengths, B, T)
     diff = a.data - b.data
-    if lengths is None:
-        y = (diff * diff).mean()
-        scale = 2.0 / diff.size
-    else:
-        B, T, d = a.shape
-        lengths = _check_lengths("mse", lengths, B, T)
-        weights = ((np.arange(T) < lengths[:, None]) / (lengths[:, None] * B * d)).astype(diff.dtype)
-        y = np.dot(np.add.reduce(diff * diff, axis=-1).reshape(-1), weights.reshape(-1))
-        scale = 2.0 * weights[:, :, None]
+    weights = ((np.arange(T) < lengths[:, None]) / (lengths[:, None] * B * d)).astype(diff.dtype)
+    y = np.dot(np.add.reduce(diff * diff, axis=-1).reshape(-1), weights.reshape(-1))
+    scale = 2.0 * weights[:, :, None]
 
     def back(g):
         d = (g * scale) * diff

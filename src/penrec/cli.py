@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_run_config
 from .data import (DataError, build_vocab, load_dataset, normalize, render,
                    save_dataset, write_pgm)
-from .decoder import MAX_DECODE_LEN
+from .decoder import MAX_DECODE_CEILING, MAX_DECODE_LEN
 from .synth import DEFAULT_ALPHABET, synth_lines
 from .training import (CheckpointError, DivergenceError, evaluate,
                        load_checkpoint, train)
@@ -35,8 +35,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def _check_max_len(max_len: int) -> None:
-    if max_len < 1:
-        raise ConfigError(f"--max-len must be >= 1, got {max_len}")
+    if not 1 <= max_len <= MAX_DECODE_CEILING:
+        raise ConfigError(f"--max-len must be from 1 to {MAX_DECODE_CEILING}, got {max_len}")
 
 
 def cmd_train(args) -> int:

@@ -23,10 +23,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffArray
-from .data import EOS, PAD, SOS
+from .data import EOS, MAX_POINTS, PAD, SOS
 from .layers import Linear, ParamStore
 
 MAX_DECODE_LEN = 256  # tokens a greedy decode emits at most when no eos comes
+# the largest cap `eval` and `infer` take: one token per frame of a line of MAX_POINTS points
+MAX_DECODE_CEILING = MAX_POINTS // 8
 
 
 class AttentionDecoder:
@@ -50,9 +52,9 @@ class AttentionDecoder:
         return self.store.const(np.zeros((1, self.d)))
 
     def keys(self, f_enc: DiffArray) -> DiffArray:
-        """Attention keys (frames, d) of the encoded sequence, shared by all its steps; (B, frames, d) for a batch."""
-        if f_enc.shape[-2] < 1:
-            raise ValueError("decoder needs a nonempty encoded sequence")
+        """Attention keys (B, frames, d) of a batch's encoded frames, shared by all their steps."""
+        if f_enc.data.ndim != 3 or f_enc.shape[1] < 1:
+            raise ValueError(f"decoder needs a nonempty encoded batch (B, frames, d), got {f_enc.shape}")
         return ad.matmul(f_enc, self.wk)
 
     def _run(self, prev_ids, state: DiffArray, f_enc: DiffArray, keys: DiffArray, lengths, frames,
@@ -71,21 +73,24 @@ class AttentionDecoder:
         return self.out(states), states
 
     def greedy(self, f_enc: DiffArray, max_len: int = MAX_DECODE_LEN) -> list[int]:
-        """Greedy decode from sos; stops at eos or after max_len tokens.
+        """Greedy decode of one line's encoded frames, a batch of one (1, frames, d), from sos.
 
-        Every other argmax, PAD and SOS included, is appended to the ids and
-        fed back as the next input; only `Vocabulary.decode` drops the
-        reserved ids. One loop over plain arrays, with every buffer allocated
-        before the first token: per token it looks up the embedding row, runs
-        `ad.attention_gru`'s attention step and GRU step, projects to logits
-        and takes the argmax. Each state is bit for bit the one that
-        `_run` reaches, token by token, on the line as a batch of one.
+        Stops at eos or after max_len tokens. Every other argmax, PAD and
+        SOS included, is appended to the ids and fed back as the next input;
+        only `Vocabulary.decode` drops the reserved ids. One loop over plain
+        arrays, with every buffer allocated before the first token: per
+        token it looks up the embedding row, runs `ad.attention_gru`'s
+        attention step and GRU step, projects to logits and takes the
+        argmax. Each state is bit for bit the one that `_run` reaches,
+        token by token, on the same batch of one.
         """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
+        if f_enc.shape[0] != 1:
+            raise ValueError(f"greedy decodes a batch of one line, got encoded frames {f_enc.shape}")
         with ad.no_grad():
-            keys = self.keys(f_enc).data
-        embed, wq, values = self.embed.data, self.wq.data, f_enc.data
+            keys = self.keys(f_enc).data[0]
+        embed, wq, values = self.embed.data, self.wq.data, f_enc.data[0]
         w_x, b_x, w_h, b_h = (p.data for p in self.gru)
         w_out, b_out = self.out.w.data, self.out.b.data
         scale = 1.0 / math.sqrt(keys.shape[1])

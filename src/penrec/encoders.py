@@ -12,8 +12,8 @@ convolution that applies its own relu, or a whole residual block
 (`ad.residual_block`). Every such node zeroes the gap again, by index, in
 its relu, so a line's edge reads zeros, as its own zero padding would give
 it, and each line's output equals the stack's output on the line alone.
-`Joined` records where each line's frames lie; a lone line is a batch of
-one, with no gap and no mask.
+`Joined` records where each line's frames lie. Every stack's output is a
+batch: a lone line is a batch of one, with no gap and no mask.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ GAP = 8
 class Joined:
     """A batch's features joined along their frame axis: line b holds rows starts[b] : starts[b] + frames[b].
 
-    `values` is (rows, d), or (1, rows, d) as the image stack leaves it;
-    the rows between two lines are zero.
+    `values` is (1, rows, d), as both stacks leave it; the rows between two
+    lines are zero.
     """
 
     values: DiffArray
@@ -50,7 +50,12 @@ class Joined:
     frames: np.ndarray
 
     def padded(self) -> DiffArray:
-        """The lines as one zero-padded (B, max frames, d) batch: one `gather_rows` node."""
+        """The lines as one zero-padded (B, max frames, d) batch: one `gather_rows` node.
+
+        A lone line fills every row, so `values` already is its batch of one.
+        """
+        if len(self.frames) == 1:
+            return self.values
         t = np.arange(self.frames.max())
         return ad.gather_rows(self.values, np.where(t < self.frames[:, None], self.starts[:, None] + t, -1))
 
@@ -84,17 +89,16 @@ def _gaps(live: np.ndarray | None, stride: int) -> np.ndarray | None:
 
 @dataclass
 class FeatureSequence:
-    """Time-major trajectory-stream features: a lone line's (frames, d), or a batch's (B, T, d).
+    """Time-major trajectory-stream features of a batch, (B, T, d); a lone line is a batch of one.
 
-    `positions`, (frames, 2) or (B, T, 2) pixel coordinates, feed the
-    position embedding and the image-column sampling. A batch's `frames`
-    (B,) gives each line's frame count; its rows past that are zero. A lone
-    line has `frames` None.
+    `positions`, (B, T, 2) pixel coordinates, feed the position embedding
+    and the image-column sampling. `frames` (B,) gives each line's frame
+    count; its rows past that are zero.
     """
 
     values: DiffArray
     positions: np.ndarray
-    frames: np.ndarray | None = None
+    frames: np.ndarray
 
 
 class Conv1dStack:
@@ -108,7 +112,7 @@ class Conv1dStack:
             in_channels = cout
 
     def __call__(self, x: DiffArray, live: np.ndarray | None = None) -> DiffArray:
-        """x (L, C_in) -> (L_out, C_out); `live` (L,), when given, is False on the gaps, zeroed after every layer."""
+        """x (1, L, C_in) -> (1, L_out, C_out); `live` (L,), when given, is False on the gaps every layer zeroes."""
         for (_, k, s), w, b in zip(self.spec, self.weights, self.biases):
             x = ad.conv1d(x, w, b, stride=s, pad=(k - 1) // 2, relu=True, gaps=_gaps(live, s))
             live = None if live is None else live[::s]
@@ -134,9 +138,8 @@ class TrajectoryEncoder:
         self.conv = Conv1dStack(store, name, 3, (*TRAJ_CONV_LADDER, (cfg.d, 3, 2)))
 
     def __call__(self, seq: TrajectorySequence) -> FeatureSequence:
-        """One line: (frames, d) features and (frames, 2) positions."""
-        joined, positions = self.join([seq])
-        return FeatureSequence(values=joined.values, positions=positions[0])
+        """One line as a batch of one: (1, frames, d) features and (1, frames, 2) positions."""
+        return self.batch([seq])
 
     def batch(self, batch: list[TrajectorySequence]) -> FeatureSequence:
         """A batch of lines as one zero-padded (B, T, d) batch, with (B, T, 2) positions and per-line frames."""
@@ -158,7 +161,7 @@ class TrajectoryEncoder:
         pts = [pad_to_multiple(np.asarray(seq.points, dtype=np.float64)) for seq in batch]
         feats, starts, live = _join(pts, 0)
         feats[:, :2] *= COORD_SCALE
-        out = self.conv(self.store.const(feats), live)
+        out = self.conv(self.store.const(feats[None]), live)
         positions = [p[:, :2].reshape(-1, 8, 2).mean(axis=1) for p in pts]
         return Joined(out, starts // 8, np.array([len(p) for p in positions])), positions
 
@@ -200,11 +203,6 @@ class ImageEncoder:
         for si, (cout, stride) in enumerate(zip((d // 8, d // 4, d // 2, d), self.STAGE_STRIDES)):
             self.blocks.append(ResidualBlock(store, f"{name}.s{si}.b0", cin, cout, stride))
             cin = cout
-
-    def __call__(self, img: np.ndarray) -> DiffArray:
-        """One (32, W) image -> (W/8, d) features."""
-        joined = self.join([img])
-        return ad.gather_rows(joined.values, np.arange(joined.frames[0]))
 
     def join(self, imgs: list[np.ndarray]) -> Joined:
         """One CNN run over the batch's images joined along the width; values (1, columns, d)."""

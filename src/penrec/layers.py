@@ -3,7 +3,9 @@
 Every learnable array is registered under a dotted name whose first segment
 identifies its stream ("traj_conv", "img_cnn", "dec_traj", ...); gradient
 flow audits, checkpoint manifests, and the inference-isolation checks all
-key off those prefixes.
+key off those prefixes. The recurrent and attention blocks take a
+zero-padded (B, T, d) batch with per-line lengths; a lone line is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -127,8 +129,10 @@ class BiGRUStack:
     def __call__(self, xs: DiffArray, lengths=None) -> DiffArray:
         """A zero-padded batch (B, T, d) with per-sequence `lengths` (B,) -> (B, T, d).
 
-        A lone (T, d) line, without `lengths`, runs as a batch of one -> (T, d).
+        Without `lengths` no sequence is padded: each fills all T rows.
         """
+        if lengths is None:
+            lengths = np.full(xs.shape[0], xs.shape[-2])
         for weights in self.layers:
             xs = ad.bigru(xs, self.h0, *weights, lengths=lengths)
         return xs
@@ -162,10 +166,10 @@ class TransformerLayer:
         self.ff1 = Linear(store, f"{name}.ff1", d, 2 * d)
         self.ff2 = Linear(store, f"{name}.ff2", 2 * d, d)
 
-    def __call__(self, x: DiffArray, attn_sink: list | None = None, frames=None) -> DiffArray:
-        """A lone (T, d) line, or a (B, T, d) batch with per-line `frames`, as `ad.attention` takes them."""
+    def __call__(self, x: DiffArray, frames, attn_sink: list | None = None) -> DiffArray:
+        """A (B, T, d) batch with per-line `frames` (B,), as `ad.attention` takes them."""
         h = ad.layer_norm(x, self.ln1_g, self.ln1_b)
-        ctx = ad.attention(ad.matmul(h, self.w_qkv), self.heads, attn_sink, frames)
+        ctx = ad.attention(ad.matmul(h, self.w_qkv), self.heads, frames, attn_sink)
         x = ad.add(x, self.out(ctx))
         h2 = ad.layer_norm(x, self.ln2_g, self.ln2_b)
         return ad.add(x, self.ff2(ad.relu(self.ff1(h2))))

@@ -79,25 +79,19 @@ class Recognizer:
 
     # ----- trajectory stream -------------------------------------------------
 
-    def trajectory_features(self, seq: TrajectorySequence) -> tuple[DiffArray, FeatureSequence, DiffArray | None]:
-        """conv stack -> optional alignment -> merge -> BiGRU, for one line.
-
-        Returns (encoded frames for the decoder, the conv FeatureSequence,
-        and the aligned features or None when the module is disabled).
-        """
-        f_conv = self.traj_conv(seq)
-        f_enc, f_aligned = self._encode(f_conv)
-        return f_enc, f_conv, f_aligned
-
     def _encode(self, f_conv: FeatureSequence) -> tuple[DiffArray, DiffArray | None]:
-        """Aligner, merge and BiGRU stack over a lone line's or a batch's conv features."""
+        """Aligner, merge and BiGRU stack over a batch's conv features.
+
+        Returns the encoded (B, T, d) frames for the decoder, and the aligned
+        features or None when the module is disabled.
+        """
         f_aligned = self.aligner(f_conv) if self.align_cfg.enabled else None
         return self.traj_gru(merge_features(f_conv.values, f_aligned), f_conv.frames), f_aligned
 
     def infer_ids(self, seq: TrajectorySequence, max_len: int = MAX_DECODE_LEN) -> list[int]:
-        """Single-stream inference; never touches image-stream parameters."""
+        """Single-stream inference of one line, run as a batch of one; never touches image-stream parameters."""
         with ad.no_grad():
-            f_enc, _, _ = self.trajectory_features(seq)
+            f_enc, _ = self._encode(self.traj_conv.batch([seq]))
             return self.dec_traj.greedy(f_enc, max_len=max_len)
 
     def infer_text(self, seq: TrajectorySequence, max_len: int = MAX_DECODE_LEN) -> str:
@@ -148,5 +142,5 @@ class Recognizer:
             sampled = sample_image_columns(f2d.values, f_conv.positions, f2d.starts, f2d.frames)
             if image is not None:
                 sampled = ad.branch(sampled)
-            loss_align = align_loss(f_aligned, sampled, self.align_cfg.use_stop_gradient, f_conv.frames)
+            loss_align = align_loss(f_aligned, sampled, f_conv.frames, self.align_cfg.use_stop_gradient)
         return {"traj": loss_traj, "img": loss_img, "align": loss_align}

@@ -68,12 +68,6 @@ def _glyph_template(ch: str) -> tuple[np.ndarray, ...]:
     return strokes
 
 
-def glyph_points(ch: str) -> list[np.ndarray]:
-    if ch not in GLYPH_STROKES:
-        raise KeyError(f"no glyph template for {ch!r}")
-    return [s.copy() for s in _glyph_template(ch)]
-
-
 def synth_lines(alphabet: str, n: int, rng: np.random.Generator,
                 length_range: tuple[int, int] = (2, 4),
                 id_prefix: str = "synth"):

@@ -5,8 +5,8 @@ probed subset of elements, in float64 (float32 differencing is too noisy
 for tight tolerances). `standard_battery` enumerates every kernel plus the
 composite blocks the model is built from; the test suite and the acceptance
 gate both run it. Also holds `sigmoid`, `tanh`, `softmax` and `asum`, the
-kernels only tests compose reference paths from, `as_batch` and `lone`
-between a lone sequence and a batch of one, `step_logits`, greedy
+kernels only tests compose reference paths from, `lone`, which drops
+the batch axis of a batch of one, `step_logits`, greedy
 decoding's per-token reference, and the tiny model and sequence the tests
 share.
 """
@@ -69,11 +69,6 @@ def asum(x: DiffArray) -> DiffArray:
     return ad._make(y, (x,), "sum", back)
 
 
-def as_batch(x: DiffArray) -> DiffArray:
-    """A lone (T, d) sequence as a batch of one, (1, T, d): one `gather_rows` node."""
-    return ad.gather_rows(x, [np.arange(x.shape[0])])
-
-
 def lone(x: DiffArray) -> DiffArray:
     """A batch of one, (1, T, d), as its lone (T, d) sequence: one `gather_rows` node."""
     return ad.gather_rows(x, np.arange(x.shape[1]))
@@ -81,14 +76,14 @@ def lone(x: DiffArray) -> DiffArray:
 
 def step_logits(dec: AttentionDecoder, prev_token: int, state: DiffArray, f_enc: DiffArray,
                 attn_sink: list | None = None) -> tuple[DiffArray, DiffArray]:
-    """Logits (1, V) and the new state (1, d) after `prev_token`: one decoder step over the (T, d) frames f_enc.
+    """Logits (1, V) and the new state (1, d) after `prev_token`: one decoder step over a line's frames.
 
-    Runs `dec._run` on the line as a batch of one; `attn_sink`, when given,
-    receives the step's (1, T) attention weights.
+    f_enc is the line's encoded frames as a batch of one, (1, T, d), which
+    `dec._run` takes as it is; `attn_sink`, when given, receives the step's
+    (1, T) attention weights.
     """
-    frames = as_batch(f_enc)
     sink = None if attn_sink is None else []
-    logits, states = dec._run([[prev_token]], state, frames, dec.keys(frames), [1], [f_enc.shape[0]], sink)
+    logits, states = dec._run([[prev_token]], state, f_enc, dec.keys(f_enc), [1], [f_enc.shape[1]], sink)
     if attn_sink is not None:
         attn_sink.extend(a[0] for a in sink)
     return lone(logits), lone(states)
@@ -180,7 +175,7 @@ def kernel_cases(rng: np.random.Generator):
         return lambda: p(op(a, b)), [a, b]
 
     def conv1d_case(stride, pad):
-        x, w, b = _rand(rng, (12, 3)), _rand(rng, (3, 3, 4)), _rand(rng, (4,))
+        x, w, b = _rand(rng, (1, 12, 3)), _rand(rng, (3, 3, 4)), _rand(rng, (4,))
         p = fixed_projector(rng)
         return lambda: p(ad.conv1d(x, w, b, stride=stride, pad=pad)), [x, w, b]
 
@@ -214,8 +209,9 @@ def kernel_cases(rng: np.random.Generator):
         return lambda: ad.cross_entropy_logits(logits, targets, lengths=[5]), [logits]
 
     def mse_case():
-        a, b = _rand(rng, (4, 5)), _rand(rng, (4, 5))
-        return lambda: ad.mse(a, b), [a, b]
+        # a batch of one, unpadded; the same draws as the (4, 5) pair it was before
+        a, b = _rand(rng, (1, 4, 5)), _rand(rng, (1, 4, 5))
+        return lambda: ad.mse(a, b, lengths=[4]), [a, b]
 
     def bigru_case(steps):
         d, hidden = 4, 3
@@ -260,21 +256,22 @@ def kernel_cases(rng: np.random.Generator):
         return lambda: p(ad.matmul(a, b, bias)), [a, b, bias]
 
     def attention_case(steps, heads, dk):
-        qkv = _rand(rng, (steps, 3 * heads * dk))
+        # a batch of one, unpadded, so no mask; the same draws as the lone line it was before
+        qkv = _rand(rng, (1, steps, 3 * heads * dk))
         p = fixed_projector(rng)
-        return lambda: p(ad.attention(qkv, heads)), [qkv]
+        return lambda: p(ad.attention(qkv, heads, [steps])), [qkv]
 
     def attention_masked_case():
         # three sequences of 3, 1 and 2 frames; the padding keys are probed too, and must get zero
         qkv = _rand(rng, (3, 3, 3 * 2 * 2))
         p = fixed_projector(rng)
-        return lambda: p(ad.attention(qkv, 2, frames=[3, 1, 2])), [qkv]
+        return lambda: p(ad.attention(qkv, 2, [3, 1, 2])), [qkv]
 
     def conv_gap_case():
         # two lines of 2 rows joined with a 1-row gap, as the trajectory stack runs them: the conv applies
-        # its own relu and zeroes the gap's output row, which passes no gradient back. x and the (5, 3)
+        # its own relu and zeroes the gap's output row, which passes no gradient back. x and the (1, 5, 3)
         # projection take the draws of the relu-with-gaps case this one replaced, w and b come from `own`
-        x = _rand_away_from_zero(rng, (5, 3))
+        x = _rand_away_from_zero(rng, (1, 5, 3))
         w, b = _rand(own, (3, 3, 3)), _rand(own, (3,))
         p = fixed_projector(rng)
         return lambda: p(ad.conv1d(x, w, b, pad=1, relu=True, gaps=[2])), [x, w, b]
@@ -361,7 +358,7 @@ def composite_cases(rng: np.random.Generator):
     def conv_block():
         store = ParamStore(rng, dtype=F64)
         stack = Conv1dStack(store, "blk", 3, [[4, 3, 1], [4, 3, 2]])
-        x = _rand(rng, (8, 3))
+        x = _rand(rng, (1, 8, 3))
         wrt = [x] + list(store.params.values())
         p = fixed_projector(rng)
         return lambda: p(stack(x)), wrt
@@ -371,7 +368,7 @@ def composite_cases(rng: np.random.Generator):
     def bigru_layer():
         store = ParamStore(rng, dtype=F64)
         layer = BiGRUStack(store, "bg", 4, layers=1)
-        x = _rand(rng, (5, 4))
+        x = _rand(rng, (1, 5, 4))  # a batch of one, without lengths: unpadded
         wrt = [x] + list(store.params.values())
         p = fixed_projector(rng)
         # applied twice: each packed weight's gradient is the sum of two uses' products
@@ -382,17 +379,17 @@ def composite_cases(rng: np.random.Generator):
     def transformer_layer():
         store = ParamStore(rng, dtype=F64)
         layer = TransformerLayer(store, "tf", 8, heads=2)
-        x = _rand(rng, (5, 8))
+        x = _rand(rng, (1, 5, 8))
         wrt = [x] + list(store.params.values())
         p = fixed_projector(rng)
-        return lambda: p(layer(x)), wrt
+        return lambda: p(layer(x, [5])), wrt
 
     cases.append(("transformer_layer", *transformer_layer()))
 
     def decode_step():
         store = ParamStore(rng, dtype=F64)
         dec = AttentionDecoder(store, "dec", vocab_size=6, d=8)
-        f_enc = _rand(rng, (4, 8))
+        f_enc = _rand(rng, (1, 4, 8))
         wrt = [f_enc] + list(store.params.values())
         p = fixed_projector(rng)
 
@@ -415,9 +412,9 @@ def composite_cases(rng: np.random.Generator):
     cases.append(("teacher_forced_ce", *ce_loss_composite()))
 
     def align_mse():
-        a = _rand(rng, (5, 6))
-        b = _rand(rng, (5, 6))
-        return lambda: align_loss(a, b, stop_grad=False), [a, b]
+        a = _rand(rng, (1, 5, 6))
+        b = _rand(rng, (1, 5, 6))
+        return lambda: align_loss(a, b, [5], stop_grad=False), [a, b]
 
     cases.append(("align_mse", *align_mse()))
 

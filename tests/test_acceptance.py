@@ -93,8 +93,9 @@ def test_c04_sampling_matches_scalar_oracle():
         n, d = int(rng.integers(2, 12)), int(rng.integers(1, 6))
         feat = rng.normal(size=(n, d))
         px = rng.uniform(-30.0, n * 8 * 1.3, size=20)
+        # one image's columns, sampled as a batch of one line that starts at column 0
         out = sample_image_columns(ad.array(feat, dtype=np.float64),
-                                   np.column_stack([px, np.zeros(20)])).data
+                                   np.column_stack([px, np.zeros(20)])[None], [0], [n]).data[0]
         for i in range(20):
             c = min(max(px[i] / 8.0, 0.0), n - 1.0)
             i0 = int(np.floor(c))

@@ -92,7 +92,8 @@ def test_all_toggles_off_bypasses_module_bit_exact():
                    use_stop_gradient=False)
     assert not m.align_cfg.enabled
     seq = tiny_sequence(np.random.default_rng(3))
-    f_enc, f_conv, f_aligned = m.trajectory_features(seq)
+    f_conv = m.traj_conv(seq)
+    f_enc, f_aligned = m._encode(f_conv)
     assert f_aligned is None
     np.testing.assert_array_equal(m.traj_gru(f_conv.values).data, f_enc.data)
 
@@ -104,8 +105,8 @@ def test_attention_rows_sum_to_one():
     sink = []
     m.aligner(f, attn_sink=sink)
     assert len(sink) == m.align_cfg.layers * m.align_cfg.heads
-    for alpha in sink:
-        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(alpha.shape[0]), atol=1e-6)
+    for alpha in sink:  # (1, T, T): the line as a batch of one
+        np.testing.assert_allclose(alpha.sum(axis=-1), np.ones(alpha.shape[:2]), atol=1e-6)
 
 
 def _layer_norm(v, g, b):
@@ -128,17 +129,17 @@ def _qkv_blocks(layer):
 def test_single_frame_layer_matches_manual_path():
     store = ParamStore(np.random.default_rng(5))
     layer = TransformerLayer(store, "t", d=8, heads=2)
-    x = np.random.default_rng(6).normal(size=(1, 8)).astype(np.float32)
-    out = layer(ad.array(x)).data
+    x = np.random.default_rng(6).normal(size=(1, 1, 8)).astype(np.float32)
+    out = layer(ad.array(x), [1]).data
 
-    h = _layer_norm(x[0], layer.ln1_g.data, layer.ln1_b.data)
+    h = _layer_norm(x[0, 0], layer.ln1_g.data, layer.ln1_b.data)
     # softmax over a single key is 1, so each head returns its value row
     ctx = np.concatenate([h @ _head_block(_qkv_blocks(layer)[2], j, 2) for j in range(2)])
-    x1 = x[0] + ctx @ layer.out.w.data + layer.out.b.data
+    x1 = x[0, 0] + ctx @ layer.out.w.data + layer.out.b.data
     h2 = _layer_norm(x1, layer.ln2_g.data, layer.ln2_b.data)
     ff = np.maximum(h2 @ layer.ff1.w.data + layer.ff1.b.data, 0)
     expected = x1 + ff @ layer.ff2.w.data + layer.ff2.b.data
-    np.testing.assert_allclose(out[0], expected, rtol=1e-4, atol=1e-5)
+    np.testing.assert_allclose(out[0, 0], expected, rtol=1e-4, atol=1e-5)
 
 
 def test_layer_matches_per_head_equations_in_float64():
@@ -151,7 +152,7 @@ def test_layer_matches_per_head_equations_in_float64():
             p.data[:] = rng.uniform(-0.5, 0.5, size=p.data.shape) + (p.data == 1.0)
     x = rng.normal(size=(frames, d))
     sink = []
-    out = layer(ad.array(x, dtype=np.float64), attn_sink=sink).data
+    out = layer(ad.array(x[None], dtype=np.float64), [frames], attn_sink=sink).data[0]
 
     h = _layer_norm(x, layer.ln1_g.data, layer.ln1_b.data)
     ctx, alphas = [], []
@@ -168,14 +169,14 @@ def test_layer_matches_per_head_equations_in_float64():
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
     assert len(sink) == heads
     for got, want in zip(sink, alphas):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
 
 
 def test_layer_forward_builds_one_node_per_projection():
     # layer norm, the packed q|k|v matmul, attention, the output projection and
     # its residual add, layer norm, ff1, relu, ff2 and its residual add
     layer = TransformerLayer(ParamStore(np.random.default_rng(12)), "t", d=8, heads=2)
-    out = layer(ad.array(np.random.default_rng(13).normal(size=(5, 8))))
+    out = layer(ad.array(np.random.default_rng(13).normal(size=(1, 5, 8))), [5])
     assert graph_node_count(out) == 10
 
 
@@ -183,25 +184,29 @@ def test_layer_forward_builds_one_node_per_projection():
 # column sampling
 
 
+# One image's columns are the joined columns of a batch of one: the line starts at column 0 and
+# positions are (1, T, 2).
+
+
 def test_integer_grid_positions_select_columns_exactly():
     feat = ad.array(np.random.default_rng(7).normal(size=(6, 4)))
     for k in range(6):
-        out = sample_image_columns(feat, np.array([[8.0 * k, 0.0]]))
-        np.testing.assert_array_equal(out.data[0], feat.data[k])
+        out = sample_image_columns(feat, np.array([[[8.0 * k, 0.0]]]), [0], [6])
+        np.testing.assert_array_equal(out.data[0, 0], feat.data[k])
 
 
 def test_midpoint_blends_half_and_half():
     feat = ad.array(np.vstack([np.zeros(3), np.ones(3)]).astype(np.float32))
-    out = sample_image_columns(feat, np.array([[4.0, 0.0]]))
-    np.testing.assert_allclose(out.data[0], np.full(3, 0.5))
+    out = sample_image_columns(feat, np.array([[[4.0, 0.0]]]), [0], [2])
+    np.testing.assert_allclose(out.data[0, 0], np.full(3, 0.5))
 
 
 def test_sampling_matches_scalar_oracle_exactly():
     rng = np.random.default_rng(8)
     feat_np = rng.normal(size=(9, 5))
     positions = np.column_stack([rng.uniform(-20, 100, size=40), np.zeros(40)])
-    out = sample_image_columns(ad.array(feat_np, dtype=np.float64), positions).data
     n = feat_np.shape[0]
+    out = sample_image_columns(ad.array(feat_np, dtype=np.float64), positions[None], [0], [n]).data[0]
     for i, px in enumerate(positions[:, 0]):
         c = min(max(px / 8.0, 0.0), n - 1.0)
         i0 = int(np.floor(c))
@@ -219,9 +224,12 @@ def test_sampling_is_linear_in_features(a, b):
     fa = rng.normal(size=(5, 3))
     fb = rng.normal(size=(5, 3))
     pos = np.column_stack([rng.uniform(0, 40, 7), np.zeros(7)])
-    mixed = sample_image_columns(ad.array(a * fa + b * fb, dtype=np.float64), pos).data
-    separate = a * sample_image_columns(ad.array(fa, dtype=np.float64), pos).data \
-        + b * sample_image_columns(ad.array(fb, dtype=np.float64), pos).data
+
+    def sample(f):
+        return sample_image_columns(ad.array(f, dtype=np.float64), pos[None], [0], [5]).data
+
+    mixed = sample(a * fa + b * fb)
+    separate = a * sample(fa) + b * sample(fb)
     np.testing.assert_allclose(mixed, separate, rtol=1e-9, atol=1e-9)
 
 
@@ -230,15 +238,15 @@ def test_sampling_is_linear_in_features(a, b):
 
 
 def test_identical_inputs_give_zero_loss():
-    x = ad.array(np.random.default_rng(10).normal(size=(4, 3)))
-    assert float(align_loss(x, x).data) == 0.0
+    x = ad.array(np.random.default_rng(10).normal(size=(1, 4, 3)))
+    assert float(align_loss(x, x, [4]).data) == 0.0
 
 
 def test_unit_offset_gives_loss_one():
-    base = np.random.default_rng(11).normal(size=(4, 3)).astype(np.float32)
+    base = np.random.default_rng(11).normal(size=(1, 4, 3)).astype(np.float32)
     a = ad.array(base + 1.0)
     b = ad.array(base)
-    assert float(align_loss(a, b).data) == pytest.approx(1.0, rel=1e-6)
+    assert float(align_loss(a, b, [4]).data) == pytest.approx(1.0, rel=1e-6)
 
 
 def _align_grad_probe(stop_grad: bool):
@@ -283,7 +291,7 @@ def test_merged_output_is_sensitive_to_aligned_features():
 
 
 def test_align_loss_rejects_shape_mismatch():
-    a = ad.array(np.zeros((3, 4)))
-    b = ad.array(np.zeros((4, 3)))
+    a = ad.array(np.zeros((1, 3, 4)))
+    b = ad.array(np.zeros((1, 4, 3)))
     with pytest.raises(ad.ShapeError):
-        align_loss(a, b)
+        align_loss(a, b, [3])

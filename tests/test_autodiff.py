@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import as_batch, asum, lone, softmax, tanh
+from gradcheck import asum, softmax, tanh
 from penrec import autodiff as ad
 from penrec.config import AlignConfig, EncoderConfig
 from penrec.data import build_vocab
@@ -73,10 +73,10 @@ def test_layer_norm_is_bit_identical_to_an_ndarray_method_reference(dtype, shape
 
 
 def test_conv1d_output_length_formula():
-    x = ad.array(np.random.default_rng(0).normal(size=(16, 2)))
+    x = ad.array(np.random.default_rng(0).normal(size=(1, 16, 2)))  # a height-1 image
     w = ad.array(np.random.default_rng(1).normal(size=(3, 2, 5)))
     out = ad.conv1d(x, w, None, stride=2, pad=1)
-    assert out.shape == (8, 5)
+    assert out.shape == (1, 8, 5)
     assert ad.conv1d_out_length(16, 3, 2, 1) == 8
 
 
@@ -113,9 +113,9 @@ CONV_CASES = [
     pytest.param("conv2d", (9, 11, 2), (3, 3, 2, 4), (2, 2), (1, 1), id="conv2d_s22_p11"),
     pytest.param("conv2d", (9, 11, 2), (3, 3, 2, 4), (1, 1), (1, 1), id="conv2d_s11_p11"),
     pytest.param("conv2d", (9, 11, 2), (1, 1, 2, 4), (2, 2), (0, 0), id="conv2d_k1_s22"),
-    pytest.param("conv1d", (12, 3), (3, 3, 4), 1, 1, id="conv1d_s1_p1"),
-    pytest.param("conv1d", (12, 3), (3, 3, 4), 2, 1, id="conv1d_s2_p1"),
-    pytest.param("conv1d", (12, 3), (3, 3, 4), 2, 0, id="conv1d_s2_p0"),
+    pytest.param("conv1d", (1, 12, 3), (3, 3, 4), 1, 1, id="conv1d_s1_p1"),
+    pytest.param("conv1d", (1, 12, 3), (3, 3, 4), 2, 1, id="conv1d_s2_p1"),
+    pytest.param("conv1d", (1, 12, 3), (3, 3, 4), 2, 0, id="conv1d_s2_p0"),
     pytest.param("conv2d", (1, 7, 3), (3, 3, 3, 4), (1, 1), (1, 1), id="conv2d_h1_s11_p11"),
     pytest.param("conv2d", (2, 7, 3), (3, 3, 3, 4), (2, 1), (1, 1), id="conv2d_h2_s21_p11"),
     pytest.param("conv2d", (2, 7, 3), (3, 3, 3, 4), (1, 1), (1, 1), id="conv2d_h2_s11_p11"),
@@ -142,8 +142,8 @@ def test_conv_matches_loop_oracle_in_float64(op, x_shape, w_shape, stride, pad):
     y = getattr(ad, op)(x, w, b, stride=stride, pad=pad)
     g = rng.normal(size=y.shape)
     ad.backward(asum(ad.mul(y, ad.array(g, dtype=np.float64))))
-    if op == "conv1d":  # a height-1 image
-        xd, wd, g, stride, pad = xd[None], wd[None], g[None], (1, stride), (0, pad)
+    if op == "conv1d":  # a height-1 image with one kernel row
+        wd, stride, pad = wd[None], (1, stride), (0, pad)
     expected = _conv_loop_oracle(xd, wd, bd, g, stride, pad)
     for got, want in zip((y.data, x.grad, w.grad, b.grad), expected):
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
@@ -189,7 +189,7 @@ def test_a_leaf_used_several_times_gets_the_sum_of_its_products():
 # would divide by zero in the output length
 @pytest.mark.parametrize("length,stride,pad", [(2, -1, 0), (6, 1, -1), (6, 0, 0)])
 def test_conv_rejects_negative_stride_or_pad(length, stride, pad):
-    x, w = ad.array(np.zeros((length, 1))), ad.array(np.zeros((3, 1, 1)))
+    x, w = ad.array(np.zeros((1, length, 1))), ad.array(np.zeros((3, 1, 1)))
     with pytest.raises(ad.ShapeError, match="conv1d: stride"):
         ad.conv1d(x, w, None, stride=stride, pad=pad)
     x, w = ad.array(np.zeros((length, length, 1))), ad.array(np.zeros((3, 3, 1, 1)))
@@ -270,8 +270,26 @@ def test_bigru_matches_gate_equations_in_float64(lengths):
         np.testing.assert_allclose(got[b, :n, :hidden], fwd, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[b, :n, hidden:], bwd, rtol=0, atol=1e-12)
         assert not np.any(got[b, n:]), "rows past the length are zero"
-    if B == 1:  # a lone (T, d) line is that batch of one
-        assert np.array_equal(ad.bigru(ad.array(xs[0], dtype=np.float64), *weights).data, got[0])
+
+
+@pytest.mark.parametrize("kernel", ["attention", "bigru", "mse"])
+def test_a_lone_line_is_refused_a_batch_of_one_is_taken(kernel):
+    # one shape, (B, T, .), per kernel: a lone (T, d) line raises, with lengths or without
+    rng = np.random.default_rng(6)
+    d, H, T = 4, 3, 5
+    weights = [ad.array(rng.normal(size=shape)) for shape in [(2, H), (d, 6 * H), (6 * H,), (2 * H, 3 * H), (6 * H,)]]
+    run = {
+        "attention": (lambda x, lengths: ad.attention(x, 2, lengths), 3 * 2 * 2),
+        "bigru": (lambda x, lengths: ad.bigru(x, *weights, lengths), d),
+        "mse": (lambda x, lengths: ad.mse(x, x, lengths), d),
+    }
+    op, width = run[kernel]
+    line = rng.normal(size=(T, width))
+    for lengths in ([T], None):
+        with pytest.raises(ad.ShapeError, match=kernel):
+            op(ad.array(line), lengths)
+    out = op(ad.array(line[None]), [T])  # the same line as a batch of one
+    assert out.shape == {"attention": (1, T, 4), "bigru": (1, T, 2 * H), "mse": ()}[kernel]
 
 
 def test_bigru_hidden_weight_gradient_is_the_sum_over_uses():
@@ -283,11 +301,11 @@ def test_bigru_hidden_weight_gradient_is_the_sum_over_uses():
 
     h0, w_x, b_x, w_h, b_h = leaf(2, hidden), leaf(d_in, 6 * hidden), leaf(6 * hidden), \
         leaf(2 * hidden, 3 * hidden), leaf(6 * hidden)
-    uses = [(ad.array(rng.normal(size=(steps, d_in)), dtype=np.float64), rng.normal(size=(steps, 2 * hidden)))
+    uses = [(ad.array(rng.normal(size=(1, steps, d_in)), dtype=np.float64), rng.normal(size=(1, steps, 2 * hidden)))
             for steps in (1, 5, 3)]
 
     def loss(pairs):
-        terms = [asum(ad.mul(ad.bigru(xs, h0, w_x, b_x, w_h, b_h), proj)) for xs, proj in pairs]
+        terms = [asum(ad.mul(ad.bigru(xs, h0, w_x, b_x, w_h, b_h, [xs.shape[1]]), proj)) for xs, proj in pairs]
         return functools.reduce(ad.add, terms)
 
     per_use = []
@@ -305,8 +323,9 @@ def _batch_against_each_sequence(kernel, shared, per_seq, lengths_of, proj):
 
     `per_seq` holds (B, T, ...) arrays whose sequence b lives in the first
     lengths_of[i][b] rows of array i; the rest is random, so a leak would
-    show. `kernel(arrays, lengths)` gets the lengths, or None for one
-    sequence alone. The loss projects the output onto `proj` (B, T, width).
+    show. `kernel(arrays, lengths)` gets the arrays and one lengths list
+    per array; a sequence alone is a batch of one, unpadded. The loss
+    projects the output onto `proj` (B, T, width).
     """
     def leaf(a):
         return ad.array(a, requires_grad=True, dtype=np.float64)
@@ -322,16 +341,16 @@ def _batch_against_each_sequence(kernel, shared, per_seq, lengths_of, proj):
     summed = [np.zeros_like(p.data) for p in shared]
     for b in range(len(lengths_of[0])):
         n = [lengths[b] for lengths in lengths_of]
-        alone = [leaf(a[b, :k]) for a, k in zip(per_seq, n)]
+        alone = [leaf(a[b:b + 1, :k]) for a, k in zip(per_seq, n)]
         ad.zero_grads(shared)
-        got = kernel(alone, None)
-        ad.backward(loss(got, proj[b, :n[0]]))
-        np.testing.assert_allclose(out.data[b, :n[0]], got.data, rtol=0, atol=1e-12)
+        got = kernel(alone, [[k] for k in n])
+        ad.backward(loss(got, proj[b:b + 1, :n[0]]))
+        np.testing.assert_allclose(out.data[b, :n[0]], got.data[0], rtol=0, atol=1e-12)
         assert not np.any(out.data[b, n[0]:]), "output rows past the length are zero"
         for p, total in zip(shared, summed):
             total += p.grad
         for a_batch, a, k in zip(batch, alone, n):
-            np.testing.assert_allclose(a_batch.grad[b, :k], a.grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a_batch.grad[b, :k], a.grad[0], rtol=0, atol=1e-12)
             assert not np.any(a_batch.grad[b, k:]), "padding rows get no gradient"
     for g, total in zip(shared_grads, summed):
         np.testing.assert_allclose(g, total, rtol=0, atol=1e-12)
@@ -345,7 +364,7 @@ def test_batched_bigru_matches_each_sequence_alone_in_float64(lengths):
               [(2, hidden), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
 
     def kernel(arrays, lengths):
-        return ad.bigru(arrays[0], *shared, lengths=None if lengths is None else lengths[0])
+        return ad.bigru(arrays[0], *shared, lengths=lengths[0])
 
     _batch_against_each_sequence(kernel, shared, [rng.normal(size=(B, T, d))], [lengths],
                                  rng.normal(size=(B, T, 2 * hidden)))
@@ -361,10 +380,6 @@ def test_batched_attention_gru_matches_each_sequence_alone_in_float64(lengths, f
 
     def kernel(arrays, lengths):
         h0, wq, *gru = shared
-        if lengths is None:  # one sequence alone, as a batch of one
-            y, keys, values = (as_batch(a) for a in arrays)
-            return lone(ad.attention_gru(y, h0, wq, keys, values, *gru,
-                                                    lengths=[y.shape[1]], frames=[keys.shape[1]]))
         return ad.attention_gru(arrays[0], h0, wq, *arrays[1:], *gru, lengths=lengths[0], frames=lengths[1])
 
     per_seq = [rng.normal(size=shape) for shape in [(B, T, hidden), (B, tk, dk), (B, tk, hidden)]]
@@ -379,9 +394,9 @@ def test_backward_sum_gives_ones():
 
 
 def test_backward_mse_at_minimum_gives_zeros():
-    values = np.random.default_rng(1).normal(size=(4, 4)).astype(np.float32)
+    values = np.random.default_rng(1).normal(size=(1, 4, 4)).astype(np.float32)
     x = ad.array(values, requires_grad=True)
-    loss = ad.mse(x, ad.array(values))
+    loss = ad.mse(x, ad.array(values), [4])
     ad.backward(loss)
     assert loss.data == 0.0
     np.testing.assert_array_equal(x.grad, np.zeros_like(values))
@@ -418,7 +433,7 @@ def _graph(loss):
 
 
 def _chain(rng):
-    x = ad.array(rng.normal(size=(12, 3)), requires_grad=True)
+    x = ad.array(rng.normal(size=(1, 12, 3)), requires_grad=True)
     w1, w2 = (ad.array(rng.normal(size=(3, 3, 3)), requires_grad=True) for _ in range(2))
     h = ad.relu(ad.conv1d(x, w1, ad.array(np.zeros(3), requires_grad=True), pad=1))
     return asum(ad.relu(ad.conv1d(h, w2, None, stride=2, pad=1)))
@@ -426,7 +441,7 @@ def _chain(rng):
 
 @pytest.mark.parametrize("build", [
     lambda rng: (lambda a: asum(ad.add(a, a)))(ad.array(rng.normal(size=(4, 3)), requires_grad=True)),
-    lambda rng: ad.mse(*(ad.array(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2))),
+    lambda rng: ad.mse(*(ad.array(rng.normal(size=(1, 4, 3)), requires_grad=True) for _ in range(2)), [4]),
     _chain,
 ], ids=["add_a_a", "mse", "conv_relu_chain"])
 def test_no_two_gradients_share_memory(build):
@@ -448,14 +463,14 @@ def test_acc_copies_a_fresh_gradient_of_another_dtype():
 
 
 def test_stop_gradient_identity_and_blocking():
-    values = np.random.default_rng(3).normal(size=(4, 2)).astype(np.float32)
+    values = np.random.default_rng(3).normal(size=(1, 4, 2)).astype(np.float32)
     x = ad.array(values, requires_grad=True)
     sg = ad.stop_gradient(x)
     assert np.array_equal(sg.data, values)
     assert not sg.requires_grad
 
     y = ad.array(values + 1.0, requires_grad=True)
-    ad.backward(ad.mse(y, sg))
+    ad.backward(ad.mse(y, sg, [4]))
     assert x.grad is None
     assert y.grad is not None
 
@@ -706,11 +721,11 @@ def test_adam_updates_a_rebound_parameter_of_a_group_and_refuses_a_reshaped_one(
 def test_adam_is_deterministic():
     def run():
         rng = np.random.default_rng(9)
-        p = _param(rng.normal(size=8))
+        p = _param(rng.normal(size=(1, 1, 8)))
         params = {"w": p}
         state = ad.AdamState(params)
         for step in range(5):
-            loss = ad.mse(p, ad.array(np.zeros(8, dtype=np.float32)))
+            loss = ad.mse(p, ad.array(np.zeros((1, 1, 8), dtype=np.float32)), [1])
             ad.zero_grads([p])
             ad.backward(loss)
             ad.adam_step(params, state, lr=0.05)

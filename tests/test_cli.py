@@ -24,6 +24,7 @@ from penrec.cli import main
 from penrec.config import (AlignConfig, ConfigError, EncoderConfig, RunConfig, TrainConfig,
                            align_config_from_dict, encoder_config_from_dict, run_config_from_dict)
 from penrec.data import MAX_POINTS, build_vocab, load_dataset, save_dataset
+from penrec.decoder import MAX_DECODE_CEILING
 from penrec.model import Recognizer
 from penrec.synth import synth_generate
 from penrec.training import load_checkpoint, save_checkpoint
@@ -371,6 +372,31 @@ def test_eval_max_len_below_one_exits_2_before_loading(tmp_path, capsys, monkeyp
                  "--max-len", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--max-len" in captured.err
+
+
+@pytest.mark.parametrize("max_len", [MAX_DECODE_CEILING + 1, 100_000_000])
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_max_len_above_the_ceiling_exits_2_before_loading(tmp_path, capsys, monkeypatch, command, max_len):
+    # greedy decodes one token per step until eos or the cap, so an unbounded cap is a hang, not a result
+    import penrec.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be loaded or decoded")
+
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    source = "--data" if command == "eval" else "--input"
+    assert main([command, "--checkpoint", str(tmp_path / "none.ckpt"), source, str(tmp_path / "none.jsonl"),
+                 "--max-len", str(max_len)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--max-len must be from 1 to {MAX_DECODE_CEILING}" in captured.err
+
+
+def test_max_len_ceiling_is_one_token_per_frame_of_the_longest_line():
+    import penrec.cli as cli
+
+    assert MAX_DECODE_CEILING == MAX_POINTS // 8 == 1024
+    cli._check_max_len(MAX_DECODE_CEILING)  # the ceiling itself is taken
 
 
 def write_textless_data(tmp_path, n=10):

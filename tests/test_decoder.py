@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_node_count
-from gradcheck import as_batch, asum, sigmoid, softmax, step_logits, tanh, tiny_model, tiny_sequence
+from gradcheck import asum, sigmoid, softmax, step_logits, tanh, tiny_model, tiny_sequence
 from penrec import autodiff as ad
 from penrec.data import EOS, PAD, SOS
 from penrec.decoder import AttentionDecoder
@@ -20,12 +20,13 @@ def make_decoder(vocab_size=6, d=8, seed=0):
 
 
 def random_enc(frames, d, seed=1):
-    return ad.array(np.random.default_rng(seed).normal(size=(frames, d)))
+    """One line's encoded frames, a batch of one (1, frames, d)."""
+    return ad.array(np.random.default_rng(seed).normal(size=(1, frames, d)))
 
 
 def line_ce_loss(dec, f_enc, target):
-    """`dec.ce_loss` of one line over its (T, d) frames f_enc, run as a batch of one."""
-    return dec.ce_loss(as_batch(f_enc), [target], [f_enc.shape[0]])
+    """`dec.ce_loss` of one line over its frames f_enc, a batch of one (1, T, d)."""
+    return dec.ce_loss(f_enc, [target], [f_enc.shape[1]])
 
 
 def test_step_probabilities_sum_to_one():
@@ -58,7 +59,7 @@ def test_attention_weights_match_loop_oracle():
     q = (y + state.data[0]) @ dec.wq.data
     scores = np.empty(7)
     for t in range(7):
-        k = f_enc.data[t] @ dec.wk.data
+        k = f_enc.data[0, t] @ dec.wk.data
         scores[t] = float((q * k).sum()) / math.sqrt(8)
     e = np.exp(scores - scores.max())
     expected = e / e.sum()
@@ -89,6 +90,13 @@ def test_greedy_respects_max_len():
     assert out == [4] * 5
 
 
+def test_greedy_takes_one_line_as_a_batch_of_one():
+    dec, _ = make_decoder()
+    for frames in (np.zeros((2, 4, 8)), np.zeros((4, 8))):  # two lines, and a lone (T, d) line
+        with pytest.raises(ValueError, match="batch of one"):
+            dec.greedy(ad.array(frames))
+
+
 def test_greedy_feeds_back_a_reserved_argmax_and_decode_drops_it():
     # PAD is not eos: it is appended and fed back until max_len; only Vocabulary.decode drops it
     model = tiny_model(dtype=np.float32)
@@ -98,7 +106,7 @@ def test_greedy_feeds_back_a_reserved_argmax_and_decode_drops_it():
     dec.out.b.data[PAD] = 10.0
     seq = tiny_sequence(np.random.default_rng(0))
     with ad.no_grad():
-        f_enc, _, _ = model.trajectory_features(seq)
+        f_enc, _ = model._encode(model.traj_conv(seq))
     assert dec.greedy(f_enc, max_len=7) == [PAD] * 7
     assert model.infer_ids(seq, max_len=7) == [PAD] * 7
     assert model.infer_text(seq, max_len=7) == ""
@@ -134,7 +142,7 @@ def test_greedy_states_are_bit_identical_to_chained_step_logits(monkeypatch, dty
     for p in dec.store.params.values():
         p.data[...] = rng.uniform(-0.5, 0.5, size=p.shape)
     dec.out.b.data[EOS] += eos_bias
-    f_enc = ad.array(np.random.default_rng(100 + frames).normal(size=(frames, d)), dtype=dtype)
+    f_enc = ad.array(np.random.default_rng(100 + frames).normal(size=(1, frames, d)), dtype=dtype)
     want_ids, want_states = chained_step_logits(dec, f_enc, max_len)
 
     got_states = []
@@ -217,7 +225,7 @@ def test_decoder_overfits_single_sample():
     d = 64
     store = ParamStore(np.random.default_rng(10))
     dec = AttentionDecoder(store, "dec", vocab_size=8, d=d)
-    f_enc = ad.array(np.random.default_rng(11).normal(size=(9, d)))
+    f_enc = ad.array(np.random.default_rng(11).normal(size=(1, 9, d)))
     target = [3, 6, 4, 7, EOS]
     state = ad.AdamState(store.params)
     loss_val = float("inf")
@@ -331,12 +339,13 @@ def test_attention_gru_matches_per_token_composition_in_float64():
 
 def test_sequence_logits_feed_sos_then_the_target():
     dec = AttentionDecoder(ParamStore(np.random.default_rng(13), dtype=np.float64), "dec", 7, 8)
-    f_enc = ad.array(np.random.default_rng(14).normal(size=(5, 8)), dtype=np.float64)
+    f_enc = ad.array(np.random.default_rng(14).normal(size=(1, 5, 8)), dtype=np.float64)
     target = [3, 6, 4, EOS]
-    logits = dec.sequence_logits(as_batch(f_enc), [target], [5])
+    logits = dec.sequence_logits(f_enc, [target], [5])
     assert logits.shape == (1, len(target), 7)
     want, _ = per_token_path(ad.gather_rows(dec.embed, [SOS] + target[:-1]), dec.initial_state(), dec.wq,
-                             ad.array(dec.keys(f_enc).data.T, dtype=np.float64), f_enc, dec.gru, dec.out, None)
+                             ad.array(dec.keys(f_enc).data[0].T, dtype=np.float64),
+                             ad.array(f_enc.data[0], dtype=np.float64), dec.gru, dec.out, None)
     np.testing.assert_allclose(logits.data[0], np.concatenate([w.data for w in want]), rtol=1e-12, atol=1e-12)
 
 

@@ -33,9 +33,10 @@ def line_sequence(n, pen=1.0):
 def test_frame_count_is_ceil_T_over_8():
     m = make_model()
     for t, frames in ((64, 8), (63, 8), (9, 2), (8, 1), (2, 1)):
-        feat = m.traj_conv(line_sequence(t))
-        assert feat.values.shape == (frames, 16), (t, frames)
-        assert feat.positions.shape == (frames, 2)
+        feat = m.traj_conv(line_sequence(t))  # the line as a batch of one
+        assert feat.values.shape == (1, frames, 16), (t, frames)
+        assert feat.positions.shape == (1, frames, 2)
+        assert feat.frames.tolist() == [frames]
 
 
 def test_rejects_single_point(monkeypatch):
@@ -62,7 +63,7 @@ def test_pad_repeats_last_point_pen_up():
 def test_frame_positions_monotonic_for_horizontal_stroke():
     m = make_model()
     feat = m.traj_conv(line_sequence(64))
-    px = feat.positions[:, 0]
+    px = feat.positions[0, :, 0]
     assert np.all(np.diff(px) > 0)
 
 
@@ -70,8 +71,8 @@ def test_frame_positions_are_window_means():
     m = make_model()
     seq = line_sequence(16)
     feat = m.traj_conv(seq)
-    np.testing.assert_allclose(feat.positions[0], seq.points[:8, :2].mean(axis=0))
-    np.testing.assert_allclose(feat.positions[1], seq.points[8:, :2].mean(axis=0))
+    np.testing.assert_allclose(feat.positions[0, 0], seq.points[:8, :2].mean(axis=0))
+    np.testing.assert_allclose(feat.positions[0, 1], seq.points[8:, :2].mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +82,9 @@ def test_frame_positions_are_window_means():
 def test_bigru_preserves_frames_and_width():
     store = ParamStore(np.random.default_rng(0))
     stack = BiGRUStack(store, "g", 16, layers=2)
-    x = ad.array(np.random.default_rng(1).normal(size=(7, 16)))
+    x = ad.array(np.random.default_rng(1).normal(size=(1, 7, 16)))
     out = stack(x)
-    assert out.shape == (7, 16)
+    assert out.shape == (1, 7, 16)
 
 
 def test_bigru_zero_parameters_zero_input_gives_zero_output():
@@ -91,8 +92,8 @@ def test_bigru_zero_parameters_zero_input_gives_zero_output():
     stack = BiGRUStack(store, "g", 8, layers=1)
     for p in store.params.values():
         p.data = np.zeros_like(p.data)
-    out = stack(ad.array(np.zeros((5, 8))))
-    np.testing.assert_array_equal(out.data, np.zeros((5, 8), dtype=np.float32))
+    out = stack(ad.array(np.zeros((1, 5, 8))))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 5, 8), dtype=np.float32))
 
 
 def test_bigru_packs_the_draws_of_two_separate_cells():
@@ -117,8 +118,8 @@ def test_bigru_direction_swap_under_shared_parameters():
         p.data[..., 9:] = p.data[..., :9]
     w_h.data[3:] = w_h.data[:3]
     x = np.random.default_rng(3).normal(size=(9, 6)).astype(np.float32)
-    out = stack(ad.array(x)).data
-    out_rev = stack(ad.array(x[::-1])).data
+    out = stack(ad.array(x[None])).data[0]
+    out_rev = stack(ad.array(x[None, ::-1])).data[0]
     half = 3
     # direction-0 of the reversed input equals reversed direction-1 of the original
     np.testing.assert_allclose(out_rev[:, :half], out[::-1, half:], rtol=1e-5, atol=1e-6)
@@ -131,22 +132,23 @@ def test_bigru_direction_swap_under_shared_parameters():
 def test_image_frames_are_width_over_8():
     m = make_model()
     img = np.zeros((32, 64), dtype=np.float32)
-    out = m.img_cnn(img)
-    assert out.shape == (8, 16)
+    out = m.img_cnn.join([img])  # one image: columns 0-7 of the joined features
+    assert out.values.shape == (1, 8, 16)
+    assert out.starts.tolist() == [0] and out.frames.tolist() == [8]
 
 
 def test_image_encoder_rejects_wrong_height_or_width():
     m = make_model()
     with pytest.raises(ValueError, match="height"):
-        m.img_cnn(np.zeros((16, 64), dtype=np.float32))
+        m.img_cnn.join([np.zeros((16, 64), dtype=np.float32)])
     with pytest.raises(ValueError, match="width"):
-        m.img_cnn(np.zeros((32, 60), dtype=np.float32))
+        m.img_cnn.join([np.zeros((32, 60), dtype=np.float32)])
 
 
 def test_zero_image_gives_zero_conv_features():
     m = make_model()
-    out = m.img_cnn(np.zeros((32, 40), dtype=np.float32))
-    np.testing.assert_array_equal(out.data, np.zeros((5, 16), dtype=np.float32))
+    out = m.img_cnn.join([np.zeros((32, 40), dtype=np.float32)])
+    np.testing.assert_array_equal(out.values.data, np.zeros((1, 5, 16), dtype=np.float32))
 
 
 def test_shift_equivariance_away_from_borders():
@@ -159,8 +161,7 @@ def test_shift_equivariance_away_from_borders():
     img[:, -16:] = 0.0
     shifted = np.zeros_like(img)
     shifted[:, 8:] = img[:, :-8]
-    a = m.img_cnn(img).data
-    b = m.img_cnn(shifted).data
+    a, b = (m.img_cnn.join([x]).values.data[0] for x in (img, shifted))
     # receptive field is ~10 frames; compare the interior band
     np.testing.assert_allclose(b[12:20], a[11:19], rtol=1e-5, atol=1e-6)
 
@@ -171,7 +172,7 @@ def test_encoder_outputs_finite_for_large_inputs():
     pts = np.column_stack([rng.uniform(0, 3000, 80), rng.uniform(0, 32, 80), np.ones(80)])
     feat = m.traj_conv(TrajectorySequence(id="big", points=pts, text="a"))
     assert np.all(np.isfinite(feat.values.data))
-    f_enc, _, _ = m.trajectory_features(TrajectorySequence(id="big", points=pts, text="a"))
+    f_enc, _ = m._encode(feat)
     assert np.all(np.isfinite(f_enc.data))
 
 
