@@ -3,11 +3,11 @@ frames, point-level sampling of image columns, and the feature-matching loss.
 
 The 2D position embedding is sinusoidal at rotary-style geometric
 frequencies and is ADDED to the conv features (the first d/2 lanes encode
-px, the last d/2 encode py). Sampling interpolates image-encoder columns at
-each trajectory frame's pixel position; the loss pulls the aligned features
-toward those (optionally gradient-stopped) samples. Each takes a batch's
-(B, T, ·) features with per-line frame counts and the image stack's joined
-columns; a lone line is a batch of one.
+px, the last d/2 encode py). Sampling interpolates image-encoder columns,
+one per `FRAME` px, at each trajectory frame's pixel position; the loss
+pulls the aligned features toward those (optionally gradient-stopped)
+samples. Each takes a batch's (B, T, ·) features with per-line frame counts
+and the image stack's joined columns; a lone line is a batch of one.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffArray
 from .config import AlignConfig
+from .data import FRAME
 from .encoders import FeatureSequence
 from .layers import ParamStore, TransformerLayer
 
-IMAGE_STRIDE_W = 8
 ROPE_BASE = 10000.0
 
 
@@ -75,14 +75,14 @@ class SpatialAligner:
 def sample_image_columns(f2d_conv: DiffArray, positions: np.ndarray, starts, frames) -> DiffArray:
     """Point-level sampling of a batch's joined image-encoder columns at trajectory positions.
 
-    Column coordinate is px / 8 (the image stack's width stride); rows are
+    Column coordinate is px / FRAME (the image stack's width stride); rows are
     linearly interpolated along the width axis and the result is
     differentiable w.r.t. the image features. The joined columns of all the
     batch's images (see `encoders.Joined`) are sampled at (B, T, 2)
     positions: line b's columns are offset by starts[b] and its coordinate
     is clamped within its own frames[b] columns.
     """
-    cols = np.asarray(positions, dtype=np.float64)[..., 0] / IMAGE_STRIDE_W
+    cols = np.asarray(positions, dtype=np.float64)[..., 0] / FRAME
     cols = np.clip(cols, 0.0, np.asarray(frames)[:, None] - 1.0) + np.asarray(starts)[:, None]
     return ad.interp_rows(f2d_conv, cols)
 

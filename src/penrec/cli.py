@@ -111,6 +111,8 @@ def cmd_render(args) -> int:
 
 def cmd_synth(args) -> int:
     # the arguments are checked here, before the file is opened; each line is written as it is generated
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     lines = synth_lines(args.vocab, args.n, np.random.default_rng(args.seed),
                         length_range=(args.min_len, args.max_len))
     save_dataset(args.out, lines)

@@ -26,10 +26,10 @@ class EncoderConfig:
     """Shared width d and the depth of both BiGRU stacks.
 
     The conv stacks' shapes are fixed in `encoders`: the trajectory stack
-    downsamples time by 8, and the image stack has total stride (32, 8), so
-    height 32 collapses to one row. d must be divisible by 8 (position-
-    embedding pairing needs d % 4 == 0; the image-stack channel ladder
-    d/8 .. d needs d % 8 == 0).
+    downsamples time by `data.FRAME`, and the image stack has total stride
+    (`IMAGE_HEIGHT`, `FRAME`), so height 32 collapses to one row. d must be
+    divisible by 8 (position-embedding pairing needs d % 4 == 0; the
+    image-stack channel ladder d/8 .. d needs d % 8 == 0).
     """
 
     d: int = 320

@@ -17,10 +17,12 @@ from pathlib import Path
 import numpy as np
 
 IMAGE_HEIGHT = 32
+# Points or pixel columns per frame: the trajectory stack's time stride and the image stack's width stride
+FRAME = 8
 # Widest normalized line, in px: far above real lines (synthetic lines of ten
 # glyphs are about 350 px wide), and it caps a rendered image at 32 x 4104.
 MAX_WIDTH = 4096
-# Most points in a line. The aligner's self-attention is quadratic in frames (points / 8):
+# Most points in a line. The aligner's self-attention is quadratic in frames (points / FRAME):
 # peak RSS of one line's inference at d=320 (`infer_ids`, one decode step, 2-core x86-64 VM)
 # is 77, 97, 172, 297 and 465 MB at 2k, 4k, 8k, 12k and 16k points, and a d=320 training
 # step on one line of 8,192 points peaks at 654 MB, on two at 1,219 MB. Synthetic lines of
@@ -167,8 +169,8 @@ def _point_pixels(points: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
 
 
 def render_width(max_px: float) -> int:
-    w = max(8, math.ceil(max_px) + 1)
-    return ((w + 7) // 8) * 8
+    w = max(FRAME, math.ceil(max_px) + 1)
+    return -(-w // FRAME) * FRAME
 
 
 def _segment_pixels(r0, c0, r1, c1) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +200,7 @@ def _segment_pixels(r0, c0, r1, c1) -> tuple[np.ndarray, np.ndarray]:
 def render(seq: TrajectorySequence) -> np.ndarray:
     """Rasterize a normalized sequence to a (32, W) grayscale image.
 
-    W is ceil(max px)+1 rounded up to a multiple of 8 (minimum 8). Segments
+    W is ceil(max px)+1 rounded up to a multiple of FRAME (minimum FRAME). Segments
     are drawn only between consecutive touching samples; every touching
     sample also inks its own pixel, so isolated pen-down points stay visible.
     Ink is 1.0 on a 0.0 background, no anti-aliasing. The pixels of all the

@@ -23,12 +23,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffArray
-from .data import EOS, MAX_POINTS, PAD, SOS
+from .data import EOS, FRAME, MAX_POINTS, PAD, SOS
 from .layers import Linear, ParamStore
 
 MAX_DECODE_LEN = 256  # tokens a greedy decode emits at most when no eos comes
 # the largest cap `eval` and `infer` take: one token per frame of a line of MAX_POINTS points
-MAX_DECODE_CEILING = MAX_POINTS // 8
+MAX_DECODE_CEILING = MAX_POINTS // FRAME
 
 
 class AttentionDecoder:

@@ -1,19 +1,19 @@
 """Trajectory-stream and image-stream encoders.
 
-Both streams end at width d on their own frame clock: the trajectory stack
-downsamples time by 8 (frames = ceil(T/8)), the image stack collapses the
-32-pixel height entirely and downsamples width by 8 (frames = W/8). The two
-clocks are what the point-to-spatial sampling aligns.
+Both streams end at width d on one frame clock, `FRAME` points or pixel
+columns to a frame: the trajectory stack gives frames = ceil(T/FRAME), the
+image stack collapses the IMAGE_HEIGHT rows and gives frames = W/FRAME. The
+point-to-spatial sampling pairs the two clocks frame for frame.
 
 Each stack runs a batch's lines as one input: the lines' padded points, or
-their images, are joined along time or width with `GAP` zero rows or
-columns between consecutive lines, so every layer is one node: a
-convolution that applies its own relu, or a whole residual block
+their images, are joined along time or width with `FRAME` zero rows or
+columns (one zero frame) between consecutive lines, so every layer is one
+node: a convolution that applies its own relu, or a whole residual block
 (`ad.residual_block`). Every such node zeroes the gap again, by index, in
 its relu, so a line's edge reads zeros, as its own zero padding would give
-it, and each line's output equals the stack's output on the line alone.
-`Joined` records where each line's frames lie. Every stack's output is a
-batch: a lone line is a batch of one, with no gap and no mask.
+it, and each line's output is, to rounding, the stack's on the line alone.
+`Joined` records where each line's frames lie; its `rows` cut a batch out.
+Every stack's output is a batch: a lone line is a batch of one, no gap.
 """
 
 from __future__ import annotations
@@ -25,16 +25,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffArray
 from .config import EncoderConfig
-from .data import IMAGE_HEIGHT, TrajectorySequence
+from .data import FRAME, IMAGE_HEIGHT, TrajectorySequence
 from .layers import ParamStore
 
 COORD_SCALE = 1.0 / 32.0  # conv input conditioning; py lands in [0, 1]
 # (channels, kernel, stride) of the trajectory stack's first five layers; a last
-# (d, 3, 2) layer follows, so the strides multiply to 8
+# (d, 3, 2) layer follows, so the strides multiply to FRAME
 TRAJ_CONV_LADDER = ((64, 3, 1), (64, 3, 2), (128, 3, 1), (128, 3, 2), (256, 3, 1))
-# Zero points or pixel columns between two joined lines: the total stride of either stack, so every
-# line starts on a frame boundary of every layer and each gap ends as one zero frame.
-GAP = 8
 
 
 @dataclass
@@ -49,28 +46,30 @@ class Joined:
     starts: np.ndarray
     frames: np.ndarray
 
+    def rows(self) -> np.ndarray:
+        """The (B, max frames) index of each line's rows in `values`; -1 past a line's frames."""
+        t = np.arange(self.frames.max())
+        return np.where(t < self.frames[:, None], self.starts[:, None] + t, -1)
+
     def padded(self) -> DiffArray:
         """The lines as one zero-padded (B, max frames, d) batch: one `gather_rows` node.
 
         A lone line fills every row, so `values` already is its batch of one.
         """
-        if len(self.frames) == 1:
-            return self.values
-        t = np.arange(self.frames.max())
-        return ad.gather_rows(self.values, np.where(t < self.frames[:, None], self.starts[:, None] + t, -1))
+        return self.values if len(self.frames) == 1 else ad.gather_rows(self.values, self.rows())
 
 
-def _join(parts: list[np.ndarray], axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Arrays laid end to end along `axis`, `GAP` zeros between consecutive ones.
+def _join(parts: list[np.ndarray], axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Arrays, each a whole number of frames long along `axis`, laid end to end with `FRAME` zeros between.
 
-    Returns the joined array, each part's start along `axis` and the
-    (joined length,) mask of the entries that belong to a part; the mask is
-    None for one part, which has no gap.
+    Returns the joined array, each part's first frame and frame count, and
+    the (joined length,) mask of the entries that belong to a part; the
+    mask is None for one part, which has no gap.
     """
     sizes = [p.shape[axis] for p in parts]
     starts = [0]
     for n in sizes[:-1]:
-        starts.append(starts[-1] + n + GAP)
+        starts.append(starts[-1] + n + FRAME)
     shape = list(parts[0].shape)
     shape[axis] = starts[-1] + sizes[-1]
     out = np.zeros(shape, dtype=parts[0].dtype)
@@ -79,7 +78,7 @@ def _join(parts: list[np.ndarray], axis: int) -> tuple[np.ndarray, np.ndarray, n
         out[(slice(None),) * axis + (slice(lo, lo + n),)] = p
         if live is not None:
             live[lo:lo + n] = True
-    return out, np.array(starts), live
+    return out, np.array(starts) // FRAME, np.array(sizes) // FRAME, live
 
 
 def _gaps(live: np.ndarray | None, stride: int) -> np.ndarray | None:
@@ -119,13 +118,12 @@ class Conv1dStack:
         return x
 
 
-def pad_to_multiple(points: np.ndarray, multiple: int = 8) -> np.ndarray:
-    """Right-pad by repeating the last point with the pen lifted."""
-    t = points.shape[0]
-    rem = t % multiple
+def pad_to_multiple(points: np.ndarray) -> np.ndarray:
+    """Right-pad to a whole number of frames by repeating the last point with the pen lifted."""
+    rem = points.shape[0] % FRAME
     if rem == 0:
         return points
-    pad = np.repeat(points[-1:], multiple - rem, axis=0)
+    pad = np.repeat(points[-1:], FRAME - rem, axis=0)
     pad[:, 2] = 0.0
     return np.concatenate([points, pad], axis=0)
 
@@ -139,31 +137,25 @@ class TrajectoryEncoder:
 
     def __call__(self, seq: TrajectorySequence) -> FeatureSequence:
         """One line as a batch of one: (1, frames, d) features and (1, frames, 2) positions."""
+        # nothing in penrec calls this, but perfbench's traced path does: the benchmark's next change can delete it
         return self.batch([seq])
 
     def batch(self, batch: list[TrajectorySequence]) -> FeatureSequence:
-        """A batch of lines as one zero-padded (B, T, d) batch, with (B, T, 2) positions and per-line frames."""
-        joined, positions = self.join(batch)
-        padded = np.zeros((len(batch), joined.frames.max(), 2))
-        for row, p in zip(padded, positions):
-            row[:len(p)] = p
-        return FeatureSequence(values=joined.padded(), positions=padded, frames=joined.frames)
+        """A batch of lines as one zero-padded (B, T, d) batch, with (B, T, 2) positions and per-line frames.
 
-    def join(self, batch: list[TrajectorySequence]) -> tuple[Joined, list[np.ndarray]]:
-        """One conv stack run over the batch's lines joined along time; also each line's (frames, 2) positions.
-
-        Every line is checked before the stack runs; a line of fewer than 2
-        points raises ValueError naming its id.
+        One conv stack runs over the lines joined along time; a frame's position is its `FRAME` points' mean.
+        A line of fewer than 2 points raises ValueError naming its id, before the stack runs on any line.
         """
         for seq in batch:
             if seq.length < 2:
                 raise ValueError(f"{seq.id}: need at least 2 points, got {seq.length}")
-        pts = [pad_to_multiple(np.asarray(seq.points, dtype=np.float64)) for seq in batch]
-        feats, starts, live = _join(pts, 0)
-        feats[:, :2] *= COORD_SCALE
-        out = self.conv(self.store.const(feats[None]), live)
-        positions = [p[:, :2].reshape(-1, 8, 2).mean(axis=1) for p in pts]
-        return Joined(out, starts // 8, np.array([len(p) for p in positions])), positions
+        pts, starts, frames, live = _join([pad_to_multiple(np.asarray(s.points, dtype=np.float64)) for s in batch], 0)
+        means = pts[:, :2].reshape(-1, FRAME, 2).mean(axis=1)
+        pts[:, :2] *= COORD_SCALE
+        joined = Joined(self.conv(self.store.const(pts[None]), live), starts, frames)
+        rows = joined.rows()
+        return FeatureSequence(values=joined.padded(), positions=np.where(rows[..., None] < 0, 0.0, means[rows]),
+                               frames=frames)
 
 
 class ResidualBlock:
@@ -184,12 +176,13 @@ class ResidualBlock:
 
 
 class ImageEncoder:
-    """Residual CNN with total stride (32, 8) ending at width d.
+    """Residual CNN with total stride (IMAGE_HEIGHT, FRAME) ending at width d.
 
     Stem 3x3 stride (2,1), then four stages of one residual block each, at
     strides (2,2),(2,2),(2,2),(2,1) with a channel ladder d/8, d/4, d/2, d.
     """
 
+    STEM_STRIDE = (2, 1)
     STAGE_STRIDES = ((2, 2), (2, 2), (2, 2), (2, 1))
 
     def __init__(self, store: ParamStore, name: str, cfg: EncoderConfig):
@@ -210,13 +203,14 @@ class ImageEncoder:
             h, w = img.shape
             if h != IMAGE_HEIGHT:
                 raise ValueError(f"image height must be {IMAGE_HEIGHT}, got {h}")
-            if w % 8 != 0 or w < 8:
-                raise ValueError(f"image width must be a positive multiple of 8, got {w}")
-        pixels, starts, live = _join(imgs, 1)
+            if w % FRAME != 0 or w < FRAME:
+                raise ValueError(f"image width must be a positive multiple of {FRAME}, got {w}")
+        pixels, starts, frames, live = _join(imgs, 1)
         x = self.store.const(pixels[:, :, None])
-        x = ad.conv2d(x, self.stem_w, self.stem_b, stride=(2, 1), pad=(1, 1), relu=True, gaps=_gaps(live, 1))
+        x = ad.conv2d(x, self.stem_w, self.stem_b, stride=self.STEM_STRIDE, pad=(1, 1), relu=True,
+                      gaps=_gaps(live, self.STEM_STRIDE[1]))
         for block in self.blocks:
             x = block(x, live)
             live = None if live is None else live[::block.stride[1]]
         # the height is fully collapsed here: (1, columns, d)
-        return Joined(x, starts // 8, np.array([img.shape[1] // 8 for img in imgs]))
+        return Joined(x, starts, frames)

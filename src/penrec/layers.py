@@ -131,6 +131,7 @@ class BiGRUStack:
 
         Without `lengths` no sequence is padded: each fills all T rows.
         """
+        # nothing in penrec omits `lengths`; perfbench's traced path does, so the benchmark's next change can drop this
         if lengths is None:
             lengths = np.full(xs.shape[0], xs.shape[-2])
         for weights in self.layers:

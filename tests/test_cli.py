@@ -96,6 +96,13 @@ def test_synth_negative_count_exits_2_without_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_negative_seed_exits_2_without_writing(tmp_path, capsys):
+    out = tmp_path / "neg.jsonl"
+    assert main(["synth", "--n", "1", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_unknown_glyph_is_config_error(tmp_path):
     out = tmp_path / "x.jsonl"
     assert main(["synth", "--n", "1", "--vocab", "a!", "--out", str(out)]) == 2

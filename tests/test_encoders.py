@@ -1,6 +1,7 @@
 """Encoder contracts: frame clocks, widths, positions, shift equivariance."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from gradcheck import asum
 from penrec import autodiff as ad
 from penrec.config import AlignConfig, EncoderConfig
-from penrec.data import IMAGE_HEIGHT, TrajectorySequence, Vocabulary
+from penrec.data import FRAME, IMAGE_HEIGHT, TrajectorySequence, Vocabulary
 from penrec.encoders import _join, pad_to_multiple
 from penrec.layers import BiGRUStack, ParamStore
 from penrec.model import Recognizer
@@ -37,6 +38,36 @@ def test_frame_count_is_ceil_T_over_8():
         assert feat.values.shape == (1, frames, 16), (t, frames)
         assert feat.positions.shape == (1, frames, 2)
         assert feat.frames.tolist() == [frames]
+
+
+def test_both_stacks_step_one_frame_per_FRAME():
+    m = make_model()
+    assert math.prod(s for _, _, s in m.traj_conv.conv.spec) == FRAME == 8
+    strides = [m.img_cnn.STEM_STRIDE] + [block.stride for block in m.img_cnn.blocks]
+    assert tuple(math.prod(s) for s in zip(*strides)) == (IMAGE_HEIGHT, FRAME)
+
+
+def test_batch_lines_equal_their_own_batches_of_one():
+    # mixed lengths: one frame from 2 points, an exact multiple of 8, and lines that need padding.
+    # Positions are bit-identical. Features agree to rounding only: numpy sends a one-row product to gemv,
+    # and OpenBLAS's small-matrix kernel, chosen by the product's size, rounds the last layer's (768-wide)
+    # product of a short line alone otherwise than the same rows of the joined lines.
+    m = make_model()
+    rng = np.random.default_rng(6)
+    lines = []
+    for i, t in enumerate((37, 2, 64, 13)):
+        pts = np.column_stack([np.sort(rng.uniform(0, 90, t)), rng.uniform(0, 32, t), rng.integers(0, 2, t)])
+        lines.append(TrajectorySequence(id=f"l{i}", points=pts, text="a"))
+    feat = m.traj_conv.batch(lines)
+    assert feat.frames.tolist() == [5, 1, 8, 2]
+    assert feat.values.shape == (4, 8, 16) and feat.positions.shape == (4, 8, 2)
+    for b, seq in enumerate(lines):
+        alone = m.traj_conv.batch([seq])
+        n = feat.frames[b]
+        assert alone.frames.tolist() == [n]
+        np.testing.assert_allclose(feat.values.data[b, :n], alone.values.data[0], rtol=1e-5, atol=1e-6)
+        assert feat.positions[b, :n].tobytes() == alone.positions[0].tobytes()
+        assert np.all(feat.values.data[b, n:] == 0.0) and np.all(feat.positions[b, n:] == 0.0)
 
 
 def test_rejects_single_point(monkeypatch):
@@ -209,7 +240,7 @@ def test_residual_block_equals_its_composed_graph_bit_for_bit(dtype):
     # 2 rows high, 8 to 64 channels; each stage reads the one before's output
     rng = np.random.default_rng(8)
     m = Recognizer(EncoderConfig(d=64), AlignConfig(), Vocabulary(list("ab")), seed=3, dtype=dtype)
-    _, _, live = _join([np.zeros((IMAGE_HEIGHT, w)) for w in (24, 48, 16)], 1)
+    _, _, _, live = _join([np.zeros((IMAGE_HEIGHT, w)) for w in (24, 48, 16)], 1)
     x = rng.uniform(0.0, 1.0, size=(IMAGE_HEIGHT // 2, live.size, 8)).astype(dtype)
     x[:, ~live] = 0.0
     for block in m.img_cnn.blocks:
