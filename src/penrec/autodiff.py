@@ -33,9 +33,10 @@ Arrays are float32 by default; build everything in float64 for
 finite-difference checks.
 
 Also hosts the optimizer pieces: Adam with bias correction and the cosine
-learning-rate schedule. Adam updates the small tensors of each dtype as one
-flat array, their gradients copied into one buffer and their moments laid
-end to end, and every tensor in cache-sized blocks.
+learning-rate schedule. Adam lays every tensor's moments end to end and
+updates them in cache-sized blocks: each block's gradient pieces are
+copied into one scratch block, and each piece of its step is subtracted
+from its parameter.
 
 Training can use a second core through one worker thread (`submit`). It is
 started by the first training step that has work large enough for it, and
@@ -1266,73 +1267,54 @@ def mse(a: DiffArray, b: DiffArray, lengths) -> DiffArray:
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 # Elements per block of an Adam update: its 14 elementwise passes over a block then stay in cache,
-# where over a whole d=320 tensor (up to millions of elements) each pass streams memory. A
-# parameter of at most this many elements joins its dtype's `_Group`, which is updated once per
-# block rather than once per tensor, each update costing 14 numpy calls: at d=64 100 of the 101
-# tensors (457,494 elements), at d=320 67 of 101 (306,454). The d=64 group's update on a 2-core
-# x86-64 VM, blocks of 8K elements 1.18 ms, 16K 1.01, 32K 0.89, 64K 0.86, 128K 0.89, 512K 1.95.
+# where over a whole d=320 tensor (up to millions of elements) each pass streams memory. The blocks
+# cut every parameter's elements laid end to end, so small tensors share a block's 14 numpy calls:
+# the d=64 model's 101 tensors (0.56M elements) take 9 blocks. Its whole update, inline, medians on
+# a 2-core x86-64 VM: blocks of 8K elements 2.38 ms, 16K 2.03, 32K 1.91, 64K 1.85, 128K 1.94,
+# 512K 2.40.
 _ADAM_BLOCK = 1 << 16
-
-
-class _Group:
-    """Parameters of one dtype of at most `_ADAM_BLOCK` elements each, laid end to end for one Adam update.
-
-    `m` and `v` are flat buffers of their moments, and the AdamState's
-    `m[name]` and `v[name]` are views of a member's slots. `adam_step`
-    copies the members' gradients into `g`, updates the moments and forms
-    the step of every element in `g` as one flat array, then subtracts each
-    member's slot of `g` from its `data`. The three buffers are made here,
-    each on its own: made at the first step, amid a step's arrays, the
-    gather buffer raised a d=64 run's peak RSS by another 1.7 MB.
-    """
-
-    __slots__ = ("members", "bounds", "m", "v", "g", "g_slots")
-
-    def __init__(self, members: list):
-        self.members = members  # (name, parameter)
-        ends = np.cumsum([p.data.size for _, p in members]).tolist()
-        self.bounds = list(zip([0] + ends[:-1], ends))
-        self.m, self.v = (np.zeros(ends[-1], dtype=members[0][1].data.dtype) for _ in range(2))
-        self.g = np.zeros(ends[-1], dtype=members[0][1].data.dtype)
-        self.g_slots = self.slots(self.g)
-
-    def slots(self, flat) -> list:
-        """Each member's slot of `flat` (m, v or g), in the member's shape."""
-        return [flat[lo:hi].reshape(p.data.shape) for (_, p), (lo, hi) in zip(self.members, self.bounds)]
 
 
 class AdamState:
     """Adam's first and second moments for one params dict (name -> DiffArray), and the shared step count.
 
-    `m[name]` and `v[name]` are parameter `name`'s moments. Those of every
-    parameter of at most `_ADAM_BLOCK` elements are views of its dtype's
-    `_Group`; `large` names the other parameters, in params order.
+    The parameters' moments lie end to end, in params order, in the flat
+    buffers `m_flat` and `v_flat`; `m[name]` and `v[name]` are views of
+    parameter `name`'s slots in its shape. `blocks` cuts the flat range in
+    `_ADAM_BLOCK` blocks (lo, hi, pieces): piece (i, a, b, at) is the i-th
+    parameter's flat elements a:b, at offset `at` of the block.
     """
 
     def __init__(self, params: dict):
+        dtypes = {p.data.dtype for p in params.values()}
+        if len(dtypes) > 1:
+            raise ValueError(f"AdamState: parameters of more than one dtype ({', '.join(sorted(map(str, dtypes)))})")
         self.params = params
         self.step = 0
-        by_dtype = {}
-        for name, p in params.items():
-            if p.data.size <= _ADAM_BLOCK:
-                by_dtype.setdefault(p.data.dtype, []).append((name, p))
-        self.groups = [_Group(members) for members in by_dtype.values()]
-        grouped = {}
-        for group in self.groups:
-            for (name, _), m, v in zip(group.members, group.slots(group.m), group.slots(group.v)):
-                grouped[name] = m, v
-        self.m = {name: grouped[name][0] if name in grouped else np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: grouped[name][1] if name in grouped else np.zeros_like(p.data) for name, p in params.items()}
-        self.large = [name for name in params if name not in grouped]
+        sizes = [p.data.size for p in params.values()]
+        ends = np.cumsum([0] + sizes).tolist()
+        self.m_flat, self.v_flat = (np.zeros(ends[-1], dtype=next(iter(dtypes), np.float32)) for _ in range(2))
+        self.m, self.v = ({name: flat[lo:hi].reshape(p.data.shape)
+                           for (name, p), lo, hi in zip(params.items(), ends, ends[1:])}
+                          for flat in (self.m_flat, self.v_flat))
+        self.blocks = [(lo, min(lo + _ADAM_BLOCK, ends[-1]), []) for lo in range(0, ends[-1], _ADAM_BLOCK)]
+        at = 0  # the flat position reached
+        for i, size in enumerate(sizes):
+            a = 0
+            while a < size:
+                lo, hi, pieces = self.blocks[at // _ADAM_BLOCK]
+                b = min(size, a + hi - at)
+                pieces.append((i, a, b, at - lo))
+                at, a = at + b - a, b
 
 
-def _adam_update(p, g, m, v, t1, t2, b1, b2, c1, c2, lr, eps) -> None:
-    """In place: the moment updates of v and m, the step lr * (m / c1) / (sqrt(v / c2) + eps) into t1, then p -= t1.
+def _adam_update(g, m, v, t1, t2, b1, b2, c1, c2, lr, eps) -> None:
+    """In place: the moment updates of v and m, then the step lr * (m / c1) / (sqrt(v / c2) + eps) into t1.
 
-    t1 and t2 are scratch of g's shape. t1 may be g itself, which the m
-    update reads last; with p None the step is left in t1. The operations
-    and their order within each moment and the step are those of the plain
-    array expressions, so every rounding is theirs too.
+    t1 and t2 are scratch of g's shape; t1 may be g itself, which the m
+    update reads last. The operations and their order within each moment
+    and the step are those of the plain array expressions, so every
+    rounding is theirs too.
     """
     v *= b2
     np.multiply(g, g, out=t2)
@@ -1347,115 +1329,86 @@ def _adam_update(p, g, m, v, t1, t2, b1, b2, c1, c2, lr, eps) -> None:
     np.sqrt(t2, out=t2)
     t2 += eps
     t1 /= t2
-    if p is not None:
-        p -= t1
 
 
-# Parameter elements from which `adam_step` updates half of them on the worker thread: the larger
-# tensors are split between the threads, and each group is cut in two. Whole model, inline | split,
-# medians of 20 back-to-back steps on a 2-core x86-64 VM: d=64 (0.56M elements) 1.41 | 1.52 ms,
-# d=128 (1.55M) 3.72 | 2.96, d=192 (3.18M) 7.13 | 5.36, d=320 (8.32M) 17.8 | 12.2. A cut-off
-# below d=128's count would need its own end-to-end measurement; the benchmark has no such width.
+# Parameter elements from which `adam_step` updates the second half of its blocks on the worker
+# thread. Whole model, inline | split, medians of 5 alternations of 20 steps on a 2-core x86-64 VM:
+# d=64 (0.56M elements) 2.29 | 2.08 ms, d=128 (1.55M) 5.25 | 4.03, d=192 (3.18M) 10.99 | 7.82,
+# d=320 (8.32M) 32.2 | 23.1; in one run of three, the VM's other CPU busy, only d=320 gained. A
+# cut-off below d=128's count would need its own end-to-end measurement; the benchmark has no such
+# width.
 _ADAM_WORKER_ELEMENTS = 2_000_000
 
 
-def _adam_updates(jobs, consts) -> None:
-    """`_adam_update` of each job (p, g, m, v), a flat one in `_ADAM_BLOCK` blocks through reused scratch.
+def _adam_updates(blocks, datas, grads, m, v, consts) -> None:
+    """Adam's update of each block: its gradient pieces gathered into scratch, then its step subtracted back.
 
-    A job of N-d arrays (a tensor without a flat view) is updated whole. A
-    group's job has p None: its step is left in g.
+    `datas` and `grads` are the parameters' and gradients' flat arrays by
+    tensor index, a gradient None for zeros; `m` and `v` the flat moments.
     """
-    scratch = {}  # dtype -> two buffers of one block
-    for p, g, m, v in jobs:
-        if g.ndim != 1:
-            _adam_update(p, g, m, v, np.empty_like(g), np.empty_like(g), *consts)
-            continue
-        if g.dtype not in scratch:
-            scratch[g.dtype] = [np.empty(_ADAM_BLOCK, dtype=g.dtype) for _ in range(2)]
-        t1, t2 = scratch[g.dtype]
-        for lo in range(0, g.size, _ADAM_BLOCK):
-            hi = min(lo + _ADAM_BLOCK, g.size)
-            gb, tb = g[lo:hi], t2[:hi - lo]
-            if p is None:
-                _adam_update(None, gb, m[lo:hi], v[lo:hi], gb, tb, *consts)
+    g, t = (np.empty(_ADAM_BLOCK, dtype=m.dtype) for _ in range(2))
+    for lo, hi, pieces in blocks:
+        for i, a, b, at in pieces:
+            if grads[i] is None:
+                g[at:at + b - a] = 0
             else:
-                _adam_update(p[lo:hi], gb, m[lo:hi], v[lo:hi], t1[:hi - lo], tb, *consts)
-
-
-def _halves(jobs: list) -> tuple[list, list]:
-    """The jobs in two lists of near-equal element counts, largest jobs placed first."""
-    halves, counts = ([], []), [0, 0]
-    for job in sorted(jobs, key=lambda job: job[1].size, reverse=True):
-        i = counts[1] < counts[0]
-        halves[i].append(job)
-        counts[i] += job[1].size
-    return halves
+                g[at:at + b - a] = grads[i][a:b]
+        n = hi - lo
+        _adam_update(g[:n], m[lo:hi], v[lo:hi], g[:n], t[:n], *consts)
+        for i, a, b, at in pieces:
+            p = datas[i][a:b]
+            np.subtract(p, g[at:at + b - a], out=p)
 
 
 def adam_step(params: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update over `params` (name -> DiffArray), the dict `state` was built on.
 
-    Missing grads count as zero. Any non-finite gradient rejects the whole
-    step, naming the first such parameter, before touching parameters or
-    state. Each `_Group` gathers its members' gradients and is updated as
-    one flat array in `_ADAM_BLOCK` blocks. A larger tensor is updated in
-    blocks too, or whole when it, its gradient or its moments are not
-    C-contiguous. With at least `_ADAM_WORKER_ELEMENTS` elements in all,
-    the worker thread updates one of two halves while the caller updates
-    the other. Every element's update is the same either way.
+    Missing grads count as zero. A shape that does not match, a parameter
+    without a flat view (a transposed one) or a non-finite gradient, in the
+    state's dtype, rejects the whole step, naming the first such parameter,
+    before touching parameters or state. The update runs over the state's
+    blocks; with at least `_ADAM_WORKER_ELEMENTS` elements in all, the
+    worker thread updates the second half of them while the caller updates
+    the first. Every element's update is the same either way.
     """
     if lr <= 0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
     if params is not state.params:
         raise ValueError("adam_step: params is not the dict its AdamState was built on")
-    for name, p in params.items():
-        if p.grad is not None and p.grad.shape != p.data.shape:
-            raise ShapeError(f"adam_step: grad shape {p.grad.shape} does not match parameter '{name}' {p.data.shape}")
-    finite, jobs = True, []
-    for group in state.groups:
-        for (name, p), g in zip(group.members, group.g_slots):
-            if p.data.shape != g.shape:
-                raise ShapeError(f"adam_step: parameter '{name}' is {p.data.shape}, its Adam state {g.shape}")
-            if p.grad is None:
-                g.fill(0)
-            else:
-                np.copyto(g, p.grad)
-        finite = finite and bool(np.isfinite(group.g).all())
-        jobs.append((None, group.g, group.m, group.v))
-    for name in state.large:
-        p = params[name]
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        finite = finite and bool(np.isfinite(g).all())
-        arrays = (p.data, g, state.m[name], state.v[name])
-        jobs.append(tuple(a.reshape(-1) for a in arrays) if all(a.flags.c_contiguous for a in arrays) else arrays)
-    if not finite:  # a grouped gradient is checked as gathered, in the group's dtype
-        gathered = {name: g for group in state.groups for (name, _), g in zip(group.members, group.g_slots)}
-        bad = next(name for name, p in params.items()
-                   if not np.all(np.isfinite(gathered.get(name, 0.0 if p.grad is None else p.grad))))
-        raise ValueError(f"adam_step: non-finite gradient for parameter '{bad}'")
+    datas, grads, dtype = [], [], state.m_flat.dtype
+    with np.errstate(over="ignore"):  # an overflowing sum or cast is checked, not warned about
+        for name, p in params.items():
+            g = p.grad
+            if g is not None and g.shape != p.data.shape:
+                raise ShapeError(f"adam_step: grad shape {g.shape} does not match parameter '{name}' {p.data.shape}")
+            if p.data.shape != state.m[name].shape:
+                raise ShapeError(f"adam_step: parameter '{name}' is {p.data.shape}, its Adam state {state.m[name].shape}")
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"adam_step: parameter '{name}' has no flat view (it is not C-contiguous)")
+            datas.append(p.data.reshape(-1))
+            if g is not None:
+                g = g.reshape(-1)
+                if g.dtype != dtype:
+                    g = g.astype(dtype)
+                if not math.isfinite(np.dot(g, g)) and not np.isfinite(g).all():
+                    raise ValueError(f"adam_step: non-finite gradient for parameter '{name}'")
+            grads.append(g)
     t = state.step + 1
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-    consts = (b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, lr, _ADAM_EPSILON)
-    mine, task = jobs, None
-    if sum(job[1].size for job in jobs) >= _ADAM_WORKER_ELEMENTS:
-        cut = []
-        for _, *flat in jobs[:len(state.groups)]:  # each group cut in two
-            mid = flat[0].size // 2
-            cut += [(None, *(a[:mid] for a in flat)), (None, *(a[mid:] for a in flat))]
-        mine, theirs = _halves(cut + jobs[len(state.groups):])
-        task = submit(_adam_updates, theirs, consts)
-        if task is None:
-            mine = jobs
+    args = (datas, grads, state.m_flat, state.v_flat, (b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, lr, _ADAM_EPSILON))
+    mine, task = state.blocks, None
+    if state.m_flat.size >= _ADAM_WORKER_ELEMENTS:
+        half = len(mine) // 2
+        task = submit(_adam_updates, mine[half:], *args)
+        if task is not None:
+            mine = mine[:half]
     try:
-        _adam_updates(mine, consts)
+        _adam_updates(mine, *args)
     finally:
         if task is not None:
             task.exception()  # waits; the caller's error goes first
     if task is not None:
         task.result()
-    for group in state.groups:
-        for (_, p), step in zip(group.members, group.g_slots):
-            p.data -= step
     state.step = t
 
 

@@ -90,9 +90,9 @@ def _physical_bytes() -> int | None:
         return None
 
 
-# Training holds each parameter up to six times in float32: weights, gradient, Adam m and v, the
-# last-good copy, and for a tensor in one of Adam's flat groups its gradient gathered there.
-_BYTES_PER_PARAM = 6 * 4
+# Training holds each parameter five times in float32: weights, gradient, Adam m and v, and the
+# last-good copy. Adam gathers gradients one block at a time, into scratch of `_ADAM_BLOCK` elements.
+_BYTES_PER_PARAM = 5 * 4
 
 
 def _param_budget() -> int | None:

@@ -564,12 +564,13 @@ def _adam_by_formula(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 def test_adam_in_blocks_equals_the_whole_array_formula_bit_for_bit(dtype):
     rng = np.random.default_rng(11)
     block = ad._ADAM_BLOCK
-    # longer than a block, exactly a block, a scalar, and a transposed (non-contiguous) matrix
+    # longer than a block, exactly a block, a scalar, then two that straddle a block boundary
     values = [rng.normal(size=(3, block // 2 + 5)), rng.normal(size=block), rng.normal(size=()),
-              rng.normal(size=(6, 4)).T]
+              rng.normal(size=block - 3), rng.normal(size=7)]
     params = {f"p{i}": ad.array(v, requires_grad=True, dtype=dtype) for i, v in enumerate(values)}
-    assert not params["p3"].data.flags.c_contiguous
     state = ad.AdamState(params)
+    blocks_of = [{lo for lo, _, pieces in state.blocks for piece in pieces if piece[0] == i} for i in range(5)]
+    assert [len(b) for b in blocks_of] == [2, 2, 1, 2, 1]  # p0, p1 and p3 are cut between two blocks
     want = {name: (p.data.copy(), state.m[name].copy(), state.v[name].copy()) for name, p in params.items()}
     for step, lr in enumerate((1e-3, 3e-3, 2e-3), start=1):
         for name, p in params.items():
@@ -619,20 +620,26 @@ def test_grouped_adam_on_a_d64_recognizer_equals_the_formula_per_tensor_bit_for_
         for name, p in params.items():
             for got, expected in zip((p.data, state.m[name], state.v[name]), want[name]):
                 assert got.dtype == dtype and got.tobytes() == expected.tobytes(), name
-    (group,) = state.groups
-    grouped = [name for name, *_ in group.members]
-    assert len(grouped) == 100 and len(state.large) == 1 and len(grouped) + len(state.large) == len(params)
-    for name in grouped:  # the moments are views of the group's buffers
-        for a, flat in zip((state.m[name], state.v[name]), (group.m, group.v)):
+    for name in params:  # the moments are views of the flat buffers
+        for a, flat in zip((state.m[name], state.v[name]), (state.m_flat, state.v_flat)):
             assert np.shares_memory(a, flat)
+    # the pieces cover each flat element once, in order: the i-th tensor's elements a:b are its moments' slot
+    starts = np.cumsum([0] + [p.data.size for p in params.values()])
+    covered = []
+    for lo, hi, pieces in state.blocks:
+        assert 0 < hi - lo <= ad._ADAM_BLOCK and sum(b - a for _, a, b, _ in pieces) == hi - lo
+        for i, a, b, at in pieces:
+            assert 0 <= a < b <= starts[i + 1] - starts[i] and starts[i] + a == lo + at
+            covered.append(np.arange(lo + at, lo + at + b - a))
+    np.testing.assert_array_equal(np.concatenate(covered), np.arange(state.m_flat.size))
 
 
-def _mixed_params(rng):
-    """Small tensors of both float dtypes, each in its own group, and one larger than a block."""
-    params = {"a32": ad.array(rng.normal(size=(3, 5)), requires_grad=True),
-              "big": ad.array(rng.normal(size=ad._ADAM_BLOCK + 7), requires_grad=True),
-              "b64": ad.array(rng.normal(size=7), requires_grad=True, dtype=np.float64),
-              "c32": ad.array(rng.normal(size=()), requires_grad=True)}
+def _mixed_params(rng, dtype):
+    """Tensors of one dtype: a matrix, one larger than a block, a vector and a scalar."""
+    params = {"a": ad.array(rng.normal(size=(3, 5)), requires_grad=True, dtype=dtype),
+              "big": ad.array(rng.normal(size=ad._ADAM_BLOCK + 7), requires_grad=True, dtype=dtype),
+              "b": ad.array(rng.normal(size=7), requires_grad=True, dtype=dtype),
+              "c": ad.array(rng.normal(size=()), requires_grad=True, dtype=dtype)}
     for p in params.values():
         p.grad = rng.normal(size=p.shape).astype(p.dtype)
     return params
@@ -642,10 +649,11 @@ def _snapshot(params, state):
     return {name: (p.data.copy(), state.m[name].copy(), state.v[name].copy()) for name, p in params.items()}
 
 
-@pytest.mark.parametrize("bad", ["a32", "b64", "c32"])
-def test_a_nan_in_a_grouped_tensor_names_it_and_leaves_every_tensor_and_moment_untouched(bad):
+@pytest.mark.parametrize("bad", ["a", "b", "c"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_nan_in_a_grouped_tensor_names_it_and_leaves_every_tensor_and_moment_untouched(dtype, bad):
     rng = np.random.default_rng(23)
-    params = _mixed_params(rng)
+    params = _mixed_params(rng, dtype)
     state = ad.AdamState(params)
     for step in (1, 2):  # a rejected first step, then a rejected later one
         before = _snapshot(params, state)
@@ -659,26 +667,26 @@ def test_a_nan_in_a_grouped_tensor_names_it_and_leaves_every_tensor_and_moment_u
         params[bad].grad[...] = 0.5
         ad.adam_step(params, state, lr=0.1)
         assert state.step == step
-    assert len(state.groups) == 2 and state.large == ["big"]
 
 
 def test_a_gradient_that_overflows_its_groups_dtype_is_rejected_by_name():
     params = {"w": _param([1.0, 2.0])}
     state = ad.AdamState(params)
-    params["w"].grad = np.array([1e300, 0.0])  # finite in float64, inf in the float32 group
+    params["w"].grad = np.array([1e300, 0.0])  # finite in float64, inf in the float32 state
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="'w'"):
         ad.adam_step(params, state, lr=0.1)
     assert state.step == 0 and params["w"].data.tolist() == [1.0, 2.0]
 
 
-def test_adam_uses_a_gradient_assigned_to_p_grad_and_counts_a_missing_one_as_zeros():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_uses_a_gradient_assigned_to_p_grad_and_counts_a_missing_one_as_zeros(dtype):
     rng = np.random.default_rng(25)
-    params = _mixed_params(rng)
+    params = _mixed_params(rng, dtype)
     state = ad.AdamState(params)
     ad.adam_step(params, state, lr=1e-2)
     want = _snapshot(params, state)
     for name, p in params.items():
-        p.grad = None if name in ("a32", "big") else rng.normal(size=p.shape).astype(p.dtype)  # new arrays
+        p.grad = None if name in ("a", "big") else rng.normal(size=p.shape).astype(p.dtype)  # new arrays
         pw, mw, vw = want[name]
         want[name] = _adam_by_formula(pw, np.zeros_like(pw) if p.grad is None else p.grad, mw, vw, 2, 1e-2)
     ad.adam_step(params, state, lr=1e-2)
@@ -696,26 +704,62 @@ def test_adam_refuses_a_params_dict_other_than_its_states():
     assert state.step == 0 and params["w"].data.tolist() == [1.0, 2.0]
 
 
-def test_adam_updates_a_rebound_parameter_of_a_group_and_refuses_a_reshaped_one():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_updates_a_rebound_parameter_of_a_group_and_refuses_a_reshaped_one(dtype):
     rng = np.random.default_rng(27)
-    params = _mixed_params(rng)
+    params = _mixed_params(rng, dtype)
     state = ad.AdamState(params)
     ad.adam_step(params, state, lr=1e-2)
-    p = params["a32"]
-    p.data = rng.normal(size=p.shape).astype(np.float32)  # as training restores its last-good weights
-    want = _adam_by_formula(p.data, p.grad, state.m["a32"], state.v["a32"], 2, 1e-2)
+    p = params["a"]
+    p.data = rng.normal(size=p.shape).astype(dtype)  # as training restores its last-good weights
+    want = _adam_by_formula(p.data, p.grad, state.m["a"], state.v["a"], 2, 1e-2)
     ad.adam_step(params, state, lr=1e-2)
-    for got, expected in zip((p.data, state.m["a32"], state.v["a32"]), want):
+    for got, expected in zip((p.data, state.m["a"], state.v["a"]), want):
         assert got.tobytes() == expected.tobytes()
     before = _snapshot(params, state)
-    p.data = np.zeros((5, 3), dtype=np.float32)
-    p.grad = np.zeros((5, 3), dtype=np.float32)
-    with pytest.raises(ad.ShapeError, match="'a32'"):
+    p.data = np.zeros((5, 3), dtype=dtype)
+    p.grad = np.zeros((5, 3), dtype=dtype)
+    with pytest.raises(ad.ShapeError, match="'a'"):
         ad.adam_step(params, state, lr=1e-2)
     assert state.step == 2
-    for name in ("big", "b64", "c32"):
+    for name in ("big", "b", "c"):
         for got, kept in zip((params[name].data, state.m[name], state.v[name]), before[name]):
             np.testing.assert_array_equal(got, kept)
+
+
+def test_adam_state_refuses_parameters_of_two_dtypes():
+    params = {"w32": _param([1.0, 2.0]), "w64": ad.array([3.0], requires_grad=True, dtype=np.float64)}
+    with pytest.raises(ValueError, match="more than one dtype"):
+        ad.AdamState(params)
+
+
+def test_adam_state_over_no_parameters_counts_its_steps():
+    params = {}
+    state = ad.AdamState(params)
+    ad.adam_step(params, state, lr=0.1)
+    assert state.step == 1 and state.blocks == [] and state.m_flat.size == 0
+
+
+@pytest.mark.parametrize("when", ["at construction", "rebound later"])
+def test_adam_refuses_a_transposed_parameter_by_name_and_changes_nothing(when):
+    rng = np.random.default_rng(29)
+    params = _mixed_params(rng, np.float32)
+    params["t"] = ad.array(rng.normal(size=(6, 4)), requires_grad=True)
+    if when == "at construction":
+        params["t"].data = params["t"].data.reshape(4, 6).T
+    state = ad.AdamState(params)
+    params["t"].grad = rng.normal(size=params["t"].shape).astype(np.float32)
+    if when == "rebound later":
+        ad.adam_step(params, state, lr=1e-2)
+        params["t"].data = np.ascontiguousarray(params["t"].data.T).T  # its shape, without a flat view
+    assert params["t"].data.shape == (6, 4) and not params["t"].data.flags.c_contiguous
+    before, step = _snapshot(params, state), state.step
+    with pytest.raises(ValueError, match="'t' has no flat view"):
+        ad.adam_step(params, state, lr=1e-2)
+    assert state.step == step
+    for name, p in params.items():
+        for got, kept in zip((p.data, state.m[name], state.v[name]), before[name]):
+            assert got.tobytes() == kept.tobytes(), name
 
 
 def test_adam_is_deterministic():

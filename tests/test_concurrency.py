@@ -406,6 +406,31 @@ def test_a_non_finite_gradient_in_the_workers_half_leaves_every_tensor_untouched
     assert not any(np.any(state.m[n]) or np.any(state.v[n]) for n in params)
 
 
+def test_adams_split_over_many_blocks_gives_the_inline_bytes(monkeypatch, submissions):
+    """A d=64 recognizer's parameters take 9 blocks, so the split cuts a tensor between the threads."""
+    set_cpus(monkeypatch, 2)
+
+    def three_steps():
+        model = Recognizer(EncoderConfig(d=64), AlignConfig(), build_vocab(LINES), seed=1)
+        state = ad.AdamState(model.params)
+        rng = np.random.default_rng(31)
+        for lr in (1e-3, 3e-3, 2e-3):
+            for p in model.params.values():
+                p.grad = rng.normal(scale=1e-2, size=p.shape).astype(np.float32)
+            bounded(ad.adam_step, model.params, state, lr)
+        return state, {name: (p.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes())
+                       for name, p in model.params.items()}
+
+    _, inline = three_steps()
+    assert submissions == []  # 0.56M elements: below the cut-off
+    monkeypatch.setattr(ad, "_ADAM_WORKER_ELEMENTS", 0)
+    state, worker = three_steps()
+    assert submissions == ["_adam_updates"] * 3
+    first_theirs = state.blocks[len(state.blocks) // 2][2][0]
+    assert len(state.blocks) == 9 and first_theirs[1] > 0  # the worker's first piece starts inside a tensor
+    assert worker == inline
+
+
 @pytest.mark.parametrize("glyphs", [(2, 4), (6, 10), (20, 30)])
 def test_a_d64_step_submits_no_task(monkeypatch, submissions, glyphs):
     set_cpus(monkeypatch, 2)

@@ -271,7 +271,7 @@ def test_train_refuses_lines_whose_step_would_outgrow_physical_memory(monkeypatc
     def no_step(*args):
         raise AssertionError("a training step ran")
 
-    # at d=320 each of these lines needs about 0.57 GB of activations in a step, besides 0.19 GB of parameters
+    # at d=320 each of these lines needs about 0.57 GB of activations in a step, besides 0.16 GB of parameters
     monkeypatch.setattr(T, "_physical_bytes", lambda: 4 << 30)
     monkeypatch.setattr(T, "batch_losses", no_step)
     lines = long_lines(8)
@@ -344,9 +344,12 @@ def test_divergence_aborts_with_checkpoint(tmp_path, monkeypatch):
 
     real = T.batch_losses
     calls = {"n": 0}
+    last_good = {}
 
     def poisoned(model, batch, w):
         calls["n"] += 1
+        if calls["n"] == 2:  # the last parameters to give a finite loss
+            last_good.update((name, p.data.tobytes()) for name, p in model.params.items())
         total, comps = real(model, batch, w)
         if calls["n"] >= 3:
             total.data = np.float32("nan")
@@ -359,6 +362,7 @@ def test_divergence_aborts_with_checkpoint(tmp_path, monkeypatch):
     assert (tmp_path / "run" / "model.ckpt").exists()
     # retained checkpoint must load and evaluate cleanly
     model = load_checkpoint(tmp_path / "run" / "model.ckpt")
+    assert {name: p.data.tobytes() for name, p in model.params.items()} == last_good
     evaluate(model, data)
 
 
