@@ -12,12 +12,17 @@ The float bits also depend on the BLAS kernels numpy runs, which OpenBLAS
 picks per CPU: at one tree, train_c07 printed 83737ee2... on an x86-64 VM
 with OpenBLAS's Haswell kernels and 8309f89a... on one with AVX-512. So a
 digest compares two trees only when both run on the same machine; a digest
-quoted from another machine says nothing about bit identity.
+quoted from another machine says nothing about bit identity. The bits
+depend on the BLAS thread count too: on a 2-core x86-64 VM, `--d 192
+--glyphs 6 10 --steps 2` printed db186278... with OpenBLAS's default
+threads and 5349191a... pinned to one CPU (`taskset -c 0`), and 5349191a...
+both ways with OPENBLAS_NUM_THREADS=1. Compare digests with one BLAS thread.
 
 Without --d it runs the benchmark's two training shapes: `train_c07` (d=64,
 lines of 2-4 glyphs) and `train_wide` (d=320, augmented lines of 6-10
-glyphs). At d=320 on two or more CPUs the image stream's forward and
-backward run on the worker thread, as in training.
+glyphs). From d=128 the image stream is marked and its forward and
+backward run beside the rest, as in training: on the worker thread with
+two or more CPUs, and the same split inline on one.
 """
 
 import argparse

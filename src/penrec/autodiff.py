@@ -38,15 +38,15 @@ updates them in cache-sized blocks: each block's gradient pieces are
 copied into one scratch block, and each piece of its step is subtracted
 from its parameter.
 
-Training can use a second core through one worker thread (`submit`). It is
-started by the first training step that has work large enough for it, and
-only when the process may run on at least two CPUs; importing, loading and
-inference start none. Three places hand it work, each above a size timed
-on the model's shapes: the recognizer's image stream, forward (model.py);
-its backward sweep, when `backward` splits the sweep in two at the
-`branch` nodes that mark where the rest of the graph reads the stream,
-the worker sweeping the branch and the calling thread the rest, while
-the branch's large gradient products go to whichever thread is free
+Training can use a second core through one worker thread: `beside(fn)`
+runs fn there while its block runs on the calling thread (on one CPU, fn
+runs first on the calling thread). The worker is started by the first
+training step with work large enough for it; importing, loading and
+inference start none. Three places run work beside, each above a size
+timed on the model's shapes: the recognizer's image stream, forward
+(model.py); its backward sweep, when `backward` splits the sweep in two at
+the `branch` nodes that mark where the rest of the graph reads the stream,
+while the branch's large gradient products go to whichever thread is free
 first; and half of `adam_step`'s update. Each task makes the numpy calls
 the inline path makes, on the same operands, and every gradient sums its
 contributions in the inline order, so every result is bit-identical to it.
@@ -93,21 +93,34 @@ def _usable_cpus() -> int:
 _WORKER = None  # (pid, executor of one thread) once a step has handed it work
 
 
-def submit(fn, *args):
-    """Start fn(*args) on the worker thread and return its Future; None on a single CPU.
+@contextlib.contextmanager
+def beside(fn, *args):
+    """Run fn(*args) beside the block, on the worker thread; the block gets its Future.
 
-    On None the caller runs fn itself. The worker is one thread, started by
-    the first call; a forked child starts its own, since it has no copy of
-    its parent's. Callers wait for every task they submit before they return
-    or raise.
+    The worker is one thread, started by the first call; a forked child
+    starts its own, since it has no copy of its parent's. Leaving the block
+    waits for fn, also when the block raises. An error of the block goes
+    first; otherwise fn's error is raised on leaving. With one usable CPU,
+    fn runs on this thread before the block and its error is held until the
+    block has run, so both run and the block's error goes first either way.
     """
     global _WORKER
+    from concurrent.futures import Future, ThreadPoolExecutor  # its import costs milliseconds; only training needs it
     if _usable_cpus() < 2:
-        return None
-    if _WORKER is None or _WORKER[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor  # its import costs milliseconds; only training needs it
-        _WORKER = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="penrec-worker"))
-    return _WORKER[1].submit(fn, *args)
+        task = Future()
+        try:
+            task.set_result(fn(*args))
+        except Exception as e:
+            task.set_exception(e)
+    else:
+        if _WORKER is None or _WORKER[0] != os.getpid():
+            _WORKER = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="penrec-worker"))
+        task = _WORKER[1].submit(fn, *args)
+    try:
+        yield task
+    finally:
+        task.exception()  # waits
+    task.result()
 
 
 class DiffArray:
@@ -308,10 +321,9 @@ def backward(loss: DiffArray) -> None:
 
     Gradients accumulate across multiple uses of the same array, in the
     order the reverse sweep reaches them. When `_split` finds a branch that
-    only its marks connect to the rest of the graph (the model's image
-    stream, marked when its forward ran on the worker), the worker sweeps
-    the branch, from the moment the marks' gradients are complete, while
-    this thread sweeps the rest; each sweep runs its nodes in the order of
+    only its marks connect to the rest of the graph (a wide model's image
+    stream), the worker sweeps the branch (`beside`), from the moment the
+    marks' gradients are complete, while this thread sweeps the rest; each sweep runs its nodes in the order of
     the single sweep, so every gradient is the one sweep's, bit for bit. The
     large products the worker's sweep hands over are formed by whichever
     thread has finished its own sweep. A graph without such a branch is
@@ -346,24 +358,11 @@ def backward(loss: DiffArray) -> None:
         return
     rest, launch, side, sole = split
     handed = SimpleQueue()
-    task, started = None, False
-    try:
-        _run(rest[:launch])
-        task = submit(_sweep_branch, side, sole, handed)
-        started = True
-        if task is None:  # a single CPU: this thread sweeps the branch first
-            _sweep_branch(side, sole, handed)
+    _run(rest[:launch])
+    with beside(_sweep_branch, side, sole, handed):
         _run(rest[launch:])
-    finally:  # also when a sweep raises: the branch's has ended, and every product it handed over is added
-        if started:
-            try:
-                for p, rows, a, g in iter(handed.get, None):
-                    _add_rows(p, _product(a, g), rows)
-            finally:
-                if task is not None:
-                    task.exception()  # waits
-    if task is not None:
-        task.result()  # the branch's error, after this thread's own if there was one
+        for p, rows, a, g in iter(handed.get, None):
+            _add_rows(p, _product(a, g), rows)
 
 
 def zero_grads(arrays) -> None:
@@ -1396,19 +1395,12 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
     t = state.step + 1
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     args = (datas, grads, state.m_flat, state.v_flat, (b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, lr, _ADAM_EPSILON))
-    mine, task = state.blocks, None
     if state.m_flat.size >= _ADAM_WORKER_ELEMENTS:
-        half = len(mine) // 2
-        task = submit(_adam_updates, mine[half:], *args)
-        if task is not None:
-            mine = mine[:half]
-    try:
-        _adam_updates(mine, *args)
-    finally:
-        if task is not None:
-            task.exception()  # waits; the caller's error goes first
-    if task is not None:
-        task.result()
+        half = len(state.blocks) // 2
+        with beside(_adam_updates, state.blocks[half:], *args):
+            _adam_updates(state.blocks[:half], *args)
+    else:
+        _adam_updates(state.blocks, *args)
     state.step = t
 
 

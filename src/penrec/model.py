@@ -8,13 +8,13 @@ zero gaps, then the aligner, each stream's BiGRU stack and its decoder over
 the lines zero-padded to the longest, and the alignment loss over the
 joined image features. Inference runs a lone line as a batch of one, with no
 gap and no mask. The two streams meet only at the alignment loss, so from width
-`_STREAMS_BESIDE_D` a batch's image stream runs on autodiff's worker thread
-while the trajectory stream runs on the caller's; both build the nodes and
-values they would build one after the other. The image stream's loss and
-the alignment loss's target are then marked as `branch` nodes: nothing but
-those two marks reads the stream's nodes, so the backward pass sweeps the
-stream on the worker too, with the alignment loss's stop gradient or
-without it.
+`_STREAMS_BESIDE_D` a batch's image stream runs beside its trajectory stream
+(`autodiff.beside`: on the worker thread, or first on one CPU); both build
+the nodes and values they would build one after the other. The image
+stream's loss and the alignment loss's target are then marked as `branch`
+nodes: nothing but those two marks reads the stream's nodes, so the
+backward pass sweeps the stream beside the rest too, with the alignment
+loss's stop gradient or without it.
 """
 
 from __future__ import annotations
@@ -99,6 +99,15 @@ class Recognizer:
 
     # ----- collaborative training losses -------------------------------------
 
+    def trajectory_losses(self, batch: list[TrajectorySequence], targets: list[list[int]]):
+        """Trajectory stream of a batch: one conv stack over the joined lines, the aligner, one BiGRU and one CE.
+
+        Returns (the conv features, the aligned features or None, the CE loss averaged over lines).
+        """
+        f_conv = self.traj_conv.batch(batch)
+        f_enc, f_aligned = self._encode(f_conv)
+        return f_conv, f_aligned, self.dec_traj.ce_loss(f_enc, targets, f_conv.frames)
+
     def image_losses(self, batch: list[TrajectorySequence], targets: list[list[int]]) -> tuple[Joined, DiffArray]:
         """Image stream of a batch: render, one CNN over the joined images, one BiGRU and one CE over all lines.
 
@@ -115,32 +124,27 @@ class Recognizer:
         joined, then the aligner, the BiGRU stack and the decoder over them
         zero-padded to the longest, and the alignment loss samples the joined
         image features. From width `_STREAMS_BESIDE_D` the image stream runs
-        on the worker thread while this one runs the trajectory stream, and
-        its loss and the alignment target sampled from it are marked for
-        its own backward sweep (`ad.branch`). An
-        error of the trajectory stream is raised first, as in sequential
-        order, once the image stream has finished. "align" is None when the
+        beside the trajectory stream (`ad.beside`), and its loss and the
+        alignment target sampled from it are marked for its own backward
+        sweep (`ad.branch`). An error of the trajectory stream is raised
+        first, once the image stream has finished. "align" is None when the
         alignment loss is off.
         """
         targets = [self.vocab.encode(seq.text) + [EOS] for seq in batch]
-        image = ad.submit(self.image_losses, batch, targets) if self.enc_cfg.d >= _STREAMS_BESIDE_D else None
-        try:
-            f_conv = self.traj_conv.batch(batch)
-            f_enc, f_aligned = self._encode(f_conv)
-            loss_traj = self.dec_traj.ce_loss(f_enc, targets, f_conv.frames)
-        finally:
-            if image is not None:
-                image.exception()  # waits
-        if image is not None:
+        wide = self.enc_cfg.d >= _STREAMS_BESIDE_D
+        if wide:
+            with ad.beside(self.image_losses, batch, targets) as image:
+                f_conv, f_aligned, loss_traj = self.trajectory_losses(batch, targets)
             f2d, loss_img = image.result()
             loss_img = ad.branch(loss_img)
         else:
+            f_conv, f_aligned, loss_traj = self.trajectory_losses(batch, targets)
             f2d, loss_img = self.image_losses(batch, targets)
 
         loss_align = None
         if self.align_cfg.use_align_loss:  # which implies an aligner
             sampled = sample_image_columns(f2d.values, f_conv.positions, f2d.starts, f2d.frames)
-            if image is not None:
+            if wide:
                 sampled = ad.branch(sampled)
             loss_align = align_loss(f_aligned, sampled, f_conv.frames, self.align_cfg.use_stop_gradient)
         return {"traj": loss_traj, "img": loss_img, "align": loss_align}

@@ -59,15 +59,21 @@ def bounded(fn, *args):
 
 @pytest.fixture
 def submissions(monkeypatch):
-    """The names of the functions handed to `ad.submit`, in order."""
+    """The names of the functions `ad.beside` ran on a thread other than its caller's, in order."""
     names = []
-    real = ad.submit
+    real = ad.beside
 
     def counting(fn, *args):
-        names.append(fn.__name__)
-        return real(fn, *args)
+        caller = threading.get_ident()
 
-    monkeypatch.setattr(ad, "submit", counting)
+        def run(*fn_args):
+            if threading.get_ident() != caller:
+                names.append(fn.__name__)
+            return fn(*fn_args)
+
+        return real(run, *args)
+
+    monkeypatch.setattr(ad, "beside", counting)
     return names
 
 
@@ -105,6 +111,59 @@ def every_site_on_the_worker(monkeypatch):
     monkeypatch.setattr(pm, "_STREAMS_BESIDE_D", 0)
     monkeypatch.setattr(ad, "_WORKER_MACS", 0)
     monkeypatch.setattr(ad, "_ADAM_WORKER_ELEMENTS", 0)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_beside_gives_fns_value_from_the_worker_or_from_this_thread_first(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    order = []
+
+    def fn(x):
+        order.append(("fn", threading.get_ident()))
+        return x + 1
+
+    def run():
+        with ad.beside(fn, 41) as task:
+            order.append(("block", threading.get_ident()))
+        return task.result(), threading.get_ident()
+
+    value, caller = bounded(run)
+    assert value == 42
+    if cpus == 1:
+        assert order == [("fn", caller), ("block", caller)]
+    else:
+        assert dict(order)["block"] == caller != dict(order)["fn"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_beside_raises_the_blocks_error_first_and_fns_on_leaving(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    ended, ran = threading.Event(), []
+
+    def slow_failing():
+        time.sleep(0.2)
+        ended.set()
+        raise ImageError("fn")
+
+    def both_fail():
+        with ad.beside(slow_failing):
+            ran.append("block")
+            raise TrajectoryError("block")
+
+    def fn_fails():
+        with ad.beside(slow_failing):
+            ran.append("block")
+        ran.append("after")
+
+    with pytest.raises(TrajectoryError):
+        bounded(both_fail)
+    assert ended.is_set()
+    ended.clear()
+    with pytest.raises(ImageError):
+        bounded(fn_fails)
+    assert ended.is_set()
+    # on one CPU too, the block ran after fn had failed
+    assert ran == ["block", "block"]
 
 
 def small_model(dtype=np.float32, **align):
@@ -186,14 +245,17 @@ def branch_gradients(dtype, mark=ad.branch):
     return [p.grad.tobytes() for p in one + two + inside]
 
 
-@pytest.mark.parametrize("switch_s", [None, 1e-6])
+# on one CPU every site runs inline: the split sweep too, its worker's part first
+@pytest.mark.parametrize("cpus, switch_s", [pytest.param(2, None, id="None"), pytest.param(2, 1e-6, id="1e-06"),
+                                            pytest.param(1, None, id="one_cpu")])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, submissions, handed, dtype, switch_s):
+def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, submissions, handed, dtype, cpus,
+                                                               switch_s):
     set_cpus(monkeypatch, 1)
     inline = two_steps(dtype), branch_gradients(dtype, mark=lambda y: y)
     assert submissions == [] and handed == []  # a d=16 model is below every cut-off
     every_site_on_the_worker(monkeypatch)
-    submissions.clear()
+    set_cpus(monkeypatch, cpus)
     prev = sys.getswitchinterval()
     try:
         if switch_s is not None:  # the interpreter switches threads as often as it can
@@ -203,12 +265,15 @@ def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, subm
         worker = steps, branch_gradients(dtype)
     finally:
         sys.setswitchinterval(prev)
-    assert set(submissions) == WORKER_SITES
-    # one per step each: the batch's whole image stream, forward, then its backward sweep
-    steps_sites = submissions[:steps_submitted]
-    assert steps_sites.count("image_losses") == steps_sites.count("_sweep_branch") == 2
-    # the sweeps of the graphs with one mark and with two; the graph read inside its mark is swept inline
-    assert submissions[steps_submitted:] == ["_sweep_branch", "_sweep_branch"]
+    if cpus == 1:
+        assert submissions == []
+    else:
+        assert set(submissions) == WORKER_SITES
+        # one per step each: the batch's whole image stream, forward, then its backward sweep
+        steps_sites = submissions[:steps_submitted]
+        assert steps_sites.count("image_losses") == steps_sites.count("_sweep_branch") == 2
+        # the sweeps of the graphs with one mark and with two; the graph read inside its mark is swept in one piece
+        assert submissions[steps_submitted:] == ["_sweep_branch", "_sweep_branch"]
     assert handed_names(worker[0][3], handed[:steps_handed]) == sorted(image_weights(worker[0][3]) * 2)
     # w3's product, then wa's and wb's; w2's three contributions are added in order
     assert len(handed) == steps_handed + 3
@@ -247,8 +312,8 @@ def test_a_trajectory_stream_error_surfaces_first_once_the_image_stream_is_done(
     monkeypatch.setattr(model.traj_conv, "batch", failing_trajectory)
     with pytest.raises(TrajectoryError):
         bounded(model.losses, LINES[:1])
-    # beside it, the image stream ran and had finished; one after the other, it never started
-    assert done.is_set() == (cpus == 2)
+    # beside it, or before it on one CPU, the image stream ran and had finished
+    assert done.is_set()
 
 
 def test_an_image_stream_error_surfaces_with_its_type_and_the_next_step_succeeds(monkeypatch, submissions):
@@ -304,7 +369,9 @@ def fail_in_backward(monkeypatch, model, trajectory, image):
 
 def sweep_states():
     """The branch sweep's (sole, handed) each of the two threads holds: (this thread's, the worker's)."""
-    return getattr(ad._LOCAL, "branch", None), ad.submit(lambda: getattr(ad._LOCAL, "branch", None)).result()
+    with ad.beside(getattr, ad._LOCAL, "branch", None) as worker:
+        pass
+    return getattr(ad._LOCAL, "branch", None), worker.result()
 
 
 def test_an_image_sweep_error_surfaces_with_its_type_once_the_trajectory_sweep_ends(monkeypatch, handed):
@@ -447,7 +514,7 @@ def test_on_one_cpu_every_site_runs_inline(monkeypatch):
     threads = threading.active_count()
     model = small_model()
     bounded(train_step, model, ad.AdamState(model.params), LINES[:4])
-    # a graph with a branch, which the model marks only when its image stream ran on the worker
+    # a graph with a branch, swept in two parts on this thread
     assert branch_gradients(np.float32) == branch_gradients(np.float32, mark=lambda y: y)
     assert ad._WORKER is None
     assert threading.active_count() == threads
@@ -471,13 +538,54 @@ assert ad._WORKER is None
 """
 
 
+def run_script(script, *args):
+    """Run `script` in a fresh interpreter with this checkout's penrec; fails the test unless it exits 0."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, timeout=STEP_TIMEOUT_S,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_load_and_inference_start_no_thread(tmp_path):
     # at d=320 training runs its streams side by side; inference must not
     from penrec.training import save_checkpoint
     ckpt = tmp_path / "wide.ckpt"
     save_checkpoint(Recognizer(EncoderConfig(d=320), AlignConfig(), build_vocab(LINES), seed=0), ckpt)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", INFERENCE_SCRIPT, str(ckpt)], env=env, timeout=STEP_TIMEOUT_S,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    run_script(INFERENCE_SCRIPT, str(ckpt))
+
+
+FORK_SCRIPT = """
+import os, sys, threading, time, traceback
+from penrec import autodiff as ad
+ad._usable_cpus = lambda: 2
+with ad.beside(threading.get_ident) as task:
+    pass
+assert task.result() != threading.get_ident()
+pid = os.fork()
+if pid == 0:
+    try:
+        with ad.beside(threading.get_ident) as task:
+            pass
+        assert task.result() != threading.get_ident(), "the child ran fn on its own thread"
+        assert ad._WORKER[0] == os.getpid(), "the child kept its parent's worker"
+    except BaseException:
+        traceback.print_exc()
+        os._exit(1)
+    os._exit(0)
+deadline = time.monotonic() + float(sys.argv[1])
+done, status = os.waitpid(pid, os.WNOHANG)
+while not done and time.monotonic() < deadline:
+    time.sleep(0.01)
+    done, status = os.waitpid(pid, os.WNOHANG)
+if not done:
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    sys.exit("the child did not finish")
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_a_forked_child_runs_beside_on_its_own_worker():
+    # the parent's worker thread does not exist in the child, which must start its own
+    run_script(FORK_SCRIPT, str(STEP_TIMEOUT_S / 4))

@@ -310,7 +310,8 @@ def test_train_releases_each_steps_graph_before_the_next_forward(monkeypatch, be
 
     def recording(model, batch, align_weight):
         if beside and graphs:
-            ad.submit(lambda: None).result()  # the worker thread is done with its last task and that task's arguments
+            with ad.beside(lambda: None):  # the worker thread is done with its last task and that task's arguments
+                pass
         alive.append(sum(ref() is not None for refs in graphs for ref in refs))
         total, comps = real(model, batch, align_weight)
         graphs.append(_graph_closures(total))
