@@ -1,14 +1,16 @@
 """Reverse-mode differentiable array engine.
 
 The kernels the recognizer calls: elementwise add and multiply, matmul
-with an optional bias, strided 1D/2D convolution (which can apply its own
-relu and zero the gaps between a batch's joined lines), `residual_block`
-(two 3x3 convolutions and a 1x1 projection shortcut, with their relus, as
-one node), relu, multi-head self-attention over a packed q|k|v
-projection, layer norm, a whole-sequence bidirectional GRU, the decoder's
-whole-sequence attention-fed GRU, row gather, linear interpolation between
-rows, the two losses, and `branch`, an identity that marks the part of
-the graph below it for its own backward sweep. The convolutions run over
+with an optional bias, strided 2D convolution (which can apply its own
+relu and zero the gaps between a batch's joined lines; a convolution
+along time runs over a height-1 image with a one-row kernel),
+`residual_block` (two 3x3 convolutions and a 1x1 projection shortcut,
+with their relus, as one node), relu, multi-head self-attention over a
+packed q|k|v projection, layer norm, a whole-sequence bidirectional GRU,
+the decoder's whole-sequence attention-fed GRU, row gather, linear
+interpolation between rows, the two losses, and `branch`, an identity
+that marks the part of the graph below it for its own backward sweep.
+The convolutions run over
 a batch's lines joined along one axis with zero gaps between them; one
 `gather_rows` cuts the joined rows into a batch of sequences zero-padded
 to one length. Attention, the two GRUs and both losses take that batch,
@@ -449,7 +451,7 @@ def matmul(a: DiffArray, b: DiffArray, bias: DiffArray | None = None) -> DiffArr
 # convolutions
 
 
-def conv1d_out_length(length: int, kernel: int, stride: int, pad: int) -> int:
+def conv_out_length(length: int, kernel: int, stride: int, pad: int) -> int:
     return (length + 2 * pad - kernel) // stride + 1
 
 
@@ -474,7 +476,7 @@ def _live_taps(size: int, kernel: int, stride: int, pad: int, out: int) -> tuple
 class _Windows:
     """The strided windows of one convolution over a channels-last (H, W, C_in) input: im2col and col2im.
 
-    Shared by `_conv` and `residual_block`. Kernel rows that read only zero
+    Shared by `conv2d` and `residual_block`. Kernel rows that read only zero
     padding for every output row (the image stack's last stages are 2 and 1
     rows high) are left out of the im2col matrix and of the weight, so they
     cost nothing and get a zero gradient. `_view` looks at a zero-padded
@@ -488,7 +490,7 @@ class _Windows:
 
     def __init__(self, shape, kernel, stride, pad):
         self.shape, self.kernel, self.stride, self.pad = shape, kernel, stride, pad
-        self.out = tuple(map(conv1d_out_length, shape[:2], kernel, stride, pad))
+        self.out = tuple(map(conv_out_length, shape[:2], kernel, stride, pad))
         self.lo, self.hi = _live_taps(shape[0], kernel[0], stride[0], pad[0], self.out[0])
 
     def _view(self, a):
@@ -501,7 +503,7 @@ class _Windows:
     def cols(self, xd):
         """im2col: the (H_out * W_out, taps * C_in) matrix of xd's windows."""
         (H, W, cin), (ph, pw) = self.shape, self.pad
-        if ph or pw:  # filled by hand: np.pad's own overhead is most of a small conv1d call
+        if ph or pw:  # filled by hand: np.pad's own overhead is most of a small one-row conv call
             xp = np.zeros((H + 2 * ph, W + 2 * pw, cin), dtype=xd.dtype)
             xp[ph:ph + H, pw:pw + W] = xd
         else:  # `_view` addresses the array's own memory, so it must be laid out C-contiguously
@@ -550,22 +552,37 @@ def _relu_gaps(y, gaps) -> None:
         y[:, gaps] = 0.0
 
 
-def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad, relu: bool, gaps) -> DiffArray:
-    """Strided, zero-padded convolution by im2col, shared by `conv1d` and `conv2d`.
+def _check_stride_pad(op, stride, pad) -> None:
+    # before any output length, which divides by the stride; `_Windows` would reach outside the input
+    if min(stride) < 1 or min(pad) < 0:
+        raise ShapeError(f"{op}: stride {stride} must be positive and pad {pad} non-negative")
 
-    Works on channels-last images: x (H, W, C_in) and w (KH, KW, C_in, C_out)
-    give (H_out, W_out, C_out); `conv1d`'s height-1 image (1, L, C_in) takes
-    weights (K, C_in, C_out), one kernel row. With `relu` the node also
-    applies relu and zeroes the output columns `gaps` (see `conv2d`).
+
+def conv2d(x: DiffArray, w: DiffArray, b: DiffArray | None,
+           stride: tuple[int, int] = (1, 1), pad: tuple[int, int] = (0, 0),
+           relu: bool = False, gaps=None) -> DiffArray:
+    """Strided, zero-padded 2D convolution over a channels-last (H, W, C_in) input, by im2col.
+
+    Weights are (KH, KW, C_in, C_out); output is (H_out, W_out, C_out),
+    each side floor((size + 2*pad - kernel) / stride) + 1 long. A 1D
+    convolution along time is one over a height-1 image (1, L, C_in) with a
+    one-row kernel (1, K, C_in, C_out), stride (1, s) and pad (0, p).
+    With `relu` the output is max(conv, 0), and `gaps`, integer indices
+    along W_out, are output columns set to zero: the gaps between a batch's
+    joined lines. Those outputs pass no gradient back.
     """
+    if x.data.ndim != 3 or w.data.ndim != 4 or x.shape[2] != w.shape[2]:
+        raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
+    _check_stride_pad("conv2d", stride, pad)
+    if min(map(conv_out_length, x.shape[:2], w.shape[:2], stride, pad)) <= 0:
+        raise ShapeError(f"conv2d: input shape {x.shape} too small for kernel {w.shape}")
     cout = w.shape[-1]
     if b is not None and b.shape != (cout,):
-        raise ShapeError(f"{op}: incompatible shapes {b.shape} and {w.shape}")
+        raise ShapeError(f"conv2d: incompatible shapes {b.shape} and {w.shape}")
     if gaps is not None and not relu:
-        raise ShapeError(f"{op}: gaps go with relu")
-    xd, wd = x.data, w.data.reshape((1,) * (4 - w.data.ndim) + w.shape)
-    win = _Windows(xd.shape, wd.shape[:2], stride, pad)
-    cols, w2 = win.cols(xd), win.weight(wd)
+        raise ShapeError("conv2d: gaps go with relu")
+    win = _Windows(x.shape, w.shape[:2], stride, pad)
+    cols, w2 = win.cols(x.data), win.weight(w.data)
     y = cols @ w2
     if b is not None:
         y += b.data
@@ -583,47 +600,7 @@ def _conv(op, x: DiffArray, w: DiffArray, b: DiffArray | None, stride, pad, relu
             _acc(x, win.input_grad(g2, w2).reshape(x.shape), fresh=True)
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(y.reshape(*win.out, cout), parents, op, back)
-
-
-def _check_stride_pad(op, stride, pad) -> None:
-    # before any output length, which divides by the stride; `_Windows` would reach outside the input
-    if min(stride) < 1 or min(pad) < 0:
-        raise ShapeError(f"{op}: stride {stride} must be positive and pad {pad} non-negative")
-
-
-def conv1d(x: DiffArray, w: DiffArray, b: DiffArray | None, stride: int = 1, pad: int = 0,
-           relu: bool = False, gaps=None) -> DiffArray:
-    """Strided 1D convolution along a height-1 channels-last image, (1, L, C_in): time is its width.
-
-    Weights are (K, C_in, C_out); output is (1, L_out, C_out) with
-    L_out = floor((L + 2*pad - K) / stride) + 1. `relu` and `gaps` (output
-    steps) are `conv2d`'s.
-    """
-    if x.data.ndim != 3 or x.shape[0] != 1 or w.data.ndim != 3 or x.shape[2] != w.shape[1]:
-        raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
-    _check_stride_pad("conv1d", (1, stride), (0, pad))
-    if conv1d_out_length(x.shape[1], w.shape[0], stride, pad) <= 0:
-        raise ShapeError(f"conv1d: input shape {x.shape} too short for kernel {w.shape}")
-    return _conv("conv1d", x, w, b, (1, stride), (0, pad), relu, gaps)
-
-
-def conv2d(x: DiffArray, w: DiffArray, b: DiffArray | None,
-           stride: tuple[int, int] = (1, 1), pad: tuple[int, int] = (0, 0),
-           relu: bool = False, gaps=None) -> DiffArray:
-    """Strided 2D convolution over a channels-last (H, W, C_in) input.
-
-    Weights are (KH, KW, C_in, C_out); output is (H_out, W_out, C_out).
-    With `relu` the output is max(conv, 0), and `gaps`, integer indices
-    along W_out, are output columns set to zero: the gaps between a batch's
-    joined lines. Those outputs pass no gradient back.
-    """
-    if x.data.ndim != 3 or w.data.ndim != 4 or x.shape[2] != w.shape[2]:
-        raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
-    _check_stride_pad("conv2d", stride, pad)
-    if min(map(conv1d_out_length, x.shape[:2], w.shape[:2], stride, pad)) <= 0:
-        raise ShapeError(f"conv2d: input shape {x.shape} too small for kernel {w.shape}")
-    return _conv("conv2d", x, w, b, stride, pad, relu, gaps)
+    return _make(y.reshape(*win.out, cout), parents, "conv2d", back)
 
 
 def residual_block(x: DiffArray, w1: DiffArray, b1: DiffArray, w2: DiffArray, b2: DiffArray, wp: DiffArray,
@@ -960,8 +937,8 @@ def _gru_backward(g, hs, rz, n, a_n, w_h, step_input_back=None):
     return dpx_flat, da_flat, carry
 
 
-def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
-          w_h: DiffArray, b_h: DiffArray, lengths) -> DiffArray:
+def bigru(xs: DiffArray, w_x: DiffArray, b_x: DiffArray, w_h: DiffArray, b_h: DiffArray,
+          lengths) -> DiffArray:
     """Bidirectional GRU over a zero-padded batch: (B, T, d) rows -> (B, T, 2H) states.
 
     Sequence b fills the first lengths[b] rows of xs. A forward GRU reads
@@ -971,17 +948,17 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
     and `b_x` (6H,) hold the forward direction's input-side gate blocks
     [r | z | n], then the backward's; `w_h` (2H, 3H) holds the forward's
     hidden-side rows, then the backward's, and `b_h` (6H,) their biases laid
-    out as `b_x`; `h0` (2, H) holds the two initial states. One matmul
+    out as `b_x`; both directions start from zero states. One matmul
     projects every row for both directions, and one time loop advances both
     directions of all B sequences. Output rows past a sequence's length are
     zero, and no gradient flows back from them. A batch without padding,
     such as a lone line's batch of one, reverses every row and masks none.
     One graph node; backward is hand-written backprop through time.
     """
-    ins = (xs, h0, w_x, b_x, w_h, b_h)
+    ins = (xs, w_x, b_x, w_h, b_h)
     B, T, d = xs.shape if xs.data.ndim == 3 else (0, 0, 0)
-    H = h0.shape[1] if h0.data.ndim == 2 else 0
-    if (d < 1 or H < 1 or h0.shape != (2, H) or w_x.shape != (d, 6 * H) or b_x.shape != (6 * H,)
+    H = w_h.shape[1] // 3 if w_h.data.ndim == 2 else 0
+    if (d < 1 or H < 1 or w_x.shape != (d, 6 * H) or b_x.shape != (6 * H,)
             or w_h.shape != (2 * H, 3 * H) or b_h.shape != (6 * H,)):
         raise ShapeError(f"bigru: incompatible shapes {', '.join(str(a.shape) for a in ins)}; "
                          "need a (B, T, d) batch")
@@ -994,7 +971,7 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
     px = np.empty((T, 3, 2, B, H), dtype=proj.dtype)
     px[:, :, 0] = proj[:, :, :3 * H].reshape(B, T, 3, H).transpose(1, 2, 0, 3)
     px[:, :, 1] = _reverse_each(proj[:, :, 3 * H:], reversal).reshape(B, T, 3, H).transpose(1, 2, 0, 3)
-    hs, rz, n, a_n = _gru_forward(T, h0.data[:, None].repeat(B, axis=1), wh, b_h.data.reshape(2, 1, 3 * H),
+    hs, rz, n, a_n = _gru_forward(T, np.zeros((2, B, H), dtype=wh.dtype), wh, b_h.data.reshape(2, 1, 3 * H),
                                   lambda t, h: px[t])
     y = np.concatenate([hs[1:, 0].transpose(1, 0, 2), _reverse_each(hs[1:, 1].transpose(1, 0, 2), reversal)],
                        axis=2)
@@ -1009,13 +986,12 @@ def bigru(xs: DiffArray, h0: DiffArray, w_x: DiffArray, b_x: DiffArray,
         gs = np.empty((T, 2, B, H), dtype=g.dtype)
         gs[:, 0] = g[:, :, :H].transpose(1, 0, 2)
         gs[:, 1] = _reverse_each(g[:, :, H:], reversal).transpose(1, 0, 2)
-        dpx, da, dh0 = _gru_backward(gs, hs, rz, n, a_n, wh)
+        dpx, da, _ = _gru_backward(gs, hs, rz, n, a_n, wh)
         dproj = np.empty((B, T, 6 * H), dtype=g.dtype)  # in row order
         dproj[:, :, :3 * H] = dpx[:, 0].transpose(1, 0, 2)
         dproj[:, :, 3 * H:] = _reverse_each(dpx[:, 1].transpose(1, 0, 2), reversal)
         dproj = dproj.reshape(B * T, 6 * H)
         _acc(xs, (dproj @ w_x.data.T).reshape(xs.shape), fresh=True)
-        _acc(h0, dh0.sum(axis=1), fresh=True)
         _acc_product(w_x, xs.data.reshape(B * T, d), dproj)
         _acc(b_x, dproj.sum(axis=0), fresh=True)
         # per direction: its states entering each step against its da, all steps and sequences as rows

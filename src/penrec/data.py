@@ -238,13 +238,15 @@ def augment(seq: TrajectorySequence, fraction: float, magnitude: float,
 
 
 class Vocabulary:
-    """Dense character table with pad/sos/eos reserved at indices 0..2."""
+    """Dense table of single characters with pad/sos/eos reserved at indices 0..2."""
 
     def __init__(self, chars):
         chars = list(chars)
         if len(set(chars)) != len(chars):
             raise DataError("vocabulary characters must be unique")
         for ch in chars:
+            if len(ch) != 1:
+                raise DataError(f"vocabulary entries must be single characters, got {ch!r}")
             if ch in RESERVED_SYMBOLS:
                 raise DataError("vocabulary cannot contain reserved control characters")
         self.symbols = list(RESERVED_SYMBOLS) + chars

@@ -8,10 +8,13 @@ point-to-spatial sampling pairs the two clocks frame for frame.
 Each stack runs a batch's lines as one input: the lines' padded points, or
 their images, are joined along time or width with `FRAME` zero rows or
 columns (one zero frame) between consecutive lines, so every layer is one
-node: a convolution that applies its own relu, or a whole residual block
-(`ad.residual_block`). Every such node zeroes the gap again, by index, in
-its relu, so a line's edge reads zeros, as its own zero padding would give
-it, and each line's output is, to rounding, the stack's on the line alone.
+node: a `ConvLayer`, a convolution that applies its own relu, or a whole
+residual block (`ad.residual_block`). Both stacks are lists of such layers
+that one loop, `_stack`, runs; the trajectory's points are a height-1
+image, convolved along time by one-row kernels. Every layer zeroes the gap
+again, by index, in its relu, so a line's edge reads zeros, as its own zero
+padding would give it, and each line's output is, to rounding, the stack's
+on the line alone.
 `Joined` records where each line's frames lie; its `rows` cut a batch out.
 Every stack's output is a batch: a lone line is a batch of one, no gap.
 """
@@ -100,22 +103,25 @@ class FeatureSequence:
     frames: np.ndarray
 
 
-class Conv1dStack:
-    def __init__(self, store: ParamStore, name: str, in_channels: int, spec):
-        self.spec = spec
-        self.weights = []
-        self.biases = []
-        for i, (cout, k, _) in enumerate(self.spec):
-            self.weights.append(store.new(f"{name}.l{i}.w", (k, in_channels, cout), "he"))
-            self.biases.append(store.new(f"{name}.l{i}.b", (cout,), "zeros"))
-            in_channels = cout
+class ConvLayer:
+    """A convolution with a zero-initialised bias that applies its own relu: one `conv2d` node."""
+
+    def __init__(self, store: ParamStore, name: str, kernel, cin: int, cout: int, stride, pad):
+        self.stride, self.pad = tuple(stride), tuple(pad)
+        self.w = store.new(f"{name}.w", (*kernel, cin, cout), "he")
+        self.b = store.new(f"{name}.b", (cout,), "zeros")
 
     def __call__(self, x: DiffArray, live: np.ndarray | None = None) -> DiffArray:
-        """x (1, L, C_in) -> (1, L_out, C_out); `live` (L,), when given, is False on the gaps every layer zeroes."""
-        for (_, k, s), w, b in zip(self.spec, self.weights, self.biases):
-            x = ad.conv1d(x, w, b, stride=s, pad=(k - 1) // 2, relu=True, gaps=_gaps(live, s))
-            live = None if live is None else live[::s]
-        return x
+        """`live`, when given, marks the input columns that belong to a line; the relu zeroes the rest."""
+        return ad.conv2d(x, self.w, self.b, self.stride, self.pad, relu=True, gaps=_gaps(live, self.stride[1]))
+
+
+def _stack(layers, x: DiffArray, live: np.ndarray | None) -> DiffArray:
+    """Run `layers` in turn over a joined input; `live` (columns,) is None or False on the gaps each layer zeroes."""
+    for layer in layers:
+        x = layer(x, live)
+        live = None if live is None else live[::layer.stride[1]]
+    return x
 
 
 def pad_to_multiple(points: np.ndarray) -> np.ndarray:
@@ -129,11 +135,15 @@ def pad_to_multiple(points: np.ndarray) -> np.ndarray:
 
 
 class TrajectoryEncoder:
-    """6-layer strided conv stack over the raw (px, py, s) signal."""
+    """6-layer strided conv stack over the raw (px, py, s) signal, a height-1 image of 3 channels."""
 
     def __init__(self, store: ParamStore, name: str, cfg: EncoderConfig):
         self.store = store
-        self.conv = Conv1dStack(store, name, 3, (*TRAJ_CONV_LADDER, (cfg.d, 3, 2)))
+        self.layers = []
+        cin = 3
+        for i, (cout, k, s) in enumerate((*TRAJ_CONV_LADDER, (cfg.d, 3, 2))):
+            self.layers.append(ConvLayer(store, f"{name}.l{i}", (1, k), cin, cout, (1, s), (0, (k - 1) // 2)))
+            cin = cout
 
     def __call__(self, seq: TrajectorySequence) -> FeatureSequence:
         """One line as a batch of one: (1, frames, d) features and (1, frames, 2) positions."""
@@ -152,7 +162,7 @@ class TrajectoryEncoder:
         pts, starts, frames, live = _join([pad_to_multiple(np.asarray(s.points, dtype=np.float64)) for s in batch], 0)
         means = pts[:, :2].reshape(-1, FRAME, 2).mean(axis=1)
         pts[:, :2] *= COORD_SCALE
-        joined = Joined(self.conv(self.store.const(pts[None]), live), starts, frames)
+        joined = Joined(_stack(self.layers, self.store.const(pts[None]), live), starts, frames)
         rows = joined.rows()
         return FeatureSequence(values=joined.padded(), positions=np.where(rows[..., None] < 0, 0.0, means[rows]),
                                frames=frames)
@@ -188,13 +198,10 @@ class ImageEncoder:
     def __init__(self, store: ParamStore, name: str, cfg: EncoderConfig):
         d = cfg.d
         self.store = store
-        stem = d // 8
-        self.stem_w = store.new(f"{name}.stem.w", (3, 3, 1, stem), "he")
-        self.stem_b = store.new(f"{name}.stem.b", (stem,), "zeros")
-        self.blocks = []
-        cin = stem
+        cin = d // 8
+        self.layers = [ConvLayer(store, f"{name}.stem", (3, 3), 1, cin, self.STEM_STRIDE, (1, 1))]
         for si, (cout, stride) in enumerate(zip((d // 8, d // 4, d // 2, d), self.STAGE_STRIDES)):
-            self.blocks.append(ResidualBlock(store, f"{name}.s{si}.b0", cin, cout, stride))
+            self.layers.append(ResidualBlock(store, f"{name}.s{si}.b0", cin, cout, stride))
             cin = cout
 
     def join(self, imgs: list[np.ndarray]) -> Joined:
@@ -206,11 +213,5 @@ class ImageEncoder:
             if w % FRAME != 0 or w < FRAME:
                 raise ValueError(f"image width must be a positive multiple of {FRAME}, got {w}")
         pixels, starts, frames, live = _join(imgs, 1)
-        x = self.store.const(pixels[:, :, None])
-        x = ad.conv2d(x, self.stem_w, self.stem_b, stride=self.STEM_STRIDE, pad=(1, 1), relu=True,
-                      gaps=_gaps(live, self.STEM_STRIDE[1]))
-        for block in self.blocks:
-            x = block(x, live)
-            live = None if live is None else live[::block.stride[1]]
-        # the height is fully collapsed here: (1, columns, d)
-        return Joined(x, starts, frames)
+        # the height is fully collapsed at the end: (1, columns, d)
+        return Joined(_stack(self.layers, self.store.const(pixels[:, :, None]), live), starts, frames)

@@ -113,7 +113,6 @@ class BiGRUStack:
         if d % 2 != 0:
             raise ValueError(f"BiGRU width must be even, got {d}")
         H = d // 2
-        self.h0 = store.const(np.zeros((2, H)))
         u = f"uniform:{1.0 / math.sqrt(H)}"
         self.layers = []  # (w_x, b_x, w_h, b_h) per layer
         for i in range(layers):
@@ -135,7 +134,7 @@ class BiGRUStack:
         if lengths is None:
             lengths = np.full(xs.shape[0], xs.shape[-2])
         for weights in self.layers:
-            xs = ad.bigru(xs, self.h0, *weights, lengths=lengths)
+            xs = ad.bigru(xs, *weights, lengths=lengths)
         return xs
 
 

@@ -42,7 +42,7 @@ class CheckpointError(ValueError):
     """Checkpoint file inconsistent with its manifest or config."""
 
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 HEADER_KEYS = ("version", "encoder", "alignment", "seed", "vocab", "manifest")
 
 
@@ -264,9 +264,12 @@ def evaluate(model: Recognizer, dataset, max_decode_len: int = MAX_DECODE_LEN) -
 # [q | k | v], heads as column blocks inside each. Each BiGRU layer packs
 # both directions into four tensors, for example traj_gru.l0.w_x (forward
 # gate blocks, then backward), and the decoders' GRU cells keep their packed
-# w_x, w_h, b_x, b_h. Version 6 holds version 5's payload under a header
-# without the four shape keys that became constants (encoder.conv1d_spec and
-# cnn2d_blocks, alignment.ff_mult and rope_base).
+# w_x, w_h, b_x, b_h. Each trajectory conv weight, traj_conv.l{i}.w, is a
+# one-row kernel (1, K, C_in, C_out). Version 7 holds version 6's payload
+# bytes; only those six manifest shapes gained their leading 1. Version 6
+# held version 5's payload under a header without the four shape keys that
+# became constants (encoder.conv1d_spec and cnn2d_blocks, alignment.ff_mult
+# and rope_base).
 
 
 def save_checkpoint(model: Recognizer, path) -> None:

@@ -21,7 +21,7 @@ from penrec.autodiff import DiffArray
 from penrec.config import AlignConfig, EncoderConfig
 from penrec.data import EOS, TrajectorySequence, Vocabulary, normalize
 from penrec.decoder import AttentionDecoder
-from penrec.encoders import Conv1dStack
+from penrec.encoders import ConvLayer, _stack
 from penrec.layers import BiGRUStack, ParamStore, TransformerLayer
 from penrec.model import Recognizer
 
@@ -174,10 +174,11 @@ def kernel_cases(rng: np.random.Generator):
         p = fixed_projector(rng)
         return lambda: p(op(a, b)), [a, b]
 
-    def conv1d_case(stride, pad):
-        x, w, b = _rand(rng, (1, 12, 3)), _rand(rng, (3, 3, 4)), _rand(rng, (4,))
+    def conv_row_case(stride, pad):
+        # a height-1 image and a one-row kernel: the trajectory stack's convolution along time
+        x, w, b = _rand(rng, (1, 12, 3)), _rand(rng, (1, 3, 3, 4)), _rand(rng, (4,))
         p = fixed_projector(rng)
-        return lambda: p(ad.conv1d(x, w, b, stride=stride, pad=pad)), [x, w, b]
+        return lambda: p(ad.conv2d(x, w, b, stride=(1, stride), pad=(0, pad))), [x, w, b]
 
     def conv2d_case(stride, pad, k=3, height=8):
         x, w, b = _rand(rng, (height, 10, 2)), _rand(rng, (k, k, 2, 3)), _rand(rng, (3,))
@@ -216,7 +217,7 @@ def kernel_cases(rng: np.random.Generator):
     def bigru_case(steps):
         d, hidden = 4, 3
         ins = [_rand(rng, shape) for shape in [
-            (1, steps, d), (2, hidden), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
+            (1, steps, d), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
         p = fixed_projector(rng)
         return lambda: p(ad.bigru(*ins, lengths=[steps])), ins
 
@@ -232,7 +233,7 @@ def kernel_cases(rng: np.random.Generator):
         # three sequences of 5, 1 and 3 rows; the padding rows are probed too, and must get zero
         d, hidden = 4, 3
         ins = [_rand(rng, shape) for shape in [
-            (3, 5, d), (2, hidden), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
+            (3, 5, d), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
         p = fixed_projector(rng)
         return lambda: p(ad.bigru(*ins, lengths=[5, 1, 3])), ins
 
@@ -272,9 +273,9 @@ def kernel_cases(rng: np.random.Generator):
         # its own relu and zeroes the gap's output row, which passes no gradient back. x and the (1, 5, 3)
         # projection take the draws of the relu-with-gaps case this one replaced, w and b come from `own`
         x = _rand_away_from_zero(rng, (1, 5, 3))
-        w, b = _rand(own, (3, 3, 3)), _rand(own, (3,))
+        w, b = _rand(own, (1, 3, 3, 3)), _rand(own, (3,))
         p = fixed_projector(rng)
-        return lambda: p(ad.conv1d(x, w, b, pad=1, relu=True, gaps=[2])), [x, w, b]
+        return lambda: p(ad.conv2d(x, w, b, pad=(0, 1), relu=True, gaps=[2])), [x, w, b]
 
     def residual_block_case(stride, height):
         # two lines 4 columns wide joined with a 2-column gap, which both relus zero at the output
@@ -308,10 +309,10 @@ def kernel_cases(rng: np.random.Generator):
         ("relu", *unary(ad.relu, (4, 5), away=True)),
         ("softmax", *unary(softmax, (3, 6))),
         ("sum", *unary(asum, (3, 4))),
-        ("conv1d_s1_p0", *conv1d_case(1, 0)),
-        ("conv1d_s2_p1", *conv1d_case(2, 1)),
-        # length 12, kernel 3, stride 2: the last input row lies outside every window
-        ("conv1d_s2_p0", *conv1d_case(2, 0)),
+        ("conv2d_row_s1_p0", *conv_row_case(1, 0)),
+        ("conv2d_row_s2_p1", *conv_row_case(2, 1)),
+        # length 12, kernel 3, stride 2: the last input column lies outside every window
+        ("conv2d_row_s2_p0", *conv_row_case(2, 0)),
         ("conv2d_s11_p11", *conv2d_case((1, 1), (1, 1))),
         ("conv2d_s21_p11", *conv2d_case((2, 1), (1, 1))),
         ("conv2d_s22_p00", *conv2d_case((2, 2), (0, 0))),
@@ -338,7 +339,7 @@ def kernel_cases(rng: np.random.Generator):
         ("cross_entropy_logits_batched", *ce_batched_case()),
         # a batch's joined conv stack, aligner and alignment loss
         ("attention_masked", *attention_masked_case()),
-        ("conv1d_relu_gap", *conv_gap_case()),
+        ("conv2d_row_relu_gap", *conv_gap_case()),
         ("gather_rows_cut", *gather_cut_case()),
         ("mse_batched", *mse_batched_case()),
         # the identity that marks the image stream's loss for its own backward sweep
@@ -357,11 +358,12 @@ def composite_cases(rng: np.random.Generator):
 
     def conv_block():
         store = ParamStore(rng, dtype=F64)
-        stack = Conv1dStack(store, "blk", 3, [[4, 3, 1], [4, 3, 2]])
+        layers = [ConvLayer(store, "blk.l0", (1, 3), 3, 4, (1, 1), (0, 1)),
+                  ConvLayer(store, "blk.l1", (1, 3), 4, 4, (1, 2), (0, 1))]
         x = _rand(rng, (1, 8, 3))
         wrt = [x] + list(store.params.values())
         p = fixed_projector(rng)
-        return lambda: p(stack(x)), wrt
+        return lambda: p(_stack(layers, x, None)), wrt
 
     cases.append(("conv1d_block", *conv_block()))
 

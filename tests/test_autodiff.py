@@ -74,10 +74,10 @@ def test_layer_norm_is_bit_identical_to_an_ndarray_method_reference(dtype, shape
 
 def test_conv1d_output_length_formula():
     x = ad.array(np.random.default_rng(0).normal(size=(1, 16, 2)))  # a height-1 image
-    w = ad.array(np.random.default_rng(1).normal(size=(3, 2, 5)))
-    out = ad.conv1d(x, w, None, stride=2, pad=1)
+    w = ad.array(np.random.default_rng(1).normal(size=(1, 3, 2, 5)))  # one kernel row
+    out = ad.conv2d(x, w, None, stride=(1, 2), pad=(0, 1))
     assert out.shape == (1, 8, 5)
-    assert ad.conv1d_out_length(16, 3, 2, 1) == 8
+    assert ad.conv_out_length(16, 3, 2, 1) == 8
 
 
 def _conv_loop_oracle(x, w, b, g, stride, pad):
@@ -101,8 +101,9 @@ def _conv_loop_oracle(x, w, b, g, stride, pad):
 
 
 # the model's stride/pad pairs: image stem, strided block conv, stride-1 conv,
-# 1x1 projection shortcut; trajectory conv at strides 1 and 2 with pad (K-1)//2;
-# a stride-2 conv1d whose last input row lies outside every window; then inputs
+# 1x1 projection shortcut; trajectory conv, a one-row kernel over a height-1
+# image, at strides 1 and 2 with pad (K-1)//2; a stride-2 one whose last input
+# column lies outside every window; then inputs
 # 1 and 2 rows high, where kernel rows read only padding and are left out: the
 # image stack's last stage (rows 0 and 2 left out at height 1, row 0 at height 2
 # and stride 2), a height-2 stride-1 conv that keeps every row, a 1x1 kernel
@@ -113,9 +114,9 @@ CONV_CASES = [
     pytest.param("conv2d", (9, 11, 2), (3, 3, 2, 4), (2, 2), (1, 1), id="conv2d_s22_p11"),
     pytest.param("conv2d", (9, 11, 2), (3, 3, 2, 4), (1, 1), (1, 1), id="conv2d_s11_p11"),
     pytest.param("conv2d", (9, 11, 2), (1, 1, 2, 4), (2, 2), (0, 0), id="conv2d_k1_s22"),
-    pytest.param("conv1d", (1, 12, 3), (3, 3, 4), 1, 1, id="conv1d_s1_p1"),
-    pytest.param("conv1d", (1, 12, 3), (3, 3, 4), 2, 1, id="conv1d_s2_p1"),
-    pytest.param("conv1d", (1, 12, 3), (3, 3, 4), 2, 0, id="conv1d_s2_p0"),
+    pytest.param("conv2d", (1, 12, 3), (1, 3, 3, 4), (1, 1), (0, 1), id="conv2d_row_s1_p1"),
+    pytest.param("conv2d", (1, 12, 3), (1, 3, 3, 4), (1, 2), (0, 1), id="conv2d_row_s2_p1"),
+    pytest.param("conv2d", (1, 12, 3), (1, 3, 3, 4), (1, 2), (0, 0), id="conv2d_row_s2_p0"),
     pytest.param("conv2d", (1, 7, 3), (3, 3, 3, 4), (1, 1), (1, 1), id="conv2d_h1_s11_p11"),
     pytest.param("conv2d", (2, 7, 3), (3, 3, 3, 4), (2, 1), (1, 1), id="conv2d_h2_s21_p11"),
     pytest.param("conv2d", (2, 7, 3), (3, 3, 3, 4), (1, 1), (1, 1), id="conv2d_h2_s11_p11"),
@@ -128,7 +129,7 @@ CONV_CASES = [
     (1, 3, 1, 1, (1, 2)), (2, 3, 2, 1, (1, 3)), (2, 3, 1, 1, (0, 3)), (1, 1, 2, 1, (0, 0)),
     (1, 3, 2, 2, (0, 3)), (12, 3, 2, 0, (0, 3))])
 def test_live_taps_is_the_smallest_range_holding_every_tap_that_reads_the_input(size, kernel, stride, pad, want):
-    out = ad.conv1d_out_length(size, kernel, stride, pad)
+    out = ad.conv_out_length(size, kernel, stride, pad)
     reads = [i for i in range(kernel) if any(0 <= o * stride + i - pad < size for o in range(out))]
     assert ad._live_taps(size, kernel, stride, pad, out) == want
     assert want == ((reads[0], reads[-1] + 1) if reads else (0, 0))
@@ -142,8 +143,6 @@ def test_conv_matches_loop_oracle_in_float64(op, x_shape, w_shape, stride, pad):
     y = getattr(ad, op)(x, w, b, stride=stride, pad=pad)
     g = rng.normal(size=y.shape)
     ad.backward(asum(ad.mul(y, ad.array(g, dtype=np.float64))))
-    if op == "conv1d":  # a height-1 image with one kernel row
-        wd, stride, pad = wd[None], (1, stride), (0, pad)
     expected = _conv_loop_oracle(xd, wd, bd, g, stride, pad)
     for got, want in zip((y.data, x.grad, w.grad, b.grad), expected):
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
@@ -189,9 +188,9 @@ def test_a_leaf_used_several_times_gets_the_sum_of_its_products():
 # would divide by zero in the output length
 @pytest.mark.parametrize("length,stride,pad", [(2, -1, 0), (6, 1, -1), (6, 0, 0)])
 def test_conv_rejects_negative_stride_or_pad(length, stride, pad):
-    x, w = ad.array(np.zeros((1, length, 1))), ad.array(np.zeros((3, 1, 1)))
-    with pytest.raises(ad.ShapeError, match="conv1d: stride"):
-        ad.conv1d(x, w, None, stride=stride, pad=pad)
+    x, w = ad.array(np.zeros((1, length, 1))), ad.array(np.zeros((1, 3, 1, 1)))  # a one-row kernel
+    with pytest.raises(ad.ShapeError, match="conv2d: stride"):
+        ad.conv2d(x, w, None, stride=(1, stride), pad=(0, pad))
     x, w = ad.array(np.zeros((length, length, 1))), ad.array(np.zeros((3, 3, 1, 1)))
     with pytest.raises(ad.ShapeError, match="conv2d: stride"):
         ad.conv2d(x, w, None, stride=(stride, 1), pad=(pad, 0))
@@ -251,7 +250,6 @@ def test_bigru_matches_gate_equations_in_float64(lengths):
     rng = np.random.default_rng(4)
     d_in, hidden, B, T = 5, 4, len(lengths), max(lengths)
     xs = rng.normal(size=(B, T, d_in))  # padding rows filled with random values too
-    h0 = rng.normal(size=(2, hidden))
     cells = [{key: {g: rng.normal(size=shape) for g in "rzn"}
               for key, shape in [("wx", (d_in, hidden)), ("wh", (hidden, hidden)),
                                  ("bx", (hidden,)), ("bh", (hidden,))]} for _ in range(2)]
@@ -261,12 +259,12 @@ def test_bigru_matches_gate_equations_in_float64(lengths):
         blocks = [np.concatenate([c[key][g] for g in "rzn"], axis=-1) for c in cells]
         return ad.array(np.concatenate(blocks, axis=axis), dtype=np.float64)
 
-    weights = [ad.array(h0, dtype=np.float64), packed("wx", -1), packed("bx", -1), packed("wh", 0), packed("bh", -1)]
+    weights = [packed("wx", -1), packed("bx", -1), packed("wh", 0), packed("bh", -1)]
     got = ad.bigru(ad.array(xs, dtype=np.float64), *weights, lengths=lengths).data
     for b, n in enumerate(lengths):
-        # each line's forward runs from row 0, its backward from its own last row
-        fwd = gru_by_gate_equations(xs[b, :n], h0[0], **cells[0])
-        bwd = gru_by_gate_equations(xs[b, :n][::-1], h0[1], **cells[1])[::-1]
+        # each line's forward runs from row 0, its backward from its own last row, both from zero states
+        fwd = gru_by_gate_equations(xs[b, :n], np.zeros(hidden), **cells[0])
+        bwd = gru_by_gate_equations(xs[b, :n][::-1], np.zeros(hidden), **cells[1])[::-1]
         np.testing.assert_allclose(got[b, :n, :hidden], fwd, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[b, :n, hidden:], bwd, rtol=0, atol=1e-12)
         assert not np.any(got[b, n:]), "rows past the length are zero"
@@ -277,7 +275,7 @@ def test_a_lone_line_is_refused_a_batch_of_one_is_taken(kernel):
     # one shape, (B, T, .), per kernel: a lone (T, d) line raises, with lengths or without
     rng = np.random.default_rng(6)
     d, H, T = 4, 3, 5
-    weights = [ad.array(rng.normal(size=shape)) for shape in [(2, H), (d, 6 * H), (6 * H,), (2 * H, 3 * H), (6 * H,)]]
+    weights = [ad.array(rng.normal(size=shape)) for shape in [(d, 6 * H), (6 * H,), (2 * H, 3 * H), (6 * H,)]]
     run = {
         "attention": (lambda x, lengths: ad.attention(x, 2, lengths), 3 * 2 * 2),
         "bigru": (lambda x, lengths: ad.bigru(x, *weights, lengths), d),
@@ -299,13 +297,12 @@ def test_bigru_hidden_weight_gradient_is_the_sum_over_uses():
     def leaf(*shape):
         return ad.array(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
 
-    h0, w_x, b_x, w_h, b_h = leaf(2, hidden), leaf(d_in, 6 * hidden), leaf(6 * hidden), \
-        leaf(2 * hidden, 3 * hidden), leaf(6 * hidden)
+    w_x, b_x, w_h, b_h = leaf(d_in, 6 * hidden), leaf(6 * hidden), leaf(2 * hidden, 3 * hidden), leaf(6 * hidden)
     uses = [(ad.array(rng.normal(size=(1, steps, d_in)), dtype=np.float64), rng.normal(size=(1, steps, 2 * hidden)))
             for steps in (1, 5, 3)]
 
     def loss(pairs):
-        terms = [asum(ad.mul(ad.bigru(xs, h0, w_x, b_x, w_h, b_h, [xs.shape[1]]), proj)) for xs, proj in pairs]
+        terms = [asum(ad.mul(ad.bigru(xs, w_x, b_x, w_h, b_h, [xs.shape[1]]), proj)) for xs, proj in pairs]
         return functools.reduce(ad.add, terms)
 
     per_use = []
@@ -361,7 +358,7 @@ def test_batched_bigru_matches_each_sequence_alone_in_float64(lengths):
     rng = np.random.default_rng(len(lengths))
     d, hidden, B, T = 4, 3, len(lengths), max(lengths)
     shared = [ad.array(rng.normal(size=shape), requires_grad=True, dtype=np.float64) for shape in
-              [(2, hidden), (d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
+              [(d, 6 * hidden), (6 * hidden,), (2 * hidden, 3 * hidden), (6 * hidden,)]]
 
     def kernel(arrays, lengths):
         return ad.bigru(arrays[0], *shared, lengths=lengths[0])
@@ -434,9 +431,9 @@ def _graph(loss):
 
 def _chain(rng):
     x = ad.array(rng.normal(size=(1, 12, 3)), requires_grad=True)
-    w1, w2 = (ad.array(rng.normal(size=(3, 3, 3)), requires_grad=True) for _ in range(2))
-    h = ad.relu(ad.conv1d(x, w1, ad.array(np.zeros(3), requires_grad=True), pad=1))
-    return asum(ad.relu(ad.conv1d(h, w2, None, stride=2, pad=1)))
+    w1, w2 = (ad.array(rng.normal(size=(1, 3, 3, 3)), requires_grad=True) for _ in range(2))
+    h = ad.relu(ad.conv2d(x, w1, ad.array(np.zeros(3), requires_grad=True), pad=(0, 1)))
+    return asum(ad.relu(ad.conv2d(h, w2, None, stride=(1, 2), pad=(0, 1))))
 
 
 @pytest.mark.parametrize("build", [

@@ -210,7 +210,7 @@ def test_a_model_larger_than_physical_memory_exits_2_before_allocating_it(tmp_pa
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "parameter of shape (3, 256, 800000000) needs 614400000000 elements" in capsys.readouterr().err
+    assert "parameter of shape (1, 3, 256, 800000000) needs 614400000000 elements" in capsys.readouterr().err
     assert peak < 16 * 2**20
     assert not (tmp_path / "run").exists()
 
@@ -277,6 +277,15 @@ def config_documents():
         return doc
 
     return st.lists(st.tuples(st.sampled_from(targets), values), max_size=3).map(build)
+
+
+def test_a_run_config_has_the_22_settable_values_the_readme_lists():
+    # a new knob must change this count and README's list together
+    def settable(cfg):
+        return sum(settable(v) if dataclasses.is_dataclass(v) else 1
+                   for v in (getattr(cfg, f.name) for f in dataclasses.fields(cfg)))
+
+    assert settable(RunConfig()) == 22
 
 
 @given(raw=config_documents() | json_values())
@@ -542,20 +551,25 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header.update(version=4), "unsupported version 4"),
     (lambda header: header.update(version=5), "unsupported version 5"),
     (lambda header: header.update(version=5.0), "unsupported version 5.0"),
+    (lambda header: header.update(version=6), "unsupported version 6"),
     (lambda header: header["encoder"].update(d="16"), 'encoder.d: expected int, got "16"'),
     (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
     (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
+    # a symbol that is not one character: a longer one decoded as two, an empty one as nothing
+    (lambda header: header["vocab"].__setitem__(3, "ab"), "vocabulary entries must be single characters, got 'ab'"),
+    (lambda header: header["vocab"].__setitem__(3, ""), "vocabulary entries must be single characters, got ''"),
     # keys that version 5 wrote and that are now constants
     (lambda header: header["alignment"].update(rope_base=float("nan")), "alignment: unknown keys ['rope_base']"),
     (lambda header: header["alignment"].update(ff_mult=200000), "alignment: unknown keys ['ff_mult']"),
     (lambda header: header["encoder"].update(cnn2d_blocks=10**18), "encoder: unknown keys ['cnn2d_blocks']"),
     # a model larger than the manifest: the loader's store hands out no more elements than the file holds
-    (lambda header: header["encoder"].update(d=160000), "(3, 256, 160000) needs 122880000 elements"),
+    (lambda header: header["encoder"].update(d=160000), "(1, 3, 256, 160000) needs 122880000 elements"),
     (lambda header: header["alignment"].update(layers=10**9), "elements, "),
     (lambda header: header["encoder"].update(gru_layers=10**9), "elements, "),
 ], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2", "version_3", "version_4",
-        "version_5", "version_5_float",
-        "encoder_d_string", "alignment_toggle_int", "seed_negative", "alignment_rope_base_nan",
+        "version_5", "version_5_float", "version_6",
+        "encoder_d_string", "alignment_toggle_int", "seed_negative", "vocab_multichar", "vocab_empty_symbol",
+        "alignment_rope_base_nan",
         "ff_mult_huge", "cnn2d_blocks_huge", "d_huge", "alignment_layers_huge", "gru_layers_huge"])
 def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):
     ckpt, data = tiny_checkpoint(tmp_path)

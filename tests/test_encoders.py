@@ -42,9 +42,8 @@ def test_frame_count_is_ceil_T_over_8():
 
 def test_both_stacks_step_one_frame_per_FRAME():
     m = make_model()
-    assert math.prod(s for _, _, s in m.traj_conv.conv.spec) == FRAME == 8
-    strides = [m.img_cnn.STEM_STRIDE] + [block.stride for block in m.img_cnn.blocks]
-    assert tuple(math.prod(s) for s in zip(*strides)) == (IMAGE_HEIGHT, FRAME)
+    assert [math.prod(layer.stride[1] for layer in stack.layers) for stack in (m.traj_conv, m.img_cnn)] == [8, 8]
+    assert FRAME == 8 and math.prod(layer.stride[0] for layer in m.img_cnn.layers) == IMAGE_HEIGHT
 
 
 def test_batch_lines_equal_their_own_batches_of_one():
@@ -77,7 +76,7 @@ def test_rejects_single_point(monkeypatch):
         m.traj_conv(seq)
     # in a batch, the bad line is named before the joined stack runs on any line
     convs = []
-    monkeypatch.setattr(ad, "conv1d", lambda *a, **k: convs.append(a))
+    monkeypatch.setattr(ad, "conv2d", lambda *a, **k: convs.append(a))
     with pytest.raises(ValueError, match="^x: "):
         m.traj_conv.batch([line_sequence(16), seq])
     assert convs == []
@@ -243,7 +242,7 @@ def test_residual_block_equals_its_composed_graph_bit_for_bit(dtype):
     _, _, _, live = _join([np.zeros((IMAGE_HEIGHT, w)) for w in (24, 48, 16)], 1)
     x = rng.uniform(0.0, 1.0, size=(IMAGE_HEIGHT // 2, live.size, 8)).astype(dtype)
     x[:, ~live] = 0.0
-    for block in m.img_cnn.blocks:
+    for block in m.img_cnn.layers[1:]:
         ws = [block.w1.data, rng.normal(size=block.b1.shape), block.w2.data, rng.normal(size=block.b2.shape),
               block.wp.data]
         keep = live[::block.stride[1]]

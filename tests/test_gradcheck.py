@@ -73,7 +73,7 @@ def test_every_kernel_has_a_model_caller(monkeypatch):
 
 def test_kernel_cases_reach_every_kernel():
     ops = kernel_op_names()
-    assert {"add", "matmul", "conv1d", "conv2d", "bigru", "attention", "attention_gru"} <= ops
+    assert {"add", "matmul", "conv2d", "bigru", "attention", "attention_gru"} <= ops
     reached = set()
     for _, loss_fn, _ in kernel_cases(np.random.default_rng(0)):
         stack = [loss_fn()]

@@ -18,7 +18,7 @@ from penrec.config import (AlignConfig, ConfigError, EncoderConfig, TrainConfig,
 from penrec.data import MAX_POINTS, MAX_WIDTH, TrajectorySequence, Vocabulary, build_vocab, normalize
 from penrec.model import IMAGE_PREFIXES, TRAJ_PREFIXES, Recognizer
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
-from penrec.training import (CheckpointError, DivergenceError, batch_losses, evaluate,
+from penrec.training import (CHECKPOINT_VERSION, CheckpointError, DivergenceError, batch_losses, evaluate,
                              load_checkpoint, save_checkpoint, train,
                              zero_image_stream)
 
@@ -547,6 +547,17 @@ def test_a_fresh_d64_model_draws_the_initial_values_of_version_5(tmp_path):
     path = tmp_path / "d64.ckpt"
     save_checkpoint(Recognizer(EncoderConfig(d=64), AlignConfig(), Vocabulary(list(DEFAULT_ALPHABET)), seed=1), path)
     assert payload_sha256(path.read_bytes()) == V5_PAYLOAD_SHA256["d64_seed1"]
+
+
+def test_a_change_to_the_manifest_comes_with_a_new_checkpoint_version(tmp_path):
+    # the names, shapes and order of a fixed d=16 model's manifest; a file of other names or shapes is
+    # another format, so the recorded pair changes only with CHECKPOINT_VERSION
+    path = tmp_path / "d16.ckpt"
+    save_checkpoint(Recognizer(EncoderConfig(d=16, gru_layers=1), AlignConfig(layers=1, heads=2),
+                               Vocabulary(list("ab")), seed=0), path)
+    manifest = json.loads(path.read_bytes().split(b"\n", 1)[0])["manifest"]
+    digest = hashlib.sha256(json.dumps([[m["name"], m["shape"]] for m in manifest]).encode()).hexdigest()
+    assert (CHECKPOINT_VERSION, digest) == (7, "f9d1a34447a1936bef07037b40c28f1a48eb1f67cb219d37790badcff94e31dc")
 
 
 def test_load_reads_a_saved_file_to_its_values(tmp_path, poisoned_empty):
