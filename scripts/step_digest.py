@@ -16,7 +16,9 @@ quoted from another machine says nothing about bit identity. The bits
 depend on the BLAS thread count too: on a 2-core x86-64 VM, `--d 192
 --glyphs 6 10 --steps 2` printed db186278... with OpenBLAS's default
 threads and 5349191a... pinned to one CPU (`taskset -c 0`), and 5349191a...
-both ways with OPENBLAS_NUM_THREADS=1. Compare digests with one BLAS thread.
+both ways with OPENBLAS_NUM_THREADS=1. So the script sets
+OPENBLAS_NUM_THREADS=1 itself before numpy loads OpenBLAS, unless the
+environment already sets it; every digest quoted here is from one thread.
 
 Without --d it runs the benchmark's two training shapes: `train_c07` (d=64,
 lines of 2-4 glyphs) and `train_wide` (d=320, augmented lines of 6-10
@@ -27,15 +29,18 @@ two or more CPUs, and the same split inline on one.
 
 import argparse
 import hashlib
+import os
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLAS: see the docstring
 
-from penrec import autodiff as ad
-from penrec.config import AlignConfig, EncoderConfig, TrainConfig
-from penrec.data import augment, build_vocab, normalize
-from penrec.model import Recognizer
-from penrec.synth import DEFAULT_ALPHABET, synth_generate
-from penrec.training import batch_losses
+import numpy as np  # noqa: E402
+
+from penrec import autodiff as ad  # noqa: E402
+from penrec.config import AlignConfig, EncoderConfig, TrainConfig  # noqa: E402
+from penrec.data import augment, build_vocab, normalize  # noqa: E402
+from penrec.model import Recognizer  # noqa: E402
+from penrec.synth import DEFAULT_ALPHABET, synth_generate  # noqa: E402
+from penrec.training import batch_losses  # noqa: E402
 
 SHAPES = {  # name -> (d, glyphs per line, augment, lr_max, lr_min), as perfbench/workloads.py
     "train_c07": (64, (2, 4), False, 2e-3, 2e-5),

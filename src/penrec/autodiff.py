@@ -7,30 +7,31 @@ along time runs over a height-1 image with a one-row kernel),
 `residual_block` (two 3x3 convolutions and a 1x1 projection shortcut,
 with their relus, as one node), relu, multi-head self-attention over a
 packed q|k|v projection, layer norm, a whole-sequence bidirectional GRU,
-the decoder's whole-sequence attention-fed GRU, row gather, linear
-interpolation between rows, the two losses, and `branch`, an identity
-that marks the part of the graph below it for its own backward sweep.
-The convolutions run over
-a batch's lines joined along one axis with zero gaps between them; one
-`gather_rows` cuts the joined rows into a batch of sequences zero-padded
-to one length. Attention, the two GRUs and both losses take that batch,
-and only that shape, with per-sequence lengths; a lone sequence is a
-batch of one, (1, T, d). Each has one path: attention masks each
+the decoder's whole-sequence attention-fed GRU and its greedy decoding
+(no graph), row gather, linear interpolation between rows, the two
+losses, and `branch`, an identity that marks the part of the graph below
+it for its own backward sweep. The convolutions run over a batch's lines
+joined along one axis with zero gaps between them; one `gather_rows`
+cuts the joined rows into a batch of sequences zero-padded to one length.
+Attention, the two GRUs and both losses take that batch, and only that
+shape, with per-sequence lengths; a lone sequence is a batch of one,
+(1, T, d). Each has one path: attention masks each
 sequence's padding keys, one time loop advances every sequence's state,
 and padding rows reach no result and get no gradient; attention and the
 BiGRU leave out the mask and the reversal index for a batch without
-padding. The GRU step, the decoder's attention step, the
-softmax and the convolutions' strided windows (`_Windows`: im2col and
-col2im) are each written once, as private helpers the kernels share;
-greedy decoding runs the two step helpers on plain arrays. Each step of
-a recurrence multiplies a few rows, one per sequence, by a weight, and
-such a product falls off OpenBLAS's small-matrix fast path once it passes
-about 1M multiply-adds or reads a transposed view. So `attention_gru`
-multiplies by its w_x and w_h as three contiguous (H, H) gate blocks, and
-the backward steps multiply by contiguous transposed copies, made once
-per call (timings beside `_gate_blocks`). A parameter's `a.T @ g`
-gradient is one matmul per use, formed as the reverse sweep reaches the
-use. Convolutions leave out the kernel rows that read only zero padding.
+padding. The GRU step, the decoder's attention step, the softmax and the
+convolutions' strided windows (`_Windows`: im2col and col2im) are each
+written once, as private helpers the kernels share; greedy decoding runs
+the two step helpers on `attention_gru`'s layout, a batch of one. Each
+step of a recurrence multiplies a few rows, one per sequence, by a
+weight, and such a product falls off OpenBLAS's small-matrix fast path
+once it passes about 1M multiply-adds or reads a transposed view. So the
+kernels' forward steps multiply by their GRU weights as contiguous
+(H, H) gate blocks (greedy, one row per step, by views of them), and the
+backward steps by contiguous transposed copies, made once per call
+(timings beside `_gate_blocks`). A parameter's `a.T @ g` gradient is one
+matmul per use, formed as the reverse sweep reaches the use.
+Convolutions leave out the kernel rows that read only zero padding.
 Arrays are float32 by default; build everything in float64 for
 finite-difference checks.
 
@@ -787,9 +788,9 @@ def layer_norm(x: DiffArray, gain: DiffArray, bias: DiffArray) -> DiffArray:
 # product over it. A lone sequence is a batch of one and takes the same
 # loop. A sequence's padding comes after its last step in every direction,
 # so it cannot reach the sequence's own states; the kernels zero the outputs
-# there and pass back no gradient from them. The step bodies, `_gru_step`
-# and `_attention_step`, are also what the decoder's greedy loop runs, one
-# token at a time on plain arrays and with no graph.
+# there and pass back no gradient from them. Every forward step multiplies
+# by (3, H, H) gate blocks and holds one gate block per row. The step
+# bodies are also what `greedy_attention_gru` runs, on a batch of one.
 
 
 def _check_lengths(op: str, lengths, batch: int, most: int):
@@ -815,7 +816,7 @@ def _reverse_each(a, reversal):
     return a[:, ::-1] if reversal is None else a[reversal]
 
 
-def _gru_step(h, px, w_h, b_rows, hw, hw_rows, a, rz, n, h_out) -> None:
+def _gru_step(h, px, w_h, b_rows, a, rz, n, h_out) -> None:
     """One GRU step from the states h (B, H) and their input projection px.
 
     With a = h @ w_h + b_h, per gate block [r | z | n]:
@@ -823,23 +824,17 @@ def _gru_step(h, px, w_h, b_rows, hw, hw_rows, a, rz, n, h_out) -> None:
         r = sigmoid(px_r + a_r)    z = sigmoid(px_z + a_z)
         n = tanh(px_n + r * a_n)   h' = n + z * (h - n)
 
-    w_h (H, 3H) packs its columns as [r | z | n]; h @ w_h is one matrix
-    product over the batch, written into hw (B, 3H), and `hw_rows` views hw
-    as (3, B, H), one gate block per row. w_h may instead be `_gate_blocks`'
-    (3, H, H), whose three products write hw (3, B, H) gate row by gate row;
-    `hw_rows` is then hw itself. px, b_rows and a (3, B, H) and
-    rz (2, B, H) hold one gate block per row too, so every elementwise
-    operation reads whole rows. The step writes a, the gates r and z, then
-    n and h' (B, H) into a, rz, n and h_out, none of which may overlap h or
-    px. D GRUs advance together when h is (D, B, H), w_h (D, H, 3H) and hw
-    (D, B, 3H): every other array gains the direction axis after the gate
+    w_h holds one (H, H) gate block per row, (3, H, H), as `_gate_blocks` or
+    `_gate_rows` lay it out, so h @ w_h is three products over the batch,
+    each writing one gate row of a (3, B, H). px, b_rows, a and rz (2, B, H)
+    hold one gate block per row too, so every operation reads whole rows. The step writes a, the gates r
+    and z, then n and h' (B, H) into a, rz, n and h_out, none of which may
+    overlap h or px. D GRUs advance together when h is (D, B, H) and w_h
+    (3, D, H, H): every other array gains the direction axis after the gate
     axis, so each gate's rows of all directions stay one contiguous block.
-    Greedy decoding, whose encoded frames are a batch of one, runs the step
-    on that one sequence's rows with the batch axis dropped: h (H,), px and
-    a (3, H).
     """
-    np.matmul(h, w_h, out=hw)
-    np.add(hw_rows, b_rows, out=a)
+    np.matmul(h, w_h, out=a)
+    a += b_rows
     np.add(px[:2], a[:2], out=rz)
     _sigmoid(rz, out=rz)
     np.multiply(rz[0], a[2], out=n)
@@ -860,31 +855,34 @@ def _gate_rows(packed):
 # A GEMM packs its whole right operand on every call, and only enough rows amortize that: below
 # about 1M multiply-adds OpenBLAS takes a small-matrix path that skips the packing (Goto and van de
 # Geijn, ACM TOMS 2008). The recurrences multiply 8 rows per step, so their per-step products are
-# laid out to stay under that limit, each on C-contiguous operands: `attention_gru` runs its w_x and
-# w_h products as three (H, H) gate blocks, and every backward step product reads a contiguous copy
+# laid out to stay under that limit, each on C-contiguous operands: every forward step runs its GRU
+# weight products as three (H, H) gate blocks, and every backward step product reads a contiguous copy
 # of its transposed weight, made once per call. Microseconds per float32 product, best of 7 x 2,000
 # calls, one OpenBLAS 0.3.31 thread (Haswell kernels), 2-core x86-64 VM; (M, K) @ (K, N):
 #   (8, 320) @ (320, N)   N=320 (0.82M) 11.8 | 384 (0.98M) 14.1 | 448 (1.15M) 36.1 | 512 33.7 | 960 83.3
 #   (8, 320) @ (3, 320, 320) gate blocks, the N=960 product's three parts: 24.9
 #   (2, 8, 480) @ (2, 480, 160), a d=320 BiGRU backward step: swapaxes view 73.2, contiguous 11.7
 #   (8, 960) @ (960, 320), an attention-GRU backward step: .T view 151.2, contiguous 85.3
+# Greedy decoding runs once per line with one row per step, so it multiplies by `_gate_rows`' views
+# instead (same bits; best of 5 x 2,000): (1, H) @ (3, H, H) at H=64 view 1.6 | contiguous 1.9 plus
+# the copy 3.9, at H=320 20.2 | 16.0 plus 88.7. Per-line copies also slowed `infer_ckpt`'s loads.
 
 
 def _gate_blocks(w):
-    """Packed gate weights [r | z | n], (H, 3H), as three C-contiguous (H, H) gate blocks, (3, H, H)."""
-    return np.ascontiguousarray(w.reshape(w.shape[0], 3, -1).swapaxes(0, 1))
+    """Packed gate weights [r | z | n], (..., H, 3H), as C-contiguous (H, H) gate blocks, (3, ..., H, H)."""
+    return np.ascontiguousarray(_gate_rows(w))
 
 
-def _gru_forward(T: int, h0, w_h, b_h, step_input):
+def _gru_forward(T: int, h0, w_h, b_rows, step_input):
     """Run T `_gru_step`s from the states h0 (B, H); `step_input(t, h)` gives step t's input projection.
 
-    w_h (H, 3H) and b_h (1, 3H) are packed as gate blocks [r | z | n], or
-    w_h is `_gate_blocks`' (3, H, H); `step_input` returns its projection
-    with one gate block per row, (3, B, H). Returns the states hs (T+1, B, H), hs[t] entering step t, the
+    w_h is `_gate_blocks`' (3, H, H) and b_rows `_gate_rows`' (3, 1, H);
+    `step_input` returns its projection with one gate block per row,
+    (3, B, H). Returns the states hs (T+1, B, H), hs[t] entering step t, the
     gates r and z (T, 2, B, H) and n (T, B, H) after their nonlinearities,
     and a_n (T, B, H), the n block of h @ w_h + b_h. D independent GRUs
-    advance together when h0 is (D, B, H), w_h (D, H, 3H) and b_h
-    (D, 1, 3H): the projection is then (3, D, B, H), and every returned
+    advance together when h0 is (D, B, H), w_h (3, D, H, H) and b_rows
+    (3, D, 1, H): the projection is then (3, D, B, H), and every returned
     array gains the direction axis before the batch axis.
     """
     H = h0.shape[-1]
@@ -893,27 +891,21 @@ def _gru_forward(T: int, h0, w_h, b_h, step_input):
     rz = np.empty((T, 2, *lead, H), dtype=w_h.dtype)
     n = np.empty((T, *lead, H), dtype=w_h.dtype)
     a = np.empty((T, 3, *lead, H), dtype=w_h.dtype)
-    if w_h.shape[-1] == H:  # gate blocks: the product is laid out one gate per row already
-        hw = hw_rows = np.empty((3, *lead, H), dtype=w_h.dtype)
-    else:
-        hw = np.empty((*lead, 3 * H), dtype=w_h.dtype)
-        hw_rows = _gate_rows(hw)
-    b_rows = _gate_rows(b_h)
     hs[0] = h0
     for t in range(T):
-        _gru_step(hs[t], step_input(t, hs[t]), w_h, b_rows, hw, hw_rows, a[t], rz[t], n[t], hs[t + 1])
+        _gru_step(hs[t], step_input(t, hs[t]), w_h, b_rows, a[t], rz[t], n[t], hs[t + 1])
     return hs, rz, n, a[:, 2]
 
 
 def _gru_backward(g, hs, rz, n, a_n, w_h, step_input_back=None):
     """Backprop through time for `_gru_forward`, given its results and dL/dh' of every step, g (T, B, H).
 
-    Returns the gradients of the input projections dpx (T, B, 3H), of
-    a = h @ w_h + b_h, da (T, B, 3H), and of h0, (B, H).
+    w_h is packed, (H, 3H). Returns the gradients of the input projections
+    dpx (T, B, 3H), of a = h @ w_h + b_h, da (T, B, 3H), and of h0, (B, H).
     `step_input_back(t, dpx_t)`, when given, backpropagates step t's input
     projection and returns the part of dL/dh_t that flowed through it. With
-    a direction axis (g is (T, D, B, H)) every result gains it as
-    `_gru_forward`'s do.
+    a direction axis (g is (T, D, B, H), w_h (D, H, 3H)) every result gains
+    it as `_gru_forward`'s do.
     """
     T, H = g.shape[0], g.shape[-1]
     r, z = rz[:, 0], rz[:, 1]
@@ -971,8 +963,8 @@ def bigru(xs: DiffArray, w_x: DiffArray, b_x: DiffArray, w_h: DiffArray, b_h: Di
     px = np.empty((T, 3, 2, B, H), dtype=proj.dtype)
     px[:, :, 0] = proj[:, :, :3 * H].reshape(B, T, 3, H).transpose(1, 2, 0, 3)
     px[:, :, 1] = _reverse_each(proj[:, :, 3 * H:], reversal).reshape(B, T, 3, H).transpose(1, 2, 0, 3)
-    hs, rz, n, a_n = _gru_forward(T, np.zeros((2, B, H), dtype=wh.dtype), wh, b_h.data.reshape(2, 1, 3 * H),
-                                  lambda t, h: px[t])
+    hs, rz, n, a_n = _gru_forward(T, np.zeros((2, B, H), dtype=wh.dtype), _gate_blocks(wh),
+                                  _gate_rows(b_h.data.reshape(2, 1, 3 * H)), lambda t, h: px[t])
     y = np.concatenate([hs[1:, 0].transpose(1, 0, 2), _reverse_each(hs[1:, 1].transpose(1, 0, 2), reversal)],
                        axis=2)
     valid = np.arange(T) < lengths[:, None] if padded else None  # (B, T)
@@ -1006,15 +998,12 @@ def _attention_step(y_t, h, wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x,
 
     Writes the query inputs y_t + h, the queries, the attention weights and
     the GRU inputs y_t + alpha @ values into u, q, alpha and x, one row per
-    sequence; returns the GRU input projection x @ w_x + b_x with one gate
-    block per row, (3, B, H). `keys_t` (B, dk, Tk) holds each sequence's
-    keys transposed and `values` (B, Tk, H) its frames; `mask` (B, Tk), 0 or
-    -inf, is added to the scores so that no sequence attends to its padding
-    frames. With `_gate_blocks`' w_x (3, H, H) and b_x (3, 1, H) the
-    projection is three products that write its gate rows. Greedy decoding,
-    whose frames are a batch of one, runs the step on that one sequence
-    with the batch axis dropped and without a mask, with w_x (H, 3H) and
-    b_x (3H,) packed.
+    sequence; returns the GRU input projection x @ w_x + b_x, from
+    w_x (3, H, H) and b_x (3, 1, H) laid out as `_gru_step`'s w_h and b_rows,
+    with one gate block per row, (3, B, H). `keys_t` (B, dk, Tk) holds each
+    sequence's keys transposed and `values` (B, Tk, H) its frames; `mask`
+    (B, Tk), 0 or -inf, is added to the scores so that no sequence attends
+    to its padding frames.
     """
     np.add(y_t, h, out=u)
     np.matmul(u, wq, out=q)
@@ -1023,8 +1012,13 @@ def _attention_step(y_t, h, wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x,
         s += mask
     _softmax(s, out=alpha)
     np.add(y_t, np.vecmat(alpha, values), out=x)
-    px = x @ w_x + b_x
-    return px if w_x.ndim == 3 else _gate_rows(px)
+    return x @ w_x + b_x
+
+
+def _attention_operands(keys, w_x, b_x, w_h, b_h, blocks=_gate_blocks):
+    """`attention_gru`'s step operands: score scale, keys as (B, dk, Tk), GRU weights as `blocks` and bias rows."""
+    return (1.0 / math.sqrt(keys.shape[2]), np.ascontiguousarray(keys.data.swapaxes(1, 2)),
+            blocks(w_x.data), _gate_rows(b_x.data[None]), blocks(w_h.data), _gate_rows(b_h.data[None]))
 
 
 def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, values: DiffArray,
@@ -1058,11 +1052,9 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
         raise ShapeError(f"attention_gru: incompatible shapes {', '.join(str(a.shape) for a in ins)}")
     lengths = _check_lengths("attention_gru", lengths, B, T)
     frames = _check_lengths("attention_gru", frames, B, tk)
-    scale = 1.0 / math.sqrt(dk)
+    scale, kd_t, wx_blocks, bx_rows, wh_blocks, bh_rows = _attention_operands(keys, w_x, b_x, w_h, b_h)
     wqd, wxd = wq.data, w_x.data
-    wx_blocks, bx_rows = _gate_blocks(wxd), _gate_rows(b_x.data[None])
     yd, kd, vd = y.data.swapaxes(0, 1), keys.data, values.data  # inputs in step order, (T, B, H)
-    kd_t = np.ascontiguousarray(kd.swapaxes(1, 2))
     mask = np.where(np.arange(tk) < frames[:, None], 0.0, -np.inf).astype(yd.dtype)
     U = np.empty((T, B, H), dtype=yd.dtype)                # query inputs y_t + h
     Q = np.empty((T, B, dk), dtype=yd.dtype)
@@ -1072,8 +1064,7 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
     def step_input(t, h):
         return _attention_step(yd[t], h, wqd, kd_t, vd, scale, wx_blocks, bx_rows, U[t], Q[t], A[t], X[t], mask)
 
-    hs, rz, n, a_n = _gru_forward(T, h0.data.repeat(B, axis=0), _gate_blocks(w_h.data), b_h.data[None],
-                                  step_input)
+    hs, rz, n, a_n = _gru_forward(T, h0.data.repeat(B, axis=0), wh_blocks, bh_rows, step_input)
     if attn_sink is not None:
         attn_sink.append(A.swapaxes(0, 1).copy())
     out = np.ascontiguousarray(hs[1:].swapaxes(0, 1))
@@ -1107,6 +1098,36 @@ def attention_gru(y: DiffArray, h0: DiffArray, wq: DiffArray, keys: DiffArray, v
         _acc(b_h, rows(da).sum(axis=0), fresh=True)
 
     return _make(out, ins, "attention_gru", back)
+
+
+def greedy_attention_gru(embed: DiffArray, wq: DiffArray, keys: DiffArray, values: DiffArray,
+                         w_x: DiffArray, b_x: DiffArray, w_h: DiffArray, b_h: DiffArray,
+                         w_out: DiffArray, b_out: DiffArray, start: int, stop: int, max_len: int) -> list[int]:
+    """Greedy decoding of one sequence, `keys` (1, Tk, dk) and `values` (1, Tk, H), from a zero state.
+
+    Each step runs `attention_gru`'s steps on the batch of one, bit for bit,
+    from the `embed` row of the id before it (`start` first), and appends
+    the argmax of h' @ w_out + b_out, until `stop` (not appended) or max_len
+    ids. No graph; every buffer is allocated before the first step.
+    """
+    scale, kd_t, wx_rows, bx_rows, wh_rows, bh_rows = _attention_operands(keys, w_x, b_x, w_h, b_h, _gate_rows)
+    table, wqd, vd, wod, bod = embed.data, wq.data, values.data, w_out.data, b_out.data
+    (_, tk, dk), H, dtype = keys.shape, values.shape[2], wh_rows.dtype
+    h, h_new, u, x, n = np.zeros((5, 1, H), dtype=dtype)  # h enters a step and h_new is the state it writes
+    q, alpha, a, rz, logits = (np.empty(shape, dtype=dtype)
+                               for shape in ((1, dk), (1, tk), (3, 1, H), (2, 1, H), (1, wod.shape[1])))
+    ids, prev = [], start
+    for _ in range(max_len):
+        px = _attention_step(table[prev:prev + 1], h, wqd, kd_t, vd, scale, wx_rows, bx_rows, u, q, alpha, x)
+        _gru_step(h, px, wh_rows, bh_rows, a, rz, n, h_new)
+        np.matmul(h_new, wod, out=logits)
+        logits += bod
+        prev = int(logits.argmax())
+        if prev == stop:
+            break
+        ids.append(prev)
+        h, h_new = h_new, h
+    return ids
 
 
 # ---------------------------------------------------------------------------

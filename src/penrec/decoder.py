@@ -9,10 +9,8 @@ Training uses teacher forcing, which knows every step's previous token up
 front, so a whole batch of lines runs in one kernel call: `ce_loss` pads
 the targets to the longest, and the kernel masks each line's padding frames
 and steps. Greedy inference learns each input only from the previous
-argmax, so it runs one loop per line over plain arrays: per token the
-embedding row, the kernel's own attention step and GRU step
-(`ad._attention_step`, `ad._gru_step`), the output projection and the
-argmax, with no graph node and with its buffers allocated once per line.
+argmax, so each line runs `ad.greedy_attention_gru`: the kernel's own
+steps on a batch of one, each argmax fed back, with no graph node.
 """
 
 from __future__ import annotations
@@ -77,44 +75,17 @@ class AttentionDecoder:
 
         Stops at eos or after max_len tokens. Every other argmax, PAD and
         SOS included, is appended to the ids and fed back as the next input;
-        only `Vocabulary.decode` drops the reserved ids. One loop over plain
-        arrays, with every buffer allocated before the first token: per
-        token it looks up the embedding row, runs `ad.attention_gru`'s
-        attention step and GRU step, projects to logits and takes the
-        argmax. Each state is bit for bit the one that `_run` reaches,
-        token by token, on the same batch of one.
+        only `Vocabulary.decode` drops the reserved ids. The loop, with no
+        graph, is `ad.greedy_attention_gru`.
         """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         if f_enc.shape[0] != 1:
             raise ValueError(f"greedy decodes a batch of one line, got encoded frames {f_enc.shape}")
         with ad.no_grad():
-            keys = self.keys(f_enc).data[0]
-        embed, wq, values = self.embed.data, self.wq.data, f_enc.data[0]
-        w_x, b_x, w_h, b_h = (p.data for p in self.gru)
-        w_out, b_out = self.out.w.data, self.out.b.data
-        scale = 1.0 / math.sqrt(keys.shape[1])
-        keys_t = np.ascontiguousarray(keys.T)  # the layout `attention_gru` gives its keys
-        dtype = w_h.dtype  # every parameter's, as the store holds them in one dtype
-        h, h_new = np.zeros((2, 1, self.d), dtype=dtype)  # the state entering a step and the one it writes
-        u, x, q, alpha = (np.empty(k, dtype=dtype) for k in (self.d, self.d, keys.shape[1], keys.shape[0]))
-        hw, a, rz, n = (np.empty(shape, dtype=dtype) for shape in (3 * self.d, (3, self.d), (2, self.d), self.d))
-        hw_rows, b_rows = ad._gate_rows(hw), ad._gate_rows(b_h)
-        logits = np.empty((1, self.vocab_size), dtype=dtype)
-        prev = SOS
-        out: list[int] = []
-        for _ in range(max_len):
-            px = ad._attention_step(embed[prev], h[0], wq, keys_t, values, scale, w_x, b_x, u, q, alpha, x)
-            ad._gru_step(h[0], px, w_h, b_rows, hw, hw_rows, a, rz, n, h_new[0])
-            np.matmul(h_new, w_out, out=logits)
-            logits += b_out
-            tok = int(logits.argmax())
-            if tok == EOS:
-                break
-            out.append(tok)
-            prev = tok
-            h, h_new = h_new, h
-        return out
+            keys = self.keys(f_enc)
+        return ad.greedy_attention_gru(self.embed, self.wq, keys, f_enc, *self.gru, self.out.w, self.out.b,
+                                       SOS, EOS, max_len)
 
     def sequence_logits(self, f_enc: DiffArray, targets: list, frames) -> DiffArray:
         """Teacher-forced logits (B, L, V) of a batch: per line sos, then each target token, fed in.

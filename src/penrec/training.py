@@ -326,6 +326,13 @@ def _check_header(header, path) -> None:
     if not _is_int(header["version"]) or header["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {header['version']} "
                               f"(this build reads version {CHECKPOINT_VERSION})")
+    for key, cls in (("encoder", EncoderConfig), ("alignment", AlignConfig)):
+        if not isinstance(header[key], dict):
+            raise CheckpointError(f"{path}: {key}: expected an object")
+        # unlike a config file's, every field: a default toggle would fit the same parameters
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in header[key]]
+        if missing:
+            raise CheckpointError(f"{path}: {key}: missing keys {missing}")
     if not _is_int(header["seed"]) or header["seed"] < 0:
         raise CheckpointError(f"{path}: seed must be a non-negative integer")
     vocab = header["vocab"]

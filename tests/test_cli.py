@@ -554,6 +554,9 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header.update(version=6), "unsupported version 6"),
     (lambda header: header["encoder"].update(d="16"), 'encoder.d: expected int, got "16"'),
     (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
+    # a missing field is refused, not defaulted: use_rope changes no parameter shape
+    (lambda header: header["alignment"].pop("use_rope"), "alignment: missing keys ['use_rope']"),
+    (lambda header: header["encoder"].pop("d"), "encoder: missing keys ['d']"),
     (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
     # a symbol that is not one character: a longer one decoded as two, an empty one as nothing
     (lambda header: header["vocab"].__setitem__(3, "ab"), "vocabulary entries must be single characters, got 'ab'"),
@@ -568,7 +571,8 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header["encoder"].update(gru_layers=10**9), "elements, "),
 ], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2", "version_3", "version_4",
         "version_5", "version_5_float", "version_6",
-        "encoder_d_string", "alignment_toggle_int", "seed_negative", "vocab_multichar", "vocab_empty_symbol",
+        "encoder_d_string", "alignment_toggle_int", "alignment_use_rope_missing", "encoder_d_missing",
+        "seed_negative", "vocab_multichar", "vocab_empty_symbol",
         "alignment_rope_base_nan",
         "ff_mult_huge", "cnn2d_blocks_huge", "d_huge", "alignment_layers_huge", "gru_layers_huge"])
 def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, edit, message):

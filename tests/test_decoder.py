@@ -127,6 +127,8 @@ def chained_step_logits(dec, f_enc, max_len):
     return ids, states
 
 
+# d=320 is `EncoderConfig.d`'s default, whose (1, 320) @ (3, 320, 320) gate-block products d=64 does not run
+@pytest.mark.parametrize("d", [64, 320], ids=["d64", "d320"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("frames,max_len,eos_bias", [
     pytest.param(1, 40, 0.0, id="1_frame"),
@@ -135,9 +137,9 @@ def chained_step_logits(dec, f_enc, max_len):
     pytest.param(5, 6, -50.0, id="max_len_cut"),
     pytest.param(5, 40, 50.0, id="immediate_eos"),
 ])
-def test_greedy_states_are_bit_identical_to_chained_step_logits(monkeypatch, dtype, frames, max_len, eos_bias):
-    # weights within 0.5 decode a few varied tokens, reserved ones among them, before eos
-    d, rng = 64, np.random.default_rng(frames)
+def test_greedy_states_are_bit_identical_to_chained_step_logits(monkeypatch, d, dtype, frames, max_len, eos_bias):
+    # weights within 0.5 decode a few varied tokens, reserved ones among them, before eos or max_len
+    rng = np.random.default_rng(frames)
     dec = AttentionDecoder(ParamStore(rng, dtype=dtype), "dec", 12, d)
     for p in dec.store.params.values():
         p.data[...] = rng.uniform(-0.5, 0.5, size=p.shape)
@@ -150,7 +152,7 @@ def test_greedy_states_are_bit_identical_to_chained_step_logits(monkeypatch, dty
 
     def recording_gru_step(*args):
         gru_step(*args)
-        got_states.append(args[-1].copy())  # the state the step wrote
+        got_states.append(args[-1][0].copy())  # the state the step wrote, its batch of one's row
 
     monkeypatch.setattr(ad, "_gru_step", recording_gru_step)
     assert dec.greedy(f_enc, max_len=max_len) == want_ids
@@ -158,10 +160,12 @@ def test_greedy_states_are_bit_identical_to_chained_step_logits(monkeypatch, dty
     for t, (got, want) in enumerate(zip(got_states, want_states)):
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want), f"state {t}"
+    # greedy's length rule: eos ends it one state after the last id; without eos it stops at max_len ids
+    assert len(want_states) == len(want_ids) + 1 or len(want_ids) == len(want_states) == max_len
     if eos_bias > 0:
-        assert want_ids == [] and len(want_states) == 1
-    else:  # eos ends the decode unless the bias rules it out, and then max_len does
-        assert len(want_ids) == (max_len if eos_bias < 0 else len(want_states) - 1)
+        assert want_ids == []
+    elif eos_bias < 0:
+        assert len(want_ids) == max_len
 
 
 def test_greedy_equals_beam_size_one_by_enumeration():
