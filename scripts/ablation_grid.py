@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Train the five alignment-toggle configurations and tabulate the results.
+"""Train the five alignment variants and tabulate the results.
 
-Rows mirror the module's ablation axes: no module at all; transformer
-layers only; + 2D position embedding; + alignment loss; + stop gradient.
+Rows are `ALIGN_VARIANTS` in order, each adding one piece of the module to
+the row before it: no module at all ("none"); transformer layers only;
++ 2D position embedding ("positions"); + alignment loss ("align"); + its
+stop gradient ("full").
 Each row trains the same synthetic dataset for the same number of steps;
 the reported CER comes from single-stream inference on a held-out split.
 
@@ -17,23 +19,10 @@ import time
 
 import numpy as np
 
-from penrec.config import AlignConfig, EncoderConfig, TrainConfig
+from penrec.config import ALIGN_VARIANTS, AlignConfig, EncoderConfig, TrainConfig
 from penrec.data import build_vocab
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
 from penrec.training import evaluate, train
-
-ROWS = [
-    ("baseline (no module)", dict(use_transformer=False, use_rope=False,
-                                  use_align_loss=False, use_stop_gradient=False)),
-    ("+ transformer", dict(use_transformer=True, use_rope=False,
-                           use_align_loss=False, use_stop_gradient=False)),
-    ("+ 2D positions", dict(use_transformer=True, use_rope=True,
-                            use_align_loss=False, use_stop_gradient=False)),
-    ("+ align loss", dict(use_transformer=True, use_rope=True,
-                          use_align_loss=True, use_stop_gradient=False)),
-    ("+ stop gradient", dict(use_transformer=True, use_rope=True,
-                             use_align_loss=True, use_stop_gradient=True)),
-]
 
 
 def main():
@@ -51,20 +40,20 @@ def main():
     train_split, eval_split = data[:-holdout], data[-holdout:]
     print(f"{args.n} samples ({len(train_split)} train / {len(eval_split)} eval), "
           f"vocab {vocab.size}, d={args.d}, {args.steps} steps per row\n")
-    print(f"{'configuration':<22} {'params':>8} {'L_1d':>8} {'L_align':>8} {'eval CER':>9} {'sec':>6}")
+    print(f"{'variant':<12} {'params':>8} {'L_1d':>8} {'L_align':>8} {'eval CER':>9} {'sec':>6}")
 
-    for name, toggles in ROWS:
+    for variant in ALIGN_VARIANTS:
         cfg = TrainConfig(batch_size=args.batch_size, epochs=1, max_steps=args.steps,
                           lr_max=2e-3, lr_min=2e-5, augment=True, val_fraction=0.0,
                           seed=args.seed)
         start = time.monotonic()
-        result = train(train_split, EncoderConfig(d=args.d), AlignConfig(**toggles),
+        result = train(train_split, EncoderConfig(d=args.d), AlignConfig(variant=variant),
                        cfg, vocab)
         elapsed = time.monotonic() - start
         last = [r for r in result.records if "L_all" in r][-1]
         n_params = sum(p.data.size for p in result.model.params.values())
         cer = evaluate(result.model, eval_split)["cer"]
-        print(f"{name:<22} {n_params:>8} {last['L_1d']:>8.4f} {last['L_align']:>8.4f} "
+        print(f"{variant:<12} {n_params:>8} {last['L_1d']:>8.4f} {last['L_align']:>8.4f} "
               f"{cer:>9.4f} {elapsed:>6.0f}")
 
 

@@ -48,9 +48,8 @@ def rope2d(positions: np.ndarray, d: int) -> np.ndarray:
 class SpatialAligner:
     """Maps point-level conv features toward image-level spatial features.
 
-    With use_transformer off the module owns no parameters and forwards the
-    (optionally position-tagged) input unchanged; with all toggles off the
-    model skips it entirely.
+    Under the "none" variant it owns no parameters and the model skips it;
+    from "positions" on, its input gains the 2D position embedding.
     """
 
     def __init__(self, store: ParamStore, name: str, d: int, cfg: AlignConfig):
@@ -58,14 +57,14 @@ class SpatialAligner:
         self.d = d
         self.cfg = cfg
         self.layers = []
-        if cfg.use_transformer:
+        if cfg.enabled:
             for i in range(cfg.layers):
                 self.layers.append(TransformerLayer(store, f"{name}.l{i}", d, cfg.heads))
 
     def __call__(self, feat: FeatureSequence, attn_sink: list | None = None) -> DiffArray:
         """A batch's (B, T, d) features -> (B, T, d), attending within each line's frames."""
         x = feat.values
-        if self.cfg.use_rope:
+        if self.cfg.position_embedding:
             x = ad.add(x, self.store.const(rope2d(feat.positions, self.d)))
         for layer in self.layers:
             x = layer(x, feat.frames, attn_sink)

@@ -42,27 +42,50 @@ class EncoderConfig:
             raise ConfigError("gru_layers must be >= 1")
 
 
+# The alignment module's ablation rows, in order. Each adds one piece to the row before it: the
+# transformer layers, the additive 2D sinusoidal position embedding, the alignment loss, and that
+# loss's stop gradient on its image-feature target.
+ALIGN_VARIANTS = ("none", "transformer", "positions", "align", "full")
+
+
 @dataclass
 class AlignConfig:
-    """Point-to-spatial alignment settings and the four ablation toggles.
+    """Point-to-spatial alignment settings: depth, heads, and the ablation row.
 
-    All toggles off removes the module entirely (baseline single-stream
-    trajectory encoder); use_transformer controls whether the module has
-    any parameters at all.
+    `variant` names one of `ALIGN_VARIANTS`; the read-only properties say
+    which pieces its row holds. "none" removes the module entirely
+    (baseline single-stream trajectory encoder); every other row runs the
+    transformer layers, so only "none" has no `align.` parameters.
     """
 
     layers: int = 3
     heads: int = 8
-    use_transformer: bool = True
-    use_rope: bool = True
-    use_align_loss: bool = True
-    use_stop_gradient: bool = True
+    variant: str = "full"
+
+    def _holds(self, piece: str) -> bool:
+        return ALIGN_VARIANTS.index(self.variant) >= ALIGN_VARIANTS.index(piece)
 
     @property
     def enabled(self) -> bool:
-        return self.use_transformer or self.use_rope or self.use_align_loss
+        """The aligner and its transformer layers run."""
+        return self._holds("transformer")
+
+    @property
+    def position_embedding(self) -> bool:
+        return self._holds("positions")
+
+    @property
+    def align_loss(self) -> bool:
+        return self._holds("align")
+
+    @property
+    def stop_gradient(self) -> bool:
+        return self._holds("full")
 
     def validate(self, d: int) -> None:
+        if self.variant not in ALIGN_VARIANTS:
+            raise ConfigError(f"alignment.variant: expected one of {list(ALIGN_VARIANTS)}, "
+                              f"got {json.dumps(self.variant)}")
         if self.layers < 1:
             raise ConfigError("alignment layers must be >= 1")
         if self.heads < 1 or d % (2 * self.heads) != 0:

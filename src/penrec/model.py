@@ -127,8 +127,8 @@ class Recognizer:
         beside the trajectory stream (`ad.beside`), and its loss and the
         alignment target sampled from it are marked for its own backward
         sweep (`ad.branch`). An error of the trajectory stream is raised
-        first, once the image stream has finished. "align" is None when the
-        alignment loss is off.
+        first, once the image stream has finished. "align" is None for the
+        alignment variants before "align".
         """
         targets = [self.vocab.encode(seq.text) + [EOS] for seq in batch]
         wide = self.enc_cfg.d >= _STREAMS_BESIDE_D
@@ -142,9 +142,9 @@ class Recognizer:
             f2d, loss_img = self.image_losses(batch, targets)
 
         loss_align = None
-        if self.align_cfg.use_align_loss:  # which implies an aligner
+        if self.align_cfg.align_loss:
             sampled = sample_image_columns(f2d.values, f_conv.positions, f2d.starts, f2d.frames)
             if wide:
                 sampled = ad.branch(sampled)
-            loss_align = align_loss(f_aligned, sampled, f_conv.frames, self.align_cfg.use_stop_gradient)
+            loss_align = align_loss(f_aligned, sampled, f_conv.frames, self.align_cfg.stop_gradient)
         return {"traj": loss_traj, "img": loss_img, "align": loss_align}

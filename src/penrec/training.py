@@ -42,7 +42,7 @@ class CheckpointError(ValueError):
     """Checkpoint file inconsistent with its manifest or config."""
 
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 HEADER_KEYS = ("version", "encoder", "alignment", "seed", "vocab", "manifest")
 
 
@@ -265,7 +265,10 @@ def evaluate(model: Recognizer, dataset, max_decode_len: int = MAX_DECODE_LEN) -
 # both directions into four tensors, for example traj_gru.l0.w_x (forward
 # gate blocks, then backward), and the decoders' GRU cells keep their packed
 # w_x, w_h, b_x, b_h. Each trajectory conv weight, traj_conv.l{i}.w, is a
-# one-row kernel (1, K, C_in, C_out). Version 7 holds version 6's payload
+# one-row kernel (1, K, C_in, C_out). Version 8 holds version 7's payload
+# and manifest under a header whose alignment section names its ablation row,
+# alignment.variant, in place of the four toggles use_transformer, use_rope,
+# use_align_loss and use_stop_gradient. Version 7 holds version 6's payload
 # bytes; only those six manifest shapes gained their leading 1. Version 6
 # held version 5's payload under a header without the four shape keys that
 # became constants (encoder.conv1d_spec and cnn2d_blocks, alignment.ff_mult
@@ -329,7 +332,7 @@ def _check_header(header, path) -> None:
     for key, cls in (("encoder", EncoderConfig), ("alignment", AlignConfig)):
         if not isinstance(header[key], dict):
             raise CheckpointError(f"{path}: {key}: expected an object")
-        # unlike a config file's, every field: a default toggle would fit the same parameters
+        # unlike a config file's, every field: a default variant would fit the same parameters
         missing = [f.name for f in dataclasses.fields(cls) if f.name not in header[key]]
         if missing:
             raise CheckpointError(f"{path}: {key}: missing keys {missing}")

@@ -494,7 +494,7 @@ def _align_no_sg(model, seq):
     # differencing the align loss w.r.t. image params needs the stop
     # gradient off (its forward is an identity, so FD would see a slope
     # the analytic gradient correctly reports as zero)
-    model.align_cfg.use_stop_gradient = False
+    model.align_cfg.variant = "align"
 
     def f():
         return model.losses([seq])["align"]

@@ -16,7 +16,7 @@ from penrec import autodiff as ad
 from penrec import metrics as M
 from penrec.alignment import rope2d, sample_image_columns
 from penrec.cli import main
-from penrec.config import AlignConfig, EncoderConfig, TrainConfig
+from penrec.config import ALIGN_VARIANTS, AlignConfig, EncoderConfig, TrainConfig
 from penrec.data import build_vocab, normalize, save_dataset
 from penrec.model import Recognizer
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
@@ -52,7 +52,7 @@ def test_c01_gradient_check_suite():
 
 def test_c02_stop_gradient_contract():
     def image_grads(stop_gradient):
-        m = Recognizer(small_enc_cfg(), small_align_cfg(use_stop_gradient=stop_gradient),
+        m = Recognizer(small_enc_cfg(), small_align_cfg(variant="full" if stop_gradient else "align"),
                        build_vocab(synth_generate("abc", 3, np.random.default_rng(0))), seed=1)
         losses = m.losses([tiny_sequence(np.random.default_rng(2), n_points=32)])
         scaled = ad.mul(losses["align"], 2.0)
@@ -147,7 +147,7 @@ def test_c07_overfit_learning_run(tmp_path, capsys):
     save_dataset(data_path, data)
     config = {
         "encoder": {"d": 64},
-        "alignment": {},  # all toggles on
+        "alignment": {},  # the default variant, "full"
         "training": {"batch_size": 8, "epochs": 1, "max_steps": 500,
                      "lr_max": 2e-3, "lr_min": 2e-5, "augment": False,
                      "val_fraction": 0.0, "seed": 1},
@@ -177,15 +177,6 @@ def test_c07_overfit_learning_run(tmp_path, capsys):
                       f"500 steps in {elapsed:.0f}s, train CER {rep['cer']:.4f}"))
 
 
-TABLE_ROWS = [
-    ("baseline", dict(use_transformer=False, use_rope=False, use_align_loss=False, use_stop_gradient=False)),
-    ("transformer", dict(use_transformer=True, use_rope=False, use_align_loss=False, use_stop_gradient=False)),
-    ("rope", dict(use_transformer=True, use_rope=True, use_align_loss=False, use_stop_gradient=False)),
-    ("align", dict(use_transformer=True, use_rope=True, use_align_loss=True, use_stop_gradient=False)),
-    ("full", dict(use_transformer=True, use_rope=True, use_align_loss=True, use_stop_gradient=True)),
-]
-
-
 def _flow_groups(model, loss):
     ad.zero_grads(model.params.values())
     ad.backward(loss)
@@ -197,8 +188,11 @@ def test_c08_ablation_structure(tmp_path):
     data = synth_generate(DEFAULT_ALPHABET[:4], 12, np.random.default_rng(10), length_range=(1, 2))
     vocab = build_vocab(data)
     stream_param_counts = set()
-    for name, toggles in TABLE_ROWS:
-        align_cfg = small_align_cfg(**toggles)
+    # the paper's cumulative rows; each adds one piece: from rank 1 the transformer (and align.
+    # parameters), from 2 the position embedding, from 3 the alignment loss, at 4 its stop gradient
+    assert ALIGN_VARIANTS == ("none", "transformer", "positions", "align", "full")
+    for rank, name in enumerate(ALIGN_VARIANTS):
+        align_cfg = small_align_cfg(variant=name)
         cfg = TrainConfig(batch_size=4, epochs=1, max_steps=50, lr_max=1e-3, lr_min=1e-5,
                           augment=False, val_fraction=0.0, seed=3)
         result = train(data, small_enc_cfg(), align_cfg, cfg, vocab)
@@ -208,7 +202,7 @@ def test_c08_ablation_structure(tmp_path):
         align_count = sum(p.data.size for n, p in m.params.items() if n.startswith("align."))
         stream_param_counts.add(sum(p.data.size for n, p in m.params.items()
                                     if not n.startswith("align.")))
-        if toggles["use_transformer"]:
+        if rank >= 1:
             assert align_count > 0
         else:
             assert align_count == 0
@@ -216,14 +210,14 @@ def test_c08_ablation_structure(tmp_path):
         losses = m.losses([normalize(data[0])])
         traj_flow = _flow_groups(m, losses["traj"])
         expected_traj = {"traj_conv", "traj_gru", "dec_traj"}
-        if toggles["use_transformer"]:
+        if rank >= 1:
             expected_traj.add("align")
         assert traj_flow == expected_traj, (name, traj_flow)
         assert _flow_groups(m, losses["img"]) == {"img_cnn", "img_gru", "dec_img"}, name
-        if toggles["use_align_loss"]:
+        if rank >= 3:
             align_flow = _flow_groups(m, ad.mul(losses["align"], 2.0))
             expected_align = {"align", "traj_conv"}
-            if not toggles["use_stop_gradient"]:
+            if rank < 4:
                 expected_align.add("img_cnn")
             assert align_flow == expected_align, (name, align_flow)
         else:

@@ -77,20 +77,24 @@ def test_shape_preservation():
     assert out.shape == f.values.shape
 
 
-def test_transformer_off_returns_position_tagged_input_unchanged():
-    m = tiny_model(use_transformer=False)
-    seq = tiny_sequence(np.random.default_rng(2))
-    f = m.traj_conv(seq)
-    out = m.aligner(f)
-    expected = f.values.data + rope2d(f.positions, m.enc_cfg.d)
-    np.testing.assert_allclose(out.data, expected.astype(np.float32), rtol=1e-6)
-    assert not any(n.startswith("align.") for n in m.params)
+def test_the_positions_variant_adds_exactly_the_2d_embedding_to_the_aligner_input():
+    inputs = {}
+    for variant in ("transformer", "positions"):
+        m = tiny_model(variant=variant)
+
+        def first_layer(x, frames, attn_sink, variant=variant):
+            inputs[variant] = x.data
+            return x
+
+        m.aligner.layers = [first_layer]
+        f = m.traj_conv(tiny_sequence(np.random.default_rng(2)))
+        m.aligner(f)
+    assert np.array_equal(inputs["positions"], inputs["transformer"] + rope2d(f.positions, m.enc_cfg.d))
 
 
-def test_all_toggles_off_bypasses_module_bit_exact():
-    m = tiny_model(use_transformer=False, use_rope=False, use_align_loss=False,
-                   use_stop_gradient=False)
-    assert not m.align_cfg.enabled
+def test_the_none_variant_bypasses_the_module_bit_exact():
+    m = tiny_model(variant="none")
+    assert not m.align_cfg.enabled and not any(n.startswith("align.") for n in m.params)
     seq = tiny_sequence(np.random.default_rng(3))
     f_conv = m.traj_conv(seq)
     f_enc, f_aligned = m._encode(f_conv)
@@ -250,7 +254,7 @@ def test_unit_offset_gives_loss_one():
 
 
 def _align_grad_probe(stop_grad: bool):
-    m = tiny_model(use_stop_gradient=stop_grad)
+    m = tiny_model(variant="full" if stop_grad else "align")
     seq = tiny_sequence(np.random.default_rng(12))
     losses = m.losses([seq])
     scaled = ad.mul(losses["align"], 2.0)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import json_values
 from penrec import autodiff as ad
 from penrec.cli import main
-from penrec.config import (AlignConfig, ConfigError, EncoderConfig, RunConfig, TrainConfig,
+from penrec.config import (ALIGN_VARIANTS, AlignConfig, ConfigError, EncoderConfig, RunConfig, TrainConfig,
                            align_config_from_dict, encoder_config_from_dict, run_config_from_dict)
 from penrec.data import MAX_POINTS, build_vocab, load_dataset, save_dataset
 from penrec.decoder import MAX_DECODE_CEILING
@@ -29,6 +29,9 @@ from penrec.model import Recognizer
 from penrec.synth import synth_generate
 from penrec.training import load_checkpoint, save_checkpoint
 
+
+RETIRED_TOGGLES = ("use_transformer", "use_rope", "use_align_loss", "use_stop_gradient")
+VARIANT_MESSAGE = f"alignment.variant: expected one of {list(ALIGN_VARIANTS)}, got "
 
 TINY_CONFIG = {
     "encoder": {"d": 16, "gru_layers": 1},
@@ -183,8 +186,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ("encoder", "conv1d_spec", [[8, 3, 1]] * 5 + [[16, 3, "2"]], "encoder: unknown keys ['conv1d_spec']"),
     ("training", "seed", -1, "seed must be >= 0"),
     ("training", "grad_clip", 2 ** 1024, "training.grad_clip: expected float, got 1797"),
+    ("alignment", "variant", True, "alignment.variant: expected str, got true"),
+    # the variant that would name the rotary embedding penrec does not have
+    ("alignment", "variant", "rope", VARIANT_MESSAGE + '"rope"'),
 ], ids=["d_string", "batch_size_float", "augment_int", "max_steps_bool", "conv1d_spec_string", "seed_negative",
-        "grad_clip_beyond_double"])
+        "grad_clip_beyond_double", "variant_bool", "variant_rope"])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, section, key, value, message):
     data = make_data(tmp_path)
     doc = json.loads(json.dumps(TINY_CONFIG))
@@ -261,11 +267,12 @@ def config_documents():
     """TINY_CONFIG with up to three fields, sections or top-level keys set to arbitrary JSON values."""
     sections = {"encoder": EncoderConfig, "alignment": AlignConfig, "training": TrainConfig}
     targets = [(sec, f.name) for sec, cls in sections.items() for f in dataclasses.fields(cls)]
-    targets += [(sec, "bogus") for sec in sections]
+    targets += [(sec, "bogus") for sec in sections] + [("alignment", key) for key in RETIRED_TOGGLES]
     targets += [(None, key) for key in [*sections, "train_data", "out_dir", "bogus"]]
     # bare numbers and the non-finite floats come up as often as any other JSON tree
+    # every variant, and names that are not one, come up as often too
     values = (st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(allow_nan=True, allow_infinity=True)
-              | st.integers(-2, 400) | json_values())
+              | st.integers(-2, 400) | st.sampled_from([*ALIGN_VARIANTS, "rope", "Full", ""]) | json_values())
 
     def build(edits):
         doc = json.loads(json.dumps(TINY_CONFIG))
@@ -279,13 +286,13 @@ def config_documents():
     return st.lists(st.tuples(st.sampled_from(targets), values), max_size=3).map(build)
 
 
-def test_a_run_config_has_the_22_settable_values_the_readme_lists():
+def test_a_run_config_has_the_19_settable_values_the_readme_lists():
     # a new knob must change this count and README's list together
     def settable(cfg):
         return sum(settable(v) if dataclasses.is_dataclass(v) else 1
                    for v in (getattr(cfg, f.name) for f in dataclasses.fields(cfg)))
 
-    assert settable(RunConfig()) == 22
+    assert settable(RunConfig()) == 19
 
 
 @given(raw=config_documents() | json_values())
@@ -296,6 +303,7 @@ def test_run_config_from_dict_gives_a_config_or_a_config_error(raw):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+    assert cfg.alignment.variant in ALIGN_VARIANTS
     for part in (cfg.encoder, cfg.alignment, cfg.training):
         for f in dataclasses.fields(part):
             value = getattr(part, f.name)
@@ -306,9 +314,11 @@ def test_run_config_from_dict_gives_a_config_or_a_config_error(raw):
 @pytest.mark.parametrize("section,key,value", [
     ("encoder", "conv1d_spec", None), ("encoder", "cnn2d_blocks", 1), ("alignment", "ff_mult", 2),
     ("alignment", "rope_base", 10000.0), ("training", "max_decode_len", 256),
+    *[("alignment", key, value) for key in RETIRED_TOGGLES for value in (True, False)],
 ])
 def test_removed_config_key_exits_2(tmp_path, capsys, section, key, value):
-    # these five became constants; a config that still sets one, even to its old default, is refused
+    # the first five became constants and the four toggles one variant; a config that still sets one,
+    # even to its old default, is refused
     data = make_data(tmp_path)
     doc = json.loads(json.dumps(TINY_CONFIG))
     doc[section][key] = value
@@ -541,6 +551,13 @@ def tiny_checkpoint(tmp_path):
     return ckpt, data
 
 
+def version_7_header(header):
+    """The header version 7 wrote: the four toggles in place of the variant."""
+    header["alignment"].update(dict.fromkeys(RETIRED_TOGGLES, True))
+    del header["alignment"]["variant"]
+    header["version"] = 7
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda header: header.update(vocab=None), "vocab"),
     (lambda header: header.pop("manifest"), "manifest"),
@@ -552,10 +569,16 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header.update(version=5), "unsupported version 5"),
     (lambda header: header.update(version=5.0), "unsupported version 5.0"),
     (lambda header: header.update(version=6), "unsupported version 6"),
+    (version_7_header, "unsupported version 7"),
     (lambda header: header["encoder"].update(d="16"), 'encoder.d: expected int, got "16"'),
-    (lambda header: header["alignment"].update(use_rope=1), "alignment.use_rope: expected bool"),
-    # a missing field is refused, not defaulted: use_rope changes no parameter shape
-    (lambda header: header["alignment"].pop("use_rope"), "alignment: missing keys ['use_rope']"),
+    (lambda header: header["alignment"].update(variant=1), "alignment.variant: expected str, got 1"),
+    # a missing field is refused, not defaulted: the four variants from "transformer" on share every shape
+    (lambda header: header["alignment"].pop("variant"), "alignment: missing keys ['variant']"),
+    (lambda header: header["alignment"].update(variant="rope"), VARIANT_MESSAGE + '"rope"'),
+    # version 7's toggles are unknown keys
+    (lambda header: header["alignment"].update(use_rope=True), "alignment: unknown keys ['use_rope']"),
+    (lambda header: header["alignment"].update(use_stop_gradient=False),
+     "alignment: unknown keys ['use_stop_gradient']"),
     (lambda header: header["encoder"].pop("d"), "encoder: missing keys ['d']"),
     (lambda header: header.update(seed=-1), "seed must be a non-negative integer"),
     # a symbol that is not one character: a longer one decoded as two, an empty one as nothing
@@ -570,8 +593,9 @@ def tiny_checkpoint(tmp_path):
     (lambda header: header["alignment"].update(layers=10**9), "elements, "),
     (lambda header: header["encoder"].update(gru_layers=10**9), "elements, "),
 ], ids=["vocab_null", "manifest_missing", "entry_without_shape", "version_1", "version_2", "version_3", "version_4",
-        "version_5", "version_5_float", "version_6",
-        "encoder_d_string", "alignment_toggle_int", "alignment_use_rope_missing", "encoder_d_missing",
+        "version_5", "version_5_float", "version_6", "version_7",
+        "encoder_d_string", "alignment_variant_int", "alignment_variant_missing", "alignment_variant_rope",
+        "alignment_use_rope", "alignment_use_stop_gradient", "encoder_d_missing",
         "seed_negative", "vocab_multichar", "vocab_empty_symbol",
         "alignment_rope_base_nan",
         "ff_mult_huge", "cnn2d_blocks_huge", "d_huge", "alignment_layers_huge", "gru_layers_huge"])
@@ -707,6 +731,19 @@ def test_augment_magnitude_out_of_range_exits_2(tmp_path, capsys, magnitude):
     assert "augment_magnitude must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
     TrainConfig(augment_magnitude=8e307).validate()  # the widest range that is still finite is accepted
+
+
+@pytest.mark.parametrize("preset,kept", [(None, "1"), ("3", "3")], ids=["unset", "set_to_3"])
+def test_importing_penrec_sets_one_blas_thread_unless_the_environment_sets_a_count(preset, kept):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", "import os, penrec; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == kept
 
 
 def test_infer_into_a_closed_pipe_exits_1_without_traceback(tmp_path):

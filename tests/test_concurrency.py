@@ -285,9 +285,9 @@ def test_steps_on_the_worker_are_bit_identical_to_inline_steps(monkeypatch, subm
 def test_a_coupled_graph_splits_and_stays_bit_identical(monkeypatch, submissions, handed, dtype):
     # without the stop gradient the alignment loss reaches into the image stream through its marked target
     set_cpus(monkeypatch, 1)
-    inline = two_steps(dtype, use_stop_gradient=False)
+    inline = two_steps(dtype, variant="align")
     every_site_on_the_worker(monkeypatch)
-    worker = two_steps(dtype, use_stop_gradient=False)
+    worker = two_steps(dtype, variant="align")
     assert submissions.count("image_losses") == submissions.count("_sweep_branch") == 2
     assert handed_names(worker[3], handed) == sorted(image_weights(worker[3]) * 2)
     assert_same_steps(inline, worker)

@@ -20,7 +20,7 @@ def run_script(script, argv, cwd):
 
 
 @pytest.mark.parametrize("script,args,last_line", [
-    ("ablation_grid.py", ["--n", "8", "--d", "16", "--steps", "2", "--batch-size", "4"], "+ stop gradient"),
+    ("ablation_grid.py", ["--n", "8", "--d", "16", "--steps", "2", "--batch-size", "4"], "full"),
     ("overfit_demo.py", ["--n", "4", "--d", "16", "--steps", "2", "--batch-size", "2", "--out", "{tmp}"],
      "checkpoint: {tmp}/model.ckpt"),
     ("step_digest.py", ["--d", "16", "--steps", "2"], "d=16 float32 2 steps seed 1: "),

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from gradcheck import tiny_model, tiny_sequence
 from penrec import autodiff as ad
-from penrec.config import (AlignConfig, ConfigError, EncoderConfig, TrainConfig, align_config_from_dict,
-                           encoder_config_from_dict)
+from penrec.config import (ALIGN_VARIANTS, AlignConfig, ConfigError, EncoderConfig, TrainConfig,
+                           align_config_from_dict, encoder_config_from_dict)
 from penrec.data import MAX_POINTS, MAX_WIDTH, TrajectorySequence, Vocabulary, build_vocab, normalize
 from penrec.model import IMAGE_PREFIXES, TRAJ_PREFIXES, Recognizer
 from penrec.synth import DEFAULT_ALPHABET, synth_generate
@@ -133,7 +133,7 @@ def test_components_recomputed_independently_match():
 
 
 def test_align_component_absent_when_loss_disabled():
-    m = tiny_model(use_align_loss=False)
+    m = tiny_model(variant="positions")
     batch = [tiny_sequence(np.random.default_rng(4))]
     total, comps = batch_losses(m, batch, align_weight=2.0)
     assert "align" not in comps
@@ -178,7 +178,7 @@ def test_align_loss_with_sg_updates_alignment_and_conv_only():
 
 
 def test_align_loss_without_sg_reaches_image_encoder():
-    m = tiny_model(use_stop_gradient=False)
+    m = tiny_model(variant="align")
     losses = m.losses([tiny_sequence(np.random.default_rng(8))])
     touched = _groups_with_signal(m, ad.mul(losses["align"], 2.0))
     assert "img_cnn" in touched
@@ -186,22 +186,21 @@ def test_align_loss_without_sg_reaches_image_encoder():
 
 
 # ---------------------------------------------------------------------------
-# ablation toggle structure
+# ablation variant structure
 
 
-ABLATION_ROWS = [
-    dict(use_transformer=False, use_rope=False, use_align_loss=False, use_stop_gradient=False),
-    dict(use_transformer=True, use_rope=False, use_align_loss=False, use_stop_gradient=False),
-    dict(use_transformer=True, use_rope=True, use_align_loss=False, use_stop_gradient=False),
-    dict(use_transformer=True, use_rope=True, use_align_loss=True, use_stop_gradient=False),
-    dict(use_transformer=True, use_rope=True, use_align_loss=True, use_stop_gradient=True),
-]
+def test_each_variant_adds_one_piece_to_the_row_before_it():
+    pieces = [(cfg.enabled, cfg.position_embedding, cfg.align_loss, cfg.stop_gradient)
+              for cfg in (AlignConfig(variant=v) for v in ALIGN_VARIANTS)]
+    assert pieces == [(False, False, False, False), (True, False, False, False), (True, True, False, False),
+                      (True, True, True, False), (True, True, True, True)]
+    assert AlignConfig().variant == "full"
 
 
 def test_ablation_rows_parameter_counts():
     counts = []
-    for row in ABLATION_ROWS:
-        m = tiny_model(**row)
+    for variant in ALIGN_VARIANTS:
+        m = tiny_model(variant=variant)
         align_params = sum(p.data.size for n, p in m.params.items() if n.startswith("align."))
         other_params = sum(p.data.size for n, p in m.params.items() if not n.startswith("align."))
         counts.append((align_params, other_params))
@@ -212,7 +211,7 @@ def test_ablation_rows_parameter_counts():
 
 
 def test_baseline_row_runs_without_alignment():
-    m = tiny_model(**ABLATION_ROWS[0])
+    m = tiny_model(variant="none")
     losses = m.losses([tiny_sequence(np.random.default_rng(10))])
     assert losses["align"] is None
     touched = _groups_with_signal(m, losses["traj"])
@@ -410,6 +409,18 @@ def test_checkpoint_round_trip_bytes_and_inference(tmp_path):
     assert m.infer_ids(seq) == loaded.infer_ids(seq)
 
 
+@pytest.mark.parametrize("variant", ALIGN_VARIANTS)
+def test_each_alignment_variant_round_trips_through_a_checkpoint(tmp_path, variant):
+    data = small_dataset(n=4)
+    m = Recognizer(tiny_enc_cfg(), AlignConfig(layers=1, heads=2, variant=variant), build_vocab(data), seed=5)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+    loaded = load_checkpoint(path)
+    assert loaded.align_cfg.variant == variant
+    lines = [normalize(s) for s in data[:3]]
+    assert [loaded.infer_ids(s) for s in lines] == [m.infer_ids(s) for s in lines]
+
+
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     data = small_dataset(n=2)
     vocab = build_vocab(data)
@@ -557,7 +568,7 @@ def test_a_change_to_the_manifest_comes_with_a_new_checkpoint_version(tmp_path):
                                Vocabulary(list("ab")), seed=0), path)
     manifest = json.loads(path.read_bytes().split(b"\n", 1)[0])["manifest"]
     digest = hashlib.sha256(json.dumps([[m["name"], m["shape"]] for m in manifest]).encode()).hexdigest()
-    assert (CHECKPOINT_VERSION, digest) == (7, "f9d1a34447a1936bef07037b40c28f1a48eb1f67cb219d37790badcff94e31dc")
+    assert (CHECKPOINT_VERSION, digest) == (8, "f9d1a34447a1936bef07037b40c28f1a48eb1f67cb219d37790badcff94e31dc")
 
 
 def test_load_reads_a_saved_file_to_its_values(tmp_path, poisoned_empty):
